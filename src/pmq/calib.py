@@ -29,7 +29,7 @@ from .model import (
     forward,
     forward_to_layer,
 )
-from .tensorfile import read_tensor_file, write_tensor_file
+from .tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
 
 # forward/accumulation chunk: 32 calibration samples at a time
 CALIB_CHUNK = 32
@@ -312,9 +312,14 @@ def save_calib_set(calib: CalibSet, directory) -> None:
 
 def load_calib_set(directory) -> CalibSet:
     directory = Path(directory)
-    index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
+    index_path = directory / "index.json"
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        num_tasks, samples_per_task = int(index["K"]), int(index["samples_per_task"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedHeaderError(f"{index_path}: malformed index: {exc!r}") from exc
     batches = []
-    for task_id in range(1, int(index["K"]) + 1):
+    for task_id in range(1, num_tasks + 1):
         tensors, _ = read_tensor_file(directory / f"task{task_id}.safetensors")
         batches.append(
             Batch(
@@ -325,6 +330,6 @@ def load_calib_set(directory) -> CalibSet:
         )
     return CalibSet(
         batches=batches,
-        samples_per_task=int(index["samples_per_task"]),
+        samples_per_task=samples_per_task,
         seed=None if index.get("seed") is None else int(index["seed"]),
     )

@@ -194,6 +194,11 @@ def _run_quantize(cfg: RunConfig, merged: Checkpoint, experts: list[Checkpoint],
     if cfg.quant.solver == "epmq":
         if calib is None:
             raise ConfigError("epmq requires calibration data; run `pmq gen` first")
+        if calib.num_tasks != len(experts):
+            raise ConfigError(
+                f"{calib.num_tasks} calibration tasks for k={len(experts)} experts; "
+                "run `pmq gen` with the same k"
+            )
         return run_epmq(
             merged, experts, calib, cfg.quant, recompute_trajectory=cfg.recompute_trajectory
         )
@@ -211,11 +216,13 @@ def cmd_quantize(cfg: RunConfig, out: Path) -> None:
     calib_dir = out / "calib"
     calib = load_calib_set(calib_dir) if (calib_dir / "index.json").exists() else None
     expert_files = _expert_paths(out, cfg.k)
-    experts = (
-        [load_checkpoint(p) for p in expert_files]
-        if all(p.exists() for p in expert_files)
-        else []
-    )
+    missing = [p.name for p in expert_files if not p.exists()]
+    # rtn and gptq run without experts; a partial set means k and `pmq gen` disagree
+    if missing and (len(missing) < len(expert_files) or cfg.quant.solver == "epmq"):
+        raise ConfigError(
+            f"k={cfg.k} but {out} lacks expert files {missing}; run `pmq gen` with the same k"
+        )
+    experts = [] if missing else [load_checkpoint(p) for p in expert_files]
     run = _run_quantize(cfg, merged, experts, calib)
     save_model(run.model, out / "quantized.safetensors")
     blob = json.dumps(

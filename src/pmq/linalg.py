@@ -1,8 +1,10 @@
-"""Deterministic dense linear algebra primitives.
+"""Dense linear algebra primitives.
 
-All compute happens in float64 regardless of what files store. Reductions
-use a fixed summation order (no BLAS reassociation), so repeated runs give
-bit-identical results on a given platform.
+All compute happens in float64 regardless of what files store. Products and
+factorizations go through BLAS/LAPACK, whose summation order depends on the
+platform, the BLAS build and, for the threaded LAPACK routines, the thread
+count. Repeated runs on one platform, BLAS build and thread count give
+bit-identical results; across thread counts results agree to rounding.
 """
 
 from __future__ import annotations
@@ -38,24 +40,12 @@ def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product with a fixed left-to-right accumulation order.
-
-    Each output element is accumulated one product at a time over the inner
-    dimension in increasing index order, exactly like a scalar triple loop
-    (one rounded multiply and one rounded add per step).
-    """
+    """Shape-checked float64 matrix product, computed by BLAS."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n))
-    tmp = np.empty((m, n))
-    for j in range(k):
-        np.multiply(a[:, j, np.newaxis], b[j, np.newaxis, :], out=tmp)
-        out += tmp
-    return out
+    return a @ b
 
 
 def frobenius_sq(a) -> float:

@@ -43,6 +43,9 @@ from .quant import (
     quantize_values,
 )
 
+# columns rounded one by one between two lazy batch updates
+ROUNDING_BLOCK = 128
+
 
 @dataclass
 class SolverProblem:
@@ -98,7 +101,7 @@ class SolveReport:
 def quadratic_objective(q: np.ndarray, target: np.ndarray, curvature: np.ndarray) -> float:
     """trace((Q - T) H (Q - T)^T), the reconstruction error under H."""
     e = as_matrix(q) - as_matrix(target)
-    return float(np.einsum("ij,jk,ik->", e, curvature, e))
+    return float(np.sum((e @ curvature) * e))
 
 
 def epmq_objective(
@@ -181,6 +184,10 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     from the grid-source weight; then for each column j in natural order,
     round column j, divide the rounding error by U[j, j], and subtract the
     weighted error from all not-yet-quantized columns via U[j, j+1:].
+
+    The subtraction is batched (GPTQ's lazy batch updates): rank-1 updates
+    touch only the current block of ROUNDING_BLOCK columns, and one matrix
+    product per block carries its errors to all later columns.
     The reported objective is recomputed from scratch on the final codes
     against the pre-damping curvature.
     """
@@ -204,15 +211,19 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     work = target.copy()
     codes = np.empty((d_out, d), dtype=np.uint8)
     comp_norms = np.zeros(d)
-    for j in range(d):
-        g = col_group[j]
-        cj = quantize_values(work[:, j], scales[:, g], zeros[:, g], cfg.bits)
-        qj = dequantize_values(cj, scales[:, g], zeros[:, g])
-        err = (work[:, j] - qj) / u[j, j]
-        comp_norms[j] = float(np.sqrt(np.dot(err, err)))
-        codes[:, j] = cj
-        if j + 1 < d:
-            work[:, j + 1 :] -= np.outer(err, u[j, j + 1 :])
+    for b0 in range(0, d, ROUNDING_BLOCK):
+        b1 = min(b0 + ROUNDING_BLOCK, d)
+        errs = np.empty((d_out, b1 - b0))
+        for j in range(b0, b1):
+            g = col_group[j]
+            cj = quantize_values(work[:, j], scales[:, g], zeros[:, g], cfg.bits)
+            qj = dequantize_values(cj, scales[:, g], zeros[:, g])
+            err = (work[:, j] - qj) / u[j, j]
+            comp_norms[j] = float(np.sqrt(np.dot(err, err)))
+            codes[:, j] = cj
+            errs[:, j - b0] = err
+            work[:, j + 1 : b1] -= np.outer(err, u[j, j + 1 : b1])
+        work[:, b1:] -= errs @ u[b0:b1, b1:]
 
     quantized = QuantizedLayer(
         codes=codes,
@@ -298,7 +309,7 @@ def brute_force_optimum(
         row_zeros = zeros[row, col_group]
         values = row_scales * (assignments.astype(np.float64) - row_zeros)
         err = values - target[row]
-        objectives = np.einsum("aj,jk,ak->a", err, problem.curvature, err)
+        objectives = np.sum((err @ problem.curvature) * err, axis=1)
         idx = int(np.argmin(objectives))
         best_codes[row] = assignments[idx]
         total += float(objectives[idx])

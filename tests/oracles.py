@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain Python loops or numpy built-ins that
-do not share code paths with the package under test.
+do not share code paths with the package under test. The one exception is
+gptq_columnwise, which reuses the package's grid fitting, rounding and
+Cholesky helpers because what it pins down is the order of the error
+updates, not those helpers.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ import json
 import struct
 
 import numpy as np
+
+from pmq.linalg import cholesky_inverse_upper
+from pmq.quant import dequantize_values, fit_layer_grids, quantize_values
 
 
 def matmul_triple_loop(a, b):
@@ -26,6 +32,42 @@ def matmul_triple_loop(a, b):
                 acc += a[i, j] * b[j, c]
             out[i, c] = acc
     return out
+
+
+def gptq_columnwise(problem):
+    """Sequential rounding with one rank-1 update of all later columns per column.
+
+    The unbatched form of pmq.solver.gptq_solve. Returns (codes,
+    per_column_comp_norms, objective against the pre-damping curvature).
+    """
+    cfg = problem.cfg
+    target = problem.target
+    d_out, d = target.shape
+    h = problem.curvature
+    damp = cfg.percdamp * float(np.mean(np.diag(h)))
+    if not damp > 0:
+        damp = cfg.percdamp
+    u = cholesky_inverse_upper(h + damp * np.eye(d))
+    scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
+    col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
+
+    work = target.copy()
+    codes = np.empty((d_out, d), dtype=np.uint8)
+    values = np.empty((d_out, d))
+    comp_norms = np.zeros(d)
+    for j in range(d):
+        g = col_group[j]
+        cj = quantize_values(work[:, j], scales[:, g], zeros[:, g], cfg.bits)
+        qj = dequantize_values(cj, scales[:, g], zeros[:, g])
+        err = (work[:, j] - qj) / u[j, j]
+        comp_norms[j] = float(np.sqrt(np.dot(err, err)))
+        codes[:, j] = cj
+        values[:, j] = qj
+        if j + 1 < d:
+            work[:, j + 1 :] -= np.outer(err, u[j, j + 1 :])
+    e = values - target
+    objective = float(np.einsum("ij,jk,ik->", e, h, e))
+    return codes, comp_norms, objective
 
 
 def frobenius_scalar(a):

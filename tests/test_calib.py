@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pmq.calib import (
 from pmq.linalg import ShapeError, frobenius_sq
 from pmq.model import Batch, Model, forward_to_layer
 from pmq.quant import QuantConfig, rtn_quantize
+from pmq.tensorfile import MalformedHeaderError
 
 
 def small_problem(seed=0, **kwargs):
@@ -55,6 +58,23 @@ class TestCalibSet:
         save_calib_set(calib, tmp_path / "c")
         files = sorted(p.name for p in (tmp_path / "c").glob("task*.safetensors"))
         assert files == ["task1.safetensors", "task2.safetensors", "task3.safetensors"]
+
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            ('{"samples_per_task": 4}', "KeyError('K')"),
+            ('{"K": 2}', "KeyError('samples_per_task')"),
+            ("{K:", "JSONDecodeError"),
+            ("[]", "TypeError"),
+        ],
+    )
+    def test_incomplete_index_is_malformed(self, tmp_path, rng, index, message):
+        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=1)], samples_per_task=3)
+        save_calib_set(calib, tmp_path / "c")
+        (tmp_path / "c" / "index.json").write_text(index)
+        with pytest.raises(MalformedHeaderError, match=re.escape(message)):
+            load_calib_set(tmp_path / "c")
 
 
 class TestLayerStats:

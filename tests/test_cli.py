@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,9 +321,110 @@ class TestExitCodes:
         write_tensor_file(task1, tensors)
         assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 3
 
+    @pytest.mark.parametrize(
+        "solver, removed, overrides",
+        [
+            ("epmq", ["expert2"], []),
+            ("gptq", ["expert1"], []),
+            ("epmq", ["expert1", "expert2"], []),
+            ("epmq", [], ["k=3"]),
+            ("epmq", [], ["k=1"]),
+        ],
+    )
+    def test_expert_files_not_matching_k_is_2(self, tmp_path, capsys, solver, removed, overrides):
+        cfg = write_cfg(tmp_path, {"quant.solver": solver})
+        out = tmp_path / "out"
+        run_cli("gen", "--config", cfg, "--out", str(out))
+        run_cli("merge", "--config", cfg, "--out", str(out))
+        for name in removed:
+            (out / f"{name}.safetensors").unlink()
+        capsys.readouterr()
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli("quantize", "--config", cfg, "--out", str(out), *sets) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config error" in err
+        for name in removed:
+            assert name in err
+        assert not (out / "quantized.safetensors").exists()
+
+    def test_incomplete_calib_index_is_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        run_cli("gen", "--config", cfg, "--out", str(out))
+        run_cli("merge", "--config", cfg, "--out", str(out))
+        (out / "calib" / "index.json").write_text('{"seed": 123}')
+        capsys.readouterr()
+        assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "'K'" in err
+
     def test_corrupt_tensor_file_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
         run_cli("gen", "--config", cfg, "--out", str(out))
         (out / "base.safetensors").write_bytes(b"\xff" * 32)
         assert run_cli("merge", "--config", cfg, "--out", str(out)) == 4
+
+
+PIPELINE_SCRIPT = """
+import sys
+from pmq.cli import main
+cfg, out = sys.argv[1:]
+for command in ("gen", "merge", "quantize"):
+    code = main([command, "--config", cfg, "--out", out])
+    if code:
+        sys.exit(code)
+"""
+
+
+def run_pipeline_with_blas_threads(cfg, out, threads):
+    """gen -> merge -> quantize in a fresh interpreter with a fixed BLAS thread count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PMQ_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    subprocess.run(
+        [sys.executable, "-c", PIPELINE_SCRIPT, cfg, str(out)],
+        env=env,
+        check=True,
+        timeout=300,
+    )
+    return (out / "quantized.safetensors").read_bytes(), (out / "run.json").read_bytes()
+
+
+def assert_json_close(a, b, rtol, path="run.json"):
+    """Same structure and non-float values; floats equal to rtol relative."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert sorted(a) == sorted(b), path
+        for key in a:
+            assert_json_close(a[key], b[key], rtol, f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_json_close(x, y, rtol, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= rtol * max(abs(a), abs(b)), f"{path}: {a!r} vs {b!r}"
+    else:
+        assert a == b, path
+
+
+class TestDeterminism:
+    def test_blas_thread_counts(self, tmp_path):
+        """Byte-identical at one thread count; across counts only run.json floats may move."""
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "dims": [256, 256, 32],
+                "samples_per_task": 512,
+                "heldout_samples": 8,
+                "expert_mode": "perturb",
+            },
+        )
+        model_1a, run_1a = run_pipeline_with_blas_threads(cfg, tmp_path / "t1a", 1)
+        model_1b, run_1b = run_pipeline_with_blas_threads(cfg, tmp_path / "t1b", 1)
+        model_2, run_2 = run_pipeline_with_blas_threads(cfg, tmp_path / "t2", 2)
+        assert model_1a == model_1b == model_2
+        assert run_1a == run_1b
+        assert_json_close(json.loads(run_1a), json.loads(run_2), rtol=1e-12)

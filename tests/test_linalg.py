@@ -15,6 +15,13 @@ from conftest import random_spd
 from oracles import frobenius_scalar, matmul_triple_loop, solve_right_via_inverse
 
 
+def assert_within_forward_error(product, a, b):
+    """|AB - oracle| <= 2 k eps (|A| |B|) elementwise, in any summation order."""
+    k = a.shape[1]
+    bound = 2 * k * np.finfo(np.float64).eps * matmul_triple_loop(np.abs(a), np.abs(b))
+    assert np.all(np.abs(product - matmul_triple_loop(a, b)) <= bound)
+
+
 class TestMatmul:
     def test_identity_times_any(self, rng):
         a = rng.normal(size=(2, 2))
@@ -25,23 +32,23 @@ class TestMatmul:
         out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
         np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
-    def test_matches_triple_loop_to_zero_ulp(self, rng):
+    def test_matches_triple_loop_within_forward_error_bound(self, rng):
         a = rng.normal(size=(5, 7))
         b = rng.normal(size=(7, 3))
-        np.testing.assert_array_equal(matmul(a, b), matmul_triple_loop(a, b))
+        assert_within_forward_error(matmul(a, b), a, b)
 
     @settings(max_examples=25, deadline=None)
     @given(
-        m=st.integers(1, 6),
-        k=st.integers(1, 6),
-        n=st.integers(1, 6),
+        m=st.integers(1, 24),
+        k=st.integers(1, 24),
+        n=st.integers(1, 24),
         seed=st.integers(0, 2**31),
     )
-    def test_triple_loop_property(self, m, k, n, seed):
+    def test_triple_loop_forward_error_property(self, m, k, n, seed):
         r = np.random.default_rng(seed)
         a = r.normal(size=(m, k))
         b = r.normal(size=(k, n))
-        np.testing.assert_array_equal(matmul(a, b), matmul_triple_loop(a, b))
+        assert_within_forward_error(matmul(a, b), a, b)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):

@@ -16,7 +16,7 @@ from pmq.solver import (
 )
 
 from conftest import random_spd
-from oracles import gradient_descent_anchored, matmul_triple_loop
+from oracles import gptq_columnwise, gradient_descent_anchored, matmul_triple_loop
 
 
 def random_stats(rng, d, k, n=10, energy_scale=1.0):
@@ -196,6 +196,22 @@ class TestGptqSolve:
             assert obj_g >= obj_o - 1e-12 * max(1.0, obj_o)
             ratio_ok += obj_g <= 1.25 * obj_o + 1e-12
         assert ratio_ok >= 80
+
+    @pytest.mark.parametrize("d", [127, 128, 129, 300, 385])
+    def test_blocked_rounding_matches_columnwise_oracle(self, d):
+        r = np.random.default_rng(d)
+        x = r.normal(size=(d, 1)) + r.uniform(0.5, 1.5, size=(d, 1)) * r.normal(size=(d, d + 16))
+        h = x @ x.T
+        w = r.normal(size=(12, d)) / np.sqrt(d)
+        for bits in (2, 3, 4, 8):
+            for group_size in (32, 64, 128):
+                cfg = QuantConfig(bits=bits, group_size=group_size, solver="gptq")
+                prob = SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg)
+                rep = gptq_solve(prob)
+                codes, comp_norms, objective = gptq_columnwise(prob)
+                np.testing.assert_array_equal(rep.quantized.codes, codes)
+                np.testing.assert_allclose(rep.per_column_comp_norms, comp_norms, rtol=1e-12)
+                assert rep.objective == pytest.approx(objective, rel=1e-12)
 
     def test_singular_curvature_error_mentions_percdamp(self):
         cfg = QuantConfig(bits=4, group_size=4, solver="gptq")
