@@ -156,6 +156,21 @@ def _expert_paths(out: Path, k: int) -> list[Path]:
     return [out / f"expert{i}.safetensors" for i in range(1, k + 1)]
 
 
+def _load_experts(out: Path, k: int, required: bool) -> list[Checkpoint]:
+    """The k expert checkpoints, or [] when none exists and they are optional.
+
+    A partial set means k and `pmq gen` disagree, which is a config error
+    whether or not the command needs the experts.
+    """
+    paths = _expert_paths(out, k)
+    missing = [p.name for p in paths if not p.exists()]
+    if missing and (len(missing) < len(paths) or required):
+        raise ConfigError(
+            f"k={k} but {out} lacks expert files {missing}; run `pmq gen` with the same k"
+        )
+    return [] if missing else [load_checkpoint(p) for p in paths]
+
+
 def _generate_problem(cfg: RunConfig):
     return make_synthetic_tasks(
         seed=cfg.seed,
@@ -215,14 +230,8 @@ def cmd_quantize(cfg: RunConfig, out: Path) -> None:
     merged = load_checkpoint(out / "merged.safetensors")
     calib_dir = out / "calib"
     calib = load_calib_set(calib_dir) if (calib_dir / "index.json").exists() else None
-    expert_files = _expert_paths(out, cfg.k)
-    missing = [p.name for p in expert_files if not p.exists()]
-    # rtn and gptq run without experts; a partial set means k and `pmq gen` disagree
-    if missing and (len(missing) < len(expert_files) or cfg.quant.solver == "epmq"):
-        raise ConfigError(
-            f"k={cfg.k} but {out} lacks expert files {missing}; run `pmq gen` with the same k"
-        )
-    experts = [] if missing else [load_checkpoint(p) for p in expert_files]
+    # rtn and gptq run without experts
+    experts = _load_experts(out, cfg.k, required=cfg.quant.solver == "epmq")
     run = _run_quantize(cfg, merged, experts, calib)
     save_model(run.model, out / "quantized.safetensors")
     blob = json.dumps(
@@ -234,6 +243,8 @@ def cmd_quantize(cfg: RunConfig, out: Path) -> None:
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     model = load_model(out / "quantized.safetensors")
     heldout = load_calib_set(out / "heldout")
+    # the deviation diagnostics are skipped only when no expert file exists
+    experts = _load_experts(out, cfg.k, required=False)
     result = evaluate(model, heldout)
     rows = [
         {
@@ -262,10 +273,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         writer.writerows(rows)
 
     run_path = out / "run.json"
-    expert_files = _expert_paths(out, cfg.k)
-    if run_path.exists() and all(p.exists() for p in expert_files):
+    if run_path.exists() and experts:
         merged = load_checkpoint(out / "merged.safetensors")
-        experts = [load_checkpoint(p) for p in expert_files]
         run = PmqRun(
             merged=merged,
             experts=experts,

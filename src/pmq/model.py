@@ -8,6 +8,7 @@ done by the quantization pipeline, which serializes those writes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -149,14 +150,32 @@ class Model:
         layer._weight = None
 
     def state_checksum(self) -> str:
-        """SHA-256 over realized weights and biases, in layer order."""
-        h = hashlib.sha256()
-        for layer in self.layers:
-            h.update(layer.spec.id.encode("utf-8"))
-            h.update(np.ascontiguousarray(layer.weight).tobytes())
-            if layer.bias is not None:
-                h.update(np.ascontiguousarray(layer.bias).tobytes())
-        return h.hexdigest()
+        """Hex SHA-256 prefix chain over every layer, in layer order.
+
+        The fold of chain_link over all layers, starting from EMPTY_PREFIX,
+        so it equals the trajectory checksum a layer appended after the last
+        one would carry.
+        """
+        return functools.reduce(chain_link, self.layers, EMPTY_PREFIX).hex()
+
+
+# c_1 of the prefix chain: the digest of no layers at all
+EMPTY_PREFIX = hashlib.sha256().digest()
+
+
+def chain_link(prev: bytes, layer: RealizedLayer) -> bytes:
+    """One link of the prefix chain: sha256(prev || id || W || b).
+
+    W is the realized weight and b the bias, hashed through the buffer
+    protocol (no byte copies). c_l = chain_link(c_{l-1}, layer l-1) covers
+    exactly the layers that decide the inputs to layer l.
+    """
+    h = hashlib.sha256(prev)
+    h.update(layer.spec.id.encode("utf-8"))
+    h.update(np.ascontiguousarray(layer.weight))
+    if layer.bias is not None:
+        h.update(np.ascontiguousarray(layer.bias))
+    return h.digest()
 
 
 def propagate_through_layer(x: np.ndarray, layer: RealizedLayer) -> np.ndarray:

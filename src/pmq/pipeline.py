@@ -5,10 +5,21 @@ per-task input activations from the current partially quantized model
 (advancing a per-task activation cache through each freshly quantized layer,
 which for sequential models is exactly equivalent to re-running the forward
 pass), solves for low-bit codes, and swaps the layer in place before moving
-on. Deviation diagnostics decompose the held-out output error of each
+on.
+
+Each layer report carries a trajectory checksum: the prefix chain
+c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
+1..l-1 as they stand when layer l is calibrated (the full-precision model on
+the frozen trajectory). The driver extends it by one link per layer. Between
+collection and replacement it re-hashes the two layers a step can reach,
+layer l's source (the array the solver receives as the merged weight) and
+layer l-1 (the link the cache was advanced through), and raises if either
+changed.
+
+Deviation diagnostics decompose the held-out output error of each
 quantized layer into the quantization part (Q X - W_m X) and the
 expert-relative merging part (W_m X - W_i X), whose sum telescopes to the
-combined deviation Q X - W_i X.
+combined deviation Q X - W_i X. They walk each task forward once.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import numpy as np
 from .calib import CalibSet, collect_layer_stats
 from .checkpoint import Checkpoint, ManifestError
 from .linalg import matmul
-from .model import Model, forward, forward_to_layer, propagate_through_layer
+from .model import EMPTY_PREFIX, Model, chain_link, forward, propagate_through_layer
 from .quant import QuantConfig, rtn_quantize
 from .solver import SolverProblem, SolveReport, epmq_solve, gptq_solve, quadratic_objective
 
@@ -97,22 +108,23 @@ def _quantize_forward_order(
     quantized_trajectory: bool = True,
 ) -> PmqRun:
     model = Model.from_checkpoint(merged)
-    reference = Model.from_checkpoint(merged) if not quantized_trajectory else None
+    # the model whose layers 1..l-1 decide the inputs to layer l
+    source = model if quantized_trajectory else Model.from_checkpoint(merged)
     cache = _init_cache(calib) if calib is not None else None
     reports: list[LayerReport] = []
+    prev_chain, chain = b"", EMPTY_PREFIX
     start = time.perf_counter()
     for layer_index in range(1, model.num_layers + 1):
-        layer_id = model.layers[layer_index - 1].spec.id
-        merged_w = merged.layers[layer_index - 1].weight
+        layer = source.layers[layer_index - 1]
+        layer_id = layer.spec.id
+        merged_w = layer.weight
         try:
             if calib is not None:
-                source = reference if reference is not None else model
-                checksum = source.state_checksum()
                 stats, acts = collect_layer_stats(
                     source, calib, layer_index, cached=None if recompute_trajectory else cache
                 )
+                collected = chain_link(chain, layer)
             else:
-                checksum = model.state_checksum()
                 stats, acts = None, None
 
             if method == "epmq":
@@ -149,29 +161,28 @@ def _quantize_forward_order(
                 raise ValueError(f"unknown method '{method}'")
 
             # the collected activations must describe the exact state we mutate
-            source = reference if reference is not None else model
-            if calib is not None and source.state_checksum() != checksum:
-                raise RuntimeError(
-                    f"layer '{layer_id}': model state changed between collection and replacement"
+            if calib is not None and (
+                chain_link(chain, layer) != collected
+                or (
+                    layer_index > 1
+                    and chain_link(prev_chain, source.layers[layer_index - 2]) != chain
                 )
+            ):
+                raise RuntimeError("model state changed between collection and replacement")
             model.replace_layer(layer_index, solve.quantized)
-            if cache is not None and not recompute_trajectory:
-                advance_through = (
-                    reference.layers[layer_index - 1]
-                    if reference is not None
-                    else model.layers[layer_index - 1]
-                )
-                if layer_index < model.num_layers:
-                    cache = {
-                        task_id: propagate_through_layer(acts[task_id], advance_through)
-                        for task_id in sorted(acts)
-                    }
+            if cache is not None and not recompute_trajectory and layer_index < model.num_layers:
+                cache = {
+                    task_id: propagate_through_layer(acts[task_id], layer)
+                    for task_id in sorted(acts)
+                }
         except Exception as exc:
             exc.args = (f"layer '{layer_id}': {exc}",)
             raise
         reports.append(
-            LayerReport(layer_id=layer_id, solve=solve, trajectory_checksum=checksum)
+            LayerReport(layer_id=layer_id, solve=solve, trajectory_checksum=chain.hex())
         )
+        if layer_index < model.num_layers:
+            prev_chain, chain = chain, chain_link(chain, layer)
     elapsed = time.perf_counter() - start
     return PmqRun(
         merged=merged,
@@ -248,39 +259,46 @@ def deviation_diagnostics(
     For each layer and task: the quantization deviation Q X - W_m X, the
     expert-relative merging deviation W_m X - W_i X, and the combined
     deviation Q X - W_i X, which must equal their sum elementwise.
+
+    Each task's activations are walked forward once through the quantized
+    model, one layer at a time; rows come out layer-major, and the first
+    row (in that order) whose identity gap exceeds identity_tol raises.
     """
     if not run.experts:
         raise ValueError("deviation diagnostics requires the run to carry experts")
-    report = DeviationReport()
-    for layer_index in range(1, run.model.num_layers + 1):
-        layer_id = run.model.layers[layer_index - 1].spec.id
-        q_w = run.model.layers[layer_index - 1].weight
-        m_w = run.merged.layers[layer_index - 1].weight
-        for expert_idx, expert in enumerate(run.experts, start=1):
-            batch = heldout.task(expert_idx)
-            x = forward_to_layer(run.model, batch.inputs, layer_index)
-            e_w = expert.layers[layer_index - 1].weight
-            qx = matmul(q_w, x)
-            mx = matmul(m_w, x)
-            ex = matmul(e_w, x)
+    layers = run.model.layers
+    by_task: list[list[DeviationRow]] = []
+    for expert_idx, expert in enumerate(run.experts, start=1):
+        x = heldout.task(expert_idx).inputs
+        rows = []
+        for layer_index, layer in enumerate(layers, start=1):
+            if layer_index > 1:
+                x = propagate_through_layer(x, layers[layer_index - 2])
+            qx = matmul(layer.weight, x)
+            mx = matmul(run.merged.layers[layer_index - 1].weight, x)
+            ex = matmul(expert.layers[layer_index - 1].weight, x)
             quant_dev = qx - mx
             merge_dev = mx - ex
             combined = qx - ex
-            identity_gap = float(np.abs(combined - (quant_dev + merge_dev)).max(initial=0.0))
-            if identity_gap > identity_tol:
-                raise ArithmeticError(
-                    f"layer '{layer_id}' task {expert_idx}: deviation decomposition "
-                    f"violated by {identity_gap:g}"
-                )
-            report.rows.append(
+            rows.append(
                 DeviationRow(
-                    layer_id=layer_id,
+                    layer_id=layer.spec.id,
                     task_id=expert_idx,
                     quant_norm=float(np.sqrt(np.sum(quant_dev**2))),
                     merge_norm=float(np.sqrt(np.sum(merge_dev**2))),
                     combined_norm=float(np.sqrt(np.sum(combined**2))),
-                    identity_max_abs=identity_gap,
+                    identity_max_abs=float(
+                        np.abs(combined - (quant_dev + merge_dev)).max(initial=0.0)
+                    ),
                 )
+            )
+        by_task.append(rows)
+    report = DeviationReport(rows=[row for layer_rows in zip(*by_task) for row in layer_rows])
+    for row in report.rows:
+        if row.identity_max_abs > identity_tol:
+            raise ArithmeticError(
+                f"layer '{row.layer_id}' task {row.task_id}: deviation decomposition "
+                f"violated by {row.identity_max_abs:g}"
             )
     return report
 

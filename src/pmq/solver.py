@@ -176,7 +176,7 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
     return damp if damp > 0 else percdamp
 
 
-def gptq_solve(problem: SolverProblem) -> SolveReport:
+def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np.ndarray]:
     """Sequential error-compensated rounding toward the problem target.
 
     Steps: damp the curvature by percdamp of its mean diagonal; factor the
@@ -188,8 +188,7 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     The subtraction is batched (GPTQ's lazy batch updates): rank-1 updates
     touch only the current block of ROUNDING_BLOCK columns, and one matrix
     product per block carries its errors to all later columns.
-    The reported objective is recomputed from scratch on the final codes
-    against the pre-damping curvature.
+    Returns (quantized layer, damping applied, per-column compensation norms).
     """
     cfg = problem.cfg
     target = problem.target
@@ -232,7 +231,17 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
         bits=cfg.bits,
         group_size=cfg.group_size,
     )
-    objective = quadratic_objective(quantized.dequantize(), target, problem.curvature)
+    return quantized, damp, comp_norms
+
+
+def gptq_solve(problem: SolverProblem) -> SolveReport:
+    """Sequential error-compensated rounding toward the problem target.
+
+    Rounds with _round_sequential; the reported objective is recomputed
+    from scratch on the final codes against the pre-damping curvature.
+    """
+    quantized, damp, comp_norms = _round_sequential(problem)
+    objective = quadratic_objective(quantized.dequantize(), problem.target, problem.curvature)
     return SolveReport(
         quantized=quantized,
         objective=objective,
@@ -270,14 +279,18 @@ def epmq_solve(
     problem = SolverProblem(
         target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg
     )
-    report = gptq_solve(problem)
-    report.solver = "epmq"
-    report.lam = lam
-    report.damped_fallback = fallback
-    report.objective = epmq_objective(
-        report.quantized.dequantize(), expert_weights, merged_weight, stats, lam
+    quantized, damp, comp_norms = _round_sequential(problem)
+    return SolveReport(
+        quantized=quantized,
+        objective=epmq_objective(
+            quantized.dequantize(), expert_weights, merged_weight, stats, lam
+        ),
+        lam=lam,
+        damping=damp,
+        per_column_comp_norms=comp_norms,
+        solver="epmq",
+        damped_fallback=fallback,
     )
-    return report
 
 
 def brute_force_optimum(

@@ -1,10 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain Python loops or numpy built-ins that
-do not share code paths with the package under test. The one exception is
-gptq_columnwise, which reuses the package's grid fitting, rounding and
-Cholesky helpers because what it pins down is the order of the error
-updates, not those helpers.
+do not share code paths with the package under test. There are two
+exceptions. gptq_columnwise reuses the package's grid fitting, rounding and
+Cholesky helpers, because what it pins down is the order of the error
+updates, not those helpers. deviation_rows_from_scratch reuses the package's
+forward pass, because what it pins down is that the one-pass diagnostics
+see the same activations as re-forwarding from the inputs to every layer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import struct
 import numpy as np
 
 from pmq.linalg import cholesky_inverse_upper
+from pmq.model import forward_to_layer
+from pmq.pipeline import DeviationRow
 from pmq.quant import dequantize_values, fit_layer_grids, quantize_values
 
 
@@ -68,6 +72,37 @@ def gptq_columnwise(problem):
     e = values - target
     objective = float(np.einsum("ij,jk,ik->", e, h, e))
     return codes, comp_norms, objective
+
+
+def deviation_rows_from_scratch(run, heldout):
+    """Deviation rows, layer-major, forwarding each task from its inputs to every layer."""
+    rows = []
+    for layer_index in range(1, run.model.num_layers + 1):
+        layer_id = run.model.layers[layer_index - 1].spec.id
+        q_w = run.model.layers[layer_index - 1].weight
+        m_w = run.merged.layers[layer_index - 1].weight
+        for expert_idx, expert in enumerate(run.experts, start=1):
+            x = forward_to_layer(run.model, heldout.task(expert_idx).inputs, layer_index)
+            e_w = expert.layers[layer_index - 1].weight
+            qx = q_w @ x
+            mx = m_w @ x
+            ex = e_w @ x
+            quant_dev = qx - mx
+            merge_dev = mx - ex
+            combined = qx - ex
+            rows.append(
+                DeviationRow(
+                    layer_id=layer_id,
+                    task_id=expert_idx,
+                    quant_norm=float(np.sqrt(np.sum(quant_dev**2))),
+                    merge_norm=float(np.sqrt(np.sum(merge_dev**2))),
+                    combined_norm=float(np.sqrt(np.sum(combined**2))),
+                    identity_max_abs=float(
+                        np.abs(combined - (quant_dev + merge_dev)).max(initial=0.0)
+                    ),
+                )
+            )
+    return rows
 
 
 def frobenius_scalar(a):

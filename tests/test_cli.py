@@ -231,6 +231,27 @@ class TestEval:
         for row in blob["deviation"]:
             assert row["combined_norm"] <= row["quant_norm"] + row["merge_norm"] + 1e-9
 
+    @pytest.mark.parametrize("removed, code", [(["expert2"], 2), (["expert1", "expert2"], 0)])
+    def test_partial_expert_set_is_2_and_none_skips_diagnostics(
+        self, tmp_path, capsys, removed, code
+    ):
+        cfg = write_cfg(tmp_path, {"quant.solver": "gptq"})
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        for name in removed:
+            (out / f"{name}.safetensors").unlink()
+        before = (out / "run.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # without diagnostics run.json is left as quantize wrote it
+        assert (out / "run.json").read_bytes() == before
+        if code == 2:
+            assert "config error" in err and "expert2.safetensors" in err
+            assert not (out / "metrics.csv").exists()
+
 
 class TestSweep:
     def test_bits_sweep_matches_golden_and_trend(self, tmp_path):

@@ -1,10 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pmq.pipeline
 from pmq.calib import CalibSet, collect_layer_stats, make_synthetic_tasks
 from pmq.checkpoint import Checkpoint, LayerWeights
 from pmq.merge import MergeSpec, apply_merge
-from pmq.model import Batch, Model, forward, forward_to_layer
+from pmq.model import EMPTY_PREFIX, Batch, Model, chain_link, forward, forward_to_layer
 from pmq.pipeline import (
     deviation_diagnostics,
     evaluate,
@@ -15,7 +20,7 @@ from pmq.pipeline import (
 from pmq.quant import QuantConfig, rtn_quantize
 from pmq.solver import epmq_objective
 
-from oracles import mse_reference
+from oracles import deviation_rows_from_scratch, mse_reference
 from test_calib import small_problem
 
 
@@ -23,6 +28,38 @@ def merged_problem(seed=0, **kwargs):
     problem = small_problem(seed=seed, **kwargs)
     merged = apply_merge(MergeSpec(), problem.base, problem.experts)
     return problem, merged
+
+
+def run_method(problem, merged, method):
+    """One run per route: epmq, gptq, rtn, or gptq on the frozen trajectory."""
+    if method == "epmq":
+        cfg = QuantConfig(bits=3, group_size=8, solver="epmq", alpha=0.01)
+        return run_epmq(merged, problem.experts, problem.calib, cfg)
+    solver = "gptq" if method == "frozen" else method
+    return run_naive_ptq(
+        merged,
+        problem.calib,
+        QuantConfig(bits=3, group_size=8, solver=solver),
+        experts=problem.experts,
+        quantized_trajectory=method != "frozen",
+    )
+
+
+def prefix_chain(layers):
+    return functools.reduce(chain_link, layers, EMPTY_PREFIX).hex()
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class TestRunEpmq:
@@ -194,6 +231,114 @@ class TestDeviationDiagnostics:
         for row in report.rows:
             assert row.combined_norm <= row.quant_norm + row.merge_norm + 1e-12
         assert report.max_identity_error() <= 1e-9
+
+
+    @pytest.mark.parametrize("method", ["epmq", "gptq", "rtn", "frozen"])
+    def test_one_pass_rows_equal_from_scratch_oracle(self, method):
+        problem, merged = merged_problem(seed=17, dims=[6] * 10, num_tasks=3)
+        run = run_method(problem, merged, method)
+        report = deviation_diagnostics(run, problem.heldout)
+        assert len(report.rows) == 9 * 3
+        assert report.rows == deviation_rows_from_scratch(run, problem.heldout)
+
+    def test_forwards_each_task_once(self, monkeypatch):
+        problem, merged = merged_problem(seed=18, dims=[6] * 10, num_tasks=3)
+        run = run_method(problem, merged, "epmq")
+        calls = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
+        deviation_diagnostics(run, problem.heldout)
+        assert len(calls) == (run.model.num_layers - 1) * 3
+
+    def test_identity_violation_names_first_layer_major_row(self, monkeypatch):
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
+        run = run_method(problem, merged, "epmq")
+        with pytest.raises(ArithmeticError, match="layer 'layer1' task 1: deviation decomposition"):
+            deviation_diagnostics(run, problem.heldout, identity_tol=-1.0)
+
+
+class TestTrajectoryChecksum:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        depth=st.integers(1, 5),
+        method=st.sampled_from(["epmq", "gptq", "rtn", "frozen"]),
+    )
+    def test_checksum_is_chain_over_layers_before(self, seed, depth, method):
+        problem, merged = merged_problem(seed=seed, dims=[5] * (depth + 1))
+        run = run_method(problem, merged, method)
+        # the frozen trajectory calibrates every layer on the full-precision model
+        trajectory = Model.from_checkpoint(merged) if method == "frozen" else run.model
+        for ell, rep in enumerate(run.layer_reports, start=1):
+            assert rep.trajectory_checksum == prefix_chain(trajectory.layers[: ell - 1])
+        assert run.layer_reports[0].trajectory_checksum == EMPTY_PREFIX.hex()
+
+    def test_state_checksum_is_the_chain_over_every_layer(self):
+        problem, merged = merged_problem(seed=20, dims=[6, 8, 7, 5])
+        run = run_method(problem, merged, "epmq")
+        assert run.model.state_checksum() == prefix_chain(run.model.layers)
+
+    def test_last_layer_enters_no_checksum(self):
+        problem, merged = merged_problem(seed=21, dims=[6, 8, 7, 5])
+        layers = list(merged.layers)
+        last = layers[-1]
+        layers[-1] = LayerWeights(last.id, last.weight + 0.5, last.bias)
+        other = Checkpoint(layers=layers, manifest=merged.manifest)
+        run_a = run_method(problem, merged, "epmq")
+        run_b = run_method(problem, other, "epmq")
+        assert [r.trajectory_checksum for r in run_a.layer_reports] == [
+            r.trajectory_checksum for r in run_b.layer_reports
+        ]
+
+    def test_hashes_each_layer_a_bounded_number_of_times(self, monkeypatch):
+        problem, merged = merged_problem(seed=22, dims=[6] * 10)
+        calls = counting(monkeypatch, pmq.pipeline, "chain_link")
+        run = run_method(problem, merged, "epmq")
+        # before and after the solve: layer l's source and layer l-1, whose
+        # digest at collection is the chain link itself
+        assert len(calls) <= 4 * run.model.num_layers
+
+
+class TestStateGuard:
+    @pytest.mark.parametrize("method", ["epmq", "frozen"])
+    def test_solver_writing_merged_weight_raises(self, monkeypatch, method):
+        problem, merged = merged_problem(seed=23, dims=[6, 8, 7, 5])
+        solver = "epmq_solve" if method == "epmq" else "gptq_solve"
+        original = getattr(pmq.pipeline, solver)
+        seen = []
+
+        def corrupting(*args):
+            report = original(*args)
+            seen.append(None)
+            if len(seen) == 2:
+                # epmq gets merged_w itself, gptq a problem that holds it as target
+                merged_w = args[1] if method == "epmq" else args[0].target
+                merged_w[0, 0] += 1.0
+            return report
+
+        monkeypatch.setattr(pmq.pipeline, solver, corrupting)
+        with pytest.raises(RuntimeError, match="layer 'layer2'.*changed between collection"):
+            run_method(problem, merged, method)
+
+    def test_solver_writing_previous_layer_raises(self, monkeypatch):
+        problem, merged = merged_problem(seed=24, dims=[6, 8, 7, 5])
+        models = []
+        collect = pmq.pipeline.collect_layer_stats
+
+        def recording(model, *args, **kwargs):
+            models.append(model)
+            return collect(model, *args, **kwargs)
+
+        original = pmq.pipeline.epmq_solve
+
+        def corrupting(*args):
+            report = original(*args)
+            if len(models) == 2:
+                models[-1].layers[0].weight[0, 0] += 1.0
+            return report
+
+        monkeypatch.setattr(pmq.pipeline, "collect_layer_stats", recording)
+        monkeypatch.setattr(pmq.pipeline, "epmq_solve", corrupting)
+        with pytest.raises(RuntimeError, match="layer 'layer2'.*changed between collection"):
+            run_method(problem, merged, "epmq")
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pmq.solver
 from pmq.calib import LayerCalibStats
 from pmq.linalg import SingularMatrixError, cholesky_upper, frobenius_sq
 from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
@@ -258,6 +259,25 @@ class TestEpmqSolve:
                     found = alpha
                     break
             assert found is not None, f"seed {seed}: no alpha <= 1e8 matched rtn codes"
+
+    def test_scores_codes_once_with_the_anchored_objective(self, rng, monkeypatch):
+        d, k = 6, 3
+        stats, _ = random_stats(rng, d, k)
+        wm = rng.normal(size=(3, d))
+        experts = [wm + 0.3 * rng.normal(size=(3, d)) for _ in range(k)]
+        cfg = QuantConfig(bits=3, group_size=4, solver="epmq", alpha=0.1)
+        calls = []
+        original = pmq.solver.quadratic_objective
+        monkeypatch.setattr(
+            pmq.solver,
+            "quadratic_objective",
+            lambda *args: calls.append(None) or original(*args),
+        )
+        rep = epmq_solve(experts, wm, stats, cfg)
+        # one term per expert, none for a curvature-only score that is discarded
+        assert len(calls) == k
+        expected = epmq_objective(rep.quantized.dequantize(), experts, wm, stats, rep.lam)
+        assert rep.objective == expected
 
     def test_single_expert_equal_to_merged_matches_gptq(self, rng):
         d = 5
