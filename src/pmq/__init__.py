@@ -68,9 +68,9 @@ from .solver import (
     build_epmq_statistics,
     continuous_solution,
     epmq_objective,
-    epmq_solve,
     gptq_solve,
     quadratic_objective,
+    solve_layer,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +106,6 @@ __all__ = [
     "dequantize_values",
     "deviation_diagnostics",
     "epmq_objective",
-    "epmq_solve",
     "evaluate",
     "fit_grid",
     "forward",
@@ -131,5 +130,6 @@ __all__ = [
     "save_calib_set",
     "save_checkpoint",
     "save_model",
+    "solve_layer",
     "unpack_codes",
 ]

@@ -31,10 +31,6 @@ from .model import (
 )
 from .tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
 
-# forward/accumulation chunk: 32 calibration samples at a time
-CALIB_CHUNK = 32
-
-
 @dataclass
 class CalibSet:
     """Per-task batches, task ids covering 1..K."""
@@ -83,19 +79,14 @@ class LayerCalibStats:
         return total
 
 
-def accumulate_stats(x: np.ndarray, chunk: int = CALIB_CHUNK) -> tuple[np.ndarray, float, int]:
-    """(H, energy, count) for one activation matrix, accumulated per chunk."""
-    d, n = x.shape
-    h = np.zeros((d, d))
-    energy = 0.0
+def accumulate_stats(x: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(H, energy, count) for one activation matrix: H = X X^T, energy = ||X||_F^2."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, chunk):
-            xc = x[:, s : s + chunk]
-            h += matmul(xc, xc.T)
-            energy += frobenius_sq(xc)
+        h = matmul(x, x.T)
+        energy = frobenius_sq(x)
     if not np.isfinite(h).all():
         raise FloatingPointError("calibration statistics overflowed (non-finite curvature)")
-    return h, energy, n
+    return h, energy, x.shape[1]
 
 
 def collect_layer_stats(

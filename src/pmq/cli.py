@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calib import CalibSet, load_calib_set, make_synthetic_tasks, save_calib_set
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, ModelManifest, load_checkpoint, save_checkpoint
 from .linalg import SingularMatrixError
 from .merge import MergeSpec, apply_merge
 from .model import load_model, save_model
@@ -59,7 +59,6 @@ class RunConfig:
     teacher_scale: float = 0.25
     expert_mode: str = "train"
     hidden_activation: str = "relu"
-    recompute_trajectory: bool = False
     sweep_bits: list[int] = field(default_factory=lambda: [3, 4, 5, 6, 7, 8])
     sweep_alpha: list[float] = field(default_factory=lambda: [0.0, 0.01, 0.1, 1.0, 10.0])
     sweep_samples: list[int] = field(default_factory=lambda: [64, 128, 256])
@@ -214,22 +213,34 @@ def _run_quantize(cfg: RunConfig, merged: Checkpoint, experts: list[Checkpoint],
                 f"{calib.num_tasks} calibration tasks for k={len(experts)} experts; "
                 "run `pmq gen` with the same k"
             )
-        return run_epmq(
-            merged, experts, calib, cfg.quant, recompute_trajectory=cfg.recompute_trajectory
-        )
-    return run_naive_ptq(
-        merged,
-        calib,
-        cfg.quant,
-        experts=experts,
-        recompute_trajectory=cfg.recompute_trajectory,
-    )
+        return run_epmq(merged, experts, calib, cfg.quant)
+    return run_naive_ptq(merged, calib, cfg.quant, experts=experts)
+
+
+def _check_tasks(data: CalibSet, manifest: ModelManifest, name: str, targets: bool) -> None:
+    """Every task's inputs must fit layer 1 and, when asked, its targets the last layer."""
+    d_in, d_out = manifest.layers[0].d_in, manifest.layers[-1].d_out
+    for batch in data.batches:
+        task = f"{name} task {batch.task_id}"
+        if batch.inputs.shape[0] != d_in:
+            raise ConfigError(
+                f"{task} has inputs of {batch.inputs.shape[0]} rows, layer 1 has d_in={d_in}"
+            )
+        if targets and batch.targets is None:
+            raise ConfigError(f"{task} has no targets")
+        if targets and batch.targets.shape[0] != d_out:
+            raise ConfigError(
+                f"{task} has targets of {batch.targets.shape[0]} rows, "
+                f"the last layer has d_out={d_out}"
+            )
 
 
 def cmd_quantize(cfg: RunConfig, out: Path) -> None:
     merged = load_checkpoint(out / "merged.safetensors")
     calib_dir = out / "calib"
     calib = load_calib_set(calib_dir) if (calib_dir / "index.json").exists() else None
+    if calib is not None:
+        _check_tasks(calib, merged.manifest, "calibration", targets=False)
     # rtn and gptq run without experts
     experts = _load_experts(out, cfg.k, required=cfg.quant.solver == "epmq")
     run = _run_quantize(cfg, merged, experts, calib)
@@ -245,6 +256,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
     heldout = load_calib_set(out / "heldout")
     # the deviation diagnostics are skipped only when no expert file exists
     experts = _load_experts(out, cfg.k, required=False)
+    _check_tasks(heldout, model.manifest, "held-out", targets=True)
     result = evaluate(model, heldout)
     rows = [
         {

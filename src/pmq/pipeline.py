@@ -33,8 +33,8 @@ from .calib import CalibSet, collect_layer_stats
 from .checkpoint import Checkpoint, ManifestError
 from .linalg import matmul
 from .model import EMPTY_PREFIX, Model, chain_link, forward, propagate_through_layer
-from .quant import QuantConfig, rtn_quantize
-from .solver import SolverProblem, SolveReport, epmq_solve, gptq_solve, quadratic_objective
+from .quant import QuantConfig
+from .solver import SolveReport, solve_layer
 
 
 @dataclass
@@ -103,8 +103,6 @@ def _quantize_forward_order(
     experts: list[Checkpoint],
     calib: CalibSet | None,
     cfg: QuantConfig,
-    method: str,
-    recompute_trajectory: bool = False,
     quantized_trajectory: bool = True,
 ) -> PmqRun:
     model = Model.from_checkpoint(merged)
@@ -117,51 +115,16 @@ def _quantize_forward_order(
     for layer_index in range(1, model.num_layers + 1):
         layer = source.layers[layer_index - 1]
         layer_id = layer.spec.id
-        merged_w = layer.weight
         try:
-            if calib is not None:
-                stats, acts = collect_layer_stats(
-                    source, calib, layer_index, cached=None if recompute_trajectory else cache
-                )
+            stats = None
+            if cache is not None:
+                stats, acts = collect_layer_stats(source, calib, layer_index, cached=cache)
                 collected = chain_link(chain, layer)
-            else:
-                stats, acts = None, None
-
-            if method == "epmq":
-                solve = epmq_solve(
-                    [e.layers[layer_index - 1].weight for e in experts],
-                    merged_w,
-                    stats,
-                    cfg,
-                )
-            elif method == "gptq":
-                problem = SolverProblem(
-                    target=merged_w,
-                    curvature=stats.pooled_hessian(),
-                    grid_source_weight=merged_w,
-                    cfg=cfg,
-                )
-                solve = gptq_solve(problem)
-            elif method == "rtn":
-                quantized = rtn_quantize(merged_w, cfg)
-                objective = None
-                if stats is not None:
-                    objective = quadratic_objective(
-                        quantized.dequantize(), merged_w, stats.pooled_hessian()
-                    )
-                solve = SolveReport(
-                    quantized=quantized,
-                    objective=objective,
-                    lam=0.0,
-                    damping=0.0,
-                    per_column_comp_norms=np.zeros(merged_w.shape[1]),
-                    solver="rtn",
-                )
-            else:
-                raise ValueError(f"unknown method '{method}'")
-
+            solve = solve_layer(
+                [e.layers[layer_index - 1].weight for e in experts], layer.weight, stats, cfg
+            )
             # the collected activations must describe the exact state we mutate
-            if calib is not None and (
+            if cache is not None and (
                 chain_link(chain, layer) != collected
                 or (
                     layer_index > 1
@@ -170,7 +133,7 @@ def _quantize_forward_order(
             ):
                 raise RuntimeError("model state changed between collection and replacement")
             model.replace_layer(layer_index, solve.quantized)
-            if cache is not None and not recompute_trajectory and layer_index < model.num_layers:
+            if cache is not None and layer_index < model.num_layers:
                 cache = {
                     task_id: propagate_through_layer(acts[task_id], layer)
                     for task_id in sorted(acts)
@@ -191,7 +154,7 @@ def _quantize_forward_order(
         cfg=cfg,
         layer_reports=reports,
         model=model,
-        method=method,
+        method=cfg.solver,
         wall_time_s=elapsed,
     )
 
@@ -201,7 +164,6 @@ def run_epmq(
     experts: list[Checkpoint],
     calib: CalibSet,
     cfg: QuantConfig,
-    recompute_trajectory: bool = False,
 ) -> PmqRun:
     """Expert-guided anchored quantization of every layer, in forward order."""
     if cfg.solver != "epmq":
@@ -215,9 +177,7 @@ def run_epmq(
         raise ValueError(
             f"{calib.num_tasks} calibration tasks for {len(experts)} experts"
         )
-    return _quantize_forward_order(
-        merged, experts, calib, cfg, "epmq", recompute_trajectory=recompute_trajectory
-    )
+    return _quantize_forward_order(merged, experts, calib, cfg)
 
 
 def run_naive_ptq(
@@ -225,7 +185,6 @@ def run_naive_ptq(
     calib: CalibSet | None,
     cfg: QuantConfig,
     experts: list[Checkpoint] | None = None,
-    recompute_trajectory: bool = False,
     quantized_trajectory: bool = True,
 ) -> PmqRun:
     """Direct quantization of the merged model (rtn or gptq).
@@ -241,13 +200,7 @@ def run_naive_ptq(
     if cfg.solver == "gptq" and calib is None:
         raise ValueError("gptq requires a calibration set")
     return _quantize_forward_order(
-        merged,
-        experts or [],
-        calib,
-        cfg,
-        cfg.solver,
-        recompute_trajectory=recompute_trajectory,
-        quantized_trajectory=quantized_trajectory,
+        merged, experts or [], calib, cfg, quantized_trajectory=quantized_trajectory
     )
 
 

@@ -30,7 +30,6 @@ class QuantConfig:
         mean diagonal.
     alpha: anchor scale for the merged-weight penalty (0 disables it).
     solver: "rtn", "gptq", or "epmq".
-    samples_per_task: calibration budget per task.
     grid_source: which weight the expert-guided solver fits grids from, the
         continuous target ("target") or the merged weight ("merged").
     """
@@ -40,7 +39,6 @@ class QuantConfig:
     percdamp: float = 0.01
     alpha: float = 0.01
     solver: str = "epmq"
-    samples_per_task: int = 256
     grid_source: str = "target"
 
     def __post_init__(self):
@@ -54,8 +52,6 @@ class QuantConfig:
             raise ValueError(f"percdamp must be > 0 for solver '{self.solver}'")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.samples_per_task < 1:
-            raise ValueError(f"samples_per_task must be >= 1, got {self.samples_per_task}")
         if self.grid_source not in GRID_SOURCES:
             raise ValueError(f"unknown grid_source '{self.grid_source}' (allowed: {GRID_SOURCES})")
 
@@ -185,19 +181,12 @@ class QuantizedLayer:
 
 
 def rtn_quantize(W, cfg: QuantConfig) -> QuantizedLayer:
-    """Round-to-nearest per group: fit the grid, then quantize each entry."""
+    """Round-to-nearest per group: fit the grids, then quantize each entry."""
     W = np.asarray(W, dtype=np.float64)
     require_finite(W, "weight")
-    d_out, d_in = W.shape
-    bounds = group_bounds(d_in, cfg.group_size)
-    scales = np.empty((d_out, len(bounds)))
-    zeros = np.empty((d_out, len(bounds)), dtype=np.int32)
-    codes = np.empty((d_out, d_in), dtype=np.uint8)
-    for g, (s, e) in enumerate(bounds):
-        gs, gz = fit_grid_rows(W[:, s:e], cfg.bits)
-        scales[:, g] = gs
-        zeros[:, g] = gz
-        codes[:, s:e] = quantize_values(W[:, s:e], gs[:, None], gz[:, None], cfg.bits)
+    scales, zeros = fit_layer_grids(W, cfg.bits, cfg.group_size)
+    g = np.arange(W.shape[1]) // cfg.group_size
+    codes = quantize_values(W, scales[:, g], zeros[:, g], cfg.bits)
     return QuantizedLayer(
         codes=codes, scales=scales, zeros=zeros, bits=cfg.bits, group_size=cfg.group_size
     )

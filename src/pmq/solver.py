@@ -1,17 +1,19 @@
 """Quantization solvers.
 
-Three routes to low-bit codes for one layer:
+solve_layer gives one layer its low-bit codes. The three solvers differ in
+what they round toward:
 
-* rtn_quantize (in pmq.quant): per-entry nearest-grid rounding.
-* gptq_solve: sequential column rounding with second-order error
-  compensation against a curvature matrix H, toward a target weight.
-* epmq_solve: builds the expert-guided anchored statistics
+* rtn: W_m entrywise, by per-entry nearest-grid rounding (rtn_quantize in
+  pmq.quant).
+* gptq: W_m under the pooled curvature sum_i H_i, by gptq_solve, sequential
+  column rounding with second-order error compensation.
+* epmq: W* under H_E. It builds the expert-guided anchored statistics
   H_E = sum_i H_i + lam*I and R = sum_i W_i H_i + lam*W_m, computes the
   continuous optimizer W* = R inv(H_E), and runs the sequential solver
   toward W* under curvature H_E. The anchored objective
   sum_i ||Q X_i - W_i X_i||_F^2 + lam*||Q - W_m||_F^2 differs from
   ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so one rounding
-  solver serves both routes.
+  routine serves gptq and epmq.
 
 brute_force_optimum enumerates every code assignment on the fitted grid
 (rows are independent because the objective has no cross-row terms) and is
@@ -41,6 +43,7 @@ from .quant import (
     dequantize_values,
     fit_layer_grids,
     quantize_values,
+    rtn_quantize,
 )
 
 # columns rounded one by one between two lazy batch updates
@@ -252,21 +255,47 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     )
 
 
-def epmq_solve(
+def solve_layer(
     expert_weights: Sequence[np.ndarray],
     merged_weight: np.ndarray,
-    stats: LayerCalibStats,
+    stats: LayerCalibStats | None,
     cfg: QuantConfig,
 ) -> SolveReport:
-    """Expert-guided anchored solve for one layer.
+    """Codes for one layer with solver cfg.solver.
 
-    Builds (H_E, R, lam), computes the continuous target W* = R inv(H_E)
-    (damping H_E and retrying when the anchor is zero and the pooled
-    curvature is singular), then rounds toward W* under curvature H_E.
-    The reported objective is the full anchored objective of the final
+    rtn ignores the experts and needs no statistics; with statistics its
+    objective is scored against the pooled curvature. gptq rounds the merged
+    weight under the pooled curvature. epmq builds (H_E, R, lam), computes
+    the continuous target W* = R inv(H_E) (damping H_E and retrying when the
+    anchor is zero and the pooled curvature is singular), then rounds toward
+    W* under H_E; its objective is the full anchored objective of the final
     codes, experts and anchor included.
     """
     merged_weight = as_matrix(merged_weight, "merged_weight")
+    if cfg.solver == "rtn":
+        quantized = rtn_quantize(merged_weight, cfg)
+        objective = None
+        if stats is not None:
+            objective = quadratic_objective(
+                quantized.dequantize(), merged_weight, stats.pooled_hessian()
+            )
+        return SolveReport(
+            quantized=quantized,
+            objective=objective,
+            lam=0.0,
+            damping=0.0,
+            per_column_comp_norms=np.zeros(merged_weight.shape[1]),
+            solver="rtn",
+        )
+    if cfg.solver == "gptq":
+        return gptq_solve(
+            SolverProblem(
+                target=merged_weight,
+                curvature=stats.pooled_hessian(),
+                grid_source_weight=merged_weight,
+                cfg=cfg,
+            )
+        )
     h_e, r, lam = build_epmq_statistics(expert_weights, merged_weight, stats, cfg.alpha)
     fallback = False
     try:

@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain Python loops or numpy built-ins that
-do not share code paths with the package under test. There are two
+do not share code paths with the package under test. There are three
 exceptions. gptq_columnwise reuses the package's grid fitting, rounding and
 Cholesky helpers, because what it pins down is the order of the error
-updates, not those helpers. deviation_rows_from_scratch reuses the package's
-forward pass, because what it pins down is that the one-pass diagnostics
-see the same activations as re-forwarding from the inputs to every layer.
+updates, not those helpers. deviation_rows_from_scratch and
+quantize_from_scratch reuse the package's forward pass (and the latter its
+statistics and layer solver), because what they pin down is that the
+pipeline's one-pass activations are the ones re-forwarding from the inputs
+to every layer would give.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import struct
 
 import numpy as np
 
+from pmq.calib import LayerCalibStats, accumulate_stats
 from pmq.linalg import cholesky_inverse_upper
-from pmq.model import forward_to_layer
+from pmq.model import Model, forward_to_layer
 from pmq.pipeline import DeviationRow
 from pmq.quant import dequantize_values, fit_layer_grids, quantize_values
+from pmq.solver import solve_layer
 
 
 def matmul_triple_loop(a, b):
@@ -103,6 +107,33 @@ def deviation_rows_from_scratch(run, heldout):
                 )
             )
     return rows
+
+
+def quantize_from_scratch(merged, experts, calib, cfg, frozen=False):
+    """Quantized model and per-layer solve reports, without an activation cache.
+
+    At every layer each task is forwarded from its raw inputs with
+    forward_to_layer, through the partially quantized model (the
+    full-precision one when frozen), and the layer is solved with
+    pmq.solver.solve_layer.
+    """
+    model = Model.from_checkpoint(merged)
+    source = Model.from_checkpoint(merged) if frozen else model
+    reports = []
+    for ell in range(1, model.num_layers + 1):
+        stats = None
+        if calib is not None:
+            per_task = [
+                accumulate_stats(forward_to_layer(source, batch.inputs, ell))
+                for batch in calib.batches
+            ]
+            hessians, energies, counts = (list(col) for col in zip(*per_task))
+            stats = LayerCalibStats(hessians, energies, counts, d=hessians[0].shape[0])
+        expert_weights = [e.layers[ell - 1].weight for e in experts]
+        report = solve_layer(expert_weights, source.layers[ell - 1].weight, stats, cfg)
+        model.replace_layer(ell, report.quantized)
+        reports.append(report)
+    return model, reports
 
 
 def frobenius_scalar(a):

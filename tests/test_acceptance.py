@@ -22,9 +22,9 @@ from pmq.solver import (
     build_epmq_statistics,
     continuous_solution,
     epmq_objective,
-    epmq_solve,
     gptq_solve,
     quadratic_objective,
+    solve_layer,
 )
 
 
@@ -138,7 +138,7 @@ def test_criterion_3_oracle_optimality_gap():
             counts=[10, 10],
             d=d,
         )
-        rep = epmq_solve(ws, wm, stats, cfg_e)
+        rep = solve_layer(ws, wm, stats, cfg_e)
         h_e, r, lam = build_epmq_statistics(ws, wm, stats, cfg_e.alpha)
         w_star = continuous_solution(h_e, r)
         prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=w_star, cfg=cfg_e)
@@ -179,7 +179,7 @@ def test_criterion_4_anchor_dominant_degeneration():
         hit = None
         for alpha in alphas:
             cfg = QuantConfig(bits=4, group_size=4, solver="epmq", alpha=alpha)
-            rep = epmq_solve(ws, wm, stats, cfg)
+            rep = solve_layer(ws, wm, stats, cfg)
             rtn = rtn_quantize(wm, cfg)
             if np.array_equal(rep.quantized.codes, rtn.codes):
                 hit = alpha

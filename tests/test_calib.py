@@ -128,13 +128,13 @@ class TestLayerStats:
                 v = rng.normal(size=h.shape[0])
                 assert v @ h @ v >= -1e-8 * (v @ v) * tr
 
-    def test_chunk_invariance(self, rng):
-        x = rng.normal(size=(7, 65))
-        h32, e32, _ = accumulate_stats(x, chunk=32)
-        for chunk in (1, 7, 65):
-            h, e, _ = accumulate_stats(x, chunk=chunk)
-            np.testing.assert_allclose(h, h32, rtol=0, atol=1e-10)
-            assert abs(e - e32) <= 1e-10 * max(1.0, e32)
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    def test_equals_gram_matrix(self, rng, n):
+        x = rng.normal(size=(7, n))
+        h, e, count = accumulate_stats(x)
+        np.testing.assert_allclose(h, x @ x.T, rtol=0, atol=1e-12 * n)
+        assert count == n
+        assert abs(e - float(x.ravel() @ x.ravel())) <= 1e-12 * max(1.0, e)
 
     def test_cache_shape_drift_detected(self):
         problem = small_problem()

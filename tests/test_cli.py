@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,11 @@ import numpy as np
 import pytest
 
 from pmq.checkpoint import load_checkpoint
-from pmq.cli import ConfigError, config_from_dict, load_config, main
+from pmq.cli import ConfigError, RunConfig, config_from_dict, load_config, main
+from pmq.merge import MergeSpec
 from pmq.model import load_model
 from pmq.pipeline import RUN_JSON_SCHEMA
+from pmq.quant import QuantConfig
 from pmq.tensorfile import read_tensor_file, write_tensor_file
 
 DATA = Path(__file__).parent / "data"
@@ -78,6 +82,23 @@ class TestConfig:
         path = write_cfg(tmp_path)
         with pytest.raises(ConfigError):
             load_config(path, ["quant.bits=99"], env={})
+
+
+def test_config_reference_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config reference", 1)[1].split("\n\n")[1]
+    listed = set()
+    for line in table.splitlines()[2:]:
+        listed.update(re.findall(r"`([\w.]+)`", line.split("|")[1]))
+    expected = {f.name for f in dataclasses.fields(RunConfig)} - {"merge", "quant"}
+    expected |= {f"merge.{f.name}" for f in dataclasses.fields(MergeSpec)}
+    expected |= {f"quant.{f.name}" for f in dataclasses.fields(QuantConfig)}
+    assert listed == expected
+    # the removed keys are named in the README and rejected as unknown
+    assert "`recompute_trajectory`" in readme and "`quant.samples_per_task`" in readme
+    for removed in ({"recompute_trajectory": False}, {"quant": {"samples_per_task": 64}}):
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(removed)
 
 
 class TestGen:
@@ -367,6 +388,44 @@ class TestExitCodes:
         for name in removed:
             assert name in err
         assert not (out / "quantized.safetensors").exists()
+
+    @pytest.mark.parametrize(
+        "command, solver, tensor, rows, message",
+        [
+            ("quantize", "gptq", "calib/inputs", 5, "calibration task 1 has inputs of 5 rows, "
+             "layer 1 has d_in=8"),
+            ("quantize", "rtn", "calib/inputs", 5, "calibration task 1 has inputs of 5 rows, "
+             "layer 1 has d_in=8"),
+            ("eval", "gptq", "heldout/inputs", 5, "held-out task 1 has inputs of 5 rows, "
+             "layer 1 has d_in=8"),
+            ("eval", "gptq", "heldout/targets", None, "held-out task 1 has no targets"),
+            ("eval", "gptq", "heldout/targets", 4, "held-out task 1 has targets of 4 rows, "
+             "the last layer has d_out=6"),
+        ],
+        ids=["calib-width-gptq", "calib-width-rtn", "heldout-width", "no-targets", "target-rows"],
+    )
+    def test_data_not_matching_model_is_2(
+        self, tmp_path, capsys, command, solver, tensor, rows, message
+    ):
+        cfg = write_cfg(tmp_path, {"quant.solver": solver})
+        out = tmp_path / "out"
+        for stage in ("gen", "merge", "quantize")[: 2 if command == "quantize" else 3]:
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        subdir, name = tensor.split("/")
+        path = out / subdir / "task1.safetensors"
+        tensors, _ = read_tensor_file(path)
+        if rows is None:
+            del tensors[name]
+        else:
+            tensors[name] = tensors[name][:rows]
+        write_tensor_file(path, tensors)
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+        # no quantized.safetensors or run.json, no metrics.csv, run.json untouched
+        assert dir_hashes(out) == before
 
     def test_incomplete_calib_index_is_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

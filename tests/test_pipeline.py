@@ -18,9 +18,9 @@ from pmq.pipeline import (
     run_to_json_dict,
 )
 from pmq.quant import QuantConfig, rtn_quantize
-from pmq.solver import epmq_objective
+from pmq.solver import epmq_objective, solve_layer
 
-from oracles import deviation_rows_from_scratch, mse_reference
+from oracles import deviation_rows_from_scratch, mse_reference, quantize_from_scratch
 from test_calib import small_problem
 
 
@@ -79,9 +79,7 @@ class TestRunEpmq:
         partial = Model.from_checkpoint(merged)
         partial.replace_layer(1, run.model.layers[0].source)
         stats, _ = collect_layer_stats(partial, problem.calib, 2)
-        from pmq.solver import epmq_solve
-
-        redo = epmq_solve(
+        redo = solve_layer(
             [e.layers[1].weight for e in problem.experts],
             merged.layers[1].weight,
             stats,
@@ -109,14 +107,6 @@ class TestRunEpmq:
             total += obj
             assert obj == pytest.approx(run.layer_reports[ell - 1].solve.objective, rel=1e-8)
         assert total == pytest.approx(run.total_objective(), rel=1e-8)
-
-    def test_recompute_trajectory_flag_identical(self):
-        problem, merged = merged_problem(seed=5)
-        cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.01)
-        run_a = run_epmq(merged, problem.experts, problem.calib, cfg)
-        run_b = run_epmq(merged, problem.experts, problem.calib, cfg, recompute_trajectory=True)
-        for la, lb in zip(run_a.model.layers, run_b.model.layers):
-            np.testing.assert_array_equal(la.source.codes, lb.source.codes)
 
     def test_determinism_byte_identical(self, tmp_path):
         from pmq.model import save_model
@@ -255,6 +245,26 @@ class TestDeviationDiagnostics:
             deviation_diagnostics(run, problem.heldout, identity_tol=-1.0)
 
 
+class TestActivationCache:
+    @settings(max_examples=16, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dims=st.lists(st.integers(3, 9), min_size=2, max_size=5),
+        method=st.sampled_from(["epmq", "gptq", "rtn", "frozen"]),
+    )
+    def test_pipeline_equals_from_scratch_oracle(self, seed, dims, method):
+        problem, merged = merged_problem(seed=seed, dims=dims)
+        run = run_method(problem, merged, method)
+        model, reports = quantize_from_scratch(
+            merged, problem.experts, problem.calib, run.cfg, frozen=method == "frozen"
+        )
+        for got, want in zip(run.model.layers, model.layers):
+            assert (got.source.codes == want.source.codes).all()
+        assert [rep.solve.to_json_dict() for rep in run.layer_reports] == [
+            rep.to_json_dict() for rep in reports
+        ]
+
+
 class TestTrajectoryChecksum:
     @settings(max_examples=12, deadline=None)
     @given(
@@ -301,20 +311,18 @@ class TestStateGuard:
     @pytest.mark.parametrize("method", ["epmq", "frozen"])
     def test_solver_writing_merged_weight_raises(self, monkeypatch, method):
         problem, merged = merged_problem(seed=23, dims=[6, 8, 7, 5])
-        solver = "epmq_solve" if method == "epmq" else "gptq_solve"
-        original = getattr(pmq.pipeline, solver)
+        original = pmq.pipeline.solve_layer
         seen = []
 
         def corrupting(*args):
             report = original(*args)
             seen.append(None)
             if len(seen) == 2:
-                # epmq gets merged_w itself, gptq a problem that holds it as target
-                merged_w = args[1] if method == "epmq" else args[0].target
-                merged_w[0, 0] += 1.0
+                # every route receives the merged weight itself
+                args[1][0, 0] += 1.0
             return report
 
-        monkeypatch.setattr(pmq.pipeline, solver, corrupting)
+        monkeypatch.setattr(pmq.pipeline, "solve_layer", corrupting)
         with pytest.raises(RuntimeError, match="layer 'layer2'.*changed between collection"):
             run_method(problem, merged, method)
 
@@ -327,7 +335,7 @@ class TestStateGuard:
             models.append(model)
             return collect(model, *args, **kwargs)
 
-        original = pmq.pipeline.epmq_solve
+        original = pmq.pipeline.solve_layer
 
         def corrupting(*args):
             report = original(*args)
@@ -336,7 +344,7 @@ class TestStateGuard:
             return report
 
         monkeypatch.setattr(pmq.pipeline, "collect_layer_stats", recording)
-        monkeypatch.setattr(pmq.pipeline, "epmq_solve", corrupting)
+        monkeypatch.setattr(pmq.pipeline, "solve_layer", corrupting)
         with pytest.raises(RuntimeError, match="layer 'layer2'.*changed between collection"):
             run_method(problem, merged, "epmq")
 

@@ -32,7 +32,6 @@ class TestQuantConfig:
             {"solver": "awq"},
             {"solver": "gptq", "percdamp": 0.0},
             {"alpha": -1.0},
-            {"samples_per_task": 0},
             {"grid_source": "expert"},
         ],
     )

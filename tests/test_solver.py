@@ -11,9 +11,9 @@ from pmq.solver import (
     build_epmq_statistics,
     continuous_solution,
     epmq_objective,
-    epmq_solve,
     gptq_solve,
     quadratic_objective,
+    solve_layer,
 )
 
 from conftest import random_spd
@@ -253,7 +253,7 @@ class TestEpmqSolve:
             found = None
             for alpha in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
                 cfg = QuantConfig(bits=4, group_size=4, solver="epmq", alpha=alpha)
-                rep = epmq_solve(experts, wm, stats, cfg)
+                rep = solve_layer(experts, wm, stats, cfg)
                 rtn = rtn_quantize(wm, cfg)
                 if np.array_equal(rep.quantized.codes, rtn.codes):
                     found = alpha
@@ -273,7 +273,7 @@ class TestEpmqSolve:
             "quadratic_objective",
             lambda *args: calls.append(None) or original(*args),
         )
-        rep = epmq_solve(experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, stats, cfg)
         # one term per expert, none for a curvature-only score that is discarded
         assert len(calls) == k
         expected = epmq_objective(rep.quantized.dequantize(), experts, wm, stats, rep.lam)
@@ -284,7 +284,7 @@ class TestEpmqSolve:
         stats, _ = random_stats(rng, d, 1)
         wm = rng.normal(size=(3, d))
         cfg = QuantConfig(bits=3, group_size=8, solver="epmq", alpha=0.1)
-        rep_e = epmq_solve([wm], wm, stats, cfg)
+        rep_e = solve_layer([wm], wm, stats, cfg)
         lam = rep_e.lam
         h = stats.hessians[0] + lam * np.eye(d)
         rep_g = gptq_solve(
@@ -307,7 +307,7 @@ class TestEpmqSolve:
                 d=d,
             )
             cfg = QuantConfig(bits=2, group_size=4, solver="epmq", alpha=0.01)
-            rep = epmq_solve(experts, wm, stats, cfg)
+            rep = solve_layer(experts, wm, stats, cfg)
             h_e, r_mat, lam = build_epmq_statistics(experts, wm, stats, 0.01)
             w_star = continuous_solution(h_e, r_mat)
             prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=w_star, cfg=cfg)
@@ -333,7 +333,7 @@ class TestEpmqSolve:
         )
         wm = rng.normal(size=(2, d))
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
-        rep = epmq_solve([wm + 0.1], wm, stats, cfg)
+        rep = solve_layer([wm + 0.1], wm, stats, cfg)
         assert rep.damped_fallback
         assert rep.lam == 0.0
 
@@ -342,8 +342,8 @@ class TestEpmqSolve:
         stats, _ = random_stats(rng, d, 2)
         wm = rng.normal(size=(2, d))
         experts = [wm + rng.normal(size=(2, d)) for _ in range(2)]
-        rep_t = epmq_solve(experts, wm, stats, QuantConfig(solver="epmq", grid_source="target", group_size=8))
-        rep_m = epmq_solve(experts, wm, stats, QuantConfig(solver="epmq", grid_source="merged", group_size=8))
+        rep_t = solve_layer(experts, wm, stats, QuantConfig(solver="epmq", grid_source="target", group_size=8))
+        rep_m = solve_layer(experts, wm, stats, QuantConfig(solver="epmq", grid_source="merged", group_size=8))
         # merged-sourced grids must equal the rtn grids on the merged weight
         rtn = rtn_quantize(wm, QuantConfig(solver="rtn", group_size=8))
         np.testing.assert_array_equal(rep_m.quantized.scales, rtn.scales)
