@@ -33,6 +33,7 @@ class TestQuantConfig:
             {"solver": "gptq", "percdamp": 0.0},
             {"alpha": -1.0},
             {"grid_source": "expert"},
+            {"solver": "epmq", "percdamp": -0.01},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
