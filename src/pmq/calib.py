@@ -301,6 +301,27 @@ def save_calib_set(calib: CalibSet, directory) -> None:
     )
 
 
+def _read_task(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """A task file's `inputs` (d x n, n >= 1) and optional `targets` (rows x n).
+
+    The tensor reader already rejects non-finite values.
+    """
+    tensors, _ = read_tensor_file(path)
+    if "inputs" not in tensors:
+        raise MalformedHeaderError(f"{path}: no tensor 'inputs'")
+    inputs, targets = tensors["inputs"], tensors.get("targets")
+    if inputs.ndim != 2 or inputs.shape[1] < 1:
+        raise MalformedHeaderError(
+            f"{path}: tensor 'inputs' must be (d, n>=1), got shape {list(inputs.shape)}"
+        )
+    if targets is not None and (targets.ndim != 2 or targets.shape[1] != inputs.shape[1]):
+        raise MalformedHeaderError(
+            f"{path}: tensor 'targets' has shape {list(targets.shape)}, "
+            f"not {inputs.shape[1]} columns like 'inputs'"
+        )
+    return inputs, targets
+
+
 def load_calib_set(directory) -> CalibSet:
     directory = Path(directory)
     index_path = directory / "index.json"
@@ -311,14 +332,8 @@ def load_calib_set(directory) -> CalibSet:
         raise MalformedHeaderError(f"{index_path}: malformed index: {exc!r}") from exc
     batches = []
     for task_id in range(1, num_tasks + 1):
-        tensors, _ = read_tensor_file(directory / f"task{task_id}.safetensors")
-        batches.append(
-            Batch(
-                inputs=tensors["inputs"],
-                task_id=task_id,
-                targets=tensors.get("targets"),
-            )
-        )
+        inputs, targets = _read_task(directory / f"task{task_id}.safetensors")
+        batches.append(Batch(inputs=inputs, task_id=task_id, targets=targets))
     return CalibSet(
         batches=batches,
         samples_per_task=samples_per_task,

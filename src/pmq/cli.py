@@ -18,10 +18,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .calib import CalibSet, load_calib_set, make_synthetic_tasks, save_calib_set
+from .calib import CalibSet, SyntheticProblem, load_calib_set, make_synthetic_tasks, save_calib_set
 from .checkpoint import Checkpoint, ModelManifest, load_checkpoint, save_checkpoint
 from .linalg import SingularMatrixError
 from .merge import MergeSpec, apply_merge
@@ -170,8 +171,9 @@ def _load_experts(out: Path, k: int, required: bool) -> list[Checkpoint]:
     return [] if missing else [load_checkpoint(p) for p in paths]
 
 
-def _generate_problem(cfg: RunConfig):
-    return make_synthetic_tasks(
+def _problem_inputs(cfg: RunConfig) -> dict:
+    """The arguments of `make_synthetic_tasks` that `cfg` sets."""
+    return dict(
         seed=cfg.seed,
         num_tasks=cfg.k,
         dims=cfg.dims,
@@ -184,6 +186,10 @@ def _generate_problem(cfg: RunConfig):
         expert_mode=cfg.expert_mode,
         hidden_activation=cfg.hidden_activation,
     )
+
+
+def _generate_problem(cfg: RunConfig) -> SyntheticProblem:
+    return make_synthetic_tasks(**_problem_inputs(cfg))
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
@@ -313,53 +319,67 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         )
 
 
-def _sweep_point(cfg_dict: dict, axis: str, value, method: str, subdir: str) -> dict:
-    """One sweep point: regenerate, merge, quantize, evaluate. Returns a CSV row."""
-    cfg = config_from_dict(cfg_dict)
-    row: dict = {"axis": axis, "axis_value": value, "method": method, "error": ""}
+def _point_config(cfg: RunConfig, axis: str, value, method: str) -> RunConfig:
+    """The run config of one sweep point: `method` solves, `axis` is set to `value`."""
+    quant = dataclasses.asdict(cfg.quant)
+    quant["solver"] = method
+    samples = cfg.samples_per_task
+    if axis == "bits":
+        quant["bits"] = int(value)
+    elif axis == "alpha":
+        quant["alpha"] = float(value)
+    else:
+        samples = int(value)
+    return dataclasses.replace(cfg, quant=QuantConfig(**quant), samples_per_task=samples)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_point(
+    cfg: RunConfig, problem: SyntheticProblem, merged: Checkpoint, subdir: str
+) -> dict:
+    """One sweep point on a generated and merged problem: quantize, evaluate, write.
+
+    Returns the point's CSV fields; a failure becomes an `error` field.
+    """
     try:
-        quant = dataclasses.asdict(cfg.quant)
-        quant["solver"] = method
-        samples = cfg.samples_per_task
-        if axis == "bits":
-            quant["bits"] = int(value)
-        elif axis == "alpha":
-            quant["alpha"] = float(value)
-        elif axis == "samples":
-            samples = int(value)
-        else:
-            raise ConfigError(f"unknown sweep axis '{axis}'")
-        point_cfg = dataclasses.replace(
-            cfg, quant=QuantConfig(**quant), samples_per_task=samples
-        )
-        problem = _generate_problem(point_cfg)
-        merged = apply_merge(point_cfg.merge, problem.base, problem.experts)
         start = time.perf_counter()
-        run = _run_quantize(point_cfg, merged, problem.experts, problem.calib)
+        run = _run_quantize(cfg, merged, problem.experts, problem.calib)
         wall = time.perf_counter() - start
         result = evaluate(run.model, problem.heldout)
         subpath = Path(subdir)
         subpath.mkdir(parents=True, exist_ok=True)
         save_model(run.model, subpath / "quantized.safetensors")
         blob = json.dumps(
-            run_to_json_dict(run, config=point_cfg.to_json_dict()),
+            run_to_json_dict(run, config=cfg.to_json_dict()),
             sort_keys=True,
             separators=(",", ":"),
         )
         (subpath / "run.json").write_text(blob + "\n", encoding="utf-8")
-        for task_id, mse in sorted(result.per_task_mse.items()):
-            row[f"mse_task{task_id}"] = repr(mse)
-        row["macro_mse"] = repr(result.macro_mse)
-        row["wall_time_s"] = repr(wall)
-        row["damped"] = str(run.damped_fallback).lower()
     except Exception as exc:  # record the failure, keep sweeping
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        return {"error": _error_text(exc)}
+    row = {f"mse_task{task_id}": repr(mse) for task_id, mse in sorted(result.per_task_mse.items())}
+    row["macro_mse"] = repr(result.macro_mse)
+    row["wall_time_s"] = repr(wall)
+    row["damped"] = str(run.damped_fallback).lower()
     return row
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
+    """Sweep one axis over every method, one CSV row per (value, method) point.
+
+    Points whose generation and merge inputs agree share one problem, generated
+    and merged once here; only the `samples` axis changes those inputs. With
+    jobs > 1 the points are quantized in worker processes that receive the
+    shared problem. An invalid point, or one whose problem failed to generate,
+    gets an `error` row and the sweep goes on.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got '{axis}'")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     values = {
         "bits": cfg.sweep_bits,
         "alpha": cfg.sweep_alpha,
@@ -368,26 +388,40 @@ def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
     if not values:
         raise ConfigError(f"sweep axis '{axis}' has no values configured")
     out.mkdir(parents=True, exist_ok=True)
-    cfg_dict = cfg.to_json_dict()
-    points = [
-        (value, method, str(out / "sweep" / f"{axis}={value}" / method))
-        for value in values
-        for method in cfg.sweep_methods
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    _sweep_point,
-                    [cfg_dict] * len(points),
-                    [axis] * len(points),
-                    [p[0] for p in points],
-                    [p[1] for p in points],
-                    [p[2] for p in points],
-                )
-            )
-    else:
-        rows = [_sweep_point(cfg_dict, axis, v, m, s) for v, m, s in points]
+    points = [(value, method) for value in values for method in cfg.sweep_methods]
+    rows = [{"axis": axis, "axis_value": v, "method": m, "error": ""} for v, m in points]
+    groups: dict[str, list[tuple[int, RunConfig]]] = {}
+    for idx, (value, method) in enumerate(points):
+        try:
+            point_cfg = _point_config(cfg, axis, value, method)
+        except Exception as exc:  # an invalid point is recorded, the others run
+            rows[idx]["error"] = _error_text(exc)
+            continue
+        # points share a problem when they agree on all that generation and merging read
+        key = repr((_problem_inputs(point_cfg), point_cfg.merge))
+        groups.setdefault(key, []).append((idx, point_cfg))
+
+    workers = min(jobs, sum(len(members) for members in groups.values()))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        futures = []
+        for members in groups.values():
+            group_cfg = members[0][1]
+            try:
+                problem = _generate_problem(group_cfg)
+                merged = apply_merge(group_cfg.merge, problem.base, problem.experts)
+            except Exception as exc:  # every point of the group records the failure
+                for idx, _ in members:
+                    rows[idx]["error"] = _error_text(exc)
+                continue
+            for idx, point_cfg in members:
+                value, method = points[idx]
+                args = (point_cfg, problem, merged, str(out / "sweep" / f"{axis}={value}" / method))
+                if pool is None:
+                    rows[idx].update(_sweep_point(*args))
+                else:
+                    futures.append((idx, pool.submit(_sweep_point, *args)))
+        for idx, future in futures:
+            rows[idx].update(future.result())
 
     fieldnames = ["axis", "axis_value", "method"]
     fieldnames += [f"mse_task{i}" for i in range(1, cfg.k + 1)]

@@ -8,21 +8,29 @@ updates, not those helpers. deviation_rows_from_scratch and
 quantize_from_scratch reuse the package's forward pass (and the latter its
 statistics and layer solver), because what they pin down is that the
 pipeline's one-pass activations are the ones re-forwarding from the inputs
-to every layer would give.
+to every layer would give. sweep_from_scratch reuses the CLI's generation,
+quantization and evaluation, because what it pins down is that sharing one
+problem among sweep points gives what regenerating it for each would.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
 import struct
+import time
+from pathlib import Path
 
 import numpy as np
 
 from pmq.calib import LayerCalibStats, accumulate_stats
+from pmq.cli import ConfigError, _generate_problem, _run_quantize, config_from_dict
 from pmq.linalg import cholesky_inverse_upper
-from pmq.model import Model, forward_to_layer
-from pmq.pipeline import DeviationRow
-from pmq.quant import dequantize_values, fit_layer_grids, quantize_values
+from pmq.merge import apply_merge
+from pmq.model import Model, forward_to_layer, save_model
+from pmq.pipeline import DeviationRow, evaluate, run_to_json_dict
+from pmq.quant import QuantConfig, dequantize_values, fit_layer_grids, quantize_values
 from pmq.solver import solve_layer
 
 
@@ -298,3 +306,71 @@ def pack_bits_reference(codes, bits):
 def mse_reference(outputs, targets):
     diff = np.asarray(outputs) - np.asarray(targets)
     return float((diff * diff).sum() / diff.size)
+
+
+def _sweep_point_from_scratch(cfg_dict, axis, value, method, subdir):
+    """One sweep point: regenerate, merge, quantize, evaluate. Returns a CSV row."""
+    cfg = config_from_dict(cfg_dict)
+    row = {"axis": axis, "axis_value": value, "method": method, "error": ""}
+    try:
+        quant = dataclasses.asdict(cfg.quant)
+        quant["solver"] = method
+        samples = cfg.samples_per_task
+        if axis == "bits":
+            quant["bits"] = int(value)
+        elif axis == "alpha":
+            quant["alpha"] = float(value)
+        elif axis == "samples":
+            samples = int(value)
+        else:
+            raise ConfigError(f"unknown sweep axis '{axis}'")
+        point_cfg = dataclasses.replace(cfg, quant=QuantConfig(**quant), samples_per_task=samples)
+        problem = _generate_problem(point_cfg)
+        merged = apply_merge(point_cfg.merge, problem.base, problem.experts)
+        start = time.perf_counter()
+        run = _run_quantize(point_cfg, merged, problem.experts, problem.calib)
+        wall = time.perf_counter() - start
+        result = evaluate(run.model, problem.heldout)
+        subpath = Path(subdir)
+        subpath.mkdir(parents=True, exist_ok=True)
+        save_model(run.model, subpath / "quantized.safetensors")
+        blob = json.dumps(
+            run_to_json_dict(run, config=point_cfg.to_json_dict()),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        (subpath / "run.json").write_text(blob + "\n", encoding="utf-8")
+        for task_id, mse in sorted(result.per_task_mse.items()):
+            row[f"mse_task{task_id}"] = repr(mse)
+        row["macro_mse"] = repr(result.macro_mse)
+        row["wall_time_s"] = repr(wall)
+        row["damped"] = str(run.damped_fallback).lower()
+    except Exception as exc:  # record the failure, keep sweeping
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def sweep_from_scratch(cfg, out, axis):
+    """`pmq sweep` in which every (value, method) point generates and merges its own problem.
+
+    Writes the same files as pmq.cli.cmd_sweep at --jobs 1: sweep.csv and,
+    per point, sweep/<axis>=<value>/<method>/{quantized.safetensors,run.json}.
+    """
+    values = {"bits": cfg.sweep_bits, "alpha": cfg.sweep_alpha, "samples": cfg.sweep_samples}[axis]
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg_dict = cfg.to_json_dict()
+    rows = [
+        _sweep_point_from_scratch(
+            cfg_dict, axis, value, method, str(out / "sweep" / f"{axis}={value}" / method)
+        )
+        for value in values
+        for method in cfg.sweep_methods
+    ]
+    fieldnames = ["axis", "axis_value", "method"]
+    fieldnames += [f"mse_task{i}" for i in range(1, cfg.k + 1)]
+    fieldnames += ["macro_mse", "wall_time_s", "damped", "error"]
+    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        writer.writerows(rows)

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pmq.cli
+from oracles import sweep_from_scratch
 from pmq.checkpoint import load_checkpoint
 from pmq.cli import ConfigError, RunConfig, config_from_dict, load_config, main
 from pmq.merge import MergeSpec
@@ -57,6 +59,29 @@ def dir_hashes(out: Path) -> dict:
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
+
+
+def strip_wall_time(path):
+    """sweep.csv rows without the one column that varies between identical runs."""
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    for r in rows:
+        r.pop("wall_time_s")
+    return rows
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named pmq.cli functions made in this process."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(pmq.cli, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pmq.cli, name, counted)
+    return calls
 
 
 class TestConfig:
@@ -329,15 +354,97 @@ class TestSweep:
             run_cli("sweep", "--config", cfg, "--out", str(out2), "--axis", "bits", "--jobs", "2")
             == 0
         )
+        assert strip_wall_time(out1 / "sweep.csv") == strip_wall_time(out2 / "sweep.csv")
 
-        def strip_wall(path):
-            with open(path) as f:
-                rows = list(csv.DictReader(f))
-            for r in rows:
-                r.pop("wall_time_s")
-            return rows
+    @pytest.mark.parametrize("axis", ["bits", "alpha", "samples"])
+    def test_matches_from_scratch_oracle(self, tmp_path, axis):
+        """Byte-identical to regenerating the problem at every point, at --jobs 1 and 2."""
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "k": 3,
+                "dims": [32, 48, 48, 16],
+                "train_samples": 64,
+                "merge.method": "ties",
+                "sweep_bits": [3, 4],
+                "sweep_alpha": [-1.0, 0.0, 0.1],
+                "sweep_samples": [0, 16, 32],
+                "sweep_methods": ["rtn", "gptq", "epmq"],
+            },
+        )
+        oracle = tmp_path / "oracle"
+        sweep_from_scratch(load_config(cfg, [], env={}), oracle, axis)
+        expected = dir_hashes(oracle)
+        expected.pop("sweep.csv")
+        assert sum(name.endswith("run.json") for name in expected) >= 6
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            args = ("--config", cfg, "--out", str(out), "--axis", axis, "--jobs", jobs)
+            assert run_cli("sweep", *args) == 0
+            got = dir_hashes(out)
+            got.pop("sweep.csv")
+            assert got == expected
+            assert strip_wall_time(out / "sweep.csv") == strip_wall_time(oracle / "sweep.csv")
 
-        assert strip_wall(out1 / "sweep.csv") == strip_wall(out2 / "sweep.csv")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("axis, problems", [("bits", 1), ("alpha", 1), ("samples", 3)])
+    def test_one_problem_per_generation_config(self, tmp_path, monkeypatch, axis, problems, jobs):
+        calls = count_calls(monkeypatch, "make_synthetic_tasks", "apply_merge")
+        cfg = write_cfg(
+            tmp_path,
+            {"sweep_bits": [3, 4], "sweep_alpha": [0.0, 0.1], "sweep_samples": [8, 16, 24]},
+        )
+        out = tmp_path / "out"
+        args = ("--config", cfg, "--out", str(out), "--axis", axis, "--jobs", jobs)
+        assert run_cli("sweep", *args) == 0
+        assert calls == {"make_synthetic_tasks": problems, "apply_merge": problems}
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2 * (3 if axis == "samples" else 2)
+        assert not any(r["error"] for r in rows)
+
+    def test_failed_points_get_error_rows(self, tmp_path, monkeypatch):
+        """An invalid value and a problem that fails to generate each cost only their points."""
+        real = pmq.cli.make_synthetic_tasks
+
+        def generate(**kwargs):
+            if kwargs["samples_per_task"] == 8:
+                raise ValueError("generator failed")
+            return real(**kwargs)
+
+        monkeypatch.setattr(pmq.cli, "make_synthetic_tasks", generate)
+        calls = count_calls(monkeypatch, "make_synthetic_tasks")
+        cfg = write_cfg(tmp_path, {"sweep_samples": [0, 8, 16]})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--axis", "samples") == 0
+        assert calls == {"make_synthetic_tasks": 2}  # value 0 never reaches generation
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["axis_value"], r["method"]) for r in rows] == [
+            (v, m) for v in ("0", "8", "16") for m in ("epmq", "gptq")
+        ]
+        for r in rows[:2]:
+            assert r["error"] == "ConfigError: sample counts must be >= 1" and not r["macro_mse"]
+        for r in rows[2:4]:
+            assert r["error"] == "ValueError: generator failed" and not r["macro_mse"]
+        for r in rows[4:]:
+            assert not r["error"] and float(r["macro_mse"]) > 0
+        assert sorted(p.parent.name for p in out.glob("sweep/*/*/run.json")) == ["epmq", "gptq"]
+
+    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+        sizes = []
+        real = pmq.cli.ProcessPoolExecutor
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(pmq.cli, "ProcessPoolExecutor", pool)
+        cfg = write_cfg(tmp_path, {"sweep_bits": [4, 8], "sweep_methods": ["rtn"]})
+        out = tmp_path / "out"
+        args = ("--config", cfg, "--out", str(out), "--axis", "bits", "--jobs", "64")
+        assert run_cli("sweep", *args) == 0
+        assert sizes == [2]
 
 
 class TestExitCodes:
@@ -425,6 +532,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and message in err
         # no quantized.safetensors or run.json, no metrics.csv, run.json untouched
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_is_2(self, tmp_path, capsys, jobs):
+        cfg = write_cfg(tmp_path, {"sweep_bits": [4], "sweep_methods": ["rtn"]})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        args = ("--config", cfg, "--out", str(out), "--axis", "bits", "--jobs", jobs)
+        assert run_cli("sweep", *args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"--jobs must be >= 1, got {jobs}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, tensor, corrupt, message",
+        [
+            ("eval", "heldout/targets", lambda t: t[:, :5], "tensor 'targets' has shape [6, 5]"),
+            ("quantize", "calib/inputs", lambda t: t.ravel(), "tensor 'inputs' must be (d, n>=1)"),
+            # non-finite values are refused by the tensor reader itself
+            ("quantize", "calib/inputs", lambda t: np.where(t > 0, np.nan, t),
+             "tensor 'inputs' contains non-finite values"),
+            ("eval", "heldout/targets", lambda t: np.where(t > 0, np.inf, t),
+             "tensor 'targets' contains non-finite values"),
+            ("quantize", "calib/inputs", None, "no tensor 'inputs'"),
+        ],
+        ids=["target-columns", "inputs-1d", "calib-nan", "targets-inf", "no-inputs"],
+    )
+    def test_malformed_task_file_is_4(self, tmp_path, capsys, command, tensor, corrupt, message):
+        cfg = write_cfg(tmp_path, {"quant.solver": "gptq"})
+        out = tmp_path / "out"
+        for stage in ("gen", "merge", "quantize")[: 2 if command == "quantize" else 3]:
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        subdir, name = tensor.split("/")
+        path = out / subdir / "task1.safetensors"
+        tensors, _ = read_tensor_file(path)
+        if corrupt is None:
+            del tensors[name]
+        else:
+            tensors[name] = corrupt(tensors[name])
+        write_tensor_file(path, tensors)
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "i/o failure" in err
+        assert f"{path}: {message}" in err
         assert dir_hashes(out) == before
 
     def test_incomplete_calib_index_is_4(self, tmp_path, capsys):
