@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, LayerWeights, ModelManifest, LayerSpec
-from .linalg import ShapeError, frobenius_sq, matmul
+from .linalg import ShapeError, as_matrix, frobenius_sq, matmul
 from .model import (
     Batch,
     Model,
@@ -81,8 +81,9 @@ class LayerCalibStats:
 
 def accumulate_stats(x: np.ndarray) -> tuple[np.ndarray, float, int]:
     """(H, energy, count) for one activation matrix: H = X X^T, energy = ||X||_F^2."""
+    x = as_matrix(x, "x")
     with np.errstate(over="ignore", invalid="ignore"):
-        h = matmul(x, x.T)
+        h = x @ x.T  # on a contiguous x numpy takes the syrk path
         energy = frobenius_sq(x)
     if not np.isfinite(h).all():
         raise FloatingPointError("calibration statistics overflowed (non-finite curvature)")

@@ -266,35 +266,21 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
     result = evaluate(model, heldout)
     rows = [
         {
-            "task": task_id,
+            "task": task,
             "method": cfg.quant.solver,
             "bits": cfg.quant.bits,
             "alpha": cfg.quant.alpha,
             "samples": cfg.samples_per_task,
             "mse": repr(mse),
         }
-        for task_id, mse in sorted(result.per_task_mse.items())
+        for task, mse in [*sorted(result.per_task_mse.items()), ("macro", result.macro_mse)]
     ]
-    rows.append(
-        {
-            "task": "macro",
-            "method": cfg.quant.solver,
-            "bits": cfg.quant.bits,
-            "alpha": cfg.quant.alpha,
-            "samples": cfg.samples_per_task,
-            "mse": repr(result.macro_mse),
-        }
-    )
-    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=["task", "method", "bits", "alpha", "samples", "mse"])
-        writer.writeheader()
-        writer.writerows(rows)
-
+    # compute everything before the first write, so a failed eval writes no file
     run_path = out / "run.json"
+    obj = None
     if run_path.exists() and experts:
-        merged = load_checkpoint(out / "merged.safetensors")
         run = PmqRun(
-            merged=merged,
+            merged=load_checkpoint(out / "merged.safetensors"),
             experts=experts,
             calib=None,
             cfg=cfg.quant,
@@ -314,6 +300,11 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
             }
             for row in deviation.rows
         ]
+    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, fieldnames=["task", "method", "bits", "alpha", "samples", "mse"])
+        writer.writeheader()
+        writer.writerows(rows)
+    if obj is not None:
         run_path.write_text(
             json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
         )

@@ -89,11 +89,14 @@ def cholesky_solve(h, rhs) -> np.ndarray:
     Right division: the unknown multiplies h from the left, matching the
     convention of row-stacked weights times a square curvature matrix.
     """
-    h = check_symmetric(h, "h")
+    return cholesky_factor_solve(cholesky_upper(check_symmetric(h, "h"), context="h"), rhs)
+
+
+def cholesky_factor_solve(u: np.ndarray, rhs) -> np.ndarray:
+    """Solve S @ (U^T U) = rhs for S, given the upper Cholesky factor U."""
     rhs = as_matrix(rhs, "rhs")
-    if rhs.shape[1] != h.shape[0]:
-        raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {h.shape[0]}x{h.shape[0]}")
-    u = cholesky_upper(h, context="h")
+    if rhs.shape[1] != u.shape[0]:
+        raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {u.shape[0]}x{u.shape[0]}")
     x, info = lapack.dpotrs(u, rhs.T, lower=0)
     if info != 0:
         raise ValueError(f"dpotrs failed with info={int(info)}")
@@ -103,15 +106,18 @@ def cholesky_solve(h, rhs) -> np.ndarray:
 def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Upper Cholesky factor U of inv(h), i.e. inv(h) = U^T U.
 
-    The classic sequential-rounding solver consumes rows of this factor: its
-    diagonal carries the effective step sizes and its upper rows carry the
-    compensation weights for not-yet-quantized columns.
+    With J the reversal matrix and J h J = L L^T (one lower dpotrf),
+    U = J inv(L) J (one dtrtri). A failing pivot is reported by its 1-based
+    column of h. Sequential rounding reads rows of U: the diagonal holds the
+    step sizes, the rows to its right the compensation weights.
     """
-    u = cholesky_upper(h, context=context)
-    inv, info = lapack.dpotri(u, lower=0)
-    if info != 0:
+    low, info = lapack.dpotrf(h[::-1, ::-1], lower=1)
+    if info > 0:
+        pivot = len(h) + 1 - int(info)
         raise SingularMatrixError(
-            f"{context} inverse failed in dpotri at index {int(info)}", pivot=int(info)
+            f"{context} is not positive definite: non-positive pivot at index {pivot}", pivot=pivot
         )
-    inv = np.triu(inv) + np.triu(inv, 1).T
-    return cholesky_upper(inv, context=f"inverse of {context}")
+    inv, info = lapack.dtrtri(low, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"dtrtri failed with info={int(info)}")
+    return np.triu(inv[::-1, ::-1])

@@ -32,8 +32,9 @@ from .linalg import (
     SingularMatrixError,
     as_matrix,
     check_symmetric,
+    cholesky_factor_solve,
     cholesky_inverse_upper,
-    cholesky_solve,
+    cholesky_upper,
     frobenius_sq,
     matmul,
 )
@@ -160,16 +161,18 @@ def build_epmq_statistics(
 def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimizer of the relaxed quadratic: Q such that Q H_E = R.
 
-    Requires H_E positive definite; callers damp first when the anchor is
-    zero and the pooled curvature is singular. One step of iterative
-    refinement keeps the stationary residual near machine precision even
-    for poorly conditioned instances.
+    Requires H_E symmetric (solve_layer checks that once, in SolverProblem)
+    and positive definite; callers damp first when the anchor is zero and
+    the pooled curvature is singular. One step of iterative refinement keeps
+    the stationary residual near machine precision even for poorly
+    conditioned instances.
     """
-    q = cholesky_solve(h_e, r)
+    u = cholesky_upper(h_e, context="h")
+    q = cholesky_factor_solve(u, r)
     residual = r - matmul(q, h_e)
     norm_r = np.sqrt(frobenius_sq(r))
     if np.sqrt(frobenius_sq(residual)) > 1e-10 * (1.0 + norm_r):
-        q = q + cholesky_solve(h_e, residual)
+        q = q + cholesky_factor_solve(u, residual)
     return q
 
 
@@ -182,24 +185,24 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
 def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np.ndarray]:
     """Sequential error-compensated rounding toward the problem target.
 
-    Steps: damp the curvature by percdamp of its mean diagonal; factor the
-    damped inverse and keep its upper Cholesky factor U; fit grids per group
-    from the grid-source weight; then for each column j in natural order,
-    round column j, divide the rounding error by U[j, j], and subtract the
+    Steps: damp the curvature by percdamp of its mean diagonal; take the
+    upper Cholesky factor U of the damped inverse; fit grids per group from
+    the grid-source weight; then for each column j in natural order, round
+    column j, divide the rounding error by U[j, j], and subtract the
     weighted error from all not-yet-quantized columns via U[j, j+1:].
 
-    The subtraction is batched (GPTQ's lazy batch updates): rank-1 updates
-    touch only the current block of ROUNDING_BLOCK columns, and one matrix
-    product per block carries its errors to all later columns.
+    The work matrix, codes and errors are kept transposed, (d, d_out), so
+    each column is a contiguous row. The subtraction is batched (GPTQ's lazy
+    batch updates): rank-1 updates touch only the current block of
+    ROUNDING_BLOCK columns, and one GEMM per block carries its errors to all
+    later columns.
     Returns (quantized layer, damping applied, per-column compensation norms).
     """
     cfg = problem.cfg
-    target = problem.target
-    d_out, d = target.shape
+    d_out, d = problem.target.shape
     damp = _damping_for(problem.curvature, cfg.percdamp)
-    damped = problem.curvature + damp * np.eye(d)
     try:
-        u = cholesky_inverse_upper(damped, context="damped curvature")
+        u = cholesky_inverse_upper(problem.curvature + damp * np.eye(d), context="damped curvature")
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"curvature is singular even after damping {damp:g} "
@@ -209,26 +212,25 @@ def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np
 
     scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
     col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
+    scales_t, zeros_t = scales.T.copy(), zeros.T.copy()
 
-    work = target.copy()
-    codes = np.empty((d_out, d), dtype=np.uint8)
+    work = problem.target.T.copy()
+    codes = np.empty((d, d_out), dtype=np.uint8)
     comp_norms = np.zeros(d)
     for b0 in range(0, d, ROUNDING_BLOCK):
         b1 = min(b0 + ROUNDING_BLOCK, d)
-        errs = np.empty((d_out, b1 - b0))
+        errs = np.empty((b1 - b0, d_out))
         for j in range(b0, b1):
             g = col_group[j]
-            cj = quantize_values(work[:, j], scales[:, g], zeros[:, g], cfg.bits)
-            qj = dequantize_values(cj, scales[:, g], zeros[:, g])
-            err = (work[:, j] - qj) / u[j, j]
+            codes[j] = quantize_values(work[j], scales_t[g], zeros_t[g], cfg.bits)
+            qj = dequantize_values(codes[j], scales_t[g], zeros_t[g])
+            err = errs[j - b0] = (work[j] - qj) / u[j, j]
             comp_norms[j] = float(np.sqrt(np.dot(err, err)))
-            codes[:, j] = cj
-            errs[:, j - b0] = err
-            work[:, j + 1 : b1] -= np.outer(err, u[j, j + 1 : b1])
-        work[:, b1:] -= errs @ u[b0:b1, b1:]
+            work[j + 1 : b1] -= np.outer(u[j, j + 1 : b1], err)
+        work[b1:] -= u[b0:b1, b1:].T @ errs
 
     quantized = QuantizedLayer(
-        codes=codes,
+        codes=np.ascontiguousarray(codes.T),
         scales=scales,
         zeros=zeros,
         bits=cfg.bits,

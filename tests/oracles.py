@@ -2,9 +2,10 @@
 
 Everything here is written with plain Python loops or numpy built-ins that
 do not share code paths with the package under test. There are three
-exceptions. gptq_columnwise reuses the package's grid fitting, rounding and
-Cholesky helpers, because what it pins down is the order of the error
-updates, not those helpers. deviation_rows_from_scratch and
+exceptions. gptq_columnwise reuses the package's grid fitting and rounding
+helpers, because what it pins down is the order of the error updates, not
+those helpers; it factors the inverse curvature its own way
+(cholesky_inverse_upper_via_inverse). deviation_rows_from_scratch and
 quantize_from_scratch reuse the package's forward pass (and the latter its
 statistics and layer solver), because what they pin down is that the
 pipeline's one-pass activations are the ones re-forwarding from the inputs
@@ -23,10 +24,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import lapack
 
 from pmq.calib import LayerCalibStats, accumulate_stats
 from pmq.cli import ConfigError, _generate_problem, _run_quantize, config_from_dict
-from pmq.linalg import cholesky_inverse_upper
 from pmq.merge import apply_merge
 from pmq.model import Model, forward_to_layer, save_model
 from pmq.pipeline import DeviationRow, evaluate, run_to_json_dict
@@ -50,6 +51,21 @@ def matmul_triple_loop(a, b):
     return out
 
 
+def cholesky_inverse_upper_via_inverse(h):
+    """Upper Cholesky factor U of inv(h) (inv(h) = U^T U) through the explicit inverse.
+
+    dpotrf of h, dpotri for inv(h), symmetrize, then dpotrf of inv(h).
+    """
+    u, info = lapack.dpotrf(np.asarray(h, dtype=np.float64), lower=0)
+    assert info == 0, f"dpotrf of h failed with info={info}"
+    inv, info = lapack.dpotri(np.triu(u), lower=0)
+    assert info == 0, f"dpotri failed with info={info}"
+    inv = np.triu(inv) + np.triu(inv, 1).T
+    u, info = lapack.dpotrf(inv, lower=0)
+    assert info == 0, f"dpotrf of inv(h) failed with info={info}"
+    return np.triu(u)
+
+
 def gptq_columnwise(problem):
     """Sequential rounding with one rank-1 update of all later columns per column.
 
@@ -63,7 +79,7 @@ def gptq_columnwise(problem):
     damp = cfg.percdamp * float(np.mean(np.diag(h)))
     if not damp > 0:
         damp = cfg.percdamp
-    u = cholesky_inverse_upper(h + damp * np.eye(d))
+    u = cholesky_inverse_upper_via_inverse(h + damp * np.eye(d))
     scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
     col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
 

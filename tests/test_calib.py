@@ -136,6 +136,15 @@ class TestLayerStats:
         assert count == n
         assert abs(e - float(x.ravel() @ x.ravel())) <= 1e-12 * max(1.0, e)
 
+    def test_column_slice_gives_the_h_of_its_contiguous_copy(self, rng):
+        x = rng.normal(size=(48, 300))[:, 7:263]
+        assert not x.flags["C_CONTIGUOUS"]
+        h, e, count = accumulate_stats(x)
+        h_copy, e_copy, count_copy = accumulate_stats(np.ascontiguousarray(x))
+        np.testing.assert_array_equal(h, h_copy)
+        np.testing.assert_array_equal(h, h.T)
+        assert (e, count) == (e_copy, count_copy)
+
     def test_cache_shape_drift_detected(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)

@@ -298,6 +298,20 @@ class TestEval:
             assert "config error" in err and "expert2.safetensors" in err
             assert not (out / "metrics.csv").exists()
 
+    def test_missing_merged_checkpoint_is_4_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        (out / "merged.safetensors").unlink()
+        before = (out / "run.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "merged.safetensors" in err
+        assert not (out / "metrics.csv").exists()
+        assert (out / "run.json").read_bytes() == before
+
 
 class TestSweep:
     def test_bits_sweep_matches_golden_and_trend(self, tmp_path):

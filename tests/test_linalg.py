@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 from pmq.linalg import (
     ShapeError,
     SingularMatrixError,
+    cholesky_inverse_upper,
     cholesky_solve,
     frobenius_sq,
     matmul,
 )
 
 from conftest import random_spd
-from oracles import frobenius_scalar, matmul_triple_loop, solve_right_via_inverse
+from oracles import (
+    cholesky_inverse_upper_via_inverse,
+    frobenius_scalar,
+    matmul_triple_loop,
+    solve_right_via_inverse,
+)
 
 
 def assert_within_forward_error(product, a, b):
@@ -116,3 +122,24 @@ class TestCholeskySolve:
         h[0, 1] += 1.0
         with pytest.raises(ValueError, match="symmetric"):
             cholesky_solve(h, np.ones((1, 4)))
+
+
+class TestCholeskyInverseUpper:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 64), seed=st.integers(0, 2**31))
+    def test_factor_of_the_inverse_matches_oracle(self, d, seed):
+        h = random_spd(np.random.default_rng(seed), d, extra=d + 4)
+        before = h.copy()
+        u = cholesky_inverse_upper(h)
+        np.testing.assert_array_equal(h, before)
+        np.testing.assert_array_equal(u, np.triu(u))
+        assert np.all(np.diag(u) > 0)
+        np.testing.assert_allclose(u.T @ u @ h, np.eye(d), rtol=0, atol=1e-10)
+        oracle = cholesky_inverse_upper_via_inverse(h)
+        assert np.abs(u - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_non_positive_pivot_names_original_column(self):
+        with pytest.raises(SingularMatrixError) as err:
+            cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]))
+        assert err.value.pivot == 2
+        assert "index 2" in str(err.value)

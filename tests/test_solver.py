@@ -198,14 +198,19 @@ class TestGptqSolve:
             ratio_ok += obj_g <= 1.25 * obj_o + 1e-12
         assert ratio_ok >= 80
 
-    @pytest.mark.parametrize("d", [127, 128, 129, 300, 385])
-    def test_blocked_rounding_matches_columnwise_oracle(self, d):
-        r = np.random.default_rng(d)
+    @pytest.mark.parametrize(
+        "d_out, d",
+        [(12, 127), (12, 128), (12, 129), (12, 300), (12, 385), (200, 129), (64, 300)],
+        ids=["127", "128", "129", "300", "385", "200x129", "64x300"],
+    )
+    def test_blocked_rounding_matches_columnwise_oracle(self, d_out, d):
+        r = np.random.default_rng(d if d_out == 12 else d_out * d)
         x = r.normal(size=(d, 1)) + r.uniform(0.5, 1.5, size=(d, 1)) * r.normal(size=(d, d + 16))
         h = x @ x.T
-        w = r.normal(size=(12, d)) / np.sqrt(d)
+        w = r.normal(size=(d_out, d)) / np.sqrt(d)
         for bits in (2, 3, 4, 8):
-            for group_size in (32, 64, 128):
+            # 48 and 100 divide none of the widths: the last group is short
+            for group_size in (32, 64, 128, 48 if d < 200 else 100):
                 cfg = QuantConfig(bits=bits, group_size=group_size, solver="gptq")
                 prob = SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg)
                 rep = gptq_solve(prob)
@@ -214,12 +219,35 @@ class TestGptqSolve:
                 np.testing.assert_allclose(rep.per_column_comp_norms, comp_norms, rtol=1e-12)
                 assert rep.objective == pytest.approx(objective, rel=1e-12)
 
+    def test_epmq_merged_grids_match_columnwise_oracle(self):
+        r = np.random.default_rng(7)
+        d_out, d = 40, 200
+        stats, _ = random_stats(r, d, 2, n=d + 16)
+        wm = r.normal(size=(d_out, d)) / np.sqrt(d)
+        experts = [wm + 0.1 * r.normal(size=(d_out, d)) / np.sqrt(d) for _ in range(2)]
+        cfg = QuantConfig(bits=3, group_size=48, solver="epmq", grid_source="merged")
+        rep = solve_layer(experts, wm, stats, cfg)
+        h_e, rhs, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+        w_star = continuous_solution(h_e, rhs)
+        prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=wm, cfg=cfg)
+        codes, comp_norms, _ = gptq_columnwise(prob)
+        np.testing.assert_array_equal(rep.quantized.codes, codes)
+        np.testing.assert_allclose(rep.per_column_comp_norms, comp_norms, rtol=1e-12)
+
     def test_singular_curvature_error_mentions_percdamp(self):
         cfg = QuantConfig(bits=4, group_size=4, solver="gptq")
         w = np.ones((1, 4))
         h = np.diag([1.0, 1.0, -1.0, 1.0])  # stays non-PD after mild damping
         with pytest.raises(SingularMatrixError, match="percdamp"):
             gptq_solve(SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg))
+
+    def test_singular_curvature_error_names_original_column(self):
+        cfg = QuantConfig(bits=4, group_size=4, solver="gptq")
+        w = np.ones((1, 5))
+        h = np.diag([1.0, -1.0, 1.0, 1.0, 1.0])  # the factor runs from the last column
+        with pytest.raises(SingularMatrixError, match=r"\(pivot 2\); increase percdamp") as err:
+            gptq_solve(SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg))
+        assert err.value.pivot == 2
 
     def test_report_fields(self, rng):
         cfg = QuantConfig(bits=4, group_size=8, solver="gptq")
@@ -336,6 +364,17 @@ class TestEpmqSolve:
         rep = solve_layer([wm + 0.1], wm, stats, cfg)
         assert rep.damped_fallback
         assert rep.lam == 0.0
+
+    def test_asymmetric_curvature_rejected(self, rng):
+        d = 6
+        stats, _ = random_stats(rng, d, 2)
+        stats.hessians[1][0, 3] += 1.0
+        wm = rng.normal(size=(2, d))
+        cfg = QuantConfig(bits=4, group_size=8, solver="epmq")
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_layer([wm, wm + 0.1], wm, stats, cfg)
+        with pytest.raises(ValueError, match="symmetric"):
+            SolverProblem(target=wm, curvature=stats.hessians[1], grid_source_weight=wm, cfg=cfg)
 
     def test_grid_source_merged_switch(self, rng):
         d = 5
