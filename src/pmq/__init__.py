@@ -48,8 +48,8 @@ from .pipeline import (
     PmqRun,
     deviation_diagnostics,
     evaluate,
+    quantize,
     run_epmq,
-    run_naive_ptq,
 )
 from .quant import (
     QuantConfig,
@@ -123,10 +123,10 @@ __all__ = [
     "pack_codes",
     "propagate_through_layer",
     "quadratic_objective",
+    "quantize",
     "quantize_values",
     "rtn_quantize",
     "run_epmq",
-    "run_naive_ptq",
     "save_calib_set",
     "save_checkpoint",
     "save_model",

@@ -29,7 +29,7 @@ from .model import (
     forward,
     forward_to_layer,
 )
-from .tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
+from .tensorfile import MalformedHeaderError, read_tensor_file, write_json, write_tensor_file
 
 @dataclass
 class CalibSet:
@@ -297,9 +297,7 @@ def save_calib_set(calib: CalibSet, directory) -> None:
         "samples_per_task": calib.samples_per_task,
         "seed": calib.seed,
     }
-    (directory / "index.json").write_text(
-        json.dumps(index, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "index.json", index)
 
 
 def _read_task(path: Path) -> tuple[np.ndarray, np.ndarray | None]:

@@ -19,6 +19,7 @@ from .tensorfile import (
     DtypeMismatchError,
     MalformedHeaderError,
     read_tensor_file,
+    write_json,
     write_tensor_file,
 )
 
@@ -143,25 +144,6 @@ class Checkpoint:
             elif lw.bias is not None:
                 raise ManifestError(f"layer '{lw.id}': manifest declares no bias but one was given")
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    def layer(self, layer_id: str) -> LayerWeights:
-        for lw in self.layers:
-            if lw.id == layer_id:
-                return lw
-        raise KeyError(layer_id)
-
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            layers=[
-                LayerWeights(lw.id, lw.weight.copy(), None if lw.bias is None else lw.bias.copy())
-                for lw in self.layers
-            ],
-            manifest=self.manifest,
-        )
-
 
 def manifest_path(path) -> Path:
     path = Path(path)
@@ -169,16 +151,15 @@ def manifest_path(path) -> Path:
 
 
 def save_manifest(manifest: ModelManifest, path) -> None:
-    blob = json.dumps(manifest.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(blob + "\n", encoding="utf-8")
+    write_json(path, manifest.to_json_dict())
 
 
 def load_manifest(path) -> ModelManifest:
+    """The manifest in sidecar `path`; a malformed one is a MalformedHeaderError naming it."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: manifest is not valid JSON: {exc}") from exc
-    return ModelManifest.from_json_dict(obj)
+        return ModelManifest.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # not JSON, or a manifest that fails validation
+        raise MalformedHeaderError(f"{path}: bad manifest: {exc}") from exc
 
 
 def _storage_dtype(manifest: ModelManifest) -> np.dtype:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -22,27 +23,23 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .calib import CalibSet, SyntheticProblem, load_calib_set, make_synthetic_tasks, save_calib_set
-from .checkpoint import Checkpoint, ModelManifest, load_checkpoint, save_checkpoint
+from .calib import SyntheticProblem, load_calib_set, make_synthetic_tasks, save_calib_set
+from .checkpoint import Checkpoint, ManifestError, load_checkpoint, save_checkpoint
 from .linalg import SingularMatrixError
 from .merge import MergeSpec, apply_merge
 from .model import load_model, save_model
 from .pipeline import (
+    ConfigError,
     PmqRun,
     deviation_diagnostics,
     evaluate,
-    run_epmq,
-    run_naive_ptq,
+    quantize,
     run_to_json_dict,
 )
 from .quant import QuantConfig
-from .tensorfile import TensorFileError
+from .tensorfile import TensorFileError, write_atomic, write_json
 
 SWEEP_AXES = ("bits", "alpha", "samples")
-
-
-class ConfigError(ValueError):
-    """Bad or inconsistent run configuration."""
 
 
 @dataclass
@@ -124,6 +121,8 @@ def load_config(path: str, overrides: list[str], env: dict | None = None) -> Run
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: config is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got '{item}'")
@@ -193,8 +192,8 @@ def _generate_problem(cfg: RunConfig) -> SyntheticProblem:
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     problem = _generate_problem(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(problem.base, out / "base.safetensors")
     for path, expert in zip(_expert_paths(out, cfg.k), problem.experts):
         save_checkpoint(expert, path)
@@ -209,52 +208,27 @@ def cmd_merge(cfg: RunConfig, out: Path) -> None:
     save_checkpoint(merged, out / "merged.safetensors")
 
 
-def _run_quantize(cfg: RunConfig, merged: Checkpoint, experts: list[Checkpoint],
-                  calib: CalibSet | None) -> PmqRun:
-    if cfg.quant.solver == "epmq":
-        if calib is None:
-            raise ConfigError("epmq requires calibration data; run `pmq gen` first")
-        if calib.num_tasks != len(experts):
-            raise ConfigError(
-                f"{calib.num_tasks} calibration tasks for k={len(experts)} experts; "
-                "run `pmq gen` with the same k"
-            )
-        return run_epmq(merged, experts, calib, cfg.quant)
-    return run_naive_ptq(merged, calib, cfg.quant, experts=experts)
+def _write_run(run: PmqRun, cfg: RunConfig, directory: Path) -> None:
+    """A run's two files: quantized.safetensors and run.json."""
+    save_model(run.model, directory / "quantized.safetensors")
+    write_json(directory / "run.json", run_to_json_dict(run, config=cfg.to_json_dict()))
 
 
-def _check_tasks(data: CalibSet, manifest: ModelManifest, name: str, targets: bool) -> None:
-    """Every task's inputs must fit layer 1 and, when asked, its targets the last layer."""
-    d_in, d_out = manifest.layers[0].d_in, manifest.layers[-1].d_out
-    for batch in data.batches:
-        task = f"{name} task {batch.task_id}"
-        if batch.inputs.shape[0] != d_in:
-            raise ConfigError(
-                f"{task} has inputs of {batch.inputs.shape[0]} rows, layer 1 has d_in={d_in}"
-            )
-        if targets and batch.targets is None:
-            raise ConfigError(f"{task} has no targets")
-        if targets and batch.targets.shape[0] != d_out:
-            raise ConfigError(
-                f"{task} has targets of {batch.targets.shape[0]} rows, "
-                f"the last layer has d_out={d_out}"
-            )
+def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def cmd_quantize(cfg: RunConfig, out: Path) -> None:
     merged = load_checkpoint(out / "merged.safetensors")
     calib_dir = out / "calib"
     calib = load_calib_set(calib_dir) if (calib_dir / "index.json").exists() else None
-    if calib is not None:
-        _check_tasks(calib, merged.manifest, "calibration", targets=False)
     # rtn and gptq run without experts
     experts = _load_experts(out, cfg.k, required=cfg.quant.solver == "epmq")
-    run = _run_quantize(cfg, merged, experts, calib)
-    save_model(run.model, out / "quantized.safetensors")
-    blob = json.dumps(
-        run_to_json_dict(run, config=cfg.to_json_dict()), sort_keys=True, separators=(",", ":")
-    )
-    (out / "run.json").write_text(blob + "\n", encoding="utf-8")
+    _write_run(quantize(merged, experts, calib, cfg.quant), cfg, out)
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
@@ -262,7 +236,6 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
     heldout = load_calib_set(out / "heldout")
     # the deviation diagnostics are skipped only when no expert file exists
     experts = _load_experts(out, cfg.k, required=False)
-    _check_tasks(heldout, model.manifest, "held-out", targets=True)
     result = evaluate(model, heldout)
     rows = [
         {
@@ -300,14 +273,9 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
             }
             for row in deviation.rows
         ]
-    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=["task", "method", "bits", "alpha", "samples", "mse"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "metrics.csv", ["task", "method", "bits", "alpha", "samples", "mse"], rows)
     if obj is not None:
-        run_path.write_text(
-            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
+        write_json(run_path, obj)
 
 
 def _point_config(cfg: RunConfig, axis: str, value, method: str) -> RunConfig:
@@ -337,18 +305,12 @@ def _sweep_point(
     """
     try:
         start = time.perf_counter()
-        run = _run_quantize(cfg, merged, problem.experts, problem.calib)
+        run = quantize(merged, problem.experts, problem.calib, cfg.quant)
         wall = time.perf_counter() - start
         result = evaluate(run.model, problem.heldout)
         subpath = Path(subdir)
         subpath.mkdir(parents=True, exist_ok=True)
-        save_model(run.model, subpath / "quantized.safetensors")
-        blob = json.dumps(
-            run_to_json_dict(run, config=cfg.to_json_dict()),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        (subpath / "run.json").write_text(blob + "\n", encoding="utf-8")
+        _write_run(run, cfg, subpath)
     except Exception as exc:  # record the failure, keep sweeping
         return {"error": _error_text(exc)}
     row = {f"mse_task{task_id}": repr(mse) for task_id, mse in sorted(result.per_task_mse.items())}
@@ -417,10 +379,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
     fieldnames = ["axis", "axis_value", "method"]
     fieldnames += [f"mse_task{i}" for i in range(1, cfg.k + 1)]
     fieldnames += ["macro_mse", "wall_time_s", "damped", "error"]
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", fieldnames, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             cmd_sweep(cfg, out, args.axis, jobs=args.jobs)
         return 0
-    except ConfigError as exc:
+    # a ManifestError here means checkpoints disagree; a malformed sidecar is an i/o failure
+    except (ConfigError, ManifestError) as exc:
         print(f"pmq: config error: {exc}", file=sys.stderr)
         return 2
     except (SingularMatrixError, ArithmeticError, FloatingPointError) as exc:

@@ -18,7 +18,6 @@ import numpy as np
 from .checkpoint import (
     Checkpoint,
     LayerSpec,
-    LayerWeights,
     ModelManifest,
     load_manifest,
     manifest_path,
@@ -76,10 +75,6 @@ class Batch:
             self.targets = np.ascontiguousarray(self.targets, dtype=np.float64)
             if self.targets.shape[1] != self.inputs.shape[1]:
                 raise ShapeError("targets must have the same number of columns as inputs")
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[1]
 
 
 @dataclass
@@ -281,12 +276,3 @@ def load_model(path) -> Model:
         raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(tensors)}")
     return Model(manifest, layers)
 
-
-def model_to_checkpoint(model: Model) -> Checkpoint:
-    """Materialize realized weights into a plain checkpoint (dequantizing)."""
-    layers = [
-        LayerWeights(id=layer.spec.id, weight=layer.weight.copy(),
-                     bias=None if layer.bias is None else layer.bias.copy())
-        for layer in model.layers
-    ]
-    return Checkpoint(layers=layers, manifest=model.manifest)

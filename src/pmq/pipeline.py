@@ -30,9 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import CalibSet, collect_layer_stats
-from .checkpoint import Checkpoint, ManifestError
+from .checkpoint import Checkpoint, ModelManifest
 from .linalg import matmul
-from .model import EMPTY_PREFIX, Model, chain_link, forward, propagate_through_layer
+from .model import (
+    EMPTY_PREFIX,
+    Model,
+    apply_activation,
+    chain_link,
+    forward,
+    propagate_through_layer,
+)
 from .quant import QuantConfig
 from .solver import SolveReport, solve_layer
 
@@ -94,21 +101,62 @@ class EvalResult:
     macro_mse: float
 
 
-def _init_cache(calib: CalibSet) -> dict[int, np.ndarray]:
-    return {batch.task_id: batch.inputs for batch in calib.batches}
+class ConfigError(ValueError):
+    """Bad or inconsistent run configuration."""
 
 
-def _quantize_forward_order(
+def _check_tasks(data: CalibSet, manifest: ModelManifest, name: str, targets: bool) -> None:
+    """Every task's inputs must fit layer 1 and, when asked, its targets the last layer."""
+    d_in, d_out = manifest.layers[0].d_in, manifest.layers[-1].d_out
+    for batch in data.batches:
+        task = f"{name} task {batch.task_id}"
+        if batch.inputs.shape[0] != d_in:
+            raise ConfigError(
+                f"{task} has inputs of {batch.inputs.shape[0]} rows, layer 1 has d_in={d_in}"
+            )
+        if targets and batch.targets is None:
+            raise ConfigError(f"{task} has no targets")
+        if targets and batch.targets.shape[0] != d_out:
+            raise ConfigError(
+                f"{task} has targets of {batch.targets.shape[0]} rows, "
+                f"the last layer has d_out={d_out}"
+            )
+
+
+def quantize(
     merged: Checkpoint,
     experts: list[Checkpoint],
     calib: CalibSet | None,
     cfg: QuantConfig,
+    *,
     quantized_trajectory: bool = True,
 ) -> PmqRun:
+    """Quantize every layer of `merged` in forward order with cfg.solver.
+
+    epmq needs at least one expert and one calibration task per expert; gptq
+    pools the per-task curvatures (sum_i H_i) and needs calibration; rtn uses
+    calibration only to report objectives. Activations follow the partially
+    quantized trajectory unless quantized_trajectory=False freezes them to
+    the full-precision model. Raises ConfigError, before any compute, when
+    those needs are unmet, an expert's manifest differs from the merged one,
+    or the calibration inputs do not fit layer 1.
+    """
+    if cfg.solver == "epmq" and not experts:
+        raise ConfigError("epmq requires at least one expert")
+    if cfg.solver in ("epmq", "gptq") and calib is None:
+        raise ConfigError(f"{cfg.solver} requires a calibration set")
+    if cfg.solver == "epmq" and calib.num_tasks != len(experts):
+        raise ConfigError(f"{calib.num_tasks} calibration tasks for {len(experts)} experts")
+    for idx, expert in enumerate(experts, start=1):
+        if expert.manifest != merged.manifest:
+            raise ConfigError(f"expert {idx} does not share the merged checkpoint's manifest")
+    if calib is not None:
+        _check_tasks(calib, merged.manifest, "calibration", targets=False)
+
     model = Model.from_checkpoint(merged)
     # the model whose layers 1..l-1 decide the inputs to layer l
     source = model if quantized_trajectory else Model.from_checkpoint(merged)
-    cache = _init_cache(calib) if calib is not None else None
+    cache = None if calib is None else {batch.task_id: batch.inputs for batch in calib.batches}
     reports: list[LayerReport] = []
     prev_chain, chain = b"", EMPTY_PREFIX
     start = time.perf_counter()
@@ -165,43 +213,10 @@ def run_epmq(
     calib: CalibSet,
     cfg: QuantConfig,
 ) -> PmqRun:
-    """Expert-guided anchored quantization of every layer, in forward order."""
+    """`quantize` for a config whose solver is epmq."""
     if cfg.solver != "epmq":
-        raise ValueError(f"run_epmq requires solver='epmq', got '{cfg.solver}'")
-    if not experts:
-        raise ValueError("run_epmq requires at least one expert")
-    for expert in experts:
-        if expert.manifest != merged.manifest:
-            raise ManifestError("experts and merged checkpoint do not share a manifest")
-    if calib.num_tasks != len(experts):
-        raise ValueError(
-            f"{calib.num_tasks} calibration tasks for {len(experts)} experts"
-        )
-    return _quantize_forward_order(merged, experts, calib, cfg)
-
-
-def run_naive_ptq(
-    merged: Checkpoint,
-    calib: CalibSet | None,
-    cfg: QuantConfig,
-    experts: list[Checkpoint] | None = None,
-    quantized_trajectory: bool = True,
-) -> PmqRun:
-    """Direct quantization of the merged model (rtn or gptq).
-
-    gptq pools the per-task curvatures (sum_i H_i) so both routes consume the
-    same calibration data; rtn ignores calibration for the codes and only
-    uses it to report objectives. By default activations follow the
-    partially quantized trajectory; quantized_trajectory=False freezes them
-    to the full-precision model.
-    """
-    if cfg.solver not in ("rtn", "gptq"):
-        raise ValueError(f"run_naive_ptq requires solver in (rtn, gptq), got '{cfg.solver}'")
-    if cfg.solver == "gptq" and calib is None:
-        raise ValueError("gptq requires a calibration set")
-    return _quantize_forward_order(
-        merged, experts or [], calib, cfg, quantized_trajectory=quantized_trajectory
-    )
+        raise ConfigError(f"run_epmq requires solver='epmq', got '{cfg.solver}'")
+    return quantize(merged, experts, calib, cfg)
 
 
 def deviation_diagnostics(
@@ -214,22 +229,26 @@ def deviation_diagnostics(
     deviation Q X - W_i X, which must equal their sum elementwise.
 
     Each task's activations are walked forward once through the quantized
-    model, one layer at a time; rows come out layer-major, and the first
-    row (in that order) whose identity gap exceeds identity_tol raises.
+    model, one layer at a time, and advanced from Q X itself (bias, then
+    activation), so a layer costs three GEMMs per task. Rows come out
+    layer-major, and the first row (in that order) whose identity gap
+    exceeds identity_tol raises. Raises ConfigError unless the held-out set
+    has one task per expert.
     """
-    if not run.experts:
-        raise ValueError("deviation diagnostics requires the run to carry experts")
+    if heldout.num_tasks != len(run.experts):
+        raise ConfigError(f"{heldout.num_tasks} held-out tasks for {len(run.experts)} experts")
     layers = run.model.layers
     by_task: list[list[DeviationRow]] = []
     for expert_idx, expert in enumerate(run.experts, start=1):
         x = heldout.task(expert_idx).inputs
         rows = []
         for layer_index, layer in enumerate(layers, start=1):
-            if layer_index > 1:
-                x = propagate_through_layer(x, layers[layer_index - 2])
             qx = matmul(layer.weight, x)
             mx = matmul(run.merged.layers[layer_index - 1].weight, x)
             ex = matmul(expert.layers[layer_index - 1].weight, x)
+            if layer_index < len(layers):
+                pre = qx if layer.bias is None else qx + layer.bias[:, None]
+                x = apply_activation(layer.spec.activation, pre)
             quant_dev = qx - mx
             merge_dev = mx - ex
             combined = qx - ex
@@ -257,11 +276,14 @@ def deviation_diagnostics(
 
 
 def evaluate(model: Model, heldout: CalibSet) -> EvalResult:
-    """Per-task mean squared error against held-out targets, plus the macro mean."""
+    """Per-task mean squared error against held-out targets, plus the macro mean.
+
+    Raises ConfigError, before any forward pass, when a task's inputs do not
+    fit layer 1 or its targets are missing or do not fit the last layer.
+    """
+    _check_tasks(heldout, model.manifest, "held-out", targets=True)
     per_task: dict[int, float] = {}
     for batch in heldout.batches:
-        if batch.targets is None:
-            raise ValueError(f"held-out task {batch.task_id} carries no targets")
         outputs = forward(model, batch.inputs)
         per_task[batch.task_id] = float(np.mean((outputs - batch.targets) ** 2))
     macro = float(np.mean(list(per_task.values())))

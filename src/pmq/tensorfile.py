@@ -1,4 +1,4 @@
-"""Binary tensor file I/O.
+"""Binary tensor file I/O, and the atomic write every pmq file goes through.
 
 Layout: an unsigned 64-bit little-endian header length, a UTF-8 JSON header
 mapping tensor name -> {dtype, shape, data_offsets}, then contiguous raw
@@ -12,6 +12,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -52,8 +53,29 @@ def dtype_tag(arr: np.ndarray) -> str:
     return _TAGS[dt]
 
 
-def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, str] | None = None) -> None:
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data` via a temp file in its directory and os.replace.
+
+    A failed write leaves the previous file (or none) and no temp file. There
+    is no fsync: the result survives a crash of the process, not a power loss.
+    """
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """Canonical JSON (sorted keys, compact separators) plus a newline, written atomically."""
+    write_atomic(path, (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode())
+
+
+def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, str] | None = None) -> None:
     header: dict[str, object] = {}
     if metadata:
         header[METADATA_KEY] = {str(k): str(v) for k, v in metadata.items()}
@@ -70,10 +92,7 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, 
             "data_offsets": [start, start + len(data)],
         }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(bytes(payload))
+    write_atomic(path, b"".join((struct.pack("<Q", len(blob)), blob, payload)))
 
 
 def read_tensor_file(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from pmq.calib import make_synthetic_tasks
 from pmq.merge import apply_merge, MergeSpec
-from pmq.pipeline import evaluate, run_epmq, run_naive_ptq
+from pmq.pipeline import evaluate, quantize
 from pmq.quant import QuantConfig
 
 from oracles import ties_reference
@@ -60,10 +60,8 @@ def make_sweep_golden():
         rows[method] = []
         for bits in SWEEP_BITS:
             cfg = QuantConfig(bits=bits, solver=method, alpha=0.01)
-            if method == "epmq":
-                run = run_epmq(merged, problem.experts, problem.calib, cfg)
-            else:
-                run = run_naive_ptq(merged, problem.calib, cfg)
+            experts = problem.experts if method == "epmq" else []
+            run = quantize(merged, experts, problem.calib, cfg)
             rows[method].append(evaluate(run.model, problem.heldout).macro_mse)
     # rtol: tolerance for matching the stored values (covers cross-platform
     # LAPACK differences); noise_band: allowed relative rise between adjacent

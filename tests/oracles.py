@@ -27,10 +27,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from pmq.calib import LayerCalibStats, accumulate_stats
-from pmq.cli import ConfigError, _generate_problem, _run_quantize, config_from_dict
+from pmq.cli import ConfigError, _generate_problem, config_from_dict
 from pmq.merge import apply_merge
 from pmq.model import Model, forward_to_layer, save_model
-from pmq.pipeline import DeviationRow, evaluate, run_to_json_dict
+from pmq.pipeline import DeviationRow, evaluate, quantize, run_to_json_dict
 from pmq.quant import QuantConfig, dequantize_values, fit_layer_grids, quantize_values
 from pmq.solver import solve_layer
 
@@ -344,7 +344,7 @@ def _sweep_point_from_scratch(cfg_dict, axis, value, method, subdir):
         problem = _generate_problem(point_cfg)
         merged = apply_merge(point_cfg.merge, problem.base, problem.experts)
         start = time.perf_counter()
-        run = _run_quantize(point_cfg, merged, problem.experts, problem.calib)
+        run = quantize(merged, problem.experts, problem.calib, point_cfg.quant)
         wall = time.perf_counter() - start
         result = evaluate(run.model, problem.heldout)
         subpath = Path(subdir)

@@ -14,7 +14,7 @@ from pmq.checkpoint import load_checkpoint, save_checkpoint
 from pmq.linalg import cholesky_upper, frobenius_sq
 from pmq.merge import MergeSpec, apply_merge
 from pmq.model import Model, forward_to_layer, load_model, save_model
-from pmq.pipeline import deviation_diagnostics, evaluate, run_epmq, run_naive_ptq
+from pmq.pipeline import deviation_diagnostics, evaluate, quantize, run_epmq
 from pmq.quant import QuantConfig, QuantizedLayer, pack_codes, rtn_quantize, unpack_codes
 from pmq.solver import (
     SolverProblem,
@@ -236,7 +236,7 @@ def test_criterion_6_epmq_vs_naive_gptq():
         run_e = run_epmq(
             merged, problem.experts, problem.calib, QuantConfig(bits=4, solver="epmq", alpha=0.01)
         )
-        run_g = run_naive_ptq(merged, problem.calib, QuantConfig(bits=4, solver="gptq"))
+        run_g = quantize(merged, [], problem.calib, QuantConfig(bits=4, solver="gptq"))
         stats, _ = collect_layer_stats(Model.from_checkpoint(merged), problem.calib, 1)
         lam = run_e.layer_reports[0].solve.lam
         experts_w = [e.layers[0].weight for e in problem.experts]
@@ -286,7 +286,7 @@ def test_criterion_7_bit_width_trend():
                 QuantConfig(bits=bits, solver="epmq", alpha=0.3),
             )
             sums["epmq"][bi] += evaluate(run_e.model, problem.heldout).macro_mse
-            run_g = run_naive_ptq(merged, problem.calib, QuantConfig(bits=bits, solver="gptq"))
+            run_g = quantize(merged, [], problem.calib, QuantConfig(bits=bits, solver="gptq"))
             sums["gptq"][bi] += evaluate(run_g.model, problem.heldout).macro_mse
     means = {m: sums[m] / 20 for m in sums}
     mono = {

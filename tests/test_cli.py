@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pmq.cli
+import pmq.tensorfile
 from oracles import sweep_from_scratch
 from pmq.checkpoint import load_checkpoint
 from pmq.cli import ConfigError, RunConfig, config_from_dict, load_config, main
@@ -313,6 +314,19 @@ class TestEval:
         assert (out / "run.json").read_bytes() == before
 
 
+    def test_heldout_tasks_not_matching_experts_is_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"k": 3})
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out), "--set", "k=2") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "3 held-out tasks for 2 experts" in err
+        assert dir_hashes(out) == before
+
+
 class TestSweep:
     def test_bits_sweep_matches_golden_and_trend(self, tmp_path):
         golden = json.loads((DATA / "sweep_golden.json").read_text())
@@ -611,6 +625,142 @@ class TestExitCodes:
         run_cli("gen", "--config", cfg, "--out", str(out))
         (out / "base.safetensors").write_bytes(b"\xff" * 32)
         assert run_cli("merge", "--config", cfg, "--out", str(out)) == 4
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[:-3],
+            lambda text: text.replace('"relu"', '"tanh"', 1),
+        ],
+        ids=["not-json", "bad-activation"],
+    )
+    def test_bad_manifest_sidecar_is_4(self, tmp_path, capsys, edit):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        run_cli("gen", "--config", cfg, "--out", str(out))
+        sidecar = out / "base.manifest.json"
+        sidecar.write_text(edit(sidecar.read_text()))
+        capsys.readouterr()
+        assert run_cli("merge", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"i/o failure: {sidecar}: bad manifest" in err
+        assert not (out / "merged.safetensors").exists()
+
+    @pytest.mark.parametrize("command", ["quantize", "merge"])
+    def test_checkpoints_with_other_manifests_are_2(self, tmp_path, capsys, command):
+        """Experts regenerated with other hidden dims meet a stale merge, or a stale expert3."""
+        cfg = write_cfg(tmp_path, {"k": 2 if command == "quantize" else 3})
+        out = tmp_path / "out"
+        for stage in ("gen", "merge"):
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        regen = ["--set", "dims=[8,14,10,6]", "--set", "k=2"]
+        assert run_cli("gen", "--config", cfg, "--out", str(out), *regen) == 0
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config error" in err and "manifest" in err
+        assert dir_hashes(out) == before
+
+    def test_unknown_hidden_activation_is_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"hidden_activation": "tanh"})
+        capsys.readouterr()
+        assert run_cli("gen", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "unknown activation 'tanh'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_gptq_without_calibration_is_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"quant.solver": "gptq"})
+        out = tmp_path / "out"
+        for stage in ("gen", "merge"):
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        for p in (out / "calib").iterdir():
+            p.unlink()
+        (out / "calib").rmdir()
+        capsys.readouterr()
+        assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "gptq requires a calibration set" in err
+        assert not (out / "quantized.safetensors").exists()
+
+    @pytest.mark.parametrize("how", ["set", "env"])
+    def test_config_not_an_object_is_2(self, tmp_path, capsys, monkeypatch, how):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        args = ["gen", "--config", str(path), "--out", str(tmp_path / "o")]
+        if how == "set":
+            args += ["--set", "a=1"]
+        else:
+            monkeypatch.setenv("PMQ_SEED", "3")
+        capsys.readouterr()
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config must be a JSON object" in err
+        assert not (tmp_path / "o").exists()
+
+
+def pmq_namespaces():
+    return [m for name, m in sorted(sys.modules.items()) if name == "pmq" or name.startswith("pmq.")]
+
+
+class TestAtomicWrites:
+    def test_every_file_goes_through_the_atomic_writer(self, tmp_path, monkeypatch):
+        written = []
+        real = pmq.tensorfile.write_atomic
+
+        def recording(path, data):
+            written.append(Path(path).resolve())
+            return real(path, data)
+
+        for module in pmq_namespaces():
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, recording)
+        cfg = write_cfg(tmp_path, {"sweep_bits": [3, 4]})
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize", "eval", "sweep"):
+            extra = ("--axis", "bits") if cmd == "sweep" else ()
+            assert run_cli(cmd, "--config", cfg, "--out", str(out), *extra) == 0
+        files = {p.resolve() for p in out.rglob("*") if p.is_file()}
+        assert len(files) > 20 and set(written) == files
+
+    def test_failed_rewrite_keeps_previous_file_and_no_temp(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize", "eval"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        before = dir_hashes(out)
+        failed = []
+
+        class HalfWrite:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                self.f.flush()
+                failed.append(self.f.name)
+                raise OSError(28, "No space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = open(path, mode, *args, **kwargs)
+            return HalfWrite(f) if Path(path).name.startswith(".run.json.") else f
+
+        monkeypatch.setattr(pmq.tensorfile, "open", failing_open, raising=False)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "No space left on device" in err
+        assert len(failed) == 1
+        # run.json is the one eval wrote before; no temp file is left behind
+        assert dir_hashes(out) == before
 
 
 PIPELINE_SCRIPT = """

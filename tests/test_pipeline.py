@@ -13,8 +13,8 @@ from pmq.model import EMPTY_PREFIX, Batch, Model, chain_link, forward, forward_t
 from pmq.pipeline import (
     deviation_diagnostics,
     evaluate,
+    quantize,
     run_epmq,
-    run_naive_ptq,
     run_to_json_dict,
 )
 from pmq.quant import QuantConfig, rtn_quantize
@@ -36,11 +36,11 @@ def run_method(problem, merged, method):
         cfg = QuantConfig(bits=3, group_size=8, solver="epmq", alpha=0.01)
         return run_epmq(merged, problem.experts, problem.calib, cfg)
     solver = "gptq" if method == "frozen" else method
-    return run_naive_ptq(
+    return quantize(
         merged,
+        problem.experts,
         problem.calib,
         QuantConfig(bits=3, group_size=8, solver=solver),
-        experts=problem.experts,
         quantized_trajectory=method != "frozen",
     )
 
@@ -144,8 +144,8 @@ class TestRunNaivePtq:
     def test_rtn_ignores_calibration(self):
         problem, merged = merged_problem(seed=7)
         cfg = QuantConfig(bits=4, group_size=8, solver="rtn")
-        run_with = run_naive_ptq(merged, problem.calib, cfg)
-        run_without = run_naive_ptq(merged, None, cfg)
+        run_with = quantize(merged, [], problem.calib, cfg)
+        run_without = quantize(merged, [], None, cfg)
         for la, lb in zip(run_with.model.layers, run_without.model.layers):
             np.testing.assert_array_equal(la.source.codes, lb.source.codes)
         assert run_with.layer_reports[0].solve.objective is not None
@@ -155,7 +155,7 @@ class TestRunNaivePtq:
         # overwhelming diagonal damping: compensation terms vanish
         problem, merged = merged_problem(seed=8, dims=[6, 5])
         cfg = QuantConfig(bits=4, group_size=8, solver="gptq", percdamp=1e6)
-        run_g = run_naive_ptq(merged, problem.calib, cfg)
+        run_g = quantize(merged, [], problem.calib, cfg)
         rtn = rtn_quantize(merged.layers[0].weight, cfg)
         agreement = np.mean(run_g.model.layers[0].source.codes == rtn.codes)
         assert agreement >= 0.99
@@ -168,8 +168,8 @@ class TestRunNaivePtq:
             )
             cfg_g = QuantConfig(bits=3, solver="gptq")
             cfg_r = QuantConfig(bits=3, solver="rtn")
-            run_g = run_naive_ptq(merged, problem.calib, cfg_g)
-            run_r = run_naive_ptq(merged, problem.calib, cfg_r)
+            run_g = quantize(merged, [], problem.calib, cfg_g)
+            run_r = quantize(merged, [], problem.calib, cfg_r)
             for rep_g, rep_r in zip(run_g.layer_reports, run_r.layer_reports):
                 total += 1
                 better += rep_g.solve.objective <= rep_r.solve.objective
@@ -178,9 +178,9 @@ class TestRunNaivePtq:
     def test_frozen_trajectory_option(self):
         problem, merged = merged_problem(seed=9, dims=[6, 8, 5])
         cfg = QuantConfig(bits=3, group_size=8, solver="gptq")
-        run_frozen = run_naive_ptq(merged, problem.calib, cfg, quantized_trajectory=False)
+        run_frozen = quantize(merged, [], problem.calib, cfg, quantized_trajectory=False)
         # layer-1 codes agree with the default (same inputs), later layers may differ
-        run_default = run_naive_ptq(merged, problem.calib, cfg)
+        run_default = quantize(merged, [], problem.calib, cfg)
         np.testing.assert_array_equal(
             run_frozen.model.layers[0].source.codes, run_default.model.layers[0].source.codes
         )
@@ -196,7 +196,7 @@ class TestDeviationDiagnostics:
             snapped = rtn_quantize(lw.weight, cfg).dequantize()
             snapped_layers.append(LayerWeights(lw.id, snapped, lw.bias))
         snapped_ckpt = Checkpoint(layers=snapped_layers, manifest=merged.manifest)
-        run = run_naive_ptq(snapped_ckpt, problem.calib, cfg, experts=problem.experts)
+        run = quantize(snapped_ckpt, problem.experts, problem.calib, cfg)
         report = deviation_diagnostics(run, problem.heldout)
         for row in report.rows:
             assert row.quant_norm == 0.0
@@ -206,7 +206,7 @@ class TestDeviationDiagnostics:
         problem = small_problem(seed=11, num_tasks=1, train_steps=0)
         merged = problem.base
         cfg = QuantConfig(bits=4, group_size=8, solver="rtn")
-        run = run_naive_ptq(merged, problem.calib, cfg, experts=problem.experts)
+        run = quantize(merged, problem.experts, problem.calib, cfg)
         report = deviation_diagnostics(run, problem.heldout)
         for row in report.rows:
             assert row.merge_norm == 0.0
@@ -234,9 +234,12 @@ class TestDeviationDiagnostics:
     def test_forwards_each_task_once(self, monkeypatch):
         problem, merged = merged_problem(seed=18, dims=[6] * 10, num_tasks=3)
         run = run_method(problem, merged, "epmq")
-        calls = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
+        propagations = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
+        products = counting(monkeypatch, pmq.pipeline, "matmul")
         deviation_diagnostics(run, problem.heldout)
-        assert len(calls) == (run.model.num_layers - 1) * 3
+        # Q X, W_m X and W_i X per layer and task; the walk advances from Q X
+        assert len(products) == 3 * run.model.num_layers * 3
+        assert propagations == []
 
     def test_identity_violation_names_first_layer_major_row(self, monkeypatch):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
