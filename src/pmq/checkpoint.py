@@ -178,6 +178,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     save_manifest(ckpt.manifest, manifest_path(path))
 
 
+def pop_tensor(tensors: dict, path, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Remove and return tensors[key]; a missing tensor or one whose shape
+    disagrees with the manifest is a MalformedHeaderError naming the file."""
+    if key not in tensors:
+        raise MalformedHeaderError(f"{path}: missing tensor '{key}'")
+    arr = tensors.pop(key)
+    if arr.shape != shape:
+        raise MalformedHeaderError(
+            f"{path}: tensor '{key}' has shape {list(arr.shape)}, manifest declares {list(shape)}"
+        )
+    return arr
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a full-precision checkpoint written by save_checkpoint."""
     manifest = load_manifest(manifest_path(path))
@@ -186,19 +199,14 @@ def load_checkpoint(path) -> Checkpoint:
     layers = []
     for spec in manifest.layers:
         key = f"{spec.id}.weight"
-        if key not in tensors:
-            raise MalformedHeaderError(f"{path}: missing tensor '{key}'")
-        weight = tensors.pop(key)
+        weight = pop_tensor(tensors, path, key, (spec.d_out, spec.d_in))
         if weight.dtype != expected:
             raise DtypeMismatchError(
                 f"{path}: tensor '{key}' has dtype {weight.dtype}, manifest declares {manifest.dtype}"
             )
         bias = None
         if spec.has_bias:
-            bkey = f"{spec.id}.bias"
-            if bkey not in tensors:
-                raise MalformedHeaderError(f"{path}: missing tensor '{bkey}'")
-            bias = tensors.pop(bkey)
+            bias = pop_tensor(tensors, path, f"{spec.id}.bias", (spec.d_out,))
         layers.append(
             LayerWeights(
                 id=spec.id,

@@ -63,6 +63,8 @@ class RunConfig:
     sweep_methods: list[str] = field(default_factory=lambda: ["epmq", "gptq"])
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):

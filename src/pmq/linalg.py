@@ -1,16 +1,16 @@
 """Dense linear algebra primitives.
 
 All compute happens in float64 regardless of what files store. Products and
-factorizations go through BLAS/LAPACK, whose summation order depends on the
-platform, the BLAS build and, for the threaded LAPACK routines, the thread
-count. Repeated runs on one platform, BLAS build and thread count give
-bit-identical results; across thread counts results agree to rounding.
+factorizations go through numpy and numpy.linalg, which share one BLAS/LAPACK
+build and so one thread pool. Summation order depends on the platform, the
+BLAS build and, for the threaded routines, the thread count. Repeated runs
+on one platform, BLAS build and thread count give bit-identical results;
+across thread counts results agree to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 
 class ShapeError(ValueError):
@@ -70,17 +70,41 @@ def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.nd
     return h
 
 
+def _not_positive_definite(h: np.ndarray, context: str) -> SingularMatrixError:
+    """The error for a failed factorization of h, naming LAPACK's failing pivot.
+
+    numpy.linalg does not report the pivot, so dpotrf is rerun here; scipy is
+    imported on this failure path only, so a successful solve never wakes
+    scipy's BLAS thread pool next to numpy's.
+    """
+    from scipy.linalg import lapack
+
+    pivot = int(lapack.dpotrf(h, lower=0)[1]) or None
+    return SingularMatrixError(
+        f"{context} is not positive definite: non-positive pivot at index {pivot}", pivot=pivot
+    )
+
+
+def _upper_inverse(u: np.ndarray) -> np.ndarray:
+    """inv(U) for upper-triangular U by 2x2 block recursion, so nearly all the
+    work is GEMM: about a quarter of the flops of an LU inverse of U."""
+    d = len(u)
+    if d <= 128:
+        return np.triu(np.linalg.inv(u))
+    k = d // 2
+    a, c = _upper_inverse(u[:k, :k]), _upper_inverse(u[k:, k:])
+    out = np.zeros_like(u)
+    out[:k, :k], out[k:, k:] = a, c
+    out[:k, k:] = -(a @ u[:k, k:]) @ c
+    return out
+
+
 def cholesky_upper(h: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Upper Cholesky factor U with h = U^T U. Raises on non-PD input."""
-    c, info = lapack.dpotrf(h, lower=0, overwrite_a=0)
-    if info > 0:
-        raise SingularMatrixError(
-            f"{context} is not positive definite: non-positive pivot at index {int(info)}",
-            pivot=int(info),
-        )
-    if info < 0:
-        raise ValueError(f"illegal argument {-int(info)} passed to dpotrf")
-    return np.triu(c)
+    try:
+        return np.linalg.cholesky(h, upper=True)
+    except np.linalg.LinAlgError:
+        raise _not_positive_definite(h, context) from None
 
 
 def cholesky_solve(h, rhs) -> np.ndarray:
@@ -93,31 +117,25 @@ def cholesky_solve(h, rhs) -> np.ndarray:
 
 
 def cholesky_factor_solve(u: np.ndarray, rhs) -> np.ndarray:
-    """Solve S @ (U^T U) = rhs for S, given the upper Cholesky factor U."""
+    """Solve S @ (U^T U) = rhs for S, given the upper Cholesky factor U.
+
+    S = rhs inv(U) inv(U)^T: two GEMMs against the inverse of the factor.
+    """
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape[1] != u.shape[0]:
         raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {u.shape[0]}x{u.shape[0]}")
-    x, info = lapack.dpotrs(u, rhs.T, lower=0)
-    if info != 0:
-        raise ValueError(f"dpotrs failed with info={int(info)}")
-    return np.ascontiguousarray(x.T)
+    ui = _upper_inverse(u)
+    return (rhs @ ui) @ ui.T
 
 
 def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Upper Cholesky factor U of inv(h), i.e. inv(h) = U^T U.
 
-    With J the reversal matrix and J h J = L L^T (one lower dpotrf),
-    U = J inv(L) J (one dtrtri). A failing pivot is reported by its 1-based
-    column of h. Sequential rounding reads rows of U: the diagonal holds the
-    step sizes, the rows to its right the compensation weights.
+    Factors h = V^T V, forms inv(h) = inv(V) inv(V)^T (numpy computes a
+    product with its own transpose by one symmetric rank-k update, so it is
+    exactly symmetric) and factors that. A failing pivot of h is reported by
+    its 1-based column. Sequential rounding reads rows of U: the diagonal
+    holds the step sizes, the rows to its right the compensation weights.
     """
-    low, info = lapack.dpotrf(h[::-1, ::-1], lower=1)
-    if info > 0:
-        pivot = len(h) + 1 - int(info)
-        raise SingularMatrixError(
-            f"{context} is not positive definite: non-positive pivot at index {pivot}", pivot=pivot
-        )
-    inv, info = lapack.dtrtri(low, lower=1, overwrite_c=1)
-    if info != 0:
-        raise ValueError(f"dtrtri failed with info={int(info)}")
-    return np.triu(inv[::-1, ::-1])
+    vi = _upper_inverse(cholesky_upper(h, context))
+    return cholesky_upper(vi @ vi.T, context)

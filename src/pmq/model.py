@@ -21,6 +21,7 @@ from .checkpoint import (
     ModelManifest,
     load_manifest,
     manifest_path,
+    pop_tensor,
     save_manifest,
 )
 from .linalg import ShapeError, matmul
@@ -261,16 +262,12 @@ def load_model(path) -> Model:
                 group_size=group_size,
             )
         else:
-            key = f"{spec.id}.weight"
-            if key not in tensors:
-                raise MalformedHeaderError(f"{path}: missing tensor '{key}'")
-            source = np.asarray(tensors.pop(key), dtype=np.float64)
+            weight = pop_tensor(tensors, path, f"{spec.id}.weight", (spec.d_out, spec.d_in))
+            source = np.asarray(weight, dtype=np.float64)
         bias = None
         if spec.has_bias:
-            bkey = f"{spec.id}.bias"
-            if bkey not in tensors:
-                raise MalformedHeaderError(f"{path}: missing tensor '{bkey}'")
-            bias = np.asarray(tensors.pop(bkey), dtype=np.float64)
+            bias = pop_tensor(tensors, path, f"{spec.id}.bias", (spec.d_out,))
+            bias = np.asarray(bias, dtype=np.float64)
         layers.append(RealizedLayer(spec=spec, source=source, bias=bias))
     if tensors:
         raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(tensors)}")

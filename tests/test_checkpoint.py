@@ -12,6 +12,8 @@ from pmq.checkpoint import (
     manifest_path,
     save_checkpoint,
 )
+from pmq.model import load_model
+from pmq.tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
 
 
 def make_manifest(dims=(4, 3, 2), dtype="f64", activation="relu"):
@@ -93,3 +95,18 @@ class TestCheckpointIO:
         ]
         with pytest.raises(ManifestError, match="shape"):
             Checkpoint(layers=layers, manifest=manifest)
+
+    @pytest.mark.parametrize(
+        "key, cut, shape",
+        [("layer1.weight", 2, "[2, 4]"), ("layer2.bias", 1, "[1]")],
+    )
+    @pytest.mark.parametrize("load", [load_checkpoint, load_model], ids=["checkpoint", "model"])
+    def test_tensor_not_matching_its_sidecar_is_malformed(self, tmp_path, rng, load, key, cut, shape):
+        path = tmp_path / "m.safetensors"
+        save_checkpoint(make_checkpoint(rng), path)
+        tensors, _ = read_tensor_file(path)
+        tensors[key] = tensors[key][:cut]
+        write_tensor_file(path, tensors)
+        with pytest.raises(MalformedHeaderError) as err:
+            load(path)
+        assert f"{path}: tensor '{key}' has shape {shape}" in str(err.value)

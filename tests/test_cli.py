@@ -481,6 +481,16 @@ class TestExitCodes:
         path.write_text(json.dumps({"bogus_key": 1}))
         assert run_cli("gen", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("seed", ['"x"', "1.5", "-1", "true"])
+    def test_seed_not_a_non_negative_integer_is_2(self, tmp_path, capsys, seed):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("gen", "--config", cfg, "--out", str(out), "--set", f"seed={seed}") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "seed must be a non-negative integer" in err
+        assert not out.exists()
+
     def test_missing_input_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "empty")) == 4
@@ -618,6 +628,21 @@ class TestExitCodes:
         assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err and "'K'" in err
+
+    def test_tensor_not_matching_its_sidecar_is_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        run_cli("gen", "--config", cfg, "--out", str(out))
+        path = out / "base.safetensors"
+        tensors, _ = read_tensor_file(path)
+        tensors["layer1.weight"] = tensors["layer1.weight"][:5]
+        write_tensor_file(path, tensors)
+        capsys.readouterr()
+        assert run_cli("merge", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "i/o failure" in err
+        assert f"{path}: tensor 'layer1.weight' has shape [5, 8], manifest declares [12, 8]" in err
+        assert not (out / "merged.safetensors").exists()
 
     def test_corrupt_tensor_file_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path)

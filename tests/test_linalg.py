@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,8 +144,83 @@ class TestCholeskyInverseUpper:
         oracle = cholesky_inverse_upper_via_inverse(h)
         assert np.abs(u - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
+    @pytest.mark.parametrize("d", [129, 200, 300])
+    def test_block_recursive_inverse_matches_oracles(self, d):
+        # widths above 128 take the 2x2 block recursion of the triangular inverse
+        rng = np.random.default_rng(d)
+        h = random_spd(rng, d, extra=d + 4)
+        u = cholesky_inverse_upper(h)
+        np.testing.assert_array_equal(u, np.triu(u))
+        oracle = cholesky_inverse_upper_via_inverse(h)
+        assert np.abs(u - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        r = rng.normal(size=(3, d))
+        expected = solve_right_via_inverse(h, r)
+        np.testing.assert_allclose(cholesky_solve(h, r), expected, rtol=1e-9, atol=1e-12)
+
     def test_non_positive_pivot_names_original_column(self):
         with pytest.raises(SingularMatrixError) as err:
             cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]))
         assert err.value.pivot == 2
         assert "index 2" in str(err.value)
+
+
+def run_python(script: str) -> str:
+    """stdout of `script` in a fresh interpreter that imports pmq from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return done.stdout
+
+
+class TestOneBlasPool:
+    """Factorizations share numpy's BLAS: scipy.linalg (which loads its own
+    BLAS and thread pool) is imported only to name a failing pivot."""
+
+    def test_import_pmq_leaves_scipy_linalg_unloaded(self):
+        out = run_python(
+            """
+            import sys
+            import pmq
+            print("scipy.linalg" in sys.modules)
+            """
+        )
+        assert out.split() == ["False"]
+
+    def test_layer_solve_leaves_scipy_linalg_unloaded(self):
+        out = run_python(
+            """
+            import sys
+            import numpy as np
+            from pmq.calib import LayerCalibStats
+            from pmq.linalg import SingularMatrixError, cholesky_upper
+            from pmq.quant import QuantConfig
+            from pmq.solver import solve_layer
+
+            rng = np.random.default_rng(0)
+            d, d_out = 300, 16
+            xs = [rng.normal(size=(d, d + 16)) for _ in range(2)]
+            stats = LayerCalibStats(
+                hessians=[x @ x.T for x in xs],
+                energies=[float(np.sum(x * x)) for x in xs],
+                counts=[d + 16] * 2,
+                d=d,
+            )
+            wm = rng.normal(size=(d_out, d)) / np.sqrt(d)
+            experts = [wm + 0.1 * rng.normal(size=(d_out, d)) / np.sqrt(d) for _ in range(2)]
+            solve_layer(experts, wm, stats, QuantConfig(bits=4, group_size=128, solver="epmq"))
+            print("scipy.linalg" in sys.modules)
+            try:
+                cholesky_upper(np.diag([1.0, -1.0, 1.0]))
+            except SingularMatrixError as exc:
+                print(exc.pivot)
+            """
+        )
+        assert out.split() == ["False", "2"]

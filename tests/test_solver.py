@@ -244,7 +244,7 @@ class TestGptqSolve:
     def test_singular_curvature_error_names_original_column(self):
         cfg = QuantConfig(bits=4, group_size=4, solver="gptq")
         w = np.ones((1, 5))
-        h = np.diag([1.0, -1.0, 1.0, 1.0, 1.0])  # the factor runs from the last column
+        h = np.diag([1.0, -1.0, 1.0, 1.0, 1.0])  # the pivot is named by its column of h
         with pytest.raises(SingularMatrixError, match=r"\(pivot 2\); increase percdamp") as err:
             gptq_solve(SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg))
         assert err.value.pivot == 2
