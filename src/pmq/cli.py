@@ -85,8 +85,7 @@ class RunConfig:
 
 
 _TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
-_MERGE_KEYS = {f.name for f in dataclasses.fields(MergeSpec)}
-_QUANT_KEYS = {f.name for f in dataclasses.fields(QuantConfig)}
+_NESTED = {"merge": MergeSpec, "quant": QuantConfig}
 
 
 def config_from_dict(obj: dict) -> RunConfig:
@@ -97,18 +96,12 @@ def config_from_dict(obj: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(obj)
     try:
-        if "merge" in kwargs:
-            merge_obj = kwargs["merge"]
-            bad = set(merge_obj) - _MERGE_KEYS
-            if bad:
-                raise ConfigError(f"unknown merge keys: {sorted(bad)}")
-            kwargs["merge"] = MergeSpec(**merge_obj)
-        if "quant" in kwargs:
-            quant_obj = kwargs["quant"]
-            bad = set(quant_obj) - _QUANT_KEYS
-            if bad:
-                raise ConfigError(f"unknown quant keys: {sorted(bad)}")
-            kwargs["quant"] = QuantConfig(**quant_obj)
+        for key, cls in _NESTED.items():
+            if key in kwargs:
+                bad = set(kwargs[key]) - {f.name for f in dataclasses.fields(cls)}
+                if bad:
+                    raise ConfigError(f"unknown {key} keys: {sorted(bad)}")
+                kwargs[key] = cls(**kwargs[key])
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -335,11 +328,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got '{axis}'")
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    values = {
-        "bits": cfg.sweep_bits,
-        "alpha": cfg.sweep_alpha,
-        "samples": cfg.sweep_samples,
-    }[axis]
+    values = getattr(cfg, f"sweep_{axis}")
     if not values:
         raise ConfigError(f"sweep axis '{axis}' has no values configured")
     out.mkdir(parents=True, exist_ok=True)

@@ -71,12 +71,9 @@ def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.nd
 
 
 def _not_positive_definite(h: np.ndarray, context: str) -> SingularMatrixError:
-    """The error for a failed factorization of h, naming LAPACK's failing pivot.
-
-    numpy.linalg does not report the pivot, so dpotrf is rerun here; scipy is
-    imported on this failure path only, so a successful solve never wakes
-    scipy's BLAS thread pool next to numpy's.
-    """
+    """The error for a failed factorization of h, naming dpotrf's failing pivot (numpy does
+    not report it). scipy is imported on this failure path only, so a successful solve
+    never wakes scipy's BLAS thread pool next to numpy's."""
     from scipy.linalg import lapack
 
     pivot = int(lapack.dpotrf(h, lower=0)[1]) or None
@@ -85,14 +82,14 @@ def _not_positive_definite(h: np.ndarray, context: str) -> SingularMatrixError:
     )
 
 
-def _upper_inverse(u: np.ndarray) -> np.ndarray:
+def upper_inverse(u: np.ndarray) -> np.ndarray:
     """inv(U) for upper-triangular U by 2x2 block recursion, so nearly all the
     work is GEMM: about a quarter of the flops of an LU inverse of U."""
     d = len(u)
     if d <= 128:
         return np.triu(np.linalg.inv(u))
     k = d // 2
-    a, c = _upper_inverse(u[:k, :k]), _upper_inverse(u[k:, k:])
+    a, c = upper_inverse(u[:k, :k]), upper_inverse(u[k:, k:])
     out = np.zeros_like(u)
     out[:k, :k], out[k:, k:] = a, c
     out[:k, k:] = -(a @ u[:k, k:]) @ c
@@ -113,29 +110,32 @@ def cholesky_solve(h, rhs) -> np.ndarray:
     Right division: the unknown multiplies h from the left, matching the
     convention of row-stacked weights times a square curvature matrix.
     """
-    return cholesky_factor_solve(cholesky_upper(check_symmetric(h, "h"), context="h"), rhs)
+    ui = upper_inverse(cholesky_upper(check_symmetric(h, "h"), context="h"))
+    return inverse_factor_solve(ui, rhs)
 
 
-def cholesky_factor_solve(u: np.ndarray, rhs) -> np.ndarray:
-    """Solve S @ (U^T U) = rhs for S, given the upper Cholesky factor U.
-
-    S = rhs inv(U) inv(U)^T: two GEMMs against the inverse of the factor.
-    """
+def inverse_factor_solve(ui: np.ndarray, rhs) -> np.ndarray:
+    """Solve S @ (U^T U) = rhs for S by two GEMMs, S = rhs inv(U) inv(U)^T, given
+    ui = inv(U); a caller that solves twice against one h inverts its factor once."""
     rhs = as_matrix(rhs, "rhs")
-    if rhs.shape[1] != u.shape[0]:
-        raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {u.shape[0]}x{u.shape[0]}")
-    ui = _upper_inverse(u)
+    if rhs.shape[1] != ui.shape[0]:
+        raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {ui.shape[0]}x{ui.shape[0]}")
     return (rhs @ ui) @ ui.T
 
 
 def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Upper Cholesky factor U of inv(h), i.e. inv(h) = U^T U.
 
-    Factors h = V^T V, forms inv(h) = inv(V) inv(V)^T (numpy computes a
-    product with its own transpose by one symmetric rank-k update, so it is
-    exactly symmetric) and factors that. A failing pivot of h is reported by
-    its 1-based column. Sequential rounding reads rows of U: the diagonal
-    holds the step sizes, the rows to its right the compensation weights.
+    One factorization: with J the reversal, J h J = L L^T gives h = M M^T
+    for the upper-triangular M = J L J, so U = inv(M) = J inv(L) J. That is
+    one Cholesky of the reversed h and one triangular inverse, with no
+    explicit inv(h). A failing pivot is reported by its 1-based column of h.
+    Sequential rounding reads U: the diagonal holds the step sizes, the
+    rows to its right the compensation weights.
     """
-    vi = _upper_inverse(cholesky_upper(h, context))
-    return cholesky_upper(vi @ vi.T, context)
+    try:
+        lt = np.linalg.cholesky(h[::-1, ::-1], upper=True)
+    except np.linalg.LinAlgError:
+        raise _not_positive_definite(h, context) from None
+    # inv(L^T) = inv(L)^T, so J inv(L) J is its reversed transpose
+    return np.ascontiguousarray(upper_inverse(lt)[::-1, ::-1].T)

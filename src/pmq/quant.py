@@ -56,12 +56,12 @@ class QuantConfig:
             raise ValueError(f"unknown grid_source '{self.grid_source}' (allowed: {GRID_SOURCES})")
 
 
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero."""
+def round_half_away(x, out=None):
+    """Round to nearest integer, halves away from zero; `out` may be `x` itself."""
     x = np.asarray(x, dtype=np.float64)
-    # np.round is half-to-even; only exact halves need the away-from-zero fix
-    frac_is_half = np.abs(x - np.trunc(x)) == 0.5
-    return np.where(frac_is_half, np.trunc(x) + np.sign(x), np.round(x))
+    t = np.trunc(x)
+    # x - trunc(x) is exact, so a fractional part of at least one half steps away
+    return np.add(t, np.copysign(np.abs(x - t) >= 0.5, x), out=out)
 
 
 def num_groups(d_in: int, group_size: int) -> int:

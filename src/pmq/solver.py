@@ -15,6 +15,11 @@ what they round toward:
   ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so one rounding
   routine serves gptq and epmq.
 
+The rounding routine factors the damped inverse curvature once, then pays
+one GEMV and one in-place quantize per column and one GEMM per block. Across
+BLAS thread counts the codes move only at an exact rounding tie; the
+per-column compensation norms move to rounding.
+
 brute_force_optimum enumerates every code assignment on the fitted grid
 (rows are independent because the objective has no cross-row terms) and is
 the test oracle for optimality-gap checks.
@@ -32,20 +37,14 @@ from .linalg import (
     SingularMatrixError,
     as_matrix,
     check_symmetric,
-    cholesky_factor_solve,
     cholesky_inverse_upper,
     cholesky_upper,
     frobenius_sq,
+    inverse_factor_solve,
     matmul,
+    upper_inverse,
 )
-from .quant import (
-    QuantConfig,
-    QuantizedLayer,
-    dequantize_values,
-    fit_layer_grids,
-    quantize_values,
-    rtn_quantize,
-)
+from .quant import QuantConfig, QuantizedLayer, fit_layer_grids, round_half_away, rtn_quantize
 
 # columns rounded one by one between two lazy batch updates
 ROUNDING_BLOCK = 128
@@ -167,12 +166,12 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
     the stationary residual near machine precision even for poorly
     conditioned instances.
     """
-    u = cholesky_upper(h_e, context="h")
-    q = cholesky_factor_solve(u, r)
+    ui = upper_inverse(cholesky_upper(h_e, context="h"))
+    q = inverse_factor_solve(ui, r)
     residual = r - matmul(q, h_e)
     norm_r = np.sqrt(frobenius_sq(r))
     if np.sqrt(frobenius_sq(residual)) > 1e-10 * (1.0 + norm_r):
-        q = q + cholesky_factor_solve(u, residual)
+        q = q + inverse_factor_solve(ui, residual)
     return q
 
 
@@ -182,7 +181,7 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
     return damp if damp > 0 else percdamp
 
 
-def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np.ndarray]:
+def _round_sequential(problem: SolverProblem) -> tuple:
     """Sequential error-compensated rounding toward the problem target.
 
     Steps: damp the curvature by percdamp of its mean diagonal; take the
@@ -191,12 +190,16 @@ def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np
     column j, divide the rounding error by U[j, j], and subtract the
     weighted error from all not-yet-quantized columns via U[j, j+1:].
 
-    The work matrix, codes and errors are kept transposed, (d, d_out), so
-    each column is a contiguous row. The subtraction is batched (GPTQ's lazy
-    batch updates): rank-1 updates touch only the current block of
-    ROUNDING_BLOCK columns, and one GEMM per block carries its errors to all
-    later columns.
-    Returns (quantized layer, damping applied, per-column compensation norms).
+    Work, values and errors are kept transposed, (d, d_out), so each column
+    is a contiguous row. The subtraction is deferred (GPTQ's lazy batch
+    updates) and left-looking: in a block of ROUNDING_BLOCK columns, column
+    j takes the errors of the block's earlier columns by one GEMV just
+    before it is rounded, and one GEMM per block carries the block's errors
+    to all later columns. The compensation norms ||err_j|| depend on the
+    summation order of these products, so they move to rounding with the
+    BLAS thread count; the codes move only at an exact rounding tie.
+    Returns (quantized layer, its values scale * (code - zero) as (d_out, d),
+    damping applied, per-column compensation norms).
     """
     cfg = problem.cfg
     d_out, d = problem.target.shape
@@ -212,22 +215,30 @@ def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np
 
     scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
     col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
-    scales_t, zeros_t = scales.T.copy(), zeros.T.copy()
+    scales_t, zeros_t = scales.T.copy(), zeros.T.astype(np.float64)
 
     work = problem.target.T.copy()
     codes = np.empty((d, d_out), dtype=np.uint8)
+    values = np.empty((d, d_out))
+    errs = np.empty((min(ROUNDING_BLOCK, d), d_out))
     comp_norms = np.zeros(d)
     for b0 in range(0, d, ROUNDING_BLOCK):
         b1 = min(b0 + ROUNDING_BLOCK, d)
-        errs = np.empty((b1 - b0, d_out))
         for j in range(b0, b1):
-            g = col_group[j]
-            codes[j] = quantize_values(work[j], scales_t[g], zeros_t[g], cfg.bits)
-            qj = dequantize_values(codes[j], scales_t[g], zeros_t[g])
-            err = errs[j - b0] = (work[j] - qj) / u[j, j]
-            comp_norms[j] = float(np.sqrt(np.dot(err, err)))
-            work[j + 1 : b1] -= np.outer(u[j, j + 1 : b1], err)
-        work[b1:] -= u[b0:b1, b1:].T @ errs
+            w, v, err = work[j], values[j], errs[j - b0]
+            w -= u[b0:j, j] @ errs[: j - b0]
+            s, z = scales_t[col_group[j]], zeros_t[col_group[j]]
+            # code = clip(round(w / s) + z, 0, 2^bits - 1), built in the values row
+            round_half_away(np.divide(w, s, out=v), out=v)
+            v += z
+            np.clip(v, 0, (1 << cfg.bits) - 1, out=v)
+            codes[j] = v
+            v -= z
+            v *= s
+            np.subtract(w, v, out=err)
+            err /= u[j, j]
+            comp_norms[j] = np.sqrt(np.dot(err, err))
+        work[b1:] -= u[b0:b1, b1:].T @ errs[: b1 - b0]
 
     quantized = QuantizedLayer(
         codes=np.ascontiguousarray(codes.T),
@@ -236,20 +247,19 @@ def _round_sequential(problem: SolverProblem) -> tuple[QuantizedLayer, float, np
         bits=cfg.bits,
         group_size=cfg.group_size,
     )
-    return quantized, damp, comp_norms
+    return quantized, np.ascontiguousarray(values.T), damp, comp_norms
 
 
 def gptq_solve(problem: SolverProblem) -> SolveReport:
     """Sequential error-compensated rounding toward the problem target.
 
     Rounds with _round_sequential; the reported objective is recomputed
-    from scratch on the final codes against the pre-damping curvature.
+    from scratch on the final codes' values against the pre-damping curvature.
     """
-    quantized, damp, comp_norms = _round_sequential(problem)
-    objective = quadratic_objective(quantized.dequantize(), problem.target, problem.curvature)
+    quantized, values, damp, comp_norms = _round_sequential(problem)
     return SolveReport(
         quantized=quantized,
-        objective=objective,
+        objective=quadratic_objective(values, problem.target, problem.curvature),
         lam=0.0,
         damping=damp,
         per_column_comp_norms=comp_norms,
@@ -310,12 +320,10 @@ def solve_layer(
     problem = SolverProblem(
         target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg
     )
-    quantized, damp, comp_norms = _round_sequential(problem)
+    quantized, values, damp, comp_norms = _round_sequential(problem)
     return SolveReport(
         quantized=quantized,
-        objective=epmq_objective(
-            quantized.dequantize(), expert_weights, merged_weight, stats, lam
-        ),
+        objective=epmq_objective(values, expert_weights, merged_weight, stats, lam),
         lam=lam,
         damping=damp,
         per_column_comp_norms=comp_norms,

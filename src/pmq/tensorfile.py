@@ -96,23 +96,26 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, 
 
 
 def read_tensor_file(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Tensors and metadata of one file: views of one payload buffer, copied if unaligned."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 8:
-        raise MalformedHeaderError(f"{path}: file too short to contain a header length")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if header_len > len(raw) - 8:
-        raise TruncatedPayloadError(
-            f"{path}: header length {header_len} exceeds file size {len(raw)}"
-        )
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < 8:
+            raise MalformedHeaderError(f"{path}: file too short to contain a header length")
+        (header_len,) = struct.unpack("<Q", f.read(8))
+        if header_len > size - 8:
+            raise TruncatedPayloadError(f"{path}: header length {header_len} > file size {size}")
+        head = f.read(header_len)
+        payload = np.empty(size - 8 - header_len, dtype=np.uint8)
+        if f.readinto(payload) != payload.size:
+            raise TruncatedPayloadError(f"{path}: file shrank while it was read")
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeaderError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise MalformedHeaderError(f"{path}: header must be a JSON object")
 
-    payload = raw[8 + header_len :]
     metadata = header.pop(METADATA_KEY, {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
@@ -148,7 +151,7 @@ def read_tensor_file(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise TruncatedPayloadError(
                 f"{path}: tensor '{name}' payload ends at {end}, only {len(payload)} bytes present"
             )
-        arr = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
+        arr = np.require(payload[start:end].view(dt), requirements="A").reshape(shape)
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise TensorFileError(f"{path}: tensor '{name}' contains non-finite values")
         tensors[name] = arr

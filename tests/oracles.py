@@ -5,7 +5,9 @@ do not share code paths with the package under test. There are three
 exceptions. gptq_columnwise reuses the package's grid fitting and rounding
 helpers, because what it pins down is the order of the error updates, not
 those helpers; it factors the inverse curvature its own way
-(cholesky_inverse_upper_via_inverse). deviation_rows_from_scratch and
+(cholesky_inverse_upper_via_inverse). gptq_columnwise_longdouble reuses the
+grid fitting only and carries out the rest in extended precision, so that
+float64 results can be measured against it. deviation_rows_from_scratch and
 quantize_from_scratch reuse the package's forward pass (and the latter its
 statistics and layer solver), because what they pin down is that the
 pipeline's one-pass activations are the ones re-forwarding from the inputs
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import struct
 import time
@@ -100,6 +103,73 @@ def gptq_columnwise(problem):
     e = values - target
     objective = float(np.einsum("ij,jk,ik->", e, h, e))
     return codes, comp_norms, objective
+
+
+def _require_extended_precision():
+    assert np.finfo(np.longdouble).eps < 1e-18, "needs an extended-precision long double"
+
+
+def cholesky_inverse_upper_longdouble(h):
+    """Upper Cholesky factor U of inv(h) (inv(h) = U^T U), in long double.
+
+    A row-by-row Cholesky of the reversed h, J h J = L L^T, then inv(L) by
+    forward substitution; U = J inv(L) J. Returns a long double array.
+    """
+    _require_extended_precision()
+    a = np.asarray(h, dtype=np.longdouble)[::-1, ::-1]
+    d = len(a)
+    low = np.zeros((d, d), dtype=np.longdouble)
+    for j in range(d):
+        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        assert pivot > 0, f"not positive definite at reversed column {j}"
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    inv = np.zeros_like(low)
+    eye = np.eye(d, dtype=np.longdouble)
+    for i in range(d):
+        inv[i] = (eye[i] - low[i, :i] @ inv[:i]) / low[i, i]
+    return inv[::-1, ::-1]
+
+
+@functools.lru_cache(maxsize=4)
+def _damped_inverse_upper_longdouble(h_bytes, d, damp):
+    h = np.frombuffer(h_bytes, dtype=np.float64).reshape(d, d)
+    return cholesky_inverse_upper_longdouble(h + damp * np.eye(d))
+
+
+def gptq_columnwise_longdouble(problem):
+    """gptq_columnwise in long double: the reference for per-column compensation norms.
+
+    The damped curvature and the grids are the package's float64 ones; the
+    inverse factor (computed once per curvature and damping), the rounding
+    errors and the rank-1 updates of all later columns are long double.
+    Returns (codes, per_column_comp_norms rounded to float64).
+    """
+    _require_extended_precision()
+    cfg = problem.cfg
+    d_out, d = problem.target.shape
+    h = np.ascontiguousarray(problem.curvature, dtype=np.float64)
+    damp = cfg.percdamp * float(np.mean(np.diag(h)))
+    if not damp > 0:
+        damp = cfg.percdamp
+    u = _damped_inverse_upper_longdouble(h.tobytes(), d, damp)
+    scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
+    col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
+    maxq = (1 << cfg.bits) - 1
+
+    work = np.asarray(problem.target, dtype=np.longdouble).copy()
+    codes = np.empty((d_out, d), dtype=np.uint8)
+    comp_norms = np.empty(d, dtype=np.longdouble)
+    for j in range(d):
+        s, z = scales[:, col_group[j]], zeros[:, col_group[j]]
+        x = work[:, j] / s
+        t = np.trunc(x)
+        cj = np.clip(t + np.where(np.abs(x - t) >= 0.5, np.sign(x), 0) + z, 0, maxq)
+        err = (work[:, j] - s * (cj - z)) / u[j, j]
+        comp_norms[j] = np.sqrt(err @ err)
+        codes[:, j] = cj
+        work[:, j + 1 :] -= np.outer(err, u[j, j + 1 :])
+    return codes, comp_norms.astype(np.float64)
 
 
 def deviation_rows_from_scratch(run, heldout):

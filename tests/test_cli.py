@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,6 +12,7 @@ import pytest
 
 import pmq.cli
 import pmq.tensorfile
+from conftest import subprocess_env
 from oracles import sweep_from_scratch
 from pmq.checkpoint import load_checkpoint
 from pmq.cli import ConfigError, RunConfig, config_from_dict, load_config, main
@@ -801,14 +801,9 @@ for command in ("gen", "merge", "quantize"):
 
 def run_pipeline_with_blas_threads(cfg, out, threads):
     """gen -> merge -> quantize in a fresh interpreter with a fixed BLAS thread count."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "PMQ_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
     subprocess.run(
         [sys.executable, "-c", PIPELINE_SCRIPT, cfg, str(out)],
-        env=env,
+        env=subprocess_env(threads),
         check=True,
         timeout=300,
     )

@@ -1,8 +1,6 @@
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +16,9 @@ from pmq.linalg import (
     matmul,
 )
 
-from conftest import random_spd
+from conftest import ill_conditioned_gram, random_spd, subprocess_env
 from oracles import (
+    cholesky_inverse_upper_longdouble,
     cholesky_inverse_upper_via_inverse,
     frobenius_scalar,
     matmul_triple_loop,
@@ -157,6 +156,15 @@ class TestCholeskyInverseUpper:
         expected = solve_right_via_inverse(h, r)
         np.testing.assert_allclose(cholesky_solve(h, r), expected, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [129, 300, 385, 512])
+    def test_ill_conditioned_matches_longdouble_reference(self, d):
+        # the damped curvature of the blocked-rounding checks in test_solver
+        h = ill_conditioned_gram(np.random.default_rng(d), d)
+        h = h + 0.01 * float(np.mean(np.diag(h))) * np.eye(d)
+        u = cholesky_inverse_upper(h)
+        ref = cholesky_inverse_upper_longdouble(h)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_non_positive_pivot_names_original_column(self):
         with pytest.raises(SingularMatrixError) as err:
             cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]))
@@ -166,12 +174,9 @@ class TestCholeskyInverseUpper:
 
 def run_python(script: str) -> str:
     """stdout of `script` in a fresh interpreter that imports pmq from this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
-        env=env,
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pmq.solver
 from pmq.calib import LayerCalibStats
-from pmq.linalg import SingularMatrixError, cholesky_upper, frobenius_sq
+from pmq.linalg import SingularMatrixError, cholesky_solve, cholesky_upper, frobenius_sq
 from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
 from pmq.solver import (
     SolverProblem,
@@ -16,8 +20,13 @@ from pmq.solver import (
     solve_layer,
 )
 
-from conftest import random_spd
-from oracles import gptq_columnwise, gradient_descent_anchored, matmul_triple_loop
+from conftest import ill_conditioned_gram, random_spd, subprocess_env
+from oracles import (
+    gptq_columnwise,
+    gptq_columnwise_longdouble,
+    gradient_descent_anchored,
+    matmul_triple_loop,
+)
 
 
 def random_stats(rng, d, k, n=10, energy_scale=1.0):
@@ -119,6 +128,28 @@ class TestContinuousSolution:
         with pytest.raises(SingularMatrixError):
             continuous_solution(h, np.ones((1, 3)))
 
+    def test_refinement_reuses_the_inverted_factor(self, rng, monkeypatch):
+        d = 200
+        q_basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        h = (q_basis * np.logspace(0, -12, d)) @ q_basis.T  # condition number 1e12
+        h = (h + h.T) / 2
+        r = rng.normal(size=(4, d))
+        solves, inverses = [], []
+        solve, invert = pmq.solver.inverse_factor_solve, pmq.solver.upper_inverse
+        monkeypatch.setattr(
+            pmq.solver, "inverse_factor_solve", lambda *a: solves.append(None) or solve(*a)
+        )
+        monkeypatch.setattr(
+            pmq.solver, "upper_inverse", lambda u: inverses.append(None) or invert(u)
+        )
+        q = continuous_solution(h, r)
+        assert len(solves) == 2  # the refinement step fired
+        assert len(inverses) == 1
+        monkeypatch.undo()
+        # the same arithmetic as two independent solves against h
+        q0 = cholesky_solve(h, r)
+        np.testing.assert_array_equal(q, q0 + cholesky_solve(h, r - q0 @ h))
+
 
 class TestObjectiveReduction:
     def test_expanded_equals_reduced_plus_constant(self, rng):
@@ -204,9 +235,10 @@ class TestGptqSolve:
         ids=["127", "128", "129", "300", "385", "200x129", "64x300"],
     )
     def test_blocked_rounding_matches_columnwise_oracle(self, d_out, d):
+        # compensation norms are checked against the long double reference:
+        # the float64 oracle's own rounding reaches ~1.2e-12 on [385]
         r = np.random.default_rng(d if d_out == 12 else d_out * d)
-        x = r.normal(size=(d, 1)) + r.uniform(0.5, 1.5, size=(d, 1)) * r.normal(size=(d, d + 16))
-        h = x @ x.T
+        h = ill_conditioned_gram(r, d)
         w = r.normal(size=(d_out, d)) / np.sqrt(d)
         for bits in (2, 3, 4, 8):
             # 48 and 100 divide none of the widths: the last group is short
@@ -214,10 +246,36 @@ class TestGptqSolve:
                 cfg = QuantConfig(bits=bits, group_size=group_size, solver="gptq")
                 prob = SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg)
                 rep = gptq_solve(prob)
-                codes, comp_norms, objective = gptq_columnwise(prob)
+                codes, _, objective = gptq_columnwise(prob)
+                ref_codes, ref_comp_norms = gptq_columnwise_longdouble(prob)
                 np.testing.assert_array_equal(rep.quantized.codes, codes)
-                np.testing.assert_allclose(rep.per_column_comp_norms, comp_norms, rtol=1e-12)
+                np.testing.assert_array_equal(rep.quantized.codes, ref_codes)
+                np.testing.assert_allclose(rep.per_column_comp_norms, ref_comp_norms, rtol=1e-12)
                 assert rep.objective == pytest.approx(objective, rel=1e-12)
+
+    def test_reference_checks_at_one_blas_thread(self):
+        """The [300] and [385] checks again in a fresh interpreter on one BLAS thread,
+        where the summation order of every BLAS call differs from the threaded one."""
+        name = f"{__file__}::TestGptqSolve::test_blocked_rounding_matches_columnwise_oracle"
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", f"{name}[300]", f"{name}[385]"]
+        done = subprocess.run(
+            [sys.executable, *args],
+            cwd=Path(__file__).resolve().parents[1],
+            env=subprocess_env(1),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "2 passed" in done.stdout
+
+    @pytest.mark.parametrize("bits, group_size", [(2, 5), (4, 8), (8, 3)])
+    def test_objective_scores_the_dequantized_codes(self, rng, bits, group_size):
+        w = rng.normal(size=(5, 12))
+        h = random_spd(rng, 12)
+        cfg = QuantConfig(bits=bits, group_size=group_size, solver="gptq")
+        rep = gptq_solve(SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg))
+        assert rep.objective == quadratic_objective(rep.quantized.dequantize(), w, h)
 
     def test_epmq_merged_grids_match_columnwise_oracle(self):
         r = np.random.default_rng(7)

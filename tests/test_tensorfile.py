@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,3 +112,28 @@ def test_non_finite_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(Exception, match="non-finite"):
         read_tensor_file(path)
+
+
+def test_read_peaks_near_one_copy_of_the_file(tmp_path, rng):
+    # one 8 MB tensor: the payload is read once and the tensor is a view of it
+    path = tmp_path / "big.safetensors"
+    write_tensor_file(path, {"w": rng.normal(size=(1024, 1024))})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded, _ = read_tensor_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size
+    assert loaded["w"].flags.aligned and loaded["w"].flags.writeable
+
+
+def test_tensor_after_odd_sized_tensor_is_aligned(tmp_path):
+    tensors = {"a": np.arange(3, dtype=np.uint8), "b": np.ones((2, 3)), "c": np.float32([1.5, 2])}
+    path = tmp_path / "odd.safetensors"
+    write_tensor_file(path, tensors)
+    loaded, _ = read_tensor_file(path)
+    for name, arr in tensors.items():
+        assert loaded[name].flags.aligned
+        np.testing.assert_array_equal(loaded[name], arr)
