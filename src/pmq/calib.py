@@ -67,10 +67,7 @@ class LayerCalibStats:
         return len(self.hessians)
 
     def pooled_hessian(self) -> np.ndarray:
-        acc = self.hessians[0].copy()
-        for h in self.hessians[1:]:
-            acc = acc + h
-        return acc
+        return sum(self.hessians[1:], self.hessians[0].copy())  # in task order
 
     def total_energy(self) -> float:
         total = 0.0

@@ -78,10 +78,7 @@ class RunConfig:
                 raise ConfigError(f"unknown sweep method '{m}'")
 
     def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["merge"] = dataclasses.asdict(self.merge)
-        out["quant"] = dataclasses.asdict(self.quant)
-        return out
+        return dataclasses.asdict(self)  # merge and quant become nested dicts too
 
 
 _TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -165,6 +162,15 @@ def _load_experts(out: Path, k: int, required: bool) -> list[Checkpoint]:
     return [] if missing else [load_checkpoint(p) for p in paths]
 
 
+def _load_matching(cfg: RunConfig, path: Path, load):
+    """load(path), refused when its layer widths are not cfg.dims: another config made it."""
+    found = load(path)
+    dims = [found.manifest.layers[0].d_in] + [s.d_out for s in found.manifest.layers]
+    if dims != cfg.dims:
+        raise ConfigError(f"config dims {cfg.dims} disagree with the manifest of {path}: {dims}")
+    return found
+
+
 def _problem_inputs(cfg: RunConfig) -> dict:
     """The arguments of `make_synthetic_tasks` that `cfg` sets."""
     return dict(
@@ -197,7 +203,7 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_merge(cfg: RunConfig, out: Path) -> None:
-    base = load_checkpoint(out / "base.safetensors")
+    base = _load_matching(cfg, out / "base.safetensors", load_checkpoint)
     experts = [load_checkpoint(p) for p in _expert_paths(out, cfg.k)]
     merged = apply_merge(cfg.merge, base, experts)
     save_checkpoint(merged, out / "merged.safetensors")
@@ -218,7 +224,7 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def cmd_quantize(cfg: RunConfig, out: Path) -> None:
-    merged = load_checkpoint(out / "merged.safetensors")
+    merged = _load_matching(cfg, out / "merged.safetensors", load_checkpoint)
     calib_dir = out / "calib"
     calib = load_calib_set(calib_dir) if (calib_dir / "index.json").exists() else None
     # rtn and gptq run without experts
@@ -227,7 +233,7 @@ def cmd_quantize(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    model = load_model(out / "quantized.safetensors")
+    model = _load_matching(cfg, out / "quantized.safetensors", load_model)
     heldout = load_calib_set(out / "heldout")
     # the deviation diagnostics are skipped only when no expert file exists
     experts = _load_experts(out, cfg.k, required=False)

@@ -1,16 +1,21 @@
 """Dense linear algebra primitives.
 
-All compute happens in float64 regardless of what files store. Products and
-factorizations go through numpy and numpy.linalg, which share one BLAS/LAPACK
-build and so one thread pool. Summation order depends on the platform, the
-BLAS build and, for the threaded routines, the thread count. Repeated runs
-on one platform, BLAS build and thread count give bit-identical results;
-across thread counts results agree to rounding.
+All compute happens in float64 regardless of what files store. Products go
+through numpy, factorizations are block recursions of GEMMs with numpy.linalg
+at the leaves: one BLAS/LAPACK build, one thread pool. Summation order
+depends on the platform, the BLAS build and, for the threaded routines, the
+thread count. Repeated runs on one platform, BLAS build and thread count give
+bit-identical results; across thread counts results agree to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# widths that numpy.linalg factors directly; wider blocks split in two
+FACTOR_LEAF = 64
+# elements squared per pass of frobenius_sq
+FROBENIUS_CHUNK = 1 << 15
 
 
 class ShapeError(ValueError):
@@ -49,12 +54,17 @@ def matmul(a, b) -> np.ndarray:
 
 
 def frobenius_sq(a) -> float:
-    """Sum of squared entries, accumulated in row-major element order."""
-    a = as_matrix(a, "a")
-    if a.size == 0:
-        return 0.0
-    sq = np.multiply(a, a).ravel()
-    return float(np.add.accumulate(sq)[-1])
+    """Sum of squared entries, accumulated in row-major element order: chunk by
+    chunk through one buffer, each chunk's first square taking the running total."""
+    flat = as_matrix(a, "a").ravel()
+    buf = np.empty(min(flat.size, FROBENIUS_CHUNK))
+    total = 0.0
+    for i in range(0, flat.size, FROBENIUS_CHUNK):
+        chunk = flat[i : i + FROBENIUS_CHUNK]
+        sq = np.multiply(chunk, chunk, out=buf[: len(chunk)])
+        sq[0] += total
+        total = float(np.add.accumulate(sq, out=sq)[-1])
+    return total
 
 
 def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.ndarray:
@@ -70,38 +80,47 @@ def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.nd
     return h
 
 
-def _not_positive_definite(h: np.ndarray, context: str) -> SingularMatrixError:
-    """The error for a failed factorization of h, naming dpotrf's failing pivot (numpy does
-    not report it). scipy is imported on this failure path only, so a successful solve
-    never wakes scipy's BLAS thread pool next to numpy's."""
-    from scipy.linalg import lapack
+def _block_cholesky(h: np.ndarray, u: np.ndarray, ui: np.ndarray, context: str, columns):
+    """Write U (h = U^T U) and inv(U) into the upper triangles of u and ui, and
+    nothing below them. u may be h: each block of h is read before u's.
 
-    pivot = int(lapack.dpotrf(h, lower=0)[1]) or None
-    return SingularMatrixError(
-        f"{context} is not positive definite: non-positive pivot at index {pivot}", pivot=pivot
-    )
+    Factor h11, set U12 = inv(U11)^T h12, factor h22 - U12^T U12 and set
+    inv(U)12 = -inv(U11) U12 inv(U22); above FACTOR_LEAF columns every flop
+    is a GEMM. A failing pivot is named by its entry of `columns` (1-based
+    columns of the caller's matrix). Only that path imports scipy (numpy
+    does not name the pivot), so a successful factor leaves scipy's BLAS
+    thread pool asleep next to numpy's.
+    """
+    d = len(h)
+    if d <= FACTOR_LEAF:
+        try:
+            leaf = np.linalg.cholesky(h, upper=True)
+        except np.linalg.LinAlgError:
+            from scipy.linalg import lapack
 
-
-def upper_inverse(u: np.ndarray) -> np.ndarray:
-    """inv(U) for upper-triangular U by 2x2 block recursion, so nearly all the
-    work is GEMM: about a quarter of the flops of an LU inverse of U."""
-    d = len(u)
-    if d <= 128:
-        return np.triu(np.linalg.inv(u))
+            info = int(lapack.dpotrf(h, lower=0)[1])
+            pivot = int(columns[info - 1]) if info else None
+            message = f"{context} is not positive definite: non-positive pivot at index {pivot}"
+            raise SingularMatrixError(message, pivot=pivot) from None
+        u[...] = leaf
+        ui[...] = np.triu(np.linalg.inv(leaf))
+        return
     k = d // 2
-    a, c = upper_inverse(u[:k, :k]), upper_inverse(u[k:, k:])
-    out = np.zeros_like(u)
-    out[:k, :k], out[k:, k:] = a, c
-    out[:k, k:] = -(a @ u[:k, k:]) @ c
-    return out
+    _block_cholesky(h[:k, :k], u[:k, :k], ui[:k, :k], context, columns[:k])
+    u12 = ui[:k, :k].T @ h[:k, k:]
+    schur = u12.T @ u12
+    np.subtract(h[k:, k:], schur, out=schur)
+    u[:k, k:] = u12
+    _block_cholesky(schur, u[k:, k:], ui[k:, k:], context, columns[k:])
+    t = ui[:k, :k] @ u12
+    ui[:k, k:] = np.negative(t, out=t) @ ui[k:, k:]
 
 
-def cholesky_upper(h: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Upper Cholesky factor U with h = U^T U. Raises on non-PD input."""
-    try:
-        return np.linalg.cholesky(h, upper=True)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(h, context) from None
+def cholesky_with_inverse(h: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """(U, inv(U)) for the upper Cholesky factor U of h = U^T U; h is not modified."""
+    u, ui = np.zeros_like(h), np.zeros_like(h)
+    _block_cholesky(h, u, ui, context, np.arange(1, len(h) + 1))
+    return u, ui
 
 
 def cholesky_solve(h, rhs) -> np.ndarray:
@@ -110,32 +129,30 @@ def cholesky_solve(h, rhs) -> np.ndarray:
     Right division: the unknown multiplies h from the left, matching the
     convention of row-stacked weights times a square curvature matrix.
     """
-    ui = upper_inverse(cholesky_upper(check_symmetric(h, "h"), context="h"))
+    _, ui = cholesky_with_inverse(check_symmetric(h, "h"), context="h")
     return inverse_factor_solve(ui, rhs)
 
 
 def inverse_factor_solve(ui: np.ndarray, rhs) -> np.ndarray:
     """Solve S @ (U^T U) = rhs for S by two GEMMs, S = rhs inv(U) inv(U)^T, given
-    ui = inv(U); a caller that solves twice against one h inverts its factor once."""
+    ui = inv(U); a caller that solves twice against one h factors it once."""
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape[1] != ui.shape[0]:
         raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {ui.shape[0]}x{ui.shape[0]}")
     return (rhs @ ui) @ ui.T
 
 
-def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Upper Cholesky factor U of inv(h), i.e. inv(h) = U^T U.
-
-    One factorization: with J the reversal, J h J = L L^T gives h = M M^T
-    for the upper-triangular M = J L J, so U = inv(M) = J inv(L) J. That is
-    one Cholesky of the reversed h and one triangular inverse, with no
-    explicit inv(h). A failing pivot is reported by its 1-based column of h.
-    Sequential rounding reads U: the diagonal holds the step sizes, the
-    rows to its right the compensation weights.
+def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix", shift=0.0) -> np.ndarray:
+    """Upper Cholesky factor U of inv(g) = U^T U, g = h + shift*I: one factor
+    of one reversed, shifted copy of h (with J the reversal, J g J = V^T V
+    gives U = J inv(V)^T J), returned as a Fortran-order view, so with no
+    transposing copy. A failing pivot is named by its 1-based column of h.
+    Sequential rounding reads U: the diagonal holds the step sizes, the rows
+    to its right the compensation weights.
     """
-    try:
-        lt = np.linalg.cholesky(h[::-1, ::-1], upper=True)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(h, context) from None
-    # inv(L^T) = inv(L)^T, so J inv(L) J is its reversed transpose
-    return np.ascontiguousarray(upper_inverse(lt)[::-1, ::-1].T)
+    g = h[::-1, ::-1].copy()
+    g.flat[:: len(g) + 1] += shift
+    vi = np.zeros_like(g)
+    _block_cholesky(g, g, vi, context, np.arange(len(g), 0, -1))
+    np.copyto(g, vi[::-1, ::-1])
+    return g.T

@@ -66,9 +66,7 @@ def merge_average(experts: Sequence[Checkpoint]) -> Checkpoint:
     stacks = [list(_zip_tensors(e)) for e in experts]
     merged = []
     for idx in range(len(stacks[0])):
-        acc = stacks[0][idx].copy()
-        for expert in stacks[1:]:
-            acc = acc + expert[idx]
+        acc = sum((expert[idx] for expert in stacks[1:]), stacks[0][idx])  # in expert order
         merged.append(acc / len(experts))
     return _rebuild(experts[0], merged)
 
@@ -128,9 +126,7 @@ def merge_ties(
     merged = []
     for idx, b in enumerate(base_tensors):
         trimmed = [_trim_to_density(expert[idx] - b, density) for expert in stacks]
-        total = trimmed[0].copy()
-        for t in trimmed[1:]:
-            total = total + t
+        total = sum(trimmed[1:], trimmed[0])
         elected = np.where(total < 0, -1.0, 1.0)
         matched_sum = np.zeros_like(b)
         matched_count = np.zeros_like(b)

@@ -38,13 +38,12 @@ from .linalg import (
     as_matrix,
     check_symmetric,
     cholesky_inverse_upper,
-    cholesky_upper,
+    cholesky_with_inverse,
     frobenius_sq,
     inverse_factor_solve,
     matmul,
-    upper_inverse,
 )
-from .quant import QuantConfig, QuantizedLayer, fit_layer_grids, round_half_away, rtn_quantize
+from .quant import QuantConfig, QuantizedLayer, fit_layer_grids, rtn_quantize
 
 # columns rounded one by one between two lazy batch updates
 ROUNDING_BLOCK = 128
@@ -150,10 +149,10 @@ def build_epmq_statistics(
             raise ValueError(
                 f"expert weight shape {w_i.shape} != merged shape {merged_weight.shape}"
             )
-        h_e = h_e + h_i
-        r = r + matmul(w_i, h_i)
-    h_e = h_e + lam * np.eye(d)
-    r = r + lam * merged_weight
+        h_e += h_i
+        r += matmul(w_i, h_i)
+    h_e.flat[:: d + 1] += lam
+    r += lam * merged_weight
     return h_e, r, lam
 
 
@@ -166,7 +165,7 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
     the stationary residual near machine precision even for poorly
     conditioned instances.
     """
-    ui = upper_inverse(cholesky_upper(h_e, context="h"))
+    _, ui = cholesky_with_inverse(h_e, context="h")
     q = inverse_factor_solve(ui, r)
     residual = r - matmul(q, h_e)
     norm_r = np.sqrt(frobenius_sq(r))
@@ -205,7 +204,7 @@ def _round_sequential(problem: SolverProblem) -> tuple:
     d_out, d = problem.target.shape
     damp = _damping_for(problem.curvature, cfg.percdamp)
     try:
-        u = cholesky_inverse_upper(problem.curvature + damp * np.eye(d), context="damped curvature")
+        u = cholesky_inverse_upper(problem.curvature, context="damped curvature", shift=damp)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"curvature is singular even after damping {damp:g} "
@@ -222,16 +221,20 @@ def _round_sequential(problem: SolverProblem) -> tuple:
     values = np.empty((d, d_out))
     errs = np.empty((min(ROUNDING_BLOCK, d), d_out))
     comp_norms = np.zeros(d)
+    maxq = float((1 << cfg.bits) - 1)
+    trunc, frac, half = np.empty(d_out), np.empty(d_out), np.empty(d_out, dtype=bool)
     for b0 in range(0, d, ROUNDING_BLOCK):
         b1 = min(b0 + ROUNDING_BLOCK, d)
         for j in range(b0, b1):
             w, v, err = work[j], values[j], errs[j - b0]
             w -= u[b0:j, j] @ errs[: j - b0]
             s, z = scales_t[col_group[j]], zeros_t[col_group[j]]
-            # code = clip(round(w / s) + z, 0, 2^bits - 1), built in the values row
-            round_half_away(np.divide(w, s, out=v), out=v)
+            # code = clip(round_half_away(w / s) + z, 0, maxq), in the values and scratch rows
+            np.trunc(np.divide(w, s, out=v), out=trunc)
+            np.greater_equal(np.abs(np.subtract(v, trunc, out=frac), out=frac), 0.5, out=half)
+            np.add(trunc, np.copysign(half, v, out=frac), out=v)
             v += z
-            np.clip(v, 0, (1 << cfg.bits) - 1, out=v)
+            np.minimum(np.maximum(v, 0.0, out=v), maxq, out=v)
             codes[j] = v
             v -= z
             v *= s
@@ -314,8 +317,9 @@ def solve_layer(
         w_star = continuous_solution(h_e, r)
     except SingularMatrixError:
         fallback = True
-        extra = _damping_for(h_e, cfg.percdamp)
-        w_star = continuous_solution(h_e + extra * np.eye(stats.d), r)
+        damped = h_e.copy()
+        damped.flat[:: stats.d + 1] += _damping_for(h_e, cfg.percdamp)
+        w_star = continuous_solution(damped, r)
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
     problem = SolverProblem(
         target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg

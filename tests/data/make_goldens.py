@@ -1,8 +1,15 @@
-"""Regenerate the stored golden files.
+"""Regenerate the stored golden files, or check them.
 
 Run from the repository root:
 
-    python3 tests/data/make_goldens.py
+    python3 tests/data/make_goldens.py           # rewrite both files
+    python3 tests/data/make_goldens.py --check   # compare, write nothing
+
+--check regenerates the goldens in memory and prints, per committed file,
+the largest relative difference of any value from the regenerated one. It
+exits 1 only when a difference lies past the tolerance that tests/test_cli.py
+applies to that file, so last-digit drift between platforms (BLAS builds,
+thread counts) can be told apart from a real change.
 
 ties_golden.json is produced by the literal trim/elect/disjoint-mean
 reference in tests/oracles.py, applied to the deterministic fixture problem.
@@ -16,6 +23,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # tests/ for oracles
+sys.path.insert(0, str(HERE.parents[1] / "src"))  # pmq from this checkout
 
 import numpy as np
 
@@ -37,6 +45,9 @@ FIXTURE = dict(
 )
 TIES = dict(coefficient=0.3, density=0.5)
 SWEEP_BITS = [3, 4, 5, 6, 7, 8]
+# the assert_allclose tolerances of test_cli.py's ties test; the sweep file
+# carries its own rtol
+TIES_RTOL, TIES_ATOL = 1e-12, 1e-14
 
 
 def make_ties_golden():
@@ -75,7 +86,40 @@ def make_sweep_golden():
     }
 
 
+def largest_difference(fresh, stored, rtol, atol):
+    """(largest |fresh - stored| / |stored| over nonzero stored values, within
+    |fresh - stored| <= atol + rtol * |stored| everywhere)."""
+    fresh, stored = np.asarray(fresh, dtype=np.float64), np.asarray(stored, dtype=np.float64)
+    if fresh.shape != stored.shape:
+        return float("inf"), False
+    diff = np.abs(fresh - stored)
+    nonzero = stored != 0
+    rel = float((diff[nonzero] / np.abs(stored[nonzero])).max(initial=0.0))
+    return rel, bool(np.all(diff <= atol + rtol * np.abs(stored)))
+
+
+def check() -> int:
+    """Compare regenerated goldens with the committed files; 1 past tolerance."""
+    ties = json.loads((HERE / "ties_golden.json").read_text())
+    sweep = json.loads((HERE / "sweep_golden.json").read_text())
+    fresh_ties, fresh_sweep = make_ties_golden(), make_sweep_golden()
+    results = []
+    for name, stored, fresh, rtol, atol in (
+        ("ties_golden.json", ties["tensors"], fresh_ties["tensors"], TIES_RTOL, TIES_ATOL),
+        ("sweep_golden.json", sweep["macro_mse"], fresh_sweep["macro_mse"], sweep["rtol"], 0.0),
+    ):
+        pairs = [largest_difference(fresh[k], stored[k], rtol, atol) for k in stored if k in fresh]
+        rel = max((r for r, _ in pairs), default=0.0)
+        ok = sorted(fresh) == sorted(stored) and all(within for _, within in pairs)
+        print(f"{name}: largest relative difference {rel:.3g} (rtol {rtol:g}, atol {atol:g}): "
+              + ("ok" if ok else "PAST TOLERANCE"))
+        results.append(ok)
+    return 0 if all(results) else 1
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     (HERE / "ties_golden.json").write_text(
         json.dumps(make_ties_golden(), indent=1) + "\n"
     )

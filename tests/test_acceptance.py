@@ -11,7 +11,7 @@ import numpy as np
 
 from pmq.calib import LayerCalibStats, collect_layer_stats, make_synthetic_tasks
 from pmq.checkpoint import load_checkpoint, save_checkpoint
-from pmq.linalg import cholesky_upper, frobenius_sq
+from pmq.linalg import cholesky_with_inverse, frobenius_sq
 from pmq.merge import MergeSpec, apply_merge
 from pmq.model import Model, forward_to_layer, load_model, save_model
 from pmq.pipeline import deviation_diagnostics, evaluate, quantize, run_epmq
@@ -94,7 +94,7 @@ def test_criterion_2_objective_reduction_equivalence():
         constant = _expanded_objective(w_star, xs, ws, wm, lam)
         q = rng.normal(size=wm.shape)
         expanded = _expanded_objective(q, xs, ws, wm, lam)
-        ell = cholesky_upper(h_e).T
+        ell = cholesky_with_inverse(h_e)[0].T
         reduced = float(np.sum(((q - w_star) @ ell) ** 2))
         rel = abs(expanded - (reduced + constant)) / max(1.0, abs(expanded))
         worst = max(worst, rel)

@@ -687,6 +687,33 @@ class TestExitCodes:
         assert "Traceback" not in err and "config error" in err and "manifest" in err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize(
+        "command, compute",
+        [("merge", "apply_merge"), ("quantize", "quantize"), ("eval", "evaluate")],
+    )
+    def test_dims_not_matching_the_checkpoint_is_2(
+        self, tmp_path, capsys, monkeypatch, command, compute
+    ):
+        """A stage run with other dims than `gen` used stops before its first compute."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        stages = ("gen", "merge", "quantize")
+        for stage in stages[: ("merge", "quantize", "eval").index(command) + 1]:
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        before = dir_hashes(out)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{compute} ran")
+
+        monkeypatch.setattr(pmq.cli, compute, must_not_run)
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", str(out), "--set", "dims=[8,12,6]") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "config error: config dims [8, 12, 6] disagree with the manifest of" in err
+        assert "[8, 12, 10, 6]" in err
+        assert dir_hashes(out) == before
+
     def test_unknown_hidden_activation_is_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"hidden_activation": "tanh"})
         capsys.readouterr()

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from pmq.linalg import (
+    FROBENIUS_CHUNK,
     ShapeError,
     SingularMatrixError,
     cholesky_inverse_upper,
     cholesky_solve,
+    cholesky_with_inverse,
     frobenius_sq,
     matmul,
 )
@@ -89,6 +92,13 @@ class TestFrobenius:
         a = np.random.default_rng(seed).normal(size=(rows, cols))
         assert frobenius_sq(a) == frobenius_scalar(a)
 
+    @pytest.mark.parametrize("shape", [(128, 256), (181, 400)], ids=["one-chunk", "three-chunks"])
+    def test_chunks_keep_the_row_major_order(self, rng, shape):
+        # the last chunk of (181, 400) is short; every chunk boundary carries the total
+        a = rng.normal(size=shape)
+        assert (a.size <= FROBENIUS_CHUNK) == (shape == (128, 256))
+        assert frobenius_sq(a) == frobenius_scalar(a)
+
 
 class TestCholeskySolve:
     def test_identity_hessian(self, rng):
@@ -145,7 +155,7 @@ class TestCholeskyInverseUpper:
 
     @pytest.mark.parametrize("d", [129, 200, 300])
     def test_block_recursive_inverse_matches_oracles(self, d):
-        # widths above 128 take the 2x2 block recursion of the triangular inverse
+        # widths above 64 take the 2x2 block recursion of the factor and its inverse
         rng = np.random.default_rng(d)
         h = random_spd(rng, d, extra=d + 4)
         u = cholesky_inverse_upper(h)
@@ -170,6 +180,84 @@ class TestCholeskyInverseUpper:
             cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]))
         assert err.value.pivot == 2
         assert "index 2" in str(err.value)
+
+
+def non_pd_inside_the_schur_complement(d=200, pivot=151):
+    """An SPD matrix whose leading minor of order `pivot` is made negative, so
+    that, eliminating columns in natural order, `pivot` is the first
+    non-positive pivot (1-based)."""
+    h = random_spd(np.random.default_rng(pivot), d, extra=d + 4)
+    j = pivot - 1
+    schur_pivot = 1.0 / np.linalg.inv(h[:pivot, :pivot])[j, j]
+    h[j, j] -= 2.0 * schur_pivot
+    return h
+
+
+class TestBlockCholesky:
+    """cholesky_with_inverse and cholesky_inverse_upper share one 2x2 block
+    recursion whose blocks of at most 64 columns go to numpy.linalg."""
+
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 127, 129, 300, 385, 512])
+    def test_factor_and_inverse_match_oracles(self, d):
+        h = ill_conditioned_gram(np.random.default_rng(d), d)
+        h = h + 0.01 * float(np.mean(np.diag(h))) * np.eye(d)
+        before = h.copy()
+        u, ui = cholesky_with_inverse(h)
+        u_inv = cholesky_inverse_upper(h)
+        np.testing.assert_array_equal(h, before)
+        for m in (u, ui, u_inv):
+            assert not np.tril(m, -1).any()
+        # with J the reversal, inv(U) = (J U' J)^T for the factor U' of inv(J h J)
+        refs = [
+            (u, np.triu(lapack.dpotrf(h, lower=0)[0])),
+            (ui, cholesky_inverse_upper_longdouble(h[::-1, ::-1])[::-1, ::-1].T),
+            (u_inv, cholesky_inverse_upper_via_inverse(h)),
+            (u_inv, cholesky_inverse_upper_longdouble(h)),
+        ]
+        for got, ref in refs:
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_pd_pivot_inside_the_schur_complement_is_named(self):
+        # d=200 splits as [0:100] and [100:200]; pivot 151 is the first column of the
+        # leaf [150:200], factored from the Schur complement of the first 150 columns
+        h = non_pd_inside_the_schur_complement()
+        with pytest.raises(SingularMatrixError, match="at index 151$") as err:
+            cholesky_with_inverse(h)
+        assert err.value.pivot == 151
+        with pytest.raises(SingularMatrixError) as err:
+            cholesky_solve(h, np.ones((1, 200)))
+        assert err.value.pivot == 151
+
+    def test_pivot_comes_from_the_failing_block(self, monkeypatch):
+        """The pivot is named even where dpotrf of the whole matrix succeeds, as it
+        can when rounding puts a pivot near zero on different sides of zero."""
+        h = non_pd_inside_the_schur_complement()
+        real = lapack.dpotrf
+
+        def whole_matrix_succeeds(a, *args, **kwargs):
+            out = real(a, *args, **kwargs)
+            return (out[0], 0) if len(a) == len(h) else out
+
+        monkeypatch.setattr(lapack, "dpotrf", whole_matrix_succeeds)
+        with pytest.raises(SingularMatrixError) as err:
+            cholesky_with_inverse(h)
+        assert err.value.pivot == 151
+
+    def test_reversed_factor_names_the_column_of_h(self):
+        # the reversed order meets the negative minor at reversed column 151,
+        # which is column 200 + 1 - 151 of h
+        h = non_pd_inside_the_schur_complement()[::-1, ::-1]
+        with pytest.raises(SingularMatrixError) as err:
+            cholesky_inverse_upper(h)
+        assert err.value.pivot == 50
+
+    @pytest.mark.parametrize(
+        "factor", [cholesky_with_inverse, cholesky_inverse_upper], ids=lambda f: f.__name__
+    )
+    def test_rank_deficient_gram_raises(self, factor):
+        x = np.random.default_rng(3).normal(size=(200, 150))  # rank 150 < 200
+        with pytest.raises(SingularMatrixError):
+            factor(x @ x.T)
 
 
 def run_python(script: str) -> str:
@@ -205,7 +293,7 @@ class TestOneBlasPool:
             import sys
             import numpy as np
             from pmq.calib import LayerCalibStats
-            from pmq.linalg import SingularMatrixError, cholesky_upper
+            from pmq.linalg import SingularMatrixError, cholesky_with_inverse
             from pmq.quant import QuantConfig
             from pmq.solver import solve_layer
 
@@ -223,7 +311,7 @@ class TestOneBlasPool:
             solve_layer(experts, wm, stats, QuantConfig(bits=4, group_size=128, solver="epmq"))
             print("scipy.linalg" in sys.modules)
             try:
-                cholesky_upper(np.diag([1.0, -1.0, 1.0]))
+                cholesky_with_inverse(np.diag([1.0, -1.0, 1.0]))
             except SingularMatrixError as exc:
                 print(exc.pivot)
             """

@@ -7,7 +7,7 @@ import pytest
 
 import pmq.solver
 from pmq.calib import LayerCalibStats
-from pmq.linalg import SingularMatrixError, cholesky_solve, cholesky_upper, frobenius_sq
+from pmq.linalg import SingularMatrixError, cholesky_solve, cholesky_with_inverse, frobenius_sq
 from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
 from pmq.solver import (
     SolverProblem,
@@ -134,17 +134,19 @@ class TestContinuousSolution:
         h = (q_basis * np.logspace(0, -12, d)) @ q_basis.T  # condition number 1e12
         h = (h + h.T) / 2
         r = rng.normal(size=(4, d))
-        solves, inverses = [], []
-        solve, invert = pmq.solver.inverse_factor_solve, pmq.solver.upper_inverse
+        solves, factors = [], []
+        solve, factor = pmq.solver.inverse_factor_solve, pmq.solver.cholesky_with_inverse
         monkeypatch.setattr(
             pmq.solver, "inverse_factor_solve", lambda *a: solves.append(None) or solve(*a)
         )
         monkeypatch.setattr(
-            pmq.solver, "upper_inverse", lambda u: inverses.append(None) or invert(u)
+            pmq.solver,
+            "cholesky_with_inverse",
+            lambda *a, **k: factors.append(None) or factor(*a, **k),
         )
         q = continuous_solution(h, r)
         assert len(solves) == 2  # the refinement step fired
-        assert len(inverses) == 1
+        assert len(factors) == 1
         monkeypatch.undo()
         # the same arithmetic as two independent solves against h
         q0 = cholesky_solve(h, r)
@@ -172,7 +174,7 @@ class TestObjectiveReduction:
             constant = expanded_objective(w_star, xs, ws, wm, lam)
             q = rng.normal(size=(2, d))
             expanded = expanded_objective(q, xs, ws, wm, lam)
-            ell = cholesky_upper(h_e).T
+            ell = cholesky_with_inverse(h_e)[0].T
             reduced = float(np.sum(((q - w_star) @ ell) ** 2))
             assert abs(expanded - (reduced + constant)) <= 1e-6 * max(1.0, abs(expanded))
 
@@ -254,10 +256,15 @@ class TestGptqSolve:
                 assert rep.objective == pytest.approx(objective, rel=1e-12)
 
     def test_reference_checks_at_one_blas_thread(self):
-        """The [300] and [385] checks again in a fresh interpreter on one BLAS thread,
-        where the summation order of every BLAS call differs from the threaded one."""
+        """The [300] and [385] checks, and the factor checks at 512 wide (three levels
+        of the block recursion above its 64-column leaves), again in a fresh
+        interpreter on one BLAS thread, where the summation order of every BLAS
+        call differs from the threaded one."""
         name = f"{__file__}::TestGptqSolve::test_blocked_rounding_matches_columnwise_oracle"
-        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", f"{name}[300]", f"{name}[385]"]
+        factor = f"{Path(__file__).with_name('test_linalg.py')}::TestBlockCholesky"
+        factor += "::test_factor_and_inverse_match_oracles[512]"
+        tests = [f"{name}[300]", f"{name}[385]", factor]
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
         done = subprocess.run(
             [sys.executable, *args],
             cwd=Path(__file__).resolve().parents[1],
@@ -267,7 +274,7 @@ class TestGptqSolve:
             timeout=300,
         )
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "2 passed" in done.stdout
+        assert "3 passed" in done.stdout
 
     @pytest.mark.parametrize("bits, group_size", [(2, 5), (4, 8), (8, 3)])
     def test_objective_scores_the_dequantized_codes(self, rng, bits, group_size):
@@ -420,6 +427,20 @@ class TestEpmqSolve:
         wm = rng.normal(size=(2, d))
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
         rep = solve_layer([wm + 0.1], wm, stats, cfg)
+        assert rep.damped_fallback
+        assert rep.lam == 0.0
+
+    def test_rank_deficient_above_the_factor_leaf_uses_damped_fallback(self):
+        # 150 columns take the block recursion; its Schur complement of rank 0 fails
+        r = np.random.default_rng(9)
+        d = 150
+        x = r.normal(size=(d, 100))
+        stats = LayerCalibStats(
+            hessians=[x @ x.T], energies=[float(np.sum(x * x))], counts=[100], d=d
+        )
+        wm = r.normal(size=(4, d)) / np.sqrt(d)
+        cfg = QuantConfig(bits=4, group_size=64, solver="epmq", alpha=0.0)
+        rep = solve_layer([wm + 0.01], wm, stats, cfg)
         assert rep.damped_fallback
         assert rep.lam == 0.0
 
