@@ -64,7 +64,6 @@ from .quant import (
 from .solver import (
     SolveReport,
     SolverProblem,
-    brute_force_optimum,
     build_epmq_statistics,
     continuous_solution,
     epmq_objective,
@@ -98,7 +97,6 @@ __all__ = [
     "SyntheticProblem",
     "anchor_lambda",
     "apply_merge",
-    "brute_force_optimum",
     "build_epmq_statistics",
     "cholesky_solve",
     "collect_layer_stats",

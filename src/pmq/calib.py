@@ -1,8 +1,8 @@
 """Per-task calibration data and layer-wise second-order statistics.
 
 For each task i and layer l the pipeline needs the layer inputs X_i
-(d x n_i), the unnormalized curvature H_i = X_i X_i^T, the activation energy
-e_i = ||X_i||_F^2, and the token count. The adaptive anchor for a layer is
+(d x n_i), the unnormalized curvature H_i = X_i X_i^T and the activation
+energy e_i = ||X_i||_F^2. The adaptive anchor for a layer is
 lam = (alpha / d) * sum_i e_i, which equals (alpha / d) * trace(sum_i H_i).
 
 Also hosts the synthetic-task generator: a random base model, per-task input
@@ -27,7 +27,6 @@ from .model import (
     activation_grad,
     apply_activation,
     forward,
-    forward_to_layer,
 )
 from .tensorfile import MalformedHeaderError, read_tensor_file, write_json, write_tensor_file
 
@@ -55,11 +54,10 @@ class CalibSet:
 
 @dataclass
 class LayerCalibStats:
-    """Curvatures, energies, and token counts for one layer, per task."""
+    """Curvatures and energies for one layer, per task."""
 
     hessians: list[np.ndarray]
     energies: list[float]
-    counts: list[int]
     d: int
 
     @property
@@ -76,48 +74,34 @@ class LayerCalibStats:
         return total
 
 
-def accumulate_stats(x: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """(H, energy, count) for one activation matrix: H = X X^T, energy = ||X||_F^2."""
+def accumulate_stats(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(H, energy) for one activation matrix: H = X X^T, energy = ||X||_F^2."""
     x = as_matrix(x, "x")
     with np.errstate(over="ignore", invalid="ignore"):
         h = x @ x.T  # on a contiguous x numpy takes the syrk path
         energy = frobenius_sq(x)
     if not np.isfinite(h).all():
         raise FloatingPointError("calibration statistics overflowed (non-finite curvature)")
-    return h, energy, x.shape[1]
+    return h, energy
 
 
 def collect_layer_stats(
-    model: Model,
-    calib: CalibSet,
-    layer_index: int,
-    cached: dict[int, np.ndarray] | None = None,
-) -> tuple[LayerCalibStats, dict[int, np.ndarray]]:
-    """Layer-l input activations and their statistics for every task.
-
-    `cached`, when given, must hold the layer-l inputs per task under the
-    current model state (the pipeline maintains this incrementally); without
-    it each task is forwarded from scratch.
-    """
+    model: Model, layer_index: int, activations: dict[int, np.ndarray]
+) -> LayerCalibStats:
+    """Statistics of the layer-l inputs `activations` (task id -> X_i), in task order."""
     d = model.layers[layer_index - 1].spec.d_in
-    hessians, energies, counts = [], [], []
-    activations: dict[int, np.ndarray] = {}
-    for batch in calib.batches:
-        if cached is not None:
-            x = cached[batch.task_id]
-            if x.shape[0] != d:
-                raise ShapeError(
-                    f"cached activations for task {batch.task_id} have {x.shape[0]} rows, "
-                    f"layer {layer_index} expects {d}"
-                )
-        else:
-            x = forward_to_layer(model, batch.inputs, layer_index)
-        h, e, n = accumulate_stats(x)
+    hessians, energies = [], []
+    for task_id in sorted(activations):
+        x = activations[task_id]
+        if x.shape[0] != d:
+            raise ShapeError(
+                f"activations for task {task_id} have {x.shape[0]} rows, "
+                f"layer {layer_index} expects {d}"
+            )
+        h, e = accumulate_stats(x)
         hessians.append(h)
         energies.append(e)
-        counts.append(n)
-        activations[batch.task_id] = x
-    return LayerCalibStats(hessians=hessians, energies=energies, counts=counts, d=d), activations
+    return LayerCalibStats(hessians=hessians, energies=energies, d=d)
 
 
 def anchor_lambda(stats: LayerCalibStats, alpha: float) -> float:

@@ -63,14 +63,20 @@ class RunConfig:
     sweep_methods: list[str] = field(default_factory=lambda: ["epmq", "gptq"])
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        # counts and sizes are ints proper: not floats, and not bools
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("k", "samples_per_task", "heldout_samples", "train_steps", "train_samples"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if len(self.dims) < 2 or any(d < 1 for d in self.dims):
-            raise ConfigError(f"dims must be a chain of positive sizes, got {self.dims}")
+        if len(self.dims) < 2 or any(type(d) is not int or d < 1 for d in self.dims):
+            raise ConfigError(f"dims must be a chain of positive integers, got {self.dims}")
         if self.samples_per_task < 1 or self.heldout_samples < 1:
             raise ConfigError("sample counts must be >= 1")
+        if self.train_steps < 0 or self.train_samples < 0:
+            raise ConfigError("train_steps and train_samples must be non-negative integers")
         if self.expert_mode not in ("train", "perturb"):
             raise ConfigError(f"unknown expert_mode '{self.expert_mode}'")
         for m in self.sweep_methods:

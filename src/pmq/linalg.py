@@ -80,9 +80,9 @@ def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.nd
     return h
 
 
-def _block_cholesky(h: np.ndarray, u: np.ndarray, ui: np.ndarray, context: str, columns):
-    """Write U (h = U^T U) and inv(U) into the upper triangles of u and ui, and
-    nothing below them. u may be h: each block of h is read before u's.
+def _block_cholesky(h: np.ndarray, ui: np.ndarray, context: str, columns):
+    """Write inv(U), for the upper Cholesky factor U of h = U^T U, into the upper
+    triangle of ui and nothing below it; h is only read.
 
     Factor h11, set U12 = inv(U11)^T h12, factor h22 - U12^T U12 and set
     inv(U)12 = -inv(U11) U12 inv(U22); above FACTOR_LEAF columns every flop
@@ -102,25 +102,23 @@ def _block_cholesky(h: np.ndarray, u: np.ndarray, ui: np.ndarray, context: str, 
             pivot = int(columns[info - 1]) if info else None
             message = f"{context} is not positive definite: non-positive pivot at index {pivot}"
             raise SingularMatrixError(message, pivot=pivot) from None
-        u[...] = leaf
         ui[...] = np.triu(np.linalg.inv(leaf))
         return
     k = d // 2
-    _block_cholesky(h[:k, :k], u[:k, :k], ui[:k, :k], context, columns[:k])
+    _block_cholesky(h[:k, :k], ui[:k, :k], context, columns[:k])
     u12 = ui[:k, :k].T @ h[:k, k:]
     schur = u12.T @ u12
     np.subtract(h[k:, k:], schur, out=schur)
-    u[:k, k:] = u12
-    _block_cholesky(schur, u[k:, k:], ui[k:, k:], context, columns[k:])
+    _block_cholesky(schur, ui[k:, k:], context, columns[k:])
     t = ui[:k, :k] @ u12
     ui[:k, k:] = np.negative(t, out=t) @ ui[k:, k:]
 
 
-def cholesky_with_inverse(h: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """(U, inv(U)) for the upper Cholesky factor U of h = U^T U; h is not modified."""
-    u, ui = np.zeros_like(h), np.zeros_like(h)
-    _block_cholesky(h, u, ui, context, np.arange(1, len(h) + 1))
-    return u, ui
+def cholesky_with_inverse(h: np.ndarray, context: str = "matrix") -> np.ndarray:
+    """inv(U) for the upper Cholesky factor U of h = U^T U; h is not modified."""
+    ui = np.zeros_like(h)
+    _block_cholesky(h, ui, context, np.arange(1, len(h) + 1))
+    return ui
 
 
 def cholesky_solve(h, rhs) -> np.ndarray:
@@ -129,7 +127,7 @@ def cholesky_solve(h, rhs) -> np.ndarray:
     Right division: the unknown multiplies h from the left, matching the
     convention of row-stacked weights times a square curvature matrix.
     """
-    _, ui = cholesky_with_inverse(check_symmetric(h, "h"), context="h")
+    ui = cholesky_with_inverse(check_symmetric(h, "h"), context="h")
     return inverse_factor_solve(ui, rhs)
 
 
@@ -153,6 +151,6 @@ def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix", shift=0.0) ->
     g = h[::-1, ::-1].copy()
     g.flat[:: len(g) + 1] += shift
     vi = np.zeros_like(g)
-    _block_cholesky(g, g, vi, context, np.arange(len(g), 0, -1))
+    _block_cholesky(g, vi, context, np.arange(len(g), 0, -1))
     np.copyto(g, vi[::-1, ::-1])
     return g.T

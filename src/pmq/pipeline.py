@@ -9,12 +9,11 @@ on.
 
 Each layer report carries a trajectory checksum: the prefix chain
 c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
-1..l-1 as they stand when layer l is calibrated (the full-precision model on
-the frozen trajectory). The driver extends it by one link per layer. Between
-collection and replacement it re-hashes the two layers a step can reach,
-layer l's source (the array the solver receives as the merged weight) and
-layer l-1 (the link the cache was advanced through), and raises if either
-changed.
+1..l-1 as they stand when layer l is calibrated. quantize extends it by one
+link per layer. Between collection and replacement it re-hashes the two
+layers a step can reach, layer l's source (the array the solver receives as
+the merged weight) and layer l-1 (the link the cache was advanced through),
+and raises if either changed.
 
 Deviation diagnostics decompose the held-out output error of each
 quantized layer into the quantization part (Q X - W_m X) and the
@@ -24,7 +23,6 @@ combined deviation Q X - W_i X. They walk each task forward once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +65,6 @@ class PmqRun:
     layer_reports: list[LayerReport]
     model: Model
     method: str
-    wall_time_s: float = 0.0
 
     @property
     def damped_fallback(self) -> bool:
@@ -128,16 +125,13 @@ def quantize(
     experts: list[Checkpoint],
     calib: CalibSet | None,
     cfg: QuantConfig,
-    *,
-    quantized_trajectory: bool = True,
 ) -> PmqRun:
     """Quantize every layer of `merged` in forward order with cfg.solver.
 
     epmq needs at least one expert and one calibration task per expert; gptq
     pools the per-task curvatures (sum_i H_i) and needs calibration; rtn uses
     calibration only to report objectives. Activations follow the partially
-    quantized trajectory unless quantized_trajectory=False freezes them to
-    the full-precision model. Raises ConfigError, before any compute, when
+    quantized trajectory. Raises ConfigError, before any compute, when
     those needs are unmet, an expert's manifest differs from the merged one,
     or the calibration inputs do not fit layer 1.
     """
@@ -154,19 +148,16 @@ def quantize(
         _check_tasks(calib, merged.manifest, "calibration", targets=False)
 
     model = Model.from_checkpoint(merged)
-    # the model whose layers 1..l-1 decide the inputs to layer l
-    source = model if quantized_trajectory else Model.from_checkpoint(merged)
     cache = None if calib is None else {batch.task_id: batch.inputs for batch in calib.batches}
     reports: list[LayerReport] = []
     prev_chain, chain = b"", EMPTY_PREFIX
-    start = time.perf_counter()
     for layer_index in range(1, model.num_layers + 1):
-        layer = source.layers[layer_index - 1]
+        layer = model.layers[layer_index - 1]
         layer_id = layer.spec.id
         try:
             stats = None
             if cache is not None:
-                stats, acts = collect_layer_stats(source, calib, layer_index, cached=cache)
+                stats = collect_layer_stats(model, layer_index, cache)
                 collected = chain_link(chain, layer)
             solve = solve_layer(
                 [e.layers[layer_index - 1].weight for e in experts], layer.weight, stats, cfg
@@ -176,15 +167,14 @@ def quantize(
                 chain_link(chain, layer) != collected
                 or (
                     layer_index > 1
-                    and chain_link(prev_chain, source.layers[layer_index - 2]) != chain
+                    and chain_link(prev_chain, model.layers[layer_index - 2]) != chain
                 )
             ):
                 raise RuntimeError("model state changed between collection and replacement")
             model.replace_layer(layer_index, solve.quantized)
             if cache is not None and layer_index < model.num_layers:
                 cache = {
-                    task_id: propagate_through_layer(acts[task_id], layer)
-                    for task_id in sorted(acts)
+                    task_id: propagate_through_layer(x, layer) for task_id, x in cache.items()
                 }
         except Exception as exc:
             exc.args = (f"layer '{layer_id}': {exc}",)
@@ -194,7 +184,6 @@ def quantize(
         )
         if layer_index < model.num_layers:
             prev_chain, chain = chain, chain_link(chain, layer)
-    elapsed = time.perf_counter() - start
     return PmqRun(
         merged=merged,
         experts=list(experts),
@@ -203,7 +192,6 @@ def quantize(
         layer_reports=reports,
         model=model,
         method=cfg.solver,
-        wall_time_s=elapsed,
     )
 
 

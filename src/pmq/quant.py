@@ -42,6 +42,10 @@ class QuantConfig:
     grid_source: str = "target"
 
     def __post_init__(self):
+        if type(self.bits) is not int or type(self.group_size) is not int:
+            raise ValueError(
+                f"bits and group_size must be integers, got {self.bits!r}, {self.group_size!r}"
+            )
         if not 2 <= self.bits <= 8:
             raise ValueError(f"bits must be in [2, 8], got {self.bits}")
         if self.group_size < 1:
@@ -56,12 +60,12 @@ class QuantConfig:
             raise ValueError(f"unknown grid_source '{self.grid_source}' (allowed: {GRID_SOURCES})")
 
 
-def round_half_away(x, out=None):
-    """Round to nearest integer, halves away from zero; `out` may be `x` itself."""
+def round_half_away(x):
+    """Round to nearest integer, halves away from zero."""
     x = np.asarray(x, dtype=np.float64)
     t = np.trunc(x)
     # x - trunc(x) is exact, so a fractional part of at least one half steps away
-    return np.add(t, np.copysign(np.abs(x - t) >= 0.5, x), out=out)
+    return t + np.copysign(np.abs(x - t) >= 0.5, x)
 
 
 def num_groups(d_in: int, group_size: int) -> int:
@@ -174,7 +178,7 @@ class QuantizedLayer:
         return self.scales.shape[1]
 
     def dequantize(self) -> np.ndarray:
-        g = np.minimum(np.arange(self.d_in) // self.group_size, self.num_groups - 1)
+        g = np.arange(self.d_in) // self.group_size
         scales = self.scales.astype(np.float64)[:, g]
         zeros = self.zeros.astype(np.float64)[:, g]
         return scales * (self.codes.astype(np.float64) - zeros)

@@ -19,10 +19,6 @@ The rounding routine factors the damped inverse curvature once, then pays
 one GEMV and one in-place quantize per column and one GEMM per block. Across
 BLAS thread counts the codes move only at an exact rounding tie; the
 per-column compensation norms move to rounding.
-
-brute_force_optimum enumerates every code assignment on the fitted grid
-(rows are independent because the objective has no cross-row terms) and is
-the test oracle for optimality-gap checks.
 """
 
 from __future__ import annotations
@@ -165,7 +161,7 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
     the stationary residual near machine precision even for poorly
     conditioned instances.
     """
-    _, ui = cholesky_with_inverse(h_e, context="h")
+    ui = cholesky_with_inverse(h_e, context="h")
     q = inverse_factor_solve(ui, r)
     residual = r - matmul(q, h_e)
     norm_r = np.sqrt(frobenius_sq(r))
@@ -213,7 +209,7 @@ def _round_sequential(problem: SolverProblem) -> tuple:
         ) from exc
 
     scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
-    col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
+    col_group = np.arange(d) // cfg.group_size
     scales_t, zeros_t = scales.T.copy(), zeros.T.astype(np.float64)
 
     work = problem.target.T.copy()
@@ -334,39 +330,3 @@ def solve_layer(
         solver="epmq",
         damped_fallback=fallback,
     )
-
-
-def brute_force_optimum(
-    problem: SolverProblem, max_assignments: int = 10_000_000
-) -> tuple[np.ndarray, float]:
-    """Exact minimizer of the problem quadratic over the fitted grid.
-
-    Enumerates all (2^bits)^d code assignments per output row (rows are
-    separable) and returns (codes, total objective). The objective matches
-    quadratic_objective on the pre-damping curvature, so solver objectives
-    can never fall below the value returned here.
-    """
-    cfg = problem.cfg
-    target = problem.target
-    d_out, d = target.shape
-    levels = 1 << cfg.bits
-    if levels**d > max_assignments:
-        raise ValueError(
-            f"search space {levels}^{d} exceeds the {max_assignments} assignment budget"
-        )
-    scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
-    col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
-
-    assignments = np.array(list(np.ndindex(*([levels] * d))), dtype=np.uint8)
-    best_codes = np.empty((d_out, d), dtype=np.uint8)
-    total = 0.0
-    for row in range(d_out):
-        row_scales = scales[row, col_group]
-        row_zeros = zeros[row, col_group]
-        values = row_scales * (assignments.astype(np.float64) - row_zeros)
-        err = values - target[row]
-        objectives = np.sum((err @ problem.curvature) * err, axis=1)
-        idx = int(np.argmin(objectives))
-        best_codes[row] = assignments[idx]
-        total += float(objectives[idx])
-    return best_codes, total

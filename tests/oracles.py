@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with plain Python loops or numpy built-ins that
-do not share code paths with the package under test. There are three
-exceptions. gptq_columnwise reuses the package's grid fitting and rounding
+do not share code paths with the package under test. There are four
+exceptions. brute_force_optimum reuses the package's grid fitting, because
+what it pins down is the best code assignment on the grids the solvers
+round to. gptq_columnwise reuses the package's grid fitting and rounding
 helpers, because what it pins down is the order of the error updates, not
 those helpers; it factors the inverse curvature its own way
 (cholesky_inverse_upper_via_inverse). gptq_columnwise_longdouble reuses the
@@ -203,31 +205,63 @@ def deviation_rows_from_scratch(run, heldout):
     return rows
 
 
-def quantize_from_scratch(merged, experts, calib, cfg, frozen=False):
+def quantize_from_scratch(merged, experts, calib, cfg):
     """Quantized model and per-layer solve reports, without an activation cache.
 
     At every layer each task is forwarded from its raw inputs with
-    forward_to_layer, through the partially quantized model (the
-    full-precision one when frozen), and the layer is solved with
-    pmq.solver.solve_layer.
+    forward_to_layer through the partially quantized model, and the layer is
+    solved with pmq.solver.solve_layer.
     """
     model = Model.from_checkpoint(merged)
-    source = Model.from_checkpoint(merged) if frozen else model
     reports = []
     for ell in range(1, model.num_layers + 1):
         stats = None
         if calib is not None:
             per_task = [
-                accumulate_stats(forward_to_layer(source, batch.inputs, ell))
+                accumulate_stats(forward_to_layer(model, batch.inputs, ell))
                 for batch in calib.batches
             ]
-            hessians, energies, counts = (list(col) for col in zip(*per_task))
-            stats = LayerCalibStats(hessians, energies, counts, d=hessians[0].shape[0])
+            hessians, energies = (list(col) for col in zip(*per_task))
+            stats = LayerCalibStats(hessians, energies, d=hessians[0].shape[0])
         expert_weights = [e.layers[ell - 1].weight for e in experts]
-        report = solve_layer(expert_weights, source.layers[ell - 1].weight, stats, cfg)
+        report = solve_layer(expert_weights, model.layers[ell - 1].weight, stats, cfg)
         model.replace_layer(ell, report.quantized)
         reports.append(report)
     return model, reports
+
+
+def brute_force_optimum(problem, max_assignments=10_000_000):
+    """Exact minimizer of the problem quadratic over the fitted grid.
+
+    Enumerates all (2^bits)^d code assignments per output row (rows are
+    separable) and returns (codes, total objective). The objective matches
+    quadratic_objective on the pre-damping curvature, so solver objectives
+    can never fall below the value returned here.
+    """
+    cfg = problem.cfg
+    target = problem.target
+    d_out, d = target.shape
+    levels = 1 << cfg.bits
+    if levels**d > max_assignments:
+        raise ValueError(
+            f"search space {levels}^{d} exceeds the {max_assignments} assignment budget"
+        )
+    scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
+    col_group = np.minimum(np.arange(d) // cfg.group_size, scales.shape[1] - 1)
+
+    assignments = np.array(list(np.ndindex(*([levels] * d))), dtype=np.uint8)
+    best_codes = np.empty((d_out, d), dtype=np.uint8)
+    total = 0.0
+    for row in range(d_out):
+        row_scales = scales[row, col_group]
+        row_zeros = zeros[row, col_group]
+        values = row_scales * (assignments.astype(np.float64) - row_zeros)
+        err = values - target[row]
+        objectives = np.sum((err @ problem.curvature) * err, axis=1)
+        idx = int(np.argmin(objectives))
+        best_codes[row] = assignments[idx]
+        total += float(objectives[idx])
+    return best_codes, total
 
 
 def frobenius_scalar(a):

@@ -31,6 +31,12 @@ def small_problem(seed=0, **kwargs):
     return make_synthetic_tasks(seed, **defaults)
 
 
+def layer_stats(model, calib, layer_index):
+    """collect_layer_stats on every task forwarded from its inputs to the layer."""
+    acts = {b.task_id: forward_to_layer(model, b.inputs, layer_index) for b in calib.batches}
+    return collect_layer_stats(model, layer_index, acts)
+
+
 class TestCalibSet:
     def test_task_ids_must_cover_range(self, rng):
         batches = [Batch(rng.normal(size=(3, 4)), task_id=2)]
@@ -82,16 +88,16 @@ class TestLayerStats:
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
         model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
-        stats, acts = collect_layer_stats(model, problem.calib, 1)
-        for batch in problem.calib.batches:
-            np.testing.assert_array_equal(acts[batch.task_id], batch.inputs)
+        stats = layer_stats(model, problem.calib, 1)
+        for batch, h in zip(problem.calib.batches, stats.hessians):
+            np.testing.assert_array_equal(forward_to_layer(model, batch.inputs, 1), batch.inputs)
+            np.testing.assert_array_equal(h, accumulate_stats(batch.inputs)[0])
         assert stats.d == 6
 
     def test_single_sample_rank_one(self, rng):
         x = rng.normal(size=(5, 1))
-        h, e, n = accumulate_stats(x)
+        h, e = accumulate_stats(x)
         np.testing.assert_allclose(h, x @ x.T, rtol=0, atol=1e-12)
-        assert n == 1
         assert abs(e - float(x.ravel() @ x.ravel())) < 1e-12
         assert np.linalg.matrix_rank(h) == 1
 
@@ -103,8 +109,8 @@ class TestLayerStats:
         from pmq.model import propagate_through_layer
 
         cache = {t: propagate_through_layer(x, model.layers[0]) for t, x in cache.items()}
-        stats_cached, _ = collect_layer_stats(model, problem.calib, 2, cached=cache)
-        stats_fresh, _ = collect_layer_stats(model, problem.calib, 2)
+        stats_cached = collect_layer_stats(model, 2, cache)
+        stats_fresh = layer_stats(model, problem.calib, 2)
         for hc, hf in zip(stats_cached.hessians, stats_fresh.hessians):
             np.testing.assert_allclose(hc, hf, rtol=0, atol=1e-10)
         for ec, ef in zip(stats_cached.energies, stats_fresh.energies):
@@ -114,14 +120,14 @@ class TestLayerStats:
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
         for ell in (1, 2):
-            stats, _ = collect_layer_stats(model, problem.calib, ell)
+            stats = layer_stats(model, problem.calib, ell)
             for h, e in zip(stats.hessians, stats.energies):
                 assert abs(np.trace(h) - e) <= 1e-9 * max(1.0, abs(e))
 
     def test_psd_probe_vectors(self, rng):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        stats, _ = collect_layer_stats(model, problem.calib, 2)
+        stats = layer_stats(model, problem.calib, 2)
         for h in stats.hessians:
             tr = np.trace(h)
             for _ in range(50):
@@ -131,47 +137,44 @@ class TestLayerStats:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
     def test_equals_gram_matrix(self, rng, n):
         x = rng.normal(size=(7, n))
-        h, e, count = accumulate_stats(x)
+        h, e = accumulate_stats(x)
         np.testing.assert_allclose(h, x @ x.T, rtol=0, atol=1e-12 * n)
-        assert count == n
         assert abs(e - float(x.ravel() @ x.ravel())) <= 1e-12 * max(1.0, e)
 
     def test_column_slice_gives_the_h_of_its_contiguous_copy(self, rng):
         x = rng.normal(size=(48, 300))[:, 7:263]
         assert not x.flags["C_CONTIGUOUS"]
-        h, e, count = accumulate_stats(x)
-        h_copy, e_copy, count_copy = accumulate_stats(np.ascontiguousarray(x))
+        h, e = accumulate_stats(x)
+        h_copy, e_copy = accumulate_stats(np.ascontiguousarray(x))
         np.testing.assert_array_equal(h, h_copy)
         np.testing.assert_array_equal(h, h.T)
-        assert (e, count) == (e_copy, count_copy)
+        assert e == e_copy
 
     def test_cache_shape_drift_detected(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
         bad_cache = {1: np.zeros((3, 4)), 2: np.zeros((3, 4))}
         with pytest.raises(ShapeError):
-            collect_layer_stats(model, problem.calib, 1, cached=bad_cache)
+            collect_layer_stats(model, 1, bad_cache)
 
 
 class TestAnchorLambda:
     def test_zero_alpha(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        stats, _ = collect_layer_stats(model, problem.calib, 1)
+        stats = layer_stats(model, problem.calib, 1)
         assert anchor_lambda(stats, 0.0) == 0.0
 
     def test_direct_arithmetic(self):
         from pmq.calib import LayerCalibStats
 
-        stats = LayerCalibStats(
-            hessians=[np.eye(4), np.eye(4)], energies=[8.0, 8.0], counts=[2, 2], d=4
-        )
+        stats = LayerCalibStats(hessians=[np.eye(4), np.eye(4)], energies=[8.0, 8.0], d=4)
         assert anchor_lambda(stats, 0.1) == pytest.approx(0.4, abs=1e-15)
 
     def test_matches_trace_form(self):
         problem = small_problem(seed=3)
         model = Model.from_checkpoint(problem.base)
-        stats, _ = collect_layer_stats(model, problem.calib, 2)
+        stats = layer_stats(model, problem.calib, 2)
         lam = anchor_lambda(stats, 0.7)
         trace_form = 0.7 / stats.d * np.trace(stats.pooled_hessian())
         assert abs(lam - trace_form) <= 1e-9 * max(1.0, abs(trace_form))

@@ -127,6 +127,22 @@ def test_config_reference_lists_every_key():
             config_from_dict(removed)
 
 
+def test_make_goldens_check_passes_in_a_fresh_interpreter():
+    done = subprocess.run(
+        [sys.executable, str(DATA / "make_goldens.py"), "--check"],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert sorted(line.split(":")[0] for line in lines) == sorted(
+        p.name for p in DATA.glob("*_golden.json")
+    )
+    assert all(line.endswith(": ok") for line in lines)
+
+
 class TestGen:
     def test_same_seed_identical_hashes(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -489,6 +505,31 @@ class TestExitCodes:
         assert run_cli("gen", "--config", cfg, "--out", str(out), "--set", f"seed={seed}") == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "seed must be a non-negative integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"dims": [8.0, 4.0]},
+            {"k": 2.0},
+            {"k": True},
+            {"samples_per_task": 16.0},
+            {"heldout_samples": 1e9},
+            {"dims": [8, 4], "train_steps": "x"},
+            {"train_samples": 64.0},
+            {"train_samples": -1},
+            {"quant.bits": 4.5},
+            {"quant.group_size": 2.5},
+        ],
+        ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()),
+    )
+    def test_count_not_a_valid_integer_is_2(self, tmp_path, capsys, overrides):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("gen", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config error" in err and "integer" in err
         assert not out.exists()
 
     def test_missing_input_is_4(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmq.pipeline
-from pmq.calib import CalibSet, collect_layer_stats, make_synthetic_tasks
+from pmq.calib import CalibSet, make_synthetic_tasks
 from pmq.checkpoint import Checkpoint, LayerWeights
 from pmq.merge import MergeSpec, apply_merge
 from pmq.model import EMPTY_PREFIX, Batch, Model, chain_link, forward, forward_to_layer
@@ -21,7 +21,7 @@ from pmq.quant import QuantConfig, rtn_quantize
 from pmq.solver import epmq_objective, solve_layer
 
 from oracles import deviation_rows_from_scratch, mse_reference, quantize_from_scratch
-from test_calib import small_problem
+from test_calib import layer_stats, small_problem
 
 
 def merged_problem(seed=0, **kwargs):
@@ -31,17 +31,12 @@ def merged_problem(seed=0, **kwargs):
 
 
 def run_method(problem, merged, method):
-    """One run per route: epmq, gptq, rtn, or gptq on the frozen trajectory."""
+    """One run per route: epmq, gptq or rtn."""
     if method == "epmq":
         cfg = QuantConfig(bits=3, group_size=8, solver="epmq", alpha=0.01)
         return run_epmq(merged, problem.experts, problem.calib, cfg)
-    solver = "gptq" if method == "frozen" else method
     return quantize(
-        merged,
-        problem.experts,
-        problem.calib,
-        QuantConfig(bits=3, group_size=8, solver=solver),
-        quantized_trajectory=method != "frozen",
+        merged, problem.experts, problem.calib, QuantConfig(bits=3, group_size=8, solver=method)
     )
 
 
@@ -78,7 +73,7 @@ class TestRunEpmq:
         # re-create the state right before layer 2 was replaced: only layer 1 quantized
         partial = Model.from_checkpoint(merged)
         partial.replace_layer(1, run.model.layers[0].source)
-        stats, _ = collect_layer_stats(partial, problem.calib, 2)
+        stats = layer_stats(partial, problem.calib, 2)
         redo = solve_layer(
             [e.layers[1].weight for e in problem.experts],
             merged.layers[1].weight,
@@ -175,16 +170,6 @@ class TestRunNaivePtq:
                 better += rep_g.solve.objective <= rep_r.solve.objective
         assert better >= 0.95 * total
 
-    def test_frozen_trajectory_option(self):
-        problem, merged = merged_problem(seed=9, dims=[6, 8, 5])
-        cfg = QuantConfig(bits=3, group_size=8, solver="gptq")
-        run_frozen = quantize(merged, [], problem.calib, cfg, quantized_trajectory=False)
-        # layer-1 codes agree with the default (same inputs), later layers may differ
-        run_default = quantize(merged, [], problem.calib, cfg)
-        np.testing.assert_array_equal(
-            run_frozen.model.layers[0].source.codes, run_default.model.layers[0].source.codes
-        )
-
 
 class TestDeviationDiagnostics:
     def test_unquantized_model_zero_quant_deviation(self):
@@ -223,7 +208,7 @@ class TestDeviationDiagnostics:
         assert report.max_identity_error() <= 1e-9
 
 
-    @pytest.mark.parametrize("method", ["epmq", "gptq", "rtn", "frozen"])
+    @pytest.mark.parametrize("method", ["epmq", "gptq", "rtn"])
     def test_one_pass_rows_equal_from_scratch_oracle(self, method):
         problem, merged = merged_problem(seed=17, dims=[6] * 10, num_tasks=3)
         run = run_method(problem, merged, method)
@@ -253,14 +238,12 @@ class TestActivationCache:
     @given(
         seed=st.integers(0, 2**16),
         dims=st.lists(st.integers(3, 9), min_size=2, max_size=5),
-        method=st.sampled_from(["epmq", "gptq", "rtn", "frozen"]),
+        method=st.sampled_from(["epmq", "gptq", "rtn"]),
     )
     def test_pipeline_equals_from_scratch_oracle(self, seed, dims, method):
         problem, merged = merged_problem(seed=seed, dims=dims)
         run = run_method(problem, merged, method)
-        model, reports = quantize_from_scratch(
-            merged, problem.experts, problem.calib, run.cfg, frozen=method == "frozen"
-        )
+        model, reports = quantize_from_scratch(merged, problem.experts, problem.calib, run.cfg)
         for got, want in zip(run.model.layers, model.layers):
             assert (got.source.codes == want.source.codes).all()
         assert [rep.solve.to_json_dict() for rep in run.layer_reports] == [
@@ -273,15 +256,13 @@ class TestTrajectoryChecksum:
     @given(
         seed=st.integers(0, 2**16),
         depth=st.integers(1, 5),
-        method=st.sampled_from(["epmq", "gptq", "rtn", "frozen"]),
+        method=st.sampled_from(["epmq", "gptq", "rtn"]),
     )
     def test_checksum_is_chain_over_layers_before(self, seed, depth, method):
         problem, merged = merged_problem(seed=seed, dims=[5] * (depth + 1))
         run = run_method(problem, merged, method)
-        # the frozen trajectory calibrates every layer on the full-precision model
-        trajectory = Model.from_checkpoint(merged) if method == "frozen" else run.model
         for ell, rep in enumerate(run.layer_reports, start=1):
-            assert rep.trajectory_checksum == prefix_chain(trajectory.layers[: ell - 1])
+            assert rep.trajectory_checksum == prefix_chain(run.model.layers[: ell - 1])
         assert run.layer_reports[0].trajectory_checksum == EMPTY_PREFIX.hex()
 
     def test_state_checksum_is_the_chain_over_every_layer(self):
@@ -311,7 +292,7 @@ class TestTrajectoryChecksum:
 
 
 class TestStateGuard:
-    @pytest.mark.parametrize("method", ["epmq", "frozen"])
+    @pytest.mark.parametrize("method", ["epmq", "gptq"])
     def test_solver_writing_merged_weight_raises(self, monkeypatch, method):
         problem, merged = merged_problem(seed=23, dims=[6, 8, 7, 5])
         original = pmq.pipeline.solve_layer

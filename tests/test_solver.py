@@ -7,11 +7,10 @@ import pytest
 
 import pmq.solver
 from pmq.calib import LayerCalibStats
-from pmq.linalg import SingularMatrixError, cholesky_solve, cholesky_with_inverse, frobenius_sq
+from pmq.linalg import SingularMatrixError, cholesky_solve, frobenius_sq
 from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
 from pmq.solver import (
     SolverProblem,
-    brute_force_optimum,
     build_epmq_statistics,
     continuous_solution,
     epmq_objective,
@@ -22,6 +21,7 @@ from pmq.solver import (
 
 from conftest import ill_conditioned_gram, random_spd, subprocess_env
 from oracles import (
+    brute_force_optimum,
     gptq_columnwise,
     gptq_columnwise_longdouble,
     gradient_descent_anchored,
@@ -35,7 +35,6 @@ def random_stats(rng, d, k, n=10, energy_scale=1.0):
         LayerCalibStats(
             hessians=[x @ x.T for x in xs],
             energies=[float(np.sum(x * x)) for x in xs],
-            counts=[n] * k,
             d=d,
         ),
         xs,
@@ -165,7 +164,6 @@ class TestObjectiveReduction:
             stats = LayerCalibStats(
                 hessians=[x @ x.T for x in xs],
                 energies=[float(np.sum(x * x)) for x in xs],
-                counts=[x.shape[1] for x in xs],
                 d=d,
             )
             alpha = float(rng.uniform(0.01, 1.0))
@@ -174,7 +172,7 @@ class TestObjectiveReduction:
             constant = expanded_objective(w_star, xs, ws, wm, lam)
             q = rng.normal(size=(2, d))
             expanded = expanded_objective(q, xs, ws, wm, lam)
-            ell = cholesky_with_inverse(h_e)[0].T
+            ell = np.linalg.cholesky(h_e)
             reduced = float(np.sum(((q - w_star) @ ell) ** 2))
             assert abs(expanded - (reduced + constant)) <= 1e-6 * max(1.0, abs(expanded))
 
@@ -396,7 +394,6 @@ class TestEpmqSolve:
             stats = LayerCalibStats(
                 hessians=[x @ x.T for x in xs],
                 energies=[float(np.sum(x * x)) for x in xs],
-                counts=[10, 10],
                 d=d,
             )
             cfg = QuantConfig(bits=2, group_size=4, solver="epmq", alpha=0.01)
@@ -422,7 +419,7 @@ class TestEpmqSolve:
         d = 8
         x = rng.normal(size=(d, 3))  # rank 3 < d
         stats = LayerCalibStats(
-            hessians=[x @ x.T], energies=[float(np.sum(x * x))], counts=[3], d=d
+            hessians=[x @ x.T], energies=[float(np.sum(x * x))], d=d
         )
         wm = rng.normal(size=(2, d))
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
@@ -436,7 +433,7 @@ class TestEpmqSolve:
         d = 150
         x = r.normal(size=(d, 100))
         stats = LayerCalibStats(
-            hessians=[x @ x.T], energies=[float(np.sum(x * x))], counts=[100], d=d
+            hessians=[x @ x.T], energies=[float(np.sum(x * x))], d=d
         )
         wm = r.normal(size=(4, d)) / np.sqrt(d)
         cfg = QuantConfig(bits=4, group_size=64, solver="epmq", alpha=0.0)
@@ -467,6 +464,29 @@ class TestEpmqSolve:
         np.testing.assert_array_equal(rep_m.quantized.scales, rtn.scales)
         np.testing.assert_array_equal(rep_m.quantized.zeros, rtn.zeros)
         assert rep_t.quantized.scales.shape == rep_m.quantized.scales.shape
+
+
+class TestCompensationNorms:
+    @pytest.mark.parametrize("d", [65, 300])
+    @pytest.mark.parametrize("solver", ["epmq", "gptq"])
+    def test_squared_norms_sum_to_the_damped_rounding_loss(self, solver, d):
+        """sum_j comp_j^2 = tr((Q - T)(H + delta*I)(Q - T)^T): GPTQ's per-column loss,
+        a check of the rounding loop that holds at any width, with T = W* and
+        H = H_E for epmq, T = W_m and H = sum_i H_i for gptq."""
+        rng = np.random.default_rng(d)
+        stats, _ = random_stats(rng, d, k=2, n=d + 16)
+        wm = rng.normal(size=(16, d)) / np.sqrt(d)
+        experts = [wm + 0.1 * rng.normal(size=wm.shape) / np.sqrt(d) for _ in range(2)]
+        cfg = QuantConfig(bits=4, group_size=32, solver=solver)
+        rep = solve_layer(experts, wm, stats, cfg)
+        if solver == "epmq":
+            h, r, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+            target = continuous_solution(h, r)
+        else:
+            h, target = stats.pooled_hessian(), wm
+        e = rep.quantized.dequantize() - target
+        loss = float(np.sum((e @ (h + rep.damping * np.eye(d))) * e))
+        assert abs(float(np.sum(rep.per_column_comp_norms**2)) - loss) <= 1e-12 * loss
 
 
 class TestBruteForce:
