@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, LayerWeights, ModelManifest, LayerSpec
-from .linalg import ShapeError, as_matrix, frobenius_sq, matmul
+from .linalg import ShapeError, as_matrix, matmul
 from .model import (
     Batch,
     Model,
@@ -75,12 +75,16 @@ class LayerCalibStats:
 
 
 def accumulate_stats(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(H, energy) for one activation matrix: H = X X^T, energy = ||X||_F^2."""
+    """(H, energy) for one activation matrix: H = X X^T, energy = trace(H).
+
+    trace(H) = ||X||_F^2 in exact arithmetic; in floating point each H_jj
+    keeps the BLAS summation order of the product.
+    """
     x = as_matrix(x, "x")
     with np.errstate(over="ignore", invalid="ignore"):
         h = x @ x.T  # on a contiguous x numpy takes the syrk path
-        energy = frobenius_sq(x)
-    if not np.isfinite(h).all():
+        energy = float(np.trace(h))
+    if not (np.isfinite(h).all() and np.isfinite(energy)):
         raise FloatingPointError("calibration statistics overflowed (non-finite curvature)")
     return h, energy
 

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import numbers
 import os
 import sys
 import time
@@ -40,6 +41,11 @@ from .quant import QuantConfig
 from .tensorfile import TensorFileError, write_atomic, write_json
 
 SWEEP_AXES = ("bits", "alpha", "samples")
+
+
+def _is_real(value) -> bool:
+    """A real number proper: an int or float, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -82,6 +88,17 @@ class RunConfig:
         for m in self.sweep_methods:
             if m not in ("rtn", "gptq", "epmq"):
                 raise ConfigError(f"unknown sweep method '{m}'")
+        for name in ("learning_rate", "teacher_scale"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name, wanted, ok in (
+            ("sweep_bits", "integers", lambda v: type(v) is int),
+            ("sweep_samples", "integers", lambda v: type(v) is int),
+            ("sweep_alpha", "real numbers", _is_real),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(map(ok, values)):
+                raise ConfigError(f"{name} must be a list of {wanted}, got {values!r}")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)  # merge and quant become nested dicts too
@@ -291,11 +308,11 @@ def _point_config(cfg: RunConfig, axis: str, value, method: str) -> RunConfig:
     quant["solver"] = method
     samples = cfg.samples_per_task
     if axis == "bits":
-        quant["bits"] = int(value)
+        quant["bits"] = value
     elif axis == "alpha":
         quant["alpha"] = float(value)
     else:
-        samples = int(value)
+        samples = value
     return dataclasses.replace(cfg, quant=QuantConfig(**quant), samples_per_task=samples)
 
 

@@ -14,8 +14,9 @@ import numpy as np
 
 # widths that numpy.linalg factors directly; wider blocks split in two
 FACTOR_LEAF = 64
-# elements squared per pass of frobenius_sq
-FROBENIUS_CHUNK = 1 << 15
+# elements in one bounded temporary: a pass of frobenius_sq, a row panel of
+# check_symmetric
+CHUNK_ELEMENTS = 1 << 15
 
 
 class ShapeError(ValueError):
@@ -57,10 +58,10 @@ def frobenius_sq(a) -> float:
     """Sum of squared entries, accumulated in row-major element order: chunk by
     chunk through one buffer, each chunk's first square taking the running total."""
     flat = as_matrix(a, "a").ravel()
-    buf = np.empty(min(flat.size, FROBENIUS_CHUNK))
+    buf = np.empty(min(flat.size, CHUNK_ELEMENTS))
     total = 0.0
-    for i in range(0, flat.size, FROBENIUS_CHUNK):
-        chunk = flat[i : i + FROBENIUS_CHUNK]
+    for i in range(0, flat.size, CHUNK_ELEMENTS):
+        chunk = flat[i : i + CHUNK_ELEMENTS]
         sq = np.multiply(chunk, chunk, out=buf[: len(chunk)])
         sq[0] += total
         total = float(np.add.accumulate(sq, out=sq)[-1])
@@ -68,13 +69,23 @@ def frobenius_sq(a) -> float:
 
 
 def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.ndarray:
-    """Require an entrywise-symmetric square matrix (|H - H^T| <= rtol * |H|)."""
+    """Require an entrywise-symmetric square matrix (|H - H^T| <= rtol * |H|).
+
+    Compares the upper triangle with the lower one in row panels of about
+    CHUNK_ELEMENTS entries, so no d x d temporary is formed.
+    """
     h = as_matrix(h, name)
-    if h.shape[0] != h.shape[1]:
+    d = h.shape[0]
+    if d != h.shape[1]:
         raise ShapeError(f"{name} must be square, got {h.shape}")
     if h.size:
-        scale = float(np.abs(h).max())
-        asym = float(np.abs(h - h.T).max())
+        scale = max(float(h.max()), -float(h.min()))
+        asym = 0.0
+        rows = max(1, CHUNK_ELEMENTS // d)
+        for r0 in range(0, d, rows):
+            r1 = min(r0 + rows, d)
+            diff = np.subtract(h[r0:r1, r0:], h[r0:, r0:r1].T)
+            asym = max(asym, float(np.abs(diff, out=diff).max()))
         if asym > rtol * max(scale, 1e-300):
             raise ValueError(f"{name} is not symmetric: max|H-H^T|={asym:g} vs max|H|={scale:g}")
     return h

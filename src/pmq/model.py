@@ -1,9 +1,10 @@
 """Sequential feed-forward model semantics.
 
 A Model realizes each checkpoint layer from either a full-precision matrix
-or a quantized layer (dequantized on first use and cached). Forward passes
-are pure; replacing a layer's weight source mutates the model and is only
-done by the quantization pipeline, which serializes those writes.
+or a quantized layer (its `weight`: the values its solver formed, or
+dequantized on first use). Forward passes are pure; replacing a layer's
+weight source mutates the model and is only done by the quantization
+pipeline, which serializes those writes.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class RealizedLayer:
     def weight(self) -> np.ndarray:
         if self._weight is None:
             if self.is_quantized:
-                self._weight = self.source.dequantize()
+                self._weight = self.source.weight
             else:
                 self._weight = np.asarray(self.source, dtype=np.float64)
             if self._weight.shape != (self.spec.d_out, self.spec.d_in):
@@ -183,7 +184,9 @@ def propagate_through_layer(x: np.ndarray, layer: RealizedLayer) -> np.ndarray:
         )
     y = matmul(layer.weight, x)
     if layer.bias is not None:
-        y = y + layer.bias[:, None]
+        y += layer.bias[:, None]  # y is this call's own product
+    # relu writes a fresh array: writing it in place too raised the peak RSS
+    # of 512-wide runs by ~1 MB, through glibc's heap layout
     return apply_activation(layer.spec.activation, y)
 
 

@@ -9,7 +9,8 @@ all arithmetic around them happens in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,22 @@ class QuantConfig:
             raise ValueError(f"unknown grid_source '{self.grid_source}' (allowed: {GRID_SOURCES})")
 
 
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero."""
+# the largest double below one half
+_BELOW_HALF = 0.5 - 2.0**-54
+
+
+def round_half_away(x, out=None, scratch=None):
+    """Round to nearest integer, halves away from zero.
+
+    Computed as trunc(x + copysign(0.5 - 2^-54, x)): the sum rounds past the
+    next integer exactly when |frac(x)| >= 1/2, and is exact or integral for
+    |x| >= 2^52, so every finite x rounds correctly, the sign of zero kept.
+    With `out` (which may be x) and `scratch`, buffers shaped like x, no new
+    array is formed.
+    """
     x = np.asarray(x, dtype=np.float64)
-    t = np.trunc(x)
-    # x - trunc(x) is exact, so a fractional part of at least one half steps away
-    return t + np.copysign(np.abs(x - t) >= 0.5, x)
+    stepped = np.add(x, np.copysign(_BELOW_HALF, x, out=scratch), out=out)
+    return np.trunc(stepped, out=out)
 
 
 def num_groups(d_in: int, group_size: int) -> int:
@@ -135,6 +146,11 @@ class QuantizedLayer:
     codes are kept unpacked in memory ((d_out, d_in) uint8, each in
     [0, 2^bits - 1]); pack_codes/unpack_codes produce the serialized
     bitstream. scales are (d_out, num_groups) float32, zeros int32.
+
+    `weight` is the realized weight scale * (code - zero). A solver that has
+    already formed those values passes them as `values`, bit for bit what
+    dequantize() gives, and they are kept as the weight; otherwise the
+    weight is dequantized on first use.
     """
 
     codes: np.ndarray
@@ -142,8 +158,9 @@ class QuantizedLayer:
     zeros: np.ndarray
     bits: int
     group_size: int
+    values: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, values):
         codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
         scales = np.ascontiguousarray(self.scales, dtype=np.float32)
         zeros = np.ascontiguousarray(self.zeros, dtype=np.int32)
@@ -164,6 +181,12 @@ class QuantizedLayer:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "zeros", zeros)
+        if values is not None:
+            if values.shape != codes.shape or values.dtype != np.float64:
+                raise ValueError(
+                    f"values must be float64 {codes.shape}, got {values.dtype} {values.shape}"
+                )
+            self.__dict__["weight"] = values  # the cached_property's slot
 
     @property
     def d_out(self) -> int:
@@ -182,6 +205,11 @@ class QuantizedLayer:
         scales = self.scales.astype(np.float64)[:, g]
         zeros = self.zeros.astype(np.float64)[:, g]
         return scales * (self.codes.astype(np.float64) - zeros)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """The realized weight: the solver's values, else dequantized once."""
+        return self.dequantize()
 
 
 def rtn_quantize(W, cfg: QuantConfig) -> QuantizedLayer:

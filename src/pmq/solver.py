@@ -18,7 +18,9 @@ what they round toward:
 The rounding routine factors the damped inverse curvature once, then pays
 one GEMV and one in-place quantize per column and one GEMM per block. Across
 BLAS thread counts the codes move only at an exact rounding tie; the
-per-column compensation norms move to rounding.
+per-column compensation norms move to rounding. The values
+scale * (code - zero) the rounding forms become the quantized layer's
+realized weight, so no solved layer is dequantized again.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ from .linalg import (
     inverse_factor_solve,
     matmul,
 )
-from .quant import QuantConfig, QuantizedLayer, fit_layer_grids, rtn_quantize
+from .quant import (
+    QuantConfig,
+    QuantizedLayer,
+    fit_layer_grids,
+    round_half_away,
+    rtn_quantize,
+)
 
 # columns rounded one by one between two lazy batch updates
 ROUNDING_BLOCK = 128
@@ -193,8 +201,11 @@ def _round_sequential(problem: SolverProblem) -> tuple:
     to all later columns. The compensation norms ||err_j|| depend on the
     summation order of these products, so they move to rounding with the
     BLAS thread count; the codes move only at an exact rounding tie.
-    Returns (quantized layer, its values scale * (code - zero) as (d_out, d),
-    damping applied, per-column compensation norms).
+    Each column is rounded in place in the values row, with its grid row and
+    pivot looked up from Python lists; the squared compensation norms are
+    summed once per block and their square roots taken once per layer.
+    Returns (quantized layer, whose weight is the values scale * (code - zero)
+    formed here, damping applied, per-column compensation norms).
     """
     cfg = problem.cfg
     d_out, d = problem.target.shape
@@ -209,35 +220,40 @@ def _round_sequential(problem: SolverProblem) -> tuple:
         ) from exc
 
     scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
-    col_group = np.arange(d) // cfg.group_size
-    scales_t, zeros_t = scales.T.copy(), zeros.T.astype(np.float64)
+    # each column's grid row, and each pivot, looked up once as Python objects
+    scale_rows, zero_rows = list(scales.T.copy()), list(zeros.T.astype(np.float64))
+    col_scales = [scale_rows[j // cfg.group_size] for j in range(d)]
+    col_zeros = [zero_rows[j // cfg.group_size] for j in range(d)]
+    pivots = u.diagonal().tolist()
 
     work = problem.target.T.copy()
     codes = np.empty((d, d_out), dtype=np.uint8)
     values = np.empty((d, d_out))
     errs = np.empty((min(ROUNDING_BLOCK, d), d_out))
-    comp_norms = np.zeros(d)
-    maxq = float((1 << cfg.bits) - 1)
-    trunc, frac, half = np.empty(d_out), np.empty(d_out), np.empty(d_out, dtype=bool)
+    comp_sq = np.empty(d)
+    # the code range as arrays, so clipping converts no Python scalar per column
+    lowest, highest = np.zeros(d_out), np.full(d_out, float((1 << cfg.bits) - 1))
+    scratch = np.empty(d_out)
     for b0 in range(0, d, ROUNDING_BLOCK):
         b1 = min(b0 + ROUNDING_BLOCK, d)
         for j in range(b0, b1):
             w, v, err = work[j], values[j], errs[j - b0]
-            w -= u[b0:j, j] @ errs[: j - b0]
-            s, z = scales_t[col_group[j]], zeros_t[col_group[j]]
-            # code = clip(round_half_away(w / s) + z, 0, maxq), in the values and scratch rows
-            np.trunc(np.divide(w, s, out=v), out=trunc)
-            np.greater_equal(np.abs(np.subtract(v, trunc, out=frac), out=frac), 0.5, out=half)
-            np.add(trunc, np.copysign(half, v, out=frac), out=v)
+            if j > b0:
+                w -= u[b0:j, j] @ errs[: j - b0]
+            s, z = col_scales[j], col_zeros[j]
+            # code = clip(round_half_away(w / s) + z, 0, 2^bits - 1), in the values row
+            round_half_away(np.divide(w, s, out=v), out=v, scratch=scratch)
             v += z
-            np.minimum(np.maximum(v, 0.0, out=v), maxq, out=v)
+            np.minimum(np.maximum(v, lowest, out=v), highest, out=v)
             codes[j] = v
             v -= z
             v *= s
             np.subtract(w, v, out=err)
-            err /= u[j, j]
-            comp_norms[j] = np.sqrt(np.dot(err, err))
-        work[b1:] -= u[b0:b1, b1:].T @ errs[: b1 - b0]
+            err /= pivots[j]
+        block_errs = errs[: b1 - b0]
+        comp_sq[b0:b1] = np.einsum("ij,ij->i", block_errs, block_errs)
+        work[b1:] -= u[b0:b1, b1:].T @ block_errs
+    del u, work  # dead before the two output copies, so they do not raise the peak
 
     quantized = QuantizedLayer(
         codes=np.ascontiguousarray(codes.T),
@@ -245,8 +261,9 @@ def _round_sequential(problem: SolverProblem) -> tuple:
         zeros=zeros,
         bits=cfg.bits,
         group_size=cfg.group_size,
+        values=np.ascontiguousarray(values.T),
     )
-    return quantized, np.ascontiguousarray(values.T), damp, comp_norms
+    return quantized, damp, np.sqrt(comp_sq)
 
 
 def gptq_solve(problem: SolverProblem) -> SolveReport:
@@ -255,10 +272,10 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     Rounds with _round_sequential; the reported objective is recomputed
     from scratch on the final codes' values against the pre-damping curvature.
     """
-    quantized, values, damp, comp_norms = _round_sequential(problem)
+    quantized, damp, comp_norms = _round_sequential(problem)
     return SolveReport(
         quantized=quantized,
-        objective=quadratic_objective(values, problem.target, problem.curvature),
+        objective=quadratic_objective(quantized.weight, problem.target, problem.curvature),
         lam=0.0,
         damping=damp,
         per_column_comp_norms=comp_norms,
@@ -288,7 +305,7 @@ def solve_layer(
         objective = None
         if stats is not None:
             objective = quadratic_objective(
-                quantized.dequantize(), merged_weight, stats.pooled_hessian()
+                quantized.weight, merged_weight, stats.pooled_hessian()
             )
         return SolveReport(
             quantized=quantized,
@@ -320,10 +337,10 @@ def solve_layer(
     problem = SolverProblem(
         target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg
     )
-    quantized, values, damp, comp_norms = _round_sequential(problem)
+    quantized, damp, comp_norms = _round_sequential(problem)
     return SolveReport(
         quantized=quantized,
-        objective=epmq_objective(values, expert_weights, merged_weight, stats, lam),
+        objective=epmq_objective(quantized.weight, expert_weights, merged_weight, stats, lam),
         lam=lam,
         damping=damp,
         per_column_comp_norms=comp_norms,

@@ -272,6 +272,24 @@ def frobenius_scalar(a):
     return total
 
 
+def round_half_away_by_fraction(x):
+    """Round to nearest, halves away from zero, by testing the fractional part:
+    trunc(x) + copysign(|x - trunc(x)| >= 1/2, x), exact as x - trunc(x) is."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.trunc(x)
+    return t + np.copysign(np.abs(x - t) >= 0.5, x)
+
+
+def symmetric_by_full_difference(h, rtol=1e-9):
+    """Whether max|H - H^T| <= rtol * max|H|, from the whole d x d difference
+    (a NaN anywhere accepts, as the comparison is then false)."""
+    h = np.asarray(h, dtype=np.float64)
+    scale = float(np.abs(h).max())
+    with np.errstate(invalid="ignore"):
+        asym = float(np.abs(h - h.T).max())
+    return not asym > rtol * max(scale, 1e-300)
+
+
 def solve_right_via_inverse(h, rhs):
     """S @ h = rhs solved with an explicit LU-based inverse."""
     return np.asarray(rhs, dtype=np.float64) @ np.linalg.inv(np.asarray(h, dtype=np.float64))

@@ -141,6 +141,19 @@ class TestLayerStats:
         np.testing.assert_allclose(h, x @ x.T, rtol=0, atol=1e-12 * n)
         assert abs(e - float(x.ravel() @ x.ravel())) <= 1e-12 * max(1.0, e)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 33), (48, 256)])
+    def test_energy_is_the_trace_of_h(self, rng, shape):
+        x = rng.normal(size=shape)
+        h, e = accumulate_stats(x)
+        assert e == float(np.trace(h))
+        assert abs(e - frobenius_sq(x)) <= 1e-13 * e
+
+    def test_overflowing_energy_raises(self):
+        # every H_jj is finite, their sum is not
+        x = np.full((4, 1), 1e154)
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            accumulate_stats(x)
+
     def test_column_slice_gives_the_h_of_its_contiguous_copy(self, rng):
         x = rng.normal(size=(48, 300))[:, 7:263]
         assert not x.flags["C_CONTIGUOUS"]

@@ -532,6 +532,53 @@ class TestExitCodes:
         assert "Traceback" not in err and "config error" in err and "integer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sweep_bits": [4.5]},
+            {"sweep_bits": [3, True]},
+            {"sweep_bits": 4},
+            {"sweep_samples": [8.7]},
+            {"sweep_samples": ["64"]},
+        ],
+        ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()),
+    )
+    def test_sweep_entry_not_an_integer_is_2(self, tmp_path, capsys, overrides):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--axis", "bits") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config error" in err and "integers" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"learning_rate": "x"},
+            {"learning_rate": True},
+            {"teacher_scale": "x"},
+            {"teacher_scale": None},
+            {"sweep_alpha": [0.1, "x"]},
+            {"sweep_alpha": [False]},
+        ],
+        ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()),
+    )
+    def test_rate_or_scale_not_a_real_number_is_2(self, tmp_path, capsys, overrides):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("gen", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config error" in err and "real number" in err
+        assert not out.exists()
+
+    def test_integer_rates_and_alphas_are_real_numbers(self):
+        cfg = config_from_dict(
+            {"learning_rate": 1, "teacher_scale": 0, "sweep_alpha": [0, 1, 0.5]}
+        )
+        assert (cfg.learning_rate, cfg.teacher_scale, cfg.sweep_alpha) == (1, 0, [0, 1, 0.5])
+
     def test_missing_input_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert run_cli("eval", "--config", cfg, "--out", str(tmp_path / "empty")) == 4

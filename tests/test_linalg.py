@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from pmq.linalg import (
-    FROBENIUS_CHUNK,
+    CHUNK_ELEMENTS,
     ShapeError,
     SingularMatrixError,
     cholesky_inverse_upper,
     cholesky_solve,
+    check_symmetric,
     cholesky_with_inverse,
     frobenius_sq,
     matmul,
@@ -26,6 +27,7 @@ from oracles import (
     frobenius_scalar,
     matmul_triple_loop,
     solve_right_via_inverse,
+    symmetric_by_full_difference,
 )
 
 
@@ -96,7 +98,7 @@ class TestFrobenius:
     def test_chunks_keep_the_row_major_order(self, rng, shape):
         # the last chunk of (181, 400) is short; every chunk boundary carries the total
         a = rng.normal(size=shape)
-        assert (a.size <= FROBENIUS_CHUNK) == (shape == (128, 256))
+        assert (a.size <= CHUNK_ELEMENTS) == (shape == (128, 256))
         assert frobenius_sq(a) == frobenius_scalar(a)
 
 
@@ -137,6 +139,65 @@ class TestCholeskySolve:
         h[0, 1] += 1.0
         with pytest.raises(ValueError, match="symmetric"):
             cholesky_solve(h, np.ones((1, 4)))
+
+
+def check_symmetric_accepts(h):
+    try:
+        with np.errstate(invalid="ignore"):
+            check_symmetric(h)
+    except ValueError as exc:
+        assert "not symmetric" in str(exc)
+        return False
+    return True
+
+
+class TestCheckSymmetric:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 5, 64, 181, 200, 300]),
+        seed=st.integers(0, 2**31),
+        gap=st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0, 1e6]),
+        special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_accepts_and_rejects_as_the_full_difference(self, d, seed, gap, special):
+        rng = np.random.default_rng(seed)
+        h = random_spd(rng, d)
+        scale = float(np.abs(h).max())
+        i, j = sorted(rng.integers(0, d, size=2))
+        h[i, j] += gap * 1e-9 * scale * rng.choice([-1.0, 1.0])
+        if special is not None:
+            k, m = rng.integers(0, d, size=2)
+            h[k, m] = special
+            if rng.integers(2):
+                h[m, k] = special
+        assert check_symmetric_accepts(h) == symmetric_by_full_difference(h)
+
+    @pytest.mark.parametrize("d", [3, CHUNK_ELEMENTS // 100 + 7])
+    def test_panels_cover_every_row(self, d):
+        # one panel, or several with a short last one: each row's first and
+        # last entries right of the diagonal are checked
+        for i in range(d - 1):
+            for j in {i + 1, d - 1}:
+                g = np.eye(d)
+                g[i, j] = 1e-3
+                assert not check_symmetric_accepts(g)
+                assert not check_symmetric_accepts(g.T)
+
+    def test_forms_no_square_temporary(self):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        d = 1024
+        h = random_spd(np.random.default_rng(0), d)
+        tracemalloc.start()
+        try:
+            check_symmetric(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes // 8
+
+    def test_not_square_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            check_symmetric(np.zeros((2, 3)))
 
 
 class TestCholeskyInverseUpper:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmq.calib
+import pmq.linalg
 import pmq.pipeline
+import pmq.solver
 from pmq.calib import CalibSet, make_synthetic_tasks
 from pmq.checkpoint import Checkpoint, LayerWeights
 from pmq.merge import MergeSpec, apply_merge
@@ -17,7 +20,7 @@ from pmq.pipeline import (
     run_epmq,
     run_to_json_dict,
 )
-from pmq.quant import QuantConfig, rtn_quantize
+from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
 from pmq.solver import epmq_objective, solve_layer
 
 from oracles import deviation_rows_from_scratch, mse_reference, quantize_from_scratch
@@ -133,6 +136,51 @@ class TestRunEpmq:
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.01)
         with np.errstate(all="ignore"), pytest.raises(Exception, match="layer"):
             run_epmq(merged, problem.experts, bad_calib, cfg)
+
+
+class TestRealizedWeights:
+    @pytest.mark.parametrize("method", ["epmq", "gptq", "rtn"])
+    def test_installed_weight_is_the_solver_values(self, method):
+        problem, merged = merged_problem(seed=5, dims=[6, 8, 7, 5])
+        run = run_method(problem, merged, method)
+        for layer, rep in zip(run.model.layers, run.layer_reports):
+            assert layer.weight is rep.solve.quantized.weight
+            assert layer.weight.tobytes() == layer.source.dequantize().tobytes()
+
+    def test_epmq_run_never_dequantizes_nor_squares_activations(self, monkeypatch):
+        """An epmq quantize (and the evaluation after it) reads every realized weight
+        from its solver, and accumulate_stats takes the energy from H, not from a
+        second pass of frobenius_sq over X."""
+        problem, merged = merged_problem(seed=5, dims=[6, 8, 7, 5])
+        dequantized = counting(monkeypatch, QuantizedLayer, "dequantize")
+        in_stats = [0]
+        squared = []  # per frobenius_sq call: was accumulate_stats running?
+        real_stats = pmq.calib.accumulate_stats
+
+        def stats_spy(x):
+            in_stats[0] += 1
+            try:
+                return real_stats(x)
+            finally:
+                in_stats[0] -= 1
+
+        monkeypatch.setattr(pmq.calib, "accumulate_stats", stats_spy)
+        for module in (pmq.linalg, pmq.calib, pmq.solver):
+            if hasattr(module, "frobenius_sq"):
+                real = module.frobenius_sq
+
+                def frobenius_spy(a, _real=real):
+                    squared.append(in_stats[0] > 0)
+                    return _real(a)
+
+                monkeypatch.setattr(module, "frobenius_sq", frobenius_spy)
+        stats_calls = counting(monkeypatch, pmq.calib, "accumulate_stats")
+        run = run_method(problem, merged, "epmq")
+        evaluate(run.model, problem.heldout)
+        deviation_diagnostics(run, problem.heldout)
+        assert len(stats_calls) == 3 * problem.calib.num_tasks
+        assert squared and not any(squared)  # the solver's own calls were seen
+        assert dequantized == []
 
 
 class TestRunNaivePtq:

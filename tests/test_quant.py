@@ -15,7 +15,7 @@ from pmq.quant import (
     unpack_codes,
 )
 
-from oracles import enumerate_quadratic_min, pack_bits_reference
+from oracles import enumerate_quadratic_min, pack_bits_reference, round_half_away_by_fraction
 
 
 class TestQuantConfig:
@@ -53,6 +53,62 @@ class TestRounding:
 
     def test_near_half_below(self):
         assert round_half_away(0.49999999999999994) == 0.0
+
+
+def assert_rounds_as_reference(values):
+    """round_half_away gives the bits of the fractional-part test (the sign of
+    zero included), both into a new array and in place as the solver calls it."""
+    v = np.array(values, dtype=np.float64)
+    expected = round_half_away_by_fraction(v).view(np.uint64)
+    np.testing.assert_array_equal(round_half_away(v).view(np.uint64), expected)
+    out = round_half_away(v, out=v, scratch=np.empty_like(v))
+    assert out is v
+    np.testing.assert_array_equal(out.view(np.uint64), expected)
+
+
+class TestRoundingAgainstFractionTest:
+    def test_ties_round_away_from_zero(self):
+        k = np.arange(-2048.0, 2048.0)
+        assert_rounds_as_reference(np.concatenate([k + 0.5, k]))
+
+    def test_neighbours_of_ties(self):
+        ties = np.arange(-2048.0, 2048.0) + 0.5
+        assert_rounds_as_reference(np.nextafter(ties, -np.inf))
+        assert_rounds_as_reference(np.nextafter(ties, np.inf))
+
+    def test_just_below_one_half(self):
+        below = 0.5 - 2.0**-54
+        assert below == np.nextafter(0.5, 0.0)
+        assert_rounds_as_reference([below, -below, 0.5, -0.5, 1.5 - 2.0**-52])
+
+    def test_magnitudes_from_two_to_the_52(self):
+        big = [2.0**52, 2.0**52 + 1, 2.0**53 - 1, 2.0**53 + 2, 2.0**62, 1e308]
+        big.append(np.finfo(np.float64).max)
+        near = [2.0**51 + 0.5, 2.0**52 - 0.5, 2.0**52 - 1.5]
+        assert_rounds_as_reference(big + near + [-x for x in big + near])
+
+    def test_signed_zeros_and_subnormals(self):
+        assert_rounds_as_reference([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)])
+        assert np.signbit(round_half_away([-0.0, -0.3])).all()
+
+    def test_infinities_and_nan_pass_through(self):
+        out = round_half_away([np.inf, -np.inf, np.nan])
+        assert out[0] == np.inf and out[1] == -np.inf and np.isnan(out[2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-(2**51), 2**51).map(lambda k: k + 0.5),
+                st.floats(-64.0, 64.0),
+            ),
+            min_size=1,
+            max_size=32,
+        )
+    )
+    def test_matches_reference_on_every_finite_float(self, values):
+        assert_rounds_as_reference(values)
 
 
 class TestFitGrid:
@@ -165,6 +221,10 @@ class TestRtn:
         np.testing.assert_array_equal(q1.codes, q2.codes)
 
 
+def small_rtn_layer(rng):
+    return rtn_quantize(rng.normal(size=(3, 10)), QuantConfig(bits=3, group_size=4, solver="rtn"))
+
+
 class TestQuantizedLayer:
     def test_rejects_out_of_range_codes(self):
         with pytest.raises(ValueError):
@@ -191,6 +251,29 @@ class TestQuantizedLayer:
         q = rtn_quantize(w, QuantConfig(bits=4, group_size=4, solver="rtn"))
         assert q.num_groups == 3
         assert np.abs(w - q.dequantize()).max() <= q.scales.max() / 2 + 1e-12
+
+    def test_weight_is_dequantized_once(self, rng, monkeypatch):
+        q = small_rtn_layer(rng)
+        calls = []
+        real = QuantizedLayer.dequantize
+        monkeypatch.setattr(QuantizedLayer, "dequantize", lambda self: calls.append(1) or real(self))
+        assert q.weight is q.weight
+        assert calls == [1]
+        assert q.weight.tobytes() == real(q).tobytes()
+
+    def test_given_values_are_the_weight(self, rng):
+        q = small_rtn_layer(rng)
+        values = q.dequantize()
+        given_values = QuantizedLayer(q.codes, q.scales, q.zeros, q.bits, q.group_size, values)
+        assert given_values.weight is values
+
+    @pytest.mark.parametrize(
+        "values", [np.zeros((3, 9)), np.zeros((10, 3)), np.zeros((3, 10), dtype=np.float32)]
+    )
+    def test_values_of_another_shape_or_dtype_rejected(self, rng, values):
+        q = small_rtn_layer(rng)
+        with pytest.raises(ValueError, match="values must be float64"):
+            QuantizedLayer(q.codes, q.scales, q.zeros, q.bits, q.group_size, values)
 
 
 class TestPacking:

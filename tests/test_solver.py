@@ -489,6 +489,33 @@ class TestCompensationNorms:
         assert abs(float(np.sum(rep.per_column_comp_norms**2)) - loss) <= 1e-12 * loss
 
 
+class TestRealizedWeight:
+    @pytest.mark.parametrize("solver", ["epmq", "gptq", "rtn"])
+    @pytest.mark.parametrize(
+        "d_out, d_in, group_size",
+        [(512, 512, 128), (24, 300, 128), (24, 65, 8)],
+        ids=["512x512-g128", "300-wide-g128", "65-wide-g8"],
+    )
+    def test_weight_is_the_bytes_of_dequantize(self, solver, d_out, d_in, group_size):
+        """The values a solver scores are the layer's realized weight: the bytes of
+        dequantize(), +0.0 where a code sits on its zero-point included."""
+        rng = np.random.default_rng(d_in)
+        stats, _ = random_stats(rng, d_in, k=2, n=d_in + 8)
+        wm = rng.normal(size=(d_out, d_in)) / np.sqrt(d_in)
+        experts = [wm + 0.1 * rng.normal(size=wm.shape) / np.sqrt(d_in) for _ in range(2)]
+        cfg = QuantConfig(bits=4, group_size=group_size, solver=solver)
+        rep = solve_layer(experts, wm, stats, cfg)
+        weight = rep.quantized.weight
+        assert weight.shape == (d_out, d_in) and weight.dtype == np.float64
+        assert weight.flags["C_CONTIGUOUS"]
+        assert (weight == 0.0).any()
+        assert weight.tobytes() == rep.quantized.dequantize().tobytes()
+        if solver == "epmq":
+            assert rep.objective == epmq_objective(
+                rep.quantized.dequantize(), experts, wm, stats, rep.lam
+            )
+
+
 class TestBruteForce:
     def test_single_column_is_nearest_grid_point(self, rng):
         cfg = QuantConfig(bits=2, group_size=1, solver="gptq")
