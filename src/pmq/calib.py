@@ -1,9 +1,9 @@
 """Per-task calibration data and layer-wise second-order statistics.
 
 For each task i and layer l the pipeline needs the layer inputs X_i
-(d x n_i), the unnormalized curvature H_i = X_i X_i^T and the activation
-energy e_i = ||X_i||_F^2. The adaptive anchor for a layer is
-lam = (alpha / d) * sum_i e_i, which equals (alpha / d) * trace(sum_i H_i).
+(d x n_i) and the unnormalized curvature H_i = X_i X_i^T. The adaptive
+anchor for a layer is lam = (alpha / d) * sum_i trace(H_i), where
+trace(H_i) is the activation energy ||X_i||_F^2.
 
 Also hosts the synthetic-task generator: a random base model, per-task input
 distributions, per-task teacher targets, and experts produced by a fixed
@@ -40,8 +40,8 @@ class CalibSet:
 
     def __post_init__(self):
         ids = sorted(b.task_id for b in self.batches)
-        if ids != list(range(1, len(self.batches) + 1)):
-            raise ValueError(f"task ids must cover 1..K exactly once, got {ids}")
+        if not ids or ids != list(range(1, len(ids) + 1)):
+            raise ValueError(f"task ids must cover 1..K, K >= 1, exactly once, got {ids}")
         self.batches = sorted(self.batches, key=lambda b: b.task_id)
 
     @property
@@ -54,10 +54,9 @@ class CalibSet:
 
 @dataclass
 class LayerCalibStats:
-    """Curvatures and energies for one layer, per task."""
+    """Curvatures for one layer, per task."""
 
     hessians: list[np.ndarray]
-    energies: list[float]
     d: int
 
     @property
@@ -67,26 +66,18 @@ class LayerCalibStats:
     def pooled_hessian(self) -> np.ndarray:
         return sum(self.hessians[1:], self.hessians[0].copy())  # in task order
 
-    def total_energy(self) -> float:
-        total = 0.0
-        for e in self.energies:
-            total += e
-        return total
 
+def accumulate_stats(x: np.ndarray) -> np.ndarray:
+    """H = X X^T for one activation matrix; H or its trace overflowing raises.
 
-def accumulate_stats(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(H, energy) for one activation matrix: H = X X^T, energy = trace(H).
-
-    trace(H) = ||X||_F^2 in exact arithmetic; in floating point each H_jj
-    keeps the BLAS summation order of the product.
-    """
+    trace(H) is the activation energy ||X||_F^2 in exact arithmetic; in
+    floating point each H_jj keeps the BLAS summation order of the product."""
     x = as_matrix(x, "x")
     with np.errstate(over="ignore", invalid="ignore"):
         h = x @ x.T  # on a contiguous x numpy takes the syrk path
-        energy = float(np.trace(h))
-    if not (np.isfinite(h).all() and np.isfinite(energy)):
-        raise FloatingPointError("calibration statistics overflowed (non-finite curvature)")
-    return h, energy
+        if not (np.isfinite(h).all() and np.isfinite(np.trace(h))):
+            raise FloatingPointError("calibration statistics overflowed (non-finite curvature)")
+    return h
 
 
 def collect_layer_stats(
@@ -94,7 +85,7 @@ def collect_layer_stats(
 ) -> LayerCalibStats:
     """Statistics of the layer-l inputs `activations` (task id -> X_i), in task order."""
     d = model.layers[layer_index - 1].spec.d_in
-    hessians, energies = [], []
+    hessians = []
     for task_id in sorted(activations):
         x = activations[task_id]
         if x.shape[0] != d:
@@ -102,17 +93,18 @@ def collect_layer_stats(
                 f"activations for task {task_id} have {x.shape[0]} rows, "
                 f"layer {layer_index} expects {d}"
             )
-        h, e = accumulate_stats(x)
-        hessians.append(h)
-        energies.append(e)
-    return LayerCalibStats(hessians=hessians, energies=energies, d=d)
+        hessians.append(accumulate_stats(x))
+    return LayerCalibStats(hessians=hessians, d=d)
 
 
 def anchor_lambda(stats: LayerCalibStats, alpha: float) -> float:
-    """Adaptive anchor strength: (alpha / d) * total activation energy."""
+    """Adaptive anchor strength: (alpha / d) * sum_i trace(H_i), summed in task order."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return (alpha / stats.d) * stats.total_energy()
+    energy = 0.0
+    for h in stats.hessians:
+        energy += float(np.trace(h))
+    return (alpha / stats.d) * energy
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +306,8 @@ def load_calib_set(directory) -> CalibSet:
         num_tasks, samples_per_task = int(index["K"]), int(index["samples_per_task"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedHeaderError(f"{index_path}: malformed index: {exc!r}") from exc
+    if num_tasks < 1:
+        raise MalformedHeaderError(f"{index_path}: malformed index: K={num_tasks}, need K >= 1")
     batches = []
     for task_id in range(1, num_tasks + 1):
         inputs, targets = _read_task(directory / f"task{task_id}.safetensors")

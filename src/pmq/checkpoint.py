@@ -162,13 +162,13 @@ def load_manifest(path) -> ModelManifest:
         raise MalformedHeaderError(f"{path}: bad manifest: {exc}") from exc
 
 
-def _storage_dtype(manifest: ModelManifest) -> np.dtype:
+def storage_dtype(manifest: ModelManifest) -> np.dtype:
     return np.dtype("<f4") if manifest.dtype == "f32" else np.dtype("<f8")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write a full-precision checkpoint plus its manifest sidecar."""
-    store = _storage_dtype(ckpt.manifest)
+    store = storage_dtype(ckpt.manifest)
     tensors: dict[str, np.ndarray] = {}
     for lw in ckpt.layers:
         tensors[f"{lw.id}.weight"] = lw.weight.astype(store)
@@ -195,7 +195,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a full-precision checkpoint written by save_checkpoint."""
     manifest = load_manifest(manifest_path(path))
     tensors, _ = read_tensor_file(path)
-    expected = np.float32 if manifest.dtype == "f32" else np.float64
+    expected = storage_dtype(manifest)
     layers = []
     for spec in manifest.layers:
         key = f"{spec.id}.weight"

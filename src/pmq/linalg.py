@@ -1,11 +1,11 @@
 """Dense linear algebra primitives.
 
 All compute happens in float64 regardless of what files store. Products go
-through numpy, factorizations are block recursions of GEMMs with numpy.linalg
-at the leaves: one BLAS/LAPACK build, one thread pool. Summation order
-depends on the platform, the BLAS build and, for the threaded routines, the
-thread count. Repeated runs on one platform, BLAS build and thread count give
-bit-identical results; across thread counts results agree to rounding.
+through numpy, the one factorization is a block recursion of GEMMs with
+numpy.linalg at the leaves: one BLAS/LAPACK build, one thread pool. Summation
+order depends on the platform, the BLAS build and, for the threaded routines,
+the thread count. Repeated runs on one platform, BLAS build and thread count
+give bit-identical results; across thread counts results agree to rounding.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import numpy as np
 
 # widths that numpy.linalg factors directly; wider blocks split in two
 FACTOR_LEAF = 64
-# elements in one bounded temporary: a pass of frobenius_sq, a row panel of
-# check_symmetric
+# elements in one bounded temporary: a row panel of check_symmetric
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -55,17 +54,9 @@ def matmul(a, b) -> np.ndarray:
 
 
 def frobenius_sq(a) -> float:
-    """Sum of squared entries, accumulated in row-major element order: chunk by
-    chunk through one buffer, each chunk's first square taking the running total."""
+    """Sum of squared entries, as one BLAS dot product with no temporary."""
     flat = as_matrix(a, "a").ravel()
-    buf = np.empty(min(flat.size, CHUNK_ELEMENTS))
-    total = 0.0
-    for i in range(0, flat.size, CHUNK_ELEMENTS):
-        chunk = flat[i : i + CHUNK_ELEMENTS]
-        sq = np.multiply(chunk, chunk, out=buf[: len(chunk)])
-        sq[0] += total
-        total = float(np.add.accumulate(sq, out=sq)[-1])
-    return total
+    return float(np.dot(flat, flat))
 
 
 def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.ndarray:
@@ -97,10 +88,11 @@ def _block_cholesky(h: np.ndarray, ui: np.ndarray, context: str, columns):
 
     Factor h11, set U12 = inv(U11)^T h12, factor h22 - U12^T U12 and set
     inv(U)12 = -inv(U11) U12 inv(U22); above FACTOR_LEAF columns every flop
-    is a GEMM. A failing pivot is named by its entry of `columns` (1-based
-    columns of the caller's matrix). Only that path imports scipy (numpy
-    does not name the pivot), so a successful factor leaves scipy's BLAS
-    thread pool asleep next to numpy's.
+    is a GEMM. LAPACK inverts a leaf's triangular factor to exact zeros below
+    the diagonal. A failing pivot is named by its entry of `columns` (1-based
+    columns of the caller's matrix). Only that path imports scipy (numpy does
+    not name the pivot), so a successful factor leaves scipy's BLAS thread
+    pool asleep next to numpy's.
     """
     d = len(h)
     if d <= FACTOR_LEAF:
@@ -113,7 +105,7 @@ def _block_cholesky(h: np.ndarray, ui: np.ndarray, context: str, columns):
             pivot = int(columns[info - 1]) if info else None
             message = f"{context} is not positive definite: non-positive pivot at index {pivot}"
             raise SingularMatrixError(message, pivot=pivot) from None
-        ui[...] = np.triu(np.linalg.inv(leaf))
+        ui[...] = np.linalg.inv(leaf)
         return
     k = d // 2
     _block_cholesky(h[:k, :k], ui[:k, :k], context, columns[:k])
@@ -125,11 +117,21 @@ def _block_cholesky(h: np.ndarray, ui: np.ndarray, context: str, columns):
     ui[:k, k:] = np.negative(t, out=t) @ ui[k:, k:]
 
 
-def cholesky_with_inverse(h: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """inv(U) for the upper Cholesky factor U of h = U^T U; h is not modified."""
-    ui = np.zeros_like(h)
-    _block_cholesky(h, ui, context, np.arange(1, len(h) + 1))
-    return ui
+def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix", shift=0.0) -> np.ndarray:
+    """Upper Cholesky factor U of inv(g) = U^T U, g = h + shift*I: one factor
+    of one reversed, shifted copy of h (with J the reversal, J g J = V^T V
+    gives U = J inv(V)^T J), returned as a Fortran-order view, so with no
+    transposing copy. A failing pivot is named by its 1-based column of h.
+    Solves form S = rhs inv(g) = (rhs U^T) U; sequential rounding reads U:
+    the diagonal holds the step sizes, the rows to its right the
+    compensation weights.
+    """
+    g = h[::-1, ::-1].copy()
+    g.flat[:: len(g) + 1] += shift
+    vi = np.zeros_like(g)
+    _block_cholesky(g, vi, context, np.arange(len(g), 0, -1))
+    np.copyto(g, vi[::-1, ::-1])
+    return g.T
 
 
 def cholesky_solve(h, rhs) -> np.ndarray:
@@ -138,30 +140,9 @@ def cholesky_solve(h, rhs) -> np.ndarray:
     Right division: the unknown multiplies h from the left, matching the
     convention of row-stacked weights times a square curvature matrix.
     """
-    ui = cholesky_with_inverse(check_symmetric(h, "h"), context="h")
-    return inverse_factor_solve(ui, rhs)
-
-
-def inverse_factor_solve(ui: np.ndarray, rhs) -> np.ndarray:
-    """Solve S @ (U^T U) = rhs for S by two GEMMs, S = rhs inv(U) inv(U)^T, given
-    ui = inv(U); a caller that solves twice against one h factors it once."""
+    h = check_symmetric(h, "h")
     rhs = as_matrix(rhs, "rhs")
-    if rhs.shape[1] != ui.shape[0]:
-        raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {ui.shape[0]}x{ui.shape[0]}")
-    return (rhs @ ui) @ ui.T
-
-
-def cholesky_inverse_upper(h: np.ndarray, context: str = "matrix", shift=0.0) -> np.ndarray:
-    """Upper Cholesky factor U of inv(g) = U^T U, g = h + shift*I: one factor
-    of one reversed, shifted copy of h (with J the reversal, J g J = V^T V
-    gives U = J inv(V)^T J), returned as a Fortran-order view, so with no
-    transposing copy. A failing pivot is named by its 1-based column of h.
-    Sequential rounding reads U: the diagonal holds the step sizes, the rows
-    to its right the compensation weights.
-    """
-    g = h[::-1, ::-1].copy()
-    g.flat[:: len(g) + 1] += shift
-    vi = np.zeros_like(g)
-    _block_cholesky(g, vi, context, np.arange(len(g), 0, -1))
-    np.copyto(g, vi[::-1, ::-1])
-    return g.T
+    if rhs.shape[1] != len(h):
+        raise ShapeError(f"rhs has {rhs.shape[1]} columns, h is {len(h)}x{len(h)}")
+    u = cholesky_inverse_upper(h, context="h")
+    return (rhs @ u.T) @ u

@@ -1,7 +1,7 @@
 """Sequential feed-forward model semantics.
 
-A Model realizes each checkpoint layer from either a full-precision matrix
-or a quantized layer (its `weight`: the values its solver formed, or
+A Model realizes each checkpoint layer from either a full-precision float64
+matrix or a quantized layer (its `weight`: the values its solver formed, or
 dequantized on first use). Forward passes are pure; replacing a layer's
 weight source mutates the model and is only done by the quantization
 pipeline, which serializes those writes.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .checkpoint import (
     manifest_path,
     pop_tensor,
     save_manifest,
+    storage_dtype,
 )
 from .linalg import ShapeError, matmul
 from .quant import QuantizedLayer, pack_codes, unpack_codes
@@ -82,9 +83,17 @@ class Batch:
 @dataclass
 class RealizedLayer:
     spec: LayerSpec
-    source: np.ndarray | QuantizedLayer
+    source: np.ndarray | QuantizedLayer  # checked once, when the layer is built
     bias: np.ndarray | None
-    _weight: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        w = self.source
+        shape, dtype = (w.codes.shape, np.float64) if self.is_quantized else (w.shape, w.dtype)
+        if shape != (self.spec.d_out, self.spec.d_in) or dtype != np.float64:
+            raise ShapeError(
+                f"layer '{self.spec.id}': weight is {np.dtype(dtype)} {shape}, "
+                f"not float64 ({self.spec.d_out}, {self.spec.d_in})"
+            )
 
     @property
     def is_quantized(self) -> bool:
@@ -92,17 +101,8 @@ class RealizedLayer:
 
     @property
     def weight(self) -> np.ndarray:
-        if self._weight is None:
-            if self.is_quantized:
-                self._weight = self.source.weight
-            else:
-                self._weight = np.asarray(self.source, dtype=np.float64)
-            if self._weight.shape != (self.spec.d_out, self.spec.d_in):
-                raise ShapeError(
-                    f"layer '{self.spec.id}': realized weight shape {self._weight.shape} "
-                    f"!= ({self.spec.d_out}, {self.spec.d_in})"
-                )
-        return self._weight
+        """The realized weight; a quantized source caches its own."""
+        return self.source.weight if self.is_quantized else self.source
 
 
 class Model:
@@ -142,9 +142,7 @@ class Model:
                 f"layer '{spec.id}': quantized shape ({quantized.d_out}, {quantized.d_in}) "
                 f"!= ({spec.d_out}, {spec.d_in})"
             )
-        layer = self.layers[layer_index - 1]
-        layer.source = quantized
-        layer._weight = None
+        self.layers[layer_index - 1].source = quantized
 
     def state_checksum(self) -> str:
         """Hex SHA-256 prefix chain over every layer, in layer order.
@@ -213,7 +211,7 @@ def save_model(model: Model, path) -> None:
     with {bits, group_size} recorded as JSON attrs in the file metadata.
     Biases are always stored at full precision.
     """
-    store = np.float32 if model.manifest.dtype == "f32" else np.float64
+    store = storage_dtype(model.manifest)
     tensors: dict[str, np.ndarray] = {}
     metadata: dict[str, str] = {}
     for layer in model.layers:

@@ -41,6 +41,9 @@ from .model import (
 from .quant import QuantConfig
 from .solver import SolveReport, solve_layer
 
+# largest |(Q X - W_i X) - ((Q X - W_m X) + (W_m X - W_i X))| a deviation row may hold
+IDENTITY_TOL = 1e-9
+
 
 @dataclass
 class LayerReport:
@@ -207,9 +210,7 @@ def run_epmq(
     return quantize(merged, experts, calib, cfg)
 
 
-def deviation_diagnostics(
-    run: PmqRun, heldout: CalibSet, identity_tol: float = 1e-9
-) -> DeviationReport:
+def deviation_diagnostics(run: PmqRun, heldout: CalibSet) -> DeviationReport:
     """Layer/task deviation norms on held-out activations of the quantized model.
 
     For each layer and task: the quantization deviation Q X - W_m X, the
@@ -220,7 +221,7 @@ def deviation_diagnostics(
     model, one layer at a time, and advanced from Q X itself (bias, then
     activation), so a layer costs three GEMMs per task. Rows come out
     layer-major, and the first row (in that order) whose identity gap
-    exceeds identity_tol raises. Raises ConfigError unless the held-out set
+    exceeds IDENTITY_TOL raises. Raises ConfigError unless the held-out set
     has one task per expert.
     """
     if heldout.num_tasks != len(run.experts):
@@ -255,7 +256,7 @@ def deviation_diagnostics(
         by_task.append(rows)
     report = DeviationReport(rows=[row for layer_rows in zip(*by_task) for row in layer_rows])
     for row in report.rows:
-        if row.identity_max_abs > identity_tol:
+        if row.identity_max_abs > IDENTITY_TOL:
             raise ArithmeticError(
                 f"layer '{row.layer_id}' task {row.task_id}: deviation decomposition "
                 f"violated by {row.identity_max_abs:g}"

@@ -15,12 +15,10 @@ what they round toward:
   ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so one rounding
   routine serves gptq and epmq.
 
-The rounding routine factors the damped inverse curvature once, then pays
-one GEMV and one in-place quantize per column and one GEMM per block. Across
-BLAS thread counts the codes move only at an exact rounding tie; the
-per-column compensation norms move to rounding. The values
-scale * (code - zero) the rounding forms become the quantized layer's
-realized weight, so no solved layer is dequantized again.
+Both solves take one factor, inv(H) = U^T U (linalg.cholesky_inverse_upper):
+the continuous solve of H_E, the rounding of its damped curvature. The
+rounding then pays one GEMV and one in-place quantize per column and one
+GEMM per block, and its values become the quantized layer's realized weight.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ from .linalg import (
     as_matrix,
     check_symmetric,
     cholesky_inverse_upper,
-    cholesky_with_inverse,
     frobenius_sq,
-    inverse_factor_solve,
     matmul,
 )
 from .quant import (
@@ -134,7 +130,7 @@ def build_epmq_statistics(
     """Effective curvature and right-hand side of the anchored problem.
 
     H_E = sum_i H_i + lam*I and R = sum_i W_i H_i + lam*W_m, where
-    lam = (alpha / d) * sum_i ||X_i||_F^2.
+    lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda).
     """
     merged_weight = as_matrix(merged_weight, "merged_weight")
     if len(expert_weights) != stats.num_tasks:
@@ -165,16 +161,15 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Requires H_E symmetric (solve_layer checks that once, in SolverProblem)
     and positive definite; callers damp first when the anchor is zero and
-    the pooled curvature is singular. One step of iterative refinement keeps
-    the stationary residual near machine precision even for poorly
-    conditioned instances.
+    the pooled curvature is singular. Q = (R U^T) U; one refinement step
+    against the same U keeps the stationary residual near machine precision
+    even for poorly conditioned instances.
     """
-    ui = cholesky_with_inverse(h_e, context="h")
-    q = inverse_factor_solve(ui, r)
+    u = cholesky_inverse_upper(h_e, context="h")
+    q = (r @ u.T) @ u
     residual = r - matmul(q, h_e)
-    norm_r = np.sqrt(frobenius_sq(r))
-    if np.sqrt(frobenius_sq(residual)) > 1e-10 * (1.0 + norm_r):
-        q = q + inverse_factor_solve(ui, residual)
+    if np.sqrt(frobenius_sq(residual)) > 1e-10 * (1.0 + np.sqrt(frobenius_sq(r))):
+        q += (residual @ u.T) @ u
     return q
 
 

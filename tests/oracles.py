@@ -217,12 +217,11 @@ def quantize_from_scratch(merged, experts, calib, cfg):
     for ell in range(1, model.num_layers + 1):
         stats = None
         if calib is not None:
-            per_task = [
+            hessians = [
                 accumulate_stats(forward_to_layer(model, batch.inputs, ell))
                 for batch in calib.batches
             ]
-            hessians, energies = (list(col) for col in zip(*per_task))
-            stats = LayerCalibStats(hessians, energies, d=hessians[0].shape[0])
+            stats = LayerCalibStats(hessians, d=hessians[0].shape[0])
         expert_weights = [e.layers[ell - 1].weight for e in experts]
         report = solve_layer(expert_weights, model.layers[ell - 1].weight, stats, cfg)
         model.replace_layer(ell, report.quantized)

@@ -5,6 +5,7 @@ import pytest
 
 from pmq.calib import (
     CalibSet,
+    LayerCalibStats,
     accumulate_stats,
     anchor_lambda,
     collect_layer_stats,
@@ -42,6 +43,8 @@ class TestCalibSet:
         batches = [Batch(rng.normal(size=(3, 4)), task_id=2)]
         with pytest.raises(ValueError):
             CalibSet(batches=batches, samples_per_task=4)
+        with pytest.raises(ValueError, match="K >= 1"):
+            CalibSet(batches=[], samples_per_task=4)
 
     def test_round_trip_files(self, tmp_path, rng):
         batches = [
@@ -73,6 +76,7 @@ class TestCalibSet:
             ('{"K": 2}', "KeyError('samples_per_task')"),
             ("{K:", "JSONDecodeError"),
             ("[]", "TypeError"),
+            ('{"K": 0, "samples_per_task": 4}', "K=0, need K >= 1"),
         ],
     )
     def test_incomplete_index_is_malformed(self, tmp_path, rng, index, message):
@@ -91,14 +95,14 @@ class TestLayerStats:
         stats = layer_stats(model, problem.calib, 1)
         for batch, h in zip(problem.calib.batches, stats.hessians):
             np.testing.assert_array_equal(forward_to_layer(model, batch.inputs, 1), batch.inputs)
-            np.testing.assert_array_equal(h, accumulate_stats(batch.inputs)[0])
+            np.testing.assert_array_equal(h, accumulate_stats(batch.inputs))
         assert stats.d == 6
 
     def test_single_sample_rank_one(self, rng):
         x = rng.normal(size=(5, 1))
-        h, e = accumulate_stats(x)
+        h = accumulate_stats(x)
         np.testing.assert_allclose(h, x @ x.T, rtol=0, atol=1e-12)
-        assert abs(e - float(x.ravel() @ x.ravel())) < 1e-12
+        assert abs(np.trace(h) - float(x.ravel() @ x.ravel())) < 1e-12
         assert np.linalg.matrix_rank(h) == 1
 
     def test_incremental_cache_equals_full_rerun(self):
@@ -113,15 +117,15 @@ class TestLayerStats:
         stats_fresh = layer_stats(model, problem.calib, 2)
         for hc, hf in zip(stats_cached.hessians, stats_fresh.hessians):
             np.testing.assert_allclose(hc, hf, rtol=0, atol=1e-10)
-        for ec, ef in zip(stats_cached.energies, stats_fresh.energies):
-            assert abs(ec - ef) <= 1e-10 * max(1.0, abs(ef))
 
     def test_trace_identity(self):
+        # trace(H_i) is the activation energy ||X_i||_F^2
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
         for ell in (1, 2):
             stats = layer_stats(model, problem.calib, ell)
-            for h, e in zip(stats.hessians, stats.energies):
+            for batch, h in zip(problem.calib.batches, stats.hessians):
+                e = frobenius_sq(forward_to_layer(model, batch.inputs, ell))
                 assert abs(np.trace(h) - e) <= 1e-9 * max(1.0, abs(e))
 
     def test_psd_probe_vectors(self, rng):
@@ -137,15 +141,19 @@ class TestLayerStats:
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
     def test_equals_gram_matrix(self, rng, n):
         x = rng.normal(size=(7, n))
-        h, e = accumulate_stats(x)
+        h = accumulate_stats(x)
         np.testing.assert_allclose(h, x @ x.T, rtol=0, atol=1e-12 * n)
+        e = float(np.trace(h))
         assert abs(e - float(x.ravel() @ x.ravel())) <= 1e-12 * max(1.0, e)
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 33), (48, 256)])
     def test_energy_is_the_trace_of_h(self, rng, shape):
+        # the anchor reads the energy off H; it is ||X||_F^2 to rounding
         x = rng.normal(size=shape)
-        h, e = accumulate_stats(x)
-        assert e == float(np.trace(h))
+        h = accumulate_stats(x)
+        e = float(np.trace(h))
+        stats = LayerCalibStats(hessians=[h], d=shape[0])
+        assert anchor_lambda(stats, 1.0) == (1.0 / shape[0]) * (0.0 + e)
         assert abs(e - frobenius_sq(x)) <= 1e-13 * e
 
     def test_overflowing_energy_raises(self):
@@ -157,11 +165,9 @@ class TestLayerStats:
     def test_column_slice_gives_the_h_of_its_contiguous_copy(self, rng):
         x = rng.normal(size=(48, 300))[:, 7:263]
         assert not x.flags["C_CONTIGUOUS"]
-        h, e = accumulate_stats(x)
-        h_copy, e_copy = accumulate_stats(np.ascontiguousarray(x))
-        np.testing.assert_array_equal(h, h_copy)
+        h = accumulate_stats(x)
+        np.testing.assert_array_equal(h, accumulate_stats(np.ascontiguousarray(x)))
         np.testing.assert_array_equal(h, h.T)
-        assert e == e_copy
 
     def test_cache_shape_drift_detected(self):
         problem = small_problem()
@@ -179,9 +185,8 @@ class TestAnchorLambda:
         assert anchor_lambda(stats, 0.0) == 0.0
 
     def test_direct_arithmetic(self):
-        from pmq.calib import LayerCalibStats
-
-        stats = LayerCalibStats(hessians=[np.eye(4), np.eye(4)], energies=[8.0, 8.0], d=4)
+        # trace 8 per task: (0.1 / 4) * 16
+        stats = LayerCalibStats(hessians=[2.0 * np.eye(4), 2.0 * np.eye(4)], d=4)
         assert anchor_lambda(stats, 0.1) == pytest.approx(0.4, abs=1e-15)
 
     def test_matches_trace_form(self):

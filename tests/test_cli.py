@@ -717,6 +717,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "'K'" in err
 
+    @pytest.mark.parametrize(
+        "command, solver, directory",
+        [
+            ("quantize", "gptq", "calib"),
+            ("quantize", "rtn", "calib"),
+            ("eval", "epmq", "heldout"),
+        ],
+    )
+    def test_empty_task_set_is_4(self, tmp_path, capsys, command, solver, directory):
+        cfg = write_cfg(tmp_path, {"quant.solver": solver})
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            run_cli(cmd, "--config", cfg, "--out", str(out))
+        index = out / directory / "index.json"
+        index.write_text('{"K": 0, "samples_per_task": 4}')
+        if directory == "heldout":
+            for path in out.glob("expert*.safetensors"):
+                path.unlink()
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{index}: malformed index: K=0" in err
+        assert dir_hashes(out) == before
+
     def test_tensor_not_matching_its_sidecar_is_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"

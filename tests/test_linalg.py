@@ -15,7 +15,6 @@ from pmq.linalg import (
     cholesky_inverse_upper,
     cholesky_solve,
     check_symmetric,
-    cholesky_with_inverse,
     frobenius_sq,
     matmul,
 )
@@ -85,21 +84,23 @@ class TestFrobenius:
         assert frobenius_sq([[3.0, 4.0]]) == 25.0
 
     def test_matches_scalar_loop_exactly(self, rng):
-        a = rng.normal(size=(4, 4))
+        # small integers: every square and partial sum is exact in any order
+        a = rng.integers(-50, 51, size=(4, 4)).astype(np.float64)
         assert frobenius_sq(a) == frobenius_scalar(a)
 
     @settings(max_examples=25, deadline=None)
-    @given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2**31))
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 64), seed=st.integers(0, 2**31))
     def test_scalar_loop_property(self, rows, cols, seed):
+        # n rounded squares summed in any order land within n*eps of the exact sum
+        # (relative), so two orders agree to 2*n*eps
         a = np.random.default_rng(seed).normal(size=(rows, cols))
-        assert frobenius_sq(a) == frobenius_scalar(a)
+        expected = frobenius_scalar(a)
+        bound = 2 * a.size * np.finfo(np.float64).eps * expected
+        assert abs(frobenius_sq(a) - expected) <= bound
 
-    @pytest.mark.parametrize("shape", [(128, 256), (181, 400)], ids=["one-chunk", "three-chunks"])
-    def test_chunks_keep_the_row_major_order(self, rng, shape):
-        # the last chunk of (181, 400) is short; every chunk boundary carries the total
-        a = rng.normal(size=shape)
-        assert (a.size <= CHUNK_ELEMENTS) == (shape == (128, 256))
-        assert frobenius_sq(a) == frobenius_scalar(a)
+    def test_repeats_bit_for_bit(self, rng):
+        a = rng.normal(size=(181, 400))
+        assert len({frobenius_sq(a) for _ in range(5)}) == 1
 
 
 class TestCholeskySolve:
@@ -201,6 +202,13 @@ class TestCheckSymmetric:
 
 
 class TestCholeskyInverseUpper:
+    @pytest.mark.parametrize("d", [63, 64, 65, 300])
+    def test_exactly_zero_below_the_diagonal(self, d):
+        # leaves and off-diagonal blocks alike: +0.0 below the diagonal, never -0.0
+        u = cholesky_inverse_upper(random_spd(np.random.default_rng(d), d, extra=d + 4))
+        below = u[np.tril_indices(d, -1)]
+        assert not below.any() and not np.signbit(below).any()
+
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 64), seed=st.integers(0, 2**31))
     def test_factor_of_the_inverse_matches_oracle(self, d, seed):
@@ -255,43 +263,46 @@ def non_pd_inside_the_schur_complement(d=200, pivot=151):
 
 
 class TestBlockCholesky:
-    """cholesky_with_inverse and cholesky_inverse_upper share one 2x2 block
-    recursion whose blocks of at most 64 columns go to numpy.linalg."""
+    """cholesky_inverse_upper runs one 2x2 block recursion whose blocks of at most
+    64 columns go to numpy.linalg; on J h J (J the reversal) the recursion factors
+    h itself in natural column order."""
 
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 127, 129, 300, 385, 512])
     def test_factor_and_inverse_match_oracles(self, d):
         h = ill_conditioned_gram(np.random.default_rng(d), d)
         h = h + 0.01 * float(np.mean(np.diag(h))) * np.eye(d)
         before = h.copy()
-        ui = cholesky_with_inverse(h)
-        u_inv = cholesky_inverse_upper(h)
+        u = cholesky_inverse_upper(h)
+        u_rev = cholesky_inverse_upper(h[::-1, ::-1])
         np.testing.assert_array_equal(h, before)
-        for m in (ui, u_inv):
+        for m in (u, u_rev):
             assert not np.tril(m, -1).any()
-        # with J the reversal, inv(U) = (J U' J)^T for the factor U' of inv(J h J)
+        # inv(U) for h = U^T U is (J u_rev J)^T, the recursion's own output on h
         refs = [
-            (ui, cholesky_inverse_upper_longdouble(h[::-1, ::-1])[::-1, ::-1].T),
-            (u_inv, cholesky_inverse_upper_via_inverse(h)),
-            (u_inv, cholesky_inverse_upper_longdouble(h)),
+            (u_rev, cholesky_inverse_upper_longdouble(h[::-1, ::-1])),
+            (u, cholesky_inverse_upper_via_inverse(h)),
+            (u, cholesky_inverse_upper_longdouble(h)),
         ]
         for got, ref in refs:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_non_pd_pivot_inside_the_schur_complement_is_named(self):
-        # d=200 splits as [0:100] and [100:200]; pivot 151 is the first column of the
-        # leaf [150:200], factored from the Schur complement of the first 150 columns
-        h = non_pd_inside_the_schur_complement()
-        with pytest.raises(SingularMatrixError, match="at index 151$") as err:
-            cholesky_with_inverse(h)
-        assert err.value.pivot == 151
+        # reversed, the recursion factors the matrix in natural order: d=200 splits as
+        # [0:100] and [100:200], and pivot 151 is the first column of the leaf [150:200],
+        # factored from the Schur complement of the first 150 columns; it is column
+        # 200 + 1 - 151 of the reversed matrix
+        h = non_pd_inside_the_schur_complement()[::-1, ::-1]
+        with pytest.raises(SingularMatrixError, match="at index 50$") as err:
+            cholesky_inverse_upper(h)
+        assert err.value.pivot == 50
         with pytest.raises(SingularMatrixError) as err:
             cholesky_solve(h, np.ones((1, 200)))
-        assert err.value.pivot == 151
+        assert err.value.pivot == 50
 
     def test_pivot_comes_from_the_failing_block(self, monkeypatch):
         """The pivot is named even where dpotrf of the whole matrix succeeds, as it
         can when rounding puts a pivot near zero on different sides of zero."""
-        h = non_pd_inside_the_schur_complement()
+        h = non_pd_inside_the_schur_complement()[::-1, ::-1]
         real = lapack.dpotrf
 
         def whole_matrix_succeeds(a, *args, **kwargs):
@@ -300,19 +311,25 @@ class TestBlockCholesky:
 
         monkeypatch.setattr(lapack, "dpotrf", whole_matrix_succeeds)
         with pytest.raises(SingularMatrixError) as err:
-            cholesky_with_inverse(h)
-        assert err.value.pivot == 151
-
-    def test_reversed_factor_names_the_column_of_h(self):
-        # the reversed order meets the negative minor at reversed column 151,
-        # which is column 200 + 1 - 151 of h
-        h = non_pd_inside_the_schur_complement()[::-1, ::-1]
-        with pytest.raises(SingularMatrixError) as err:
             cholesky_inverse_upper(h)
         assert err.value.pivot == 50
 
+    def test_reversed_factor_names_the_column_of_h(self):
+        # unreversed, elimination runs from the last column: the named pivot is the
+        # first k, counting down, whose trailing minor h[k-1:, k-1:] is not positive
+        # definite
+        h = non_pd_inside_the_schur_complement()
+        trailing = next(
+            k for k in range(len(h), 0, -1) if np.linalg.eigvalsh(h[k - 1 :, k - 1 :])[0] <= 0
+        )
+        with pytest.raises(SingularMatrixError) as err:
+            cholesky_inverse_upper(h)
+        assert err.value.pivot == trailing == 151
+
     @pytest.mark.parametrize(
-        "factor", [cholesky_with_inverse, cholesky_inverse_upper], ids=lambda f: f.__name__
+        "factor",
+        [cholesky_inverse_upper, lambda h: cholesky_solve(h, np.ones((1, len(h))))],
+        ids=["cholesky_inverse_upper", "cholesky_solve"],
     )
     def test_rank_deficient_gram_raises(self, factor):
         x = np.random.default_rng(3).normal(size=(200, 150))  # rank 150 < 200
@@ -353,24 +370,20 @@ class TestOneBlasPool:
             import sys
             import numpy as np
             from pmq.calib import LayerCalibStats
-            from pmq.linalg import SingularMatrixError, cholesky_with_inverse
+            from pmq.linalg import SingularMatrixError, cholesky_inverse_upper
             from pmq.quant import QuantConfig
             from pmq.solver import solve_layer
 
             rng = np.random.default_rng(0)
             d, d_out = 300, 16
             xs = [rng.normal(size=(d, d + 16)) for _ in range(2)]
-            stats = LayerCalibStats(
-                hessians=[x @ x.T for x in xs],
-                energies=[float(np.sum(x * x)) for x in xs],
-                d=d,
-            )
+            stats = LayerCalibStats(hessians=[x @ x.T for x in xs], d=d)
             wm = rng.normal(size=(d_out, d)) / np.sqrt(d)
             experts = [wm + 0.1 * rng.normal(size=(d_out, d)) / np.sqrt(d) for _ in range(2)]
             solve_layer(experts, wm, stats, QuantConfig(bits=4, group_size=128, solver="epmq"))
             print("scipy.linalg" in sys.modules)
             try:
-                cholesky_with_inverse(np.diag([1.0, -1.0, 1.0]))
+                cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0]))
             except SingularMatrixError as exc:
                 print(exc.pivot)
             """

@@ -5,6 +5,7 @@ from pmq.checkpoint import Checkpoint, LayerSpec, LayerWeights, ModelManifest
 from pmq.linalg import ShapeError
 from pmq.model import (
     Model,
+    RealizedLayer,
     forward,
     forward_to_layer,
     load_model,
@@ -144,12 +145,24 @@ class TestQuantizedLayers:
         for idx, lw in enumerate(ckpt.layers, start=1):
             snapped = rtn_quantize(lw.weight, cfg).dequantize()
             model.layers[idx - 1].source = snapped
-            model.layers[idx - 1]._weight = None
         x = rng.normal(size=(4, 5))
         before = forward(model, x)
         for idx in range(1, model.num_layers + 1):
             model.replace_layer(idx, rtn_quantize(model.layers[idx - 1].weight, cfg))
         np.testing.assert_array_equal(forward(model, x), before)
+
+    @pytest.mark.parametrize(
+        "source",
+        [np.zeros((3, 2)), np.zeros((2, 3), dtype=np.float32), np.zeros((2, 3), dtype=np.int64)],
+        ids=["shape", "float32", "int64"],
+    )
+    def test_layer_source_checked_when_built(self, source):
+        spec = LayerSpec("layer1", d_in=3, d_out=2)
+        with pytest.raises(ShapeError, match="layer 'layer1': weight is"):
+            RealizedLayer(spec=spec, source=source, bias=None)
+        quantized = rtn_quantize(np.ones((3, 2)), QuantConfig(solver="rtn"))
+        with pytest.raises(ShapeError, match=r"\(3, 2\), not float64 \(2, 3\)"):
+            RealizedLayer(spec=spec, source=quantized, bias=None)
 
     def test_replace_layer_shape_checked(self, rng):
         model = Model.from_checkpoint(make_checkpoint(rng))

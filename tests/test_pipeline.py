@@ -149,7 +149,7 @@ class TestRealizedWeights:
 
     def test_epmq_run_never_dequantizes_nor_squares_activations(self, monkeypatch):
         """An epmq quantize (and the evaluation after it) reads every realized weight
-        from its solver, and accumulate_stats takes the energy from H, not from a
+        from its solver, and the anchor takes the energy from trace(H), not from a
         second pass of frobenius_sq over X."""
         problem, merged = merged_problem(seed=5, dims=[6, 8, 7, 5])
         dequantized = counting(monkeypatch, QuantizedLayer, "dequantize")
@@ -277,8 +277,9 @@ class TestDeviationDiagnostics:
     def test_identity_violation_names_first_layer_major_row(self, monkeypatch):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
         run = run_method(problem, merged, "epmq")
+        monkeypatch.setattr(pmq.pipeline, "IDENTITY_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="layer 'layer1' task 1: deviation decomposition"):
-            deviation_diagnostics(run, problem.heldout, identity_tol=-1.0)
+            deviation_diagnostics(run, problem.heldout)
 
 
 class TestActivationCache:
