@@ -238,11 +238,11 @@ def make_synthetic_tasks(
         def draw(n: int) -> np.ndarray:
             return mean + spread * rng.normal(0.0, 1.0, size=(d0, n))
 
-        train_x = draw(train_samples)
-        train_y = forward(teacher_model, train_x)
+        train_x = draw(train_samples)  # drawn in both modes, so the stream that follows agrees
         if expert_mode == "perturb":
             expert = teacher
         else:
+            train_y = forward(teacher_model, train_x)
             expert = _train_expert(base, train_x, train_y, train_steps, learning_rate)
         experts.append(expert)
 

@@ -191,26 +191,32 @@ def pop_tensor(tensors: dict, path, key: str, shape: tuple[int, ...]) -> np.ndar
     return arr
 
 
+def pop_weight(tensors: dict, path, spec: LayerSpec, manifest: ModelManifest) -> np.ndarray:
+    """pop_tensor of layer `spec`'s full-precision weight; a stored dtype other
+    than the manifest's storage dtype is a DtypeMismatchError naming the file."""
+    key = f"{spec.id}.weight"
+    weight = pop_tensor(tensors, path, key, (spec.d_out, spec.d_in))
+    if weight.dtype != storage_dtype(manifest):
+        raise DtypeMismatchError(
+            f"{path}: tensor '{key}' has dtype {weight.dtype}, manifest declares {manifest.dtype}"
+        )
+    return weight
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a full-precision checkpoint written by save_checkpoint."""
     manifest = load_manifest(manifest_path(path))
     tensors, _ = read_tensor_file(path)
-    expected = storage_dtype(manifest)
     layers = []
     for spec in manifest.layers:
-        key = f"{spec.id}.weight"
-        weight = pop_tensor(tensors, path, key, (spec.d_out, spec.d_in))
-        if weight.dtype != expected:
-            raise DtypeMismatchError(
-                f"{path}: tensor '{key}' has dtype {weight.dtype}, manifest declares {manifest.dtype}"
-            )
+        weight = pop_weight(tensors, path, spec, manifest)
         bias = None
         if spec.has_bias:
             bias = pop_tensor(tensors, path, f"{spec.id}.bias", (spec.d_out,))
         layers.append(
             LayerWeights(
                 id=spec.id,
-                weight=require_finite(np.asarray(weight, dtype=np.float64), key),
+                weight=require_finite(np.asarray(weight, dtype=np.float64), f"{spec.id}.weight"),
                 bias=None if bias is None else np.asarray(bias, dtype=np.float64),
             )
         )

@@ -19,7 +19,6 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +40,7 @@ from .quant import QuantConfig
 from .tensorfile import TensorFileError, write_atomic, write_json
 
 SWEEP_AXES = ("bits", "alpha", "samples")
+PROBLEM_RECORD = "problem.json"  # the _problem_inputs of the problem `pmq gen` wrote
 
 
 def _is_real(value) -> bool:
@@ -215,14 +215,35 @@ def _generate_problem(cfg: RunConfig) -> SyntheticProblem:
     return make_synthetic_tasks(**_problem_inputs(cfg))
 
 
+def _recorded_problem(out: Path) -> dict | None:
+    """The `_problem_inputs` `pmq gen` recorded in `out`; None without a readable record."""
+    try:
+        return json.loads((out / PROBLEM_RECORD).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+
+
+def _load_problem(out: Path, k: int) -> SyntheticProblem:
+    """The problem `pmq gen` wrote to `out`, read back from its files."""
+    return SyntheticProblem(
+        base=load_checkpoint(out / "base.safetensors"),
+        experts=[load_checkpoint(p) for p in _expert_paths(out, k)],
+        calib=load_calib_set(out / "calib"),
+        heldout=load_calib_set(out / "heldout"),
+    )
+
+
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
+    """Write the problem, then record its inputs; a failed gen leaves no record."""
     problem = _generate_problem(cfg)
     out.mkdir(parents=True, exist_ok=True)
+    (out / PROBLEM_RECORD).unlink(missing_ok=True)
     save_checkpoint(problem.base, out / "base.safetensors")
     for path, expert in zip(_expert_paths(out, cfg.k), problem.experts):
         save_checkpoint(expert, path)
     save_calib_set(problem.calib, out / "calib")
     save_calib_set(problem.heldout, out / "heldout")
+    write_json(out / PROBLEM_RECORD, _problem_inputs(cfg))
 
 
 def cmd_merge(cfg: RunConfig, out: Path) -> None:
@@ -347,11 +368,14 @@ def _sweep_point(
 def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
     """Sweep one axis over every method, one CSV row per (value, method) point.
 
-    Points whose generation and merge inputs agree share one problem, generated
-    and merged once here; only the `samples` axis changes those inputs. With
-    jobs > 1 the points are quantized in worker processes that receive the
-    shared problem. An invalid point, or one whose problem failed to generate,
-    gets an `error` row and the sweep goes on.
+    Points whose generation and merge inputs agree share one problem, merged
+    once here; only the `samples` axis changes those inputs. A group whose
+    generation inputs equal the record `pmq gen` left in `out` loads that
+    problem from `out` (an unreadable file there is the group's error, never a
+    reason to regenerate); any other group generates its own. With jobs > 1
+    the points are quantized in worker processes that receive the shared
+    problem. An invalid point, or one whose problem failed to generate or
+    load, gets an `error` row and the sweep goes on.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got '{axis}'")
@@ -374,13 +398,23 @@ def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
         key = repr((_problem_inputs(point_cfg), point_cfg.merge))
         groups.setdefault(key, []).append((idx, point_cfg))
 
+    recorded = _recorded_problem(out)
     workers = min(jobs, sum(len(members) for members in groups.values()))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool_context = nullcontext()
+    if workers > 1:
+        # the costliest import pmq.cli would make, so it is made only for a pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(max_workers=workers)
+    with pool_context as pool:
         futures = []
         for members in groups.values():
             group_cfg = members[0][1]
             try:
-                problem = _generate_problem(group_cfg)
+                if recorded == _problem_inputs(group_cfg):
+                    problem = _load_problem(out, group_cfg.k)
+                else:
+                    problem = _generate_problem(group_cfg)
                 merged = apply_merge(group_cfg.merge, problem.base, problem.experts)
             except Exception as exc:  # every point of the group records the failure
                 for idx, _ in members:

@@ -23,6 +23,7 @@ from .checkpoint import (
     load_manifest,
     manifest_path,
     pop_tensor,
+    pop_weight,
     save_manifest,
     storage_dtype,
 )
@@ -263,8 +264,7 @@ def load_model(path) -> Model:
                 group_size=group_size,
             )
         else:
-            weight = pop_tensor(tensors, path, f"{spec.id}.weight", (spec.d_out, spec.d_in))
-            source = np.asarray(weight, dtype=np.float64)
+            source = np.asarray(pop_weight(tensors, path, spec, manifest), dtype=np.float64)
         bias = None
         if spec.has_bias:
             bias = pop_tensor(tensors, path, f"{spec.id}.bias", (spec.d_out,))

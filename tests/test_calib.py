@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import pmq.calib
 from pmq.calib import (
     CalibSet,
     LayerCalibStats,
@@ -252,3 +253,29 @@ class TestSyntheticTasks:
         problem = small_problem(expert_mode="perturb", train_steps=0)
         for lw_e, lw_b in zip(problem.experts[0].layers, problem.base.layers):
             assert not np.array_equal(lw_e.weight, lw_b.weight)
+
+    @pytest.mark.parametrize("mode, per_task", [("perturb", 1), ("train", 2)])
+    def test_teacher_forwards_only_what_is_used(self, monkeypatch, mode, per_task):
+        """A perturb-mode expert is its teacher, so only the held-out targets need a forward."""
+        calls = []
+        real = pmq.calib.forward
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(pmq.calib, "forward", counted)
+        small_problem(expert_mode=mode, num_tasks=3)
+        assert len(calls) == per_task * 3
+
+    def test_both_expert_modes_draw_the_same_data(self):
+        """Training draws nothing, so the modes share one random stream and one data set."""
+        perturb = small_problem(seed=4, expert_mode="perturb")
+        train = small_problem(seed=4, expert_mode="train")
+        for a, b in zip(
+            [*perturb.calib.batches, *perturb.heldout.batches],
+            [*train.calib.batches, *train.heldout.batches],
+        ):
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            if a.targets is not None:
+                assert a.targets.tobytes() == b.targets.tobytes()

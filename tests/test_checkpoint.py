@@ -87,6 +87,18 @@ class TestCheckpointIO:
         with pytest.raises(DtypeMismatchError):
             load_checkpoint(path)
 
+    def test_model_reader_checks_the_stored_dtype_too(self, tmp_path, rng):
+        """An F64 layer1.weight beside an f32 sidecar fails both readers alike."""
+        path = tmp_path / "m.safetensors"
+        save_checkpoint(make_checkpoint(rng, dtype="f64"), path)
+        mpath = manifest_path(path)
+        mpath.write_text(mpath.read_text().replace('"dtype":"f64"', '"dtype":"f32"'))
+        message = f"{path}: tensor 'layer1.weight' has dtype float64, manifest declares f32"
+        for load in (load_checkpoint, load_model):
+            with pytest.raises(DtypeMismatchError) as err:
+                load(path)
+            assert str(err.value) == message
+
     def test_shape_must_match_manifest(self, rng):
         manifest = make_manifest()
         layers = [

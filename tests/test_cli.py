@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ from oracles import sweep_from_scratch
 from pmq.checkpoint import load_checkpoint
 from pmq.cli import ConfigError, RunConfig, config_from_dict, load_config, main
 from pmq.merge import MergeSpec
-from pmq.model import load_model
+from pmq.model import Model, load_model, save_model
 from pmq.pipeline import RUN_JSON_SCHEMA
 from pmq.quant import QuantConfig
 from pmq.tensorfile import read_tensor_file, write_tensor_file
@@ -477,18 +478,97 @@ class TestSweep:
 
     def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
         sizes = []
-        real = pmq.cli.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def pool(max_workers):
             sizes.append(max_workers)
             return real(max_workers=max_workers)
 
-        monkeypatch.setattr(pmq.cli, "ProcessPoolExecutor", pool)
+        # cmd_sweep imports the pool class when it needs one, so patch its home
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         cfg = write_cfg(tmp_path, {"sweep_bits": [4, 8], "sweep_methods": ["rtn"]})
         out = tmp_path / "out"
         args = ("--config", cfg, "--out", str(out), "--axis", "bits", "--jobs", "64")
         assert run_cli("sweep", *args) == 0
         assert sizes == [2]
+
+
+class TestSweepAfterGen:
+    """`sweep` loads the problem `gen` wrote to --out when gen's record matches."""
+
+    CFG = {"sweep_bits": [3, 4], "sweep_alpha": [0.0, 0.1], "sweep_samples": [8, 32, 16]}
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("axis, generated", [("bits", 0), ("alpha", 0), ("samples", 2)])
+    def test_reuse_changes_no_output(self, tmp_path, monkeypatch, axis, generated, jobs):
+        """Only the group whose inputs equal the record loads; samples_per_task is 32."""
+        cfg = write_cfg(tmp_path, self.CFG)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        args = ("--config", cfg, "--axis", axis, "--jobs", jobs)
+        assert run_cli("sweep", "--out", str(fresh), *args) == 0
+        assert run_cli("gen", "--config", cfg, "--out", str(reused)) == 0
+        recorded = json.loads((reused / "problem.json").read_text())
+        assert recorded == pmq.cli._problem_inputs(load_config(cfg, [], env={}))
+        calls = count_calls(monkeypatch, "make_synthetic_tasks")
+        assert run_cli("sweep", "--out", str(reused), *args) == 0
+        assert calls == {"make_synthetic_tasks": generated}
+        assert dir_hashes(reused / "sweep") == dir_hashes(fresh / "sweep")
+        rows = strip_wall_time(reused / "sweep.csv")
+        assert rows == strip_wall_time(fresh / "sweep.csv")
+        assert len(rows) == 2 * len(self.CFG[f"sweep_{axis}"])
+        assert not any(r["error"] for r in rows)
+
+    @pytest.mark.parametrize("change", ["set", "env"])
+    def test_record_of_another_problem_regenerates(self, tmp_path, monkeypatch, change):
+        cfg = write_cfg(tmp_path, self.CFG)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert run_cli("gen", "--config", cfg, "--out", str(reused)) == 0
+        extra = ("--set", "train_steps=39") if change == "set" else ()
+        if change == "env":
+            monkeypatch.setenv("PMQ_SEED", "124")
+        args = ("--config", cfg, "--axis", "bits", *extra)
+        assert run_cli("sweep", "--out", str(fresh), *args) == 0
+        calls = count_calls(monkeypatch, "make_synthetic_tasks")
+        assert run_cli("sweep", "--out", str(reused), *args) == 0
+        assert calls == {"make_synthetic_tasks": 1}
+        assert dir_hashes(reused / "sweep") == dir_hashes(fresh / "sweep")
+        assert strip_wall_time(reused / "sweep.csv") == strip_wall_time(fresh / "sweep.csv")
+
+    def test_failed_gen_leaves_no_record(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert run_cli("gen", "--config", cfg, "--out", str(out)) == 0
+
+        def failing(calib, directory):
+            raise OSError(28, "No space left on device")
+
+        # the second gen writes base and experts of another problem, then fails
+        monkeypatch.setattr(pmq.cli, "save_calib_set", failing)
+        capsys.readouterr()
+        assert run_cli("gen", "--config", cfg, "--out", str(out), "--set", "train_steps=39") == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert not (out / "problem.json").exists()
+        calls = count_calls(monkeypatch, "make_synthetic_tasks")
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--axis", "bits") == 0
+        assert calls == {"make_synthetic_tasks": 1}
+
+    def test_unreadable_problem_file_is_an_error_row(self, tmp_path, monkeypatch):
+        """A matching record with a corrupt file: error rows, never a silent regeneration."""
+        cfg = write_cfg(tmp_path, self.CFG)
+        out = tmp_path / "out"
+        assert run_cli("gen", "--config", cfg, "--out", str(out)) == 0
+        path = out / "calib" / "task1.safetensors"
+        path.write_bytes(b"\xff" * 32)
+        calls = count_calls(monkeypatch, "make_synthetic_tasks")
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--axis", "bits") == 0
+        assert calls == {"make_synthetic_tasks": 0}
+        with open(out / "sweep.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4
+        for r in rows:
+            assert r["error"].startswith(f"TruncatedPayloadError: {path}: header length")
+            assert not r["macro_mse"]
+        assert not (out / "sweep").exists()
 
 
 class TestExitCodes:
@@ -756,6 +836,23 @@ class TestExitCodes:
         assert "Traceback" not in err and "i/o failure" in err
         assert f"{path}: tensor 'layer1.weight' has shape [5, 8], manifest declares [12, 8]" in err
         assert not (out / "merged.safetensors").exists()
+
+    def test_model_weight_not_in_its_sidecar_dtype_is_4(self, tmp_path, capsys):
+        """An F64 full-precision layer1.weight beside an f32 sidecar."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        run_cli("gen", "--config", cfg, "--out", str(out))
+        path = out / "quantized.safetensors"
+        save_model(Model.from_checkpoint(load_checkpoint(out / "base.safetensors")), path)
+        sidecar = out / "quantized.manifest.json"
+        sidecar.write_text(sidecar.read_text().replace('"dtype":"f64"', '"dtype":"f32"'))
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"i/o failure: {path}: tensor 'layer1.weight' has dtype float64" in err
+        assert dir_hashes(out) == before
 
     def test_corrupt_tensor_file_is_4(self, tmp_path):
         cfg = write_cfg(tmp_path)
