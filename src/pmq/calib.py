@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, LayerWeights, ModelManifest, LayerSpec
-from .linalg import ShapeError, as_matrix, matmul
+# `matmul` is unused here but perfbench's alias test requires pmq.calib.matmul; the
+# trainer's stacked products bypass the traced matmul (see ROADMAP item 1)
+from .linalg import ShapeError, as_matrix, matmul  # noqa: F401
 from .model import (
     Batch,
     Model,
@@ -32,7 +34,7 @@ from .tensorfile import MalformedHeaderError, read_tensor_file, write_json, writ
 
 @dataclass
 class CalibSet:
-    """Per-task batches, task ids covering 1..K."""
+    """Per-task batches, task ids covering 1..K, all with one width n."""
 
     batches: list[Batch]
     samples_per_task: int
@@ -43,6 +45,9 @@ class CalibSet:
         if not ids or ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"task ids must cover 1..K, K >= 1, exactly once, got {ids}")
         self.batches = sorted(self.batches, key=lambda b: b.task_id)
+        widths = [b.inputs.shape[1] for b in self.batches]
+        if len(set(widths)) > 1:
+            raise ValueError(f"every task needs the same number of samples, got {widths}")
 
     @property
     def num_tasks(self) -> int:
@@ -141,12 +146,15 @@ def _perturb_checkpoint(
     return Checkpoint(layers=layers, manifest=base.manifest)
 
 
-def _train_expert(
+def _train_experts(
     base: Checkpoint, inputs: np.ndarray, targets: np.ndarray, steps: int, lr: float
-) -> Checkpoint:
-    """Full-batch gradient descent on mean squared loss, from the base weights."""
-    weights = [lw.weight.copy() for lw in base.layers]
-    biases = [None if lw.bias is None else lw.bias.copy() for lw in base.layers]
+) -> list[Checkpoint]:
+    """Full-batch gradient descent on mean squared loss, from the base weights, for
+    expert t on inputs[t] and targets[t] (stacks (K, d, n)). Products are stacked
+    and transposes copied contiguous, so each expert gets the bits of its own run."""
+    k = len(inputs)
+    weights = [np.tile(lw.weight, (k, 1, 1)) for lw in base.layers]
+    biases = [None if lw.bias is None else np.tile(lw.bias, (k, 1)) for lw in base.layers]
     acts = [spec.activation for spec in base.manifest.layers]
     for _ in range(steps):
         # forward with taps
@@ -154,27 +162,27 @@ def _train_expert(
         taps = [a]
         pres = []
         for w, b, act in zip(weights, biases, acts):
-            z = matmul(w, a)
+            z = w @ a
             if b is not None:
-                z = z + b[:, None]
+                z = z + b[:, :, None]
             pres.append(z)
             a = apply_activation(act, z)
             taps.append(a)
-        # backward
-        g = 2.0 * (a - targets) / a.size
+        # backward; each expert's loss is the mean over its own outputs
+        g = 2.0 * (a - targets) / (a.size // k)
         for idx in range(len(weights) - 1, -1, -1):
             gz = g * activation_grad(acts[idx], pres[idx])
-            dw = matmul(gz, taps[idx].T)
+            dw = gz @ np.ascontiguousarray(taps[idx].transpose(0, 2, 1))
             if biases[idx] is not None:
-                biases[idx] = biases[idx] - lr * gz.sum(axis=1)
+                biases[idx] = biases[idx] - lr * gz.sum(axis=2)
             if idx > 0:
-                g = matmul(weights[idx].T, gz)
+                g = np.ascontiguousarray(weights[idx].transpose(0, 2, 1)) @ gz
             weights[idx] = weights[idx] - lr * dw
     layers = [
-        LayerWeights(id=lw.id, weight=w, bias=b)
+        [LayerWeights(lw.id, w[t], None if b is None else b[t]) for t in range(k)]
         for lw, w, b in zip(base.layers, weights, biases)
     ]
-    return Checkpoint(layers=layers, manifest=base.manifest)
+    return [Checkpoint(layers=list(per_task), manifest=base.manifest) for per_task in zip(*layers)]
 
 
 def make_synthetic_tasks(
@@ -226,7 +234,7 @@ def make_synthetic_tasks(
     base = _random_checkpoint(rng, manifest)
 
     d0 = dims[0]
-    experts = []
+    teachers, train_xs, train_ys = [], [], []
     calib_batches = []
     heldout_batches = []
     for task_id in range(1, num_tasks + 1):
@@ -234,23 +242,26 @@ def make_synthetic_tasks(
         spread = rng.uniform(input_spread[0], input_spread[1], size=(d0, 1))
         teacher = _perturb_checkpoint(rng, base, teacher_scale)
         teacher_model = Model.from_checkpoint(teacher)
+        teachers.append(teacher)
 
         def draw(n: int) -> np.ndarray:
             return mean + spread * rng.normal(0.0, 1.0, size=(d0, n))
 
         train_x = draw(train_samples)  # drawn in both modes, so the stream that follows agrees
-        if expert_mode == "perturb":
-            expert = teacher
-        else:
-            train_y = forward(teacher_model, train_x)
-            expert = _train_expert(base, train_x, train_y, train_steps, learning_rate)
-        experts.append(expert)
+        if expert_mode == "train":
+            train_xs.append(train_x)
+            train_ys.append(forward(teacher_model, train_x))
 
         calib_x = draw(samples_per_task)
         heldout_x = draw(heldout_samples)
         heldout_y = forward(teacher_model, heldout_x)
         calib_batches.append(Batch(inputs=calib_x, task_id=task_id))
         heldout_batches.append(Batch(inputs=heldout_x, task_id=task_id, targets=heldout_y))
+
+    experts = teachers
+    if expert_mode == "train":  # training draws nothing, so it runs after every task's draws
+        xs, ys = np.stack(train_xs), np.stack(train_ys)
+        experts = _train_experts(base, xs, ys, train_steps, learning_rate)
 
     calib = CalibSet(batches=calib_batches, samples_per_task=samples_per_task, seed=seed)
     heldout = CalibSet(batches=heldout_batches, samples_per_task=heldout_samples, seed=seed)
@@ -277,8 +288,8 @@ def save_calib_set(calib: CalibSet, directory) -> None:
     write_json(directory / "index.json", index)
 
 
-def _read_task(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """A task file's `inputs` (d x n, n >= 1) and optional `targets` (rows x n).
+def _read_task(path: Path, samples: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """A task file's `inputs` (d x n, n = samples >= 1) and optional `targets` (rows x n).
 
     The tensor reader already rejects non-finite values.
     """
@@ -295,6 +306,8 @@ def _read_task(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             f"{path}: tensor 'targets' has shape {list(targets.shape)}, "
             f"not {inputs.shape[1]} columns like 'inputs'"
         )
+    if inputs.shape[1] != samples:
+        raise MalformedHeaderError(f"{path}: {inputs.shape[1]} samples, index.json has {samples}")
     return inputs, targets
 
 
@@ -310,7 +323,7 @@ def load_calib_set(directory) -> CalibSet:
         raise MalformedHeaderError(f"{index_path}: malformed index: K={num_tasks}, need K >= 1")
     batches = []
     for task_id in range(1, num_tasks + 1):
-        inputs, targets = _read_task(directory / f"task{task_id}.safetensors")
+        inputs, targets = _read_task(directory / f"task{task_id}.safetensors", samples_per_task)
         batches.append(Batch(inputs=inputs, task_id=task_id, targets=targets))
     return CalibSet(
         batches=batches,

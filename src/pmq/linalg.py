@@ -45,10 +45,10 @@ def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Shape-checked float64 matrix product, computed by BLAS."""
+    """Shape-checked float64 product of a matrix and a matrix or stack (..., k, n), by BLAS."""
     a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if b.ndim < 2 or a.shape[1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     return a @ b
 

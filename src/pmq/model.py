@@ -175,11 +175,11 @@ def chain_link(prev: bytes, layer: RealizedLayer) -> bytes:
 
 
 def propagate_through_layer(x: np.ndarray, layer: RealizedLayer) -> np.ndarray:
-    """act(W x + b) for a single realized layer."""
+    """act(W x + b) for a single realized layer, on x (d_in, n) or a stack (..., d_in, n)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != layer.spec.d_in:
+    if x.ndim < 2 or x.shape[-2] != layer.spec.d_in:
         raise ShapeError(
-            f"layer '{layer.spec.id}': input has {x.shape[0]} rows, expected {layer.spec.d_in}"
+            f"layer '{layer.spec.id}': input {x.shape} does not have {layer.spec.d_in} rows"
         )
     y = matmul(layer.weight, x)
     if layer.bias is not None:
@@ -199,7 +199,7 @@ def forward_to_layer(model: Model, x: np.ndarray, layer_index: int) -> np.ndarra
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Full forward pass through every layer."""
+    """Full forward pass through every layer, of x (d_in, n) or a stack (..., d_in, n)."""
     out = forward_to_layer(model, x, model.num_layers)
     return propagate_through_layer(out, model.layers[-1])
 

@@ -18,7 +18,8 @@ and raises if either changed.
 Deviation diagnostics decompose the held-out output error of each
 quantized layer into the quantization part (Q X - W_m X) and the
 expert-relative merging part (W_m X - W_i X), whose sum telescopes to the
-combined deviation Q X - W_i X. They walk each task forward once.
+combined deviation Q X - W_i X. They, like evaluation, walk all tasks
+forward together as one (K, d, n) stack.
 """
 
 from __future__ import annotations
@@ -217,64 +218,63 @@ def deviation_diagnostics(run: PmqRun, heldout: CalibSet) -> DeviationReport:
     expert-relative merging deviation W_m X - W_i X, and the combined
     deviation Q X - W_i X, which must equal their sum elementwise.
 
-    Each task's activations are walked forward once through the quantized
-    model, one layer at a time, and advanced from Q X itself (bias, then
-    activation), so a layer costs three GEMMs per task. Rows come out
-    layer-major, and the first row (in that order) whose identity gap
-    exceeds IDENTITY_TOL raises. Raises ConfigError unless the held-out set
-    has one task per expert.
+    The K tasks walk the quantized model as one (K, d, n) stack, advanced
+    from Q X itself (bias, then activation). Per layer: one stacked product
+    each for Q X and W_m X, one product per task for W_i X_i, at most five
+    (K, d_out, n) arrays. Rows come out layer-major; the first whose identity
+    gap exceeds IDENTITY_TOL raises. Raises ConfigError unless the held-out
+    set has one task per expert, with inputs that fit layer 1.
     """
     if heldout.num_tasks != len(run.experts):
         raise ConfigError(f"{heldout.num_tasks} held-out tasks for {len(run.experts)} experts")
+    _check_tasks(heldout, run.model.manifest, "held-out", targets=False)
     layers = run.model.layers
-    by_task: list[list[DeviationRow]] = []
-    for expert_idx, expert in enumerate(run.experts, start=1):
-        x = heldout.task(expert_idx).inputs
-        rows = []
-        for layer_index, layer in enumerate(layers, start=1):
-            qx = matmul(layer.weight, x)
-            mx = matmul(run.merged.layers[layer_index - 1].weight, x)
-            ex = matmul(expert.layers[layer_index - 1].weight, x)
-            if layer_index < len(layers):
-                pre = qx if layer.bias is None else qx + layer.bias[:, None]
-                x = apply_activation(layer.spec.activation, pre)
-            quant_dev = qx - mx
-            merge_dev = mx - ex
-            combined = qx - ex
-            rows.append(
-                DeviationRow(
-                    layer_id=layer.spec.id,
-                    task_id=expert_idx,
-                    quant_norm=float(np.sqrt(np.sum(quant_dev**2))),
-                    merge_norm=float(np.sqrt(np.sum(merge_dev**2))),
-                    combined_norm=float(np.sqrt(np.sum(combined**2))),
-                    identity_max_abs=float(
-                        np.abs(combined - (quant_dev + merge_dev)).max(initial=0.0)
-                    ),
+    x = np.stack([batch.inputs for batch in heldout.batches])
+    rows: list[DeviationRow] = []
+    for layer_index, layer in enumerate(layers, start=1):
+        qx = matmul(layer.weight, x)
+        mx = matmul(run.merged.layers[layer_index - 1].weight, x)
+        ex = np.empty_like(qx)
+        for t, expert in enumerate(run.experts):
+            np.matmul(expert.layers[layer_index - 1].weight, x[t], out=ex[t])
+        del x
+        if layer_index < len(layers):  # a copy: identity would hand back qx, overwritten below
+            x = apply_activation(
+                layer.spec.activation, qx.copy() if layer.bias is None else qx + layer.bias[:, None]
+            )
+        # in place from here: combined, then merge (in ex), quant (in qx), the gap (in mx)
+        combined = qx - ex
+        np.subtract(mx, ex, out=ex)
+        np.subtract(qx, mx, out=qx)
+        np.subtract(combined, np.add(qx, ex, out=mx), out=mx)
+        gaps = np.abs(mx, out=mx).max(axis=(1, 2))
+        quant, merge, comb = (
+            np.sqrt(np.sum(np.square(dev, out=dev), axis=(1, 2))) for dev in (qx, ex, combined)
+        )
+        del qx, mx, ex, combined  # freed before the next layer's products
+        for task_id, values in enumerate(zip(quant, merge, comb, gaps), start=1):
+            rows.append(DeviationRow(layer.spec.id, task_id, *map(float, values)))
+            if rows[-1].identity_max_abs > IDENTITY_TOL:
+                raise ArithmeticError(
+                    f"layer '{layer.spec.id}' task {task_id}: deviation decomposition "
+                    f"violated by {rows[-1].identity_max_abs:g}"
                 )
-            )
-        by_task.append(rows)
-    report = DeviationReport(rows=[row for layer_rows in zip(*by_task) for row in layer_rows])
-    for row in report.rows:
-        if row.identity_max_abs > IDENTITY_TOL:
-            raise ArithmeticError(
-                f"layer '{row.layer_id}' task {row.task_id}: deviation decomposition "
-                f"violated by {row.identity_max_abs:g}"
-            )
-    return report
+    return DeviationReport(rows=rows)
 
 
 def evaluate(model: Model, heldout: CalibSet) -> EvalResult:
     """Per-task mean squared error against held-out targets, plus the macro mean.
 
-    Raises ConfigError, before any forward pass, when a task's inputs do not
-    fit layer 1 or its targets are missing or do not fit the last layer.
+    All tasks are forwarded together as one (K, d, n) stack. Raises
+    ConfigError, before any forward pass, when a task's inputs do not fit
+    layer 1 or its targets are missing or do not fit the last layer.
     """
     _check_tasks(heldout, model.manifest, "held-out", targets=True)
-    per_task: dict[int, float] = {}
-    for batch in heldout.batches:
-        outputs = forward(model, batch.inputs)
-        per_task[batch.task_id] = float(np.mean((outputs - batch.targets) ** 2))
+    outputs = forward(model, np.stack([batch.inputs for batch in heldout.batches]))
+    per_task = {
+        batch.task_id: float(np.mean((out - batch.targets) ** 2))
+        for out, batch in zip(outputs, heldout.batches)
+    }
     macro = float(np.mean(list(per_task.values())))
     return EvalResult(per_task_mse=per_task, macro_mse=macro)
 

@@ -16,6 +16,9 @@ pipeline's one-pass activations are the ones re-forwarding from the inputs
 to every layer would give. sweep_from_scratch reuses the CLI's generation,
 quantization and evaluation, because what it pins down is that sharing one
 problem among sweep points gives what regenerating it for each would.
+train_expert_per_task reuses the package's activations and their
+derivatives, because what it pins down is that stacking the experts'
+gradient steps over one task axis changes no bit of any expert.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from pmq.calib import LayerCalibStats, accumulate_stats
+from pmq.checkpoint import Checkpoint, LayerWeights
 from pmq.cli import ConfigError, _generate_problem, config_from_dict
 from pmq.merge import apply_merge
-from pmq.model import Model, forward_to_layer, save_model
+from pmq.model import Model, activation_grad, apply_activation, forward_to_layer, save_model
 from pmq.pipeline import DeviationRow, evaluate, quantize, run_to_json_dict
 from pmq.quant import QuantConfig, dequantize_values, fit_layer_grids, quantize_values
 from pmq.solver import solve_layer
@@ -203,6 +207,40 @@ def deviation_rows_from_scratch(run, heldout):
                 )
             )
     return rows
+
+
+def train_expert_per_task(base, inputs, targets, steps, lr):
+    """One expert's full-batch gradient descent on mean squared loss, from the
+    base weights, with 2-D products whose transposed operands are copied
+    contiguous first."""
+    weights = [lw.weight.copy() for lw in base.layers]
+    biases = [None if lw.bias is None else lw.bias.copy() for lw in base.layers]
+    acts = [spec.activation for spec in base.manifest.layers]
+    for _ in range(steps):
+        a = inputs
+        taps = [a]
+        pres = []
+        for w, b, act in zip(weights, biases, acts):
+            z = w @ a
+            if b is not None:
+                z = z + b[:, None]
+            pres.append(z)
+            a = apply_activation(act, z)
+            taps.append(a)
+        g = 2.0 * (a - targets) / a.size
+        for idx in range(len(weights) - 1, -1, -1):
+            gz = g * activation_grad(acts[idx], pres[idx])
+            dw = gz @ np.ascontiguousarray(taps[idx].T)
+            if biases[idx] is not None:
+                biases[idx] = biases[idx] - lr * gz.sum(axis=1)
+            if idx > 0:
+                g = np.ascontiguousarray(weights[idx].T) @ gz
+            weights[idx] = weights[idx] - lr * dw
+    layers = [
+        LayerWeights(id=lw.id, weight=w, bias=b)
+        for lw, w, b in zip(base.layers, weights, biases)
+    ]
+    return Checkpoint(layers=layers, manifest=base.manifest)
 
 
 def quantize_from_scratch(merged, experts, calib, cfg):

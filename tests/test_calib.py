@@ -19,6 +19,8 @@ from pmq.model import Batch, Model, forward_to_layer
 from pmq.quant import QuantConfig, rtn_quantize
 from pmq.tensorfile import MalformedHeaderError
 
+from oracles import train_expert_per_task
+
 
 def small_problem(seed=0, **kwargs):
     defaults = dict(
@@ -46,6 +48,22 @@ class TestCalibSet:
             CalibSet(batches=batches, samples_per_task=4)
         with pytest.raises(ValueError, match="K >= 1"):
             CalibSet(batches=[], samples_per_task=4)
+
+    def test_ragged_batches_raise(self, rng):
+        batches = [Batch(rng.normal(size=(3, n)), task_id=i) for i, n in ((1, 4), (2, 5))]
+        with pytest.raises(ValueError, match=re.escape("same number of samples, got [4, 5]")):
+            CalibSet(batches=batches, samples_per_task=4)
+
+    def test_inputs_width_must_be_samples_per_task(self, tmp_path, rng):
+        calib = CalibSet(
+            batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2)], samples_per_task=3
+        )
+        save_calib_set(calib, tmp_path / "c")
+        (tmp_path / "c" / "index.json").write_text('{"K": 2, "samples_per_task": 4}')
+        path = tmp_path / "c" / "task1.safetensors"
+        message = f"{path}: 3 samples, index.json has 4"
+        with pytest.raises(MalformedHeaderError, match=re.escape(message)):
+            load_calib_set(tmp_path / "c")
 
     def test_round_trip_files(self, tmp_path, rng):
         batches = [
@@ -267,6 +285,22 @@ class TestSyntheticTasks:
         monkeypatch.setattr(pmq.calib, "forward", counted)
         small_problem(expert_mode=mode, num_tasks=3)
         assert len(calls) == per_task * 3
+
+    @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("num_tasks", [1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_stacked_trainer_equals_per_task_oracle(self, rng, activation, num_tasks, steps):
+        base = small_problem(seed=6, hidden_activation=activation, train_steps=0).base
+        # at 64 samples a product against an uncopied transposed view changes bits
+        inputs = rng.normal(size=(num_tasks, 6, 64))
+        targets = rng.normal(size=(num_tasks, 5, 64))
+        stacked = pmq.calib._train_experts(base, inputs, targets, steps, 0.1)
+        assert len(stacked) == num_tasks
+        for expert, x, y in zip(stacked, inputs, targets):
+            want = train_expert_per_task(base, x, y, steps, 0.1)
+            for got_layer, want_layer in zip(expert.layers, want.layers):
+                assert got_layer.weight.tobytes() == want_layer.weight.tobytes()
+                assert got_layer.bias.tobytes() == want_layer.bias.tobytes()
 
     def test_both_expert_modes_draw_the_same_data(self):
         """Training draws nothing, so the modes share one random stream and one data set."""

@@ -822,6 +822,27 @@ class TestExitCodes:
         assert "Traceback" not in err and f"{index}: malformed index: K=0" in err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize(
+        "command, directory, samples", [("quantize", "calib", 32), ("eval", "heldout", 64)]
+    )
+    def test_task_width_not_samples_per_task_is_4(
+        self, tmp_path, capsys, command, directory, samples
+    ):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize")[: 2 if command == "quantize" else 3]:
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        path = out / directory / "task2.safetensors"
+        tensors, _ = read_tensor_file(path)
+        write_tensor_file(path, {name: t[:, :5] for name, t in tensors.items()})
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "i/o failure" in err
+        assert f"{path}: 5 samples, index.json has {samples}" in err
+        assert dir_hashes(out) == before
+
     def test_tensor_not_matching_its_sidecar_is_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
@@ -1022,6 +1043,31 @@ class TestAtomicWrites:
         assert "Traceback" not in err and "No space left on device" in err
         assert len(failed) == 1
         # run.json is the one eval wrote before; no temp file is left behind
+        assert dir_hashes(out) == before
+
+    def test_failed_replace_during_quantize_keeps_the_previous_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        before = dir_hashes(out)
+        attempts = []
+
+        def failing_replace(src, dst):
+            attempts.append(Path(dst).name)
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(pmq.tensorfile.os, "replace", failing_replace)
+        capsys.readouterr()
+        # another bit width, so that a completed rewrite would change both files
+        args = ("--config", cfg, "--out", str(out), "--set", "quant.bits=3")
+        assert run_cli("quantize", *args) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "i/o failure" in err and "Permission denied" in err
+        assert attempts == ["quantized.safetensors"]
+        assert not list(out.rglob(".*.tmp"))
         assert dir_hashes(out) == before
 
 

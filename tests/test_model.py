@@ -73,6 +73,17 @@ class TestForward:
         m = single_layer_model(np.eye(3))
         with pytest.raises(ShapeError):
             forward(m, rng.normal(size=(4, 2)))
+        with pytest.raises(ShapeError):
+            forward(m, rng.normal(size=(2, 4, 2)))
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_task_stack_gives_each_slice_its_own_bits(self, rng, n):
+        model = Model.from_checkpoint(make_checkpoint(rng, dims=(4, 6, 3)))
+        stack = rng.normal(size=(3, 4, n))
+        out = forward(model, stack)
+        assert out.shape == (3, 3, n)
+        for got, x in zip(out, stack):
+            assert got.tobytes() == forward(model, x).tobytes()
 
 
 class TestForwardToLayer:

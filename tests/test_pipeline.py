@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -14,6 +15,7 @@ from pmq.checkpoint import Checkpoint, LayerWeights
 from pmq.merge import MergeSpec, apply_merge
 from pmq.model import EMPTY_PREFIX, Batch, Model, chain_link, forward, forward_to_layer
 from pmq.pipeline import (
+    ConfigError,
     deviation_diagnostics,
     evaluate,
     quantize,
@@ -264,15 +266,60 @@ class TestDeviationDiagnostics:
         assert len(report.rows) == 9 * 3
         assert report.rows == deviation_rows_from_scratch(run, problem.heldout)
 
-    def test_forwards_each_task_once(self, monkeypatch):
+    def test_walks_one_task_stack(self, monkeypatch):
+        """One (K, d, n) stack per layer; only W_i X_i is formed task by task."""
         problem, merged = merged_problem(seed=18, dims=[6] * 10, num_tasks=3)
         run = run_method(problem, merged, "epmq")
         propagations = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
-        products = counting(monkeypatch, pmq.pipeline, "matmul")
+        activations = counting(monkeypatch, pmq.pipeline, "apply_activation")
+        per_task = counting(monkeypatch, np, "matmul")
         deviation_diagnostics(run, problem.heldout)
-        # Q X, W_m X and W_i X per layer and task; the walk advances from Q X
-        assert len(products) == 3 * run.model.num_layers * 3
+        layers = run.model.num_layers
+        assert [x.shape for _, x in activations] == [(3, 6, 24)] * (layers - 1)
+        assert [x.shape for _, x in per_task] == [(6, 24)] * (layers * 3)
         assert propagations == []
+
+    @pytest.mark.parametrize("num_tasks", [1, 4])
+    def test_stacked_walks_equal_per_task_ones_at_one_sample(self, num_tasks):
+        problem = small_problem(
+            seed=25, num_tasks=num_tasks, heldout_samples=1, hidden_activation="gelu"
+        )
+        merged = apply_merge(MergeSpec(), problem.base, problem.experts)
+        run = run_method(problem, merged, "epmq")
+        result = evaluate(run.model, problem.heldout)
+        assert result.per_task_mse == {
+            b.task_id: float(np.mean((forward(run.model, b.inputs) - b.targets) ** 2))
+            for b in problem.heldout.batches
+        }
+        report = deviation_diagnostics(run, problem.heldout)
+        assert report.rows == deviation_rows_from_scratch(run, problem.heldout)
+
+    def test_bias_free_identity_hidden_layer_keeps_its_inputs(self):
+        # identity returns its argument, so the next layer's input must not be
+        # the Q X buffer the deviations are formed in
+        problem = small_problem(
+            seed=26,
+            num_tasks=3,
+            dims=[6, 8, 7, 5],
+            hidden_activation="identity",
+            expert_mode="perturb",
+        )
+        manifest = dataclasses.replace(
+            problem.base.manifest,
+            layers=[dataclasses.replace(s, has_bias=False) for s in problem.base.manifest.layers],
+        )
+
+        def bias_free(ckpt):
+            layers = [LayerWeights(lw.id, lw.weight) for lw in ckpt.layers]
+            return Checkpoint(layers=layers, manifest=manifest)
+
+        experts = [bias_free(e) for e in problem.experts]
+        merged = apply_merge(MergeSpec(), bias_free(problem.base), experts)
+        problem = dataclasses.replace(problem, experts=experts)
+        run = run_method(problem, merged, "epmq")
+        assert all(layer.bias is None for layer in run.model.layers)
+        report = deviation_diagnostics(run, problem.heldout)
+        assert report.rows == deviation_rows_from_scratch(run, problem.heldout)
 
     def test_identity_violation_names_first_layer_major_row(self, monkeypatch):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
@@ -280,6 +327,14 @@ class TestDeviationDiagnostics:
         monkeypatch.setattr(pmq.pipeline, "IDENTITY_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="layer 'layer1' task 1: deviation decomposition"):
             deviation_diagnostics(run, problem.heldout)
+
+    def test_inputs_not_fitting_layer_one_are_a_config_error(self):
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
+        run = run_method(problem, merged, "epmq")
+        batches = [problem.heldout.task(1), Batch(problem.heldout.task(2).inputs[:5], task_id=2)]
+        heldout = CalibSet(batches=batches, samples_per_task=problem.heldout.samples_per_task)
+        with pytest.raises(ConfigError, match="held-out task 2 has inputs of 5 rows"):
+            deviation_diagnostics(run, heldout)
 
 
 class TestActivationCache:
@@ -383,6 +438,12 @@ class TestStateGuard:
 
 
 class TestEvaluate:
+    def test_forwards_one_task_stack(self, monkeypatch):
+        problem, merged = merged_problem(seed=18, dims=[6, 7, 5], num_tasks=3)
+        forwards = counting(monkeypatch, pmq.pipeline, "forward")
+        evaluate(Model.from_checkpoint(merged), problem.heldout)
+        assert [x.shape for _, x in forwards] == [(3, 6, 24)]
+
     def test_perfect_model_zero_mse(self):
         problem = small_problem(seed=13, num_tasks=1)
         model = Model.from_checkpoint(problem.base)
