@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import require_finite
+from .linalg import read_only, require_finite
 from .tensorfile import (
     DtypeMismatchError,
     MalformedHeaderError,
@@ -115,6 +115,9 @@ class LayerWeights:
 
 @dataclass
 class Checkpoint:
+    """Layer weights checked against the manifest, each weight and bias kept
+    as a read-only float64 view (the caller's arrays keep their flags)."""
+
     layers: list[LayerWeights] = field(default_factory=list)
     manifest: ModelManifest | None = None
 
@@ -128,7 +131,7 @@ class Checkpoint:
         for lw, spec in zip(self.layers, self.manifest.layers):
             if lw.id != spec.id:
                 raise ManifestError(f"layer id '{lw.id}' does not match manifest id '{spec.id}'")
-            lw.weight = np.ascontiguousarray(lw.weight, dtype=np.float64)
+            lw.weight = read_only(np.ascontiguousarray(lw.weight, dtype=np.float64))
             if lw.weight.shape != (spec.d_out, spec.d_in):
                 raise ManifestError(
                     f"layer '{lw.id}': weight shape {lw.weight.shape} != ({spec.d_out}, {spec.d_in})"
@@ -136,7 +139,7 @@ class Checkpoint:
             if spec.has_bias:
                 if lw.bias is None:
                     raise ManifestError(f"layer '{lw.id}': manifest declares a bias but none given")
-                lw.bias = np.ascontiguousarray(lw.bias, dtype=np.float64)
+                lw.bias = read_only(np.ascontiguousarray(lw.bias, dtype=np.float64))
                 if lw.bias.shape != (spec.d_out,):
                     raise ManifestError(
                         f"layer '{lw.id}': bias shape {lw.bias.shape} != ({spec.d_out},)"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import numbers
@@ -254,9 +255,11 @@ def cmd_merge(cfg: RunConfig, out: Path) -> None:
 
 
 def _write_run(run: PmqRun, cfg: RunConfig, directory: Path) -> None:
-    """A run's two files: quantized.safetensors and run.json."""
-    save_model(run.model, directory / "quantized.safetensors")
-    write_json(directory / "run.json", run_to_json_dict(run, config=cfg.to_json_dict()))
+    """A run's two files: quantized.safetensors, then run.json, which records
+    the SHA-256 of the model bytes it describes (`pmq eval` checks it)."""
+    obj = run_to_json_dict(run, config=cfg.to_json_dict())
+    obj["model_sha256"] = save_model(run.model, directory / "quantized.safetensors")
+    write_json(directory / "run.json", obj)
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -277,7 +280,23 @@ def cmd_quantize(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
-    model = _load_matching(cfg, out / "quantized.safetensors", load_model)
+    model_path = out / "quantized.safetensors"
+    model = _load_matching(cfg, model_path, load_model)
+    # run.json must describe these model bytes: a failed rewrite may have left an older one
+    run_path = out / "run.json"
+    obj = None
+    if run_path.exists():
+        try:
+            obj = json.loads(run_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise TensorFileError(f"{run_path}: not valid JSON: {exc}") from exc
+        recorded = obj.get("model_sha256") if isinstance(obj, dict) else None
+        digest = hashlib.sha256(model_path.read_bytes()).hexdigest()
+        if recorded != digest:
+            raise TensorFileError(
+                f"{run_path} does not describe {model_path}: model_sha256 {recorded!r}, "
+                f"file {digest}; rerun pmq quantize"
+            )
     heldout = load_calib_set(out / "heldout")
     # the deviation diagnostics are skipped only when no expert file exists
     experts = _load_experts(out, cfg.k, required=False)
@@ -294,9 +313,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         for task, mse in [*sorted(result.per_task_mse.items()), ("macro", result.macro_mse)]
     ]
     # compute everything before the first write, so a failed eval writes no file
-    run_path = out / "run.json"
-    obj = None
-    if run_path.exists() and experts:
+    updated = None
+    if obj is not None and experts:
         run = PmqRun(
             merged=load_checkpoint(out / "merged.safetensors"),
             experts=experts,
@@ -307,8 +325,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
             method=cfg.quant.solver,
         )
         deviation = deviation_diagnostics(run, heldout)
-        obj = json.loads(run_path.read_text(encoding="utf-8"))
-        obj["deviation"] = [
+        updated = dict(obj)
+        updated["deviation"] = [
             {
                 "layer_id": row.layer_id,
                 "task": row.task_id,
@@ -319,8 +337,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
             for row in deviation.rows
         ]
     _write_csv(out / "metrics.csv", ["task", "method", "bits", "alpha", "samples", "mse"], rows)
-    if obj is not None:
-        write_json(run_path, obj)
+    if updated is not None:
+        write_json(run_path, updated)
 
 
 def _point_config(cfg: RunConfig, axis: str, value, method: str) -> RunConfig:

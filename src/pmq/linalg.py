@@ -38,6 +38,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`; `a` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
@@ -82,6 +89,20 @@ def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.nd
     return h
 
 
+def _first_bad_pivot(h: np.ndarray) -> int:
+    """1-based column of the first pivot of h = U^T U that is not positive (or
+    not finite), 0 if there is none: dpotrf's `info`, by an unblocked
+    column-by-column Cholesky of one leaf of at most FACTOR_LEAF columns."""
+    u = np.zeros_like(h)
+    for j in range(len(h)):
+        pivot = h[j, j] - u[:j, j] @ u[:j, j]
+        if not pivot > 0:
+            return j + 1
+        u[j, j] = np.sqrt(pivot)
+        u[j, j + 1 :] = (h[j, j + 1 :] - u[:j, j] @ u[:j, j + 1 :]) / u[j, j]
+    return 0
+
+
 def _block_cholesky(h: np.ndarray, ui: np.ndarray, context: str, columns):
     """Write inv(U), for the upper Cholesky factor U of h = U^T U, into the upper
     triangle of ui and nothing below it; h is only read.
@@ -90,18 +111,15 @@ def _block_cholesky(h: np.ndarray, ui: np.ndarray, context: str, columns):
     inv(U)12 = -inv(U11) U12 inv(U22); above FACTOR_LEAF columns every flop
     is a GEMM. LAPACK inverts a leaf's triangular factor to exact zeros below
     the diagonal. A failing pivot is named by its entry of `columns` (1-based
-    columns of the caller's matrix). Only that path imports scipy (numpy does
-    not name the pivot), so a successful factor leaves scipy's BLAS thread
-    pool asleep next to numpy's.
+    columns of the caller's matrix), found by _first_bad_pivot on the leaf
+    that failed (numpy does not name it).
     """
     d = len(h)
     if d <= FACTOR_LEAF:
         try:
             leaf = np.linalg.cholesky(h, upper=True)
         except np.linalg.LinAlgError:
-            from scipy.linalg import lapack
-
-            info = int(lapack.dpotrf(h, lower=0)[1])
+            info = _first_bad_pivot(h)
             pivot = int(columns[info - 1]) if info else None
             message = f"{context} is not positive definite: non-positive pivot at index {pivot}"
             raise SingularMatrixError(message, pivot=pivot) from None

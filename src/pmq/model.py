@@ -27,7 +27,7 @@ from .checkpoint import (
     save_manifest,
     storage_dtype,
 )
-from .linalg import ShapeError, matmul
+from .linalg import ShapeError, matmul, read_only
 from .quant import QuantizedLayer, pack_codes, unpack_codes
 from .tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
 
@@ -63,20 +63,23 @@ def activation_grad(name: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Batch:
-    """Inputs for one task: (d, n) columns of samples, 1-based task id."""
+    """Inputs for one task: (d, n) columns of samples, 1-based task id.
+
+    Inputs and targets are kept as read-only float64 views.
+    """
 
     inputs: np.ndarray
     task_id: int
     targets: np.ndarray | None = None
 
     def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        self.inputs = read_only(np.ascontiguousarray(self.inputs, dtype=np.float64))
         if self.inputs.ndim != 2 or self.inputs.shape[1] < 1:
             raise ShapeError(f"batch inputs must be (d, n>=1), got {self.inputs.shape}")
         if self.task_id < 1:
             raise ValueError(f"task_id must be >= 1, got {self.task_id}")
         if self.targets is not None:
-            self.targets = np.ascontiguousarray(self.targets, dtype=np.float64)
+            self.targets = read_only(np.ascontiguousarray(self.targets, dtype=np.float64))
             if self.targets.shape[1] != self.inputs.shape[1]:
                 raise ShapeError("targets must have the same number of columns as inputs")
 
@@ -204,8 +207,9 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     return propagate_through_layer(out, model.layers[-1])
 
 
-def save_model(model: Model, path) -> None:
-    """Write a (possibly partially quantized) model plus manifest sidecar.
+def save_model(model: Model, path) -> str:
+    """Write a (possibly partially quantized) model plus manifest sidecar;
+    returns the hex SHA-256 of the model file's bytes.
 
     Full-precision layers store "<id>.weight"; quantized layers store
     "<id>.codes" (packed bitstream), "<id>.scales" (f32), "<id>.zeros" (i32),
@@ -229,8 +233,9 @@ def save_model(model: Model, path) -> None:
             tensors[f"{lid}.weight"] = layer.weight.astype(store)
         if layer.bias is not None:
             tensors[f"{lid}.bias"] = layer.bias.astype(np.float64)
-    write_tensor_file(path, tensors, metadata=metadata or None)
+    data = write_tensor_file(path, tensors, metadata=metadata or None)
     save_manifest(model.manifest, manifest_path(path))
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_model(path) -> Model:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import require_finite
+from .linalg import read_only, require_finite
 
 SOLVERS = ("rtn", "gptq", "epmq")
 GRID_SOURCES = ("target", "merged")
@@ -147,6 +147,8 @@ class QuantizedLayer:
     [0, 2^bits - 1]); pack_codes/unpack_codes produce the serialized
     bitstream. scales are (d_out, num_groups) float32, zeros int32.
 
+    Every array is held as a read-only view.
+
     `weight` is the realized weight scale * (code - zero). A solver that has
     already formed those values passes them as `values`, bit for bit what
     dequantize() gives, and they are kept as the weight; otherwise the
@@ -176,17 +178,15 @@ class QuantizedLayer:
             raise ValueError(f"codes exceed {self.bits}-bit range")
         if not (scales > 0).all():
             raise ValueError("all scales must be positive")
-        for arr in (codes, scales, zeros):
-            arr.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "codes", read_only(codes))
+        object.__setattr__(self, "scales", read_only(scales))
+        object.__setattr__(self, "zeros", read_only(zeros))
         if values is not None:
             if values.shape != codes.shape or values.dtype != np.float64:
                 raise ValueError(
                     f"values must be float64 {codes.shape}, got {values.dtype} {values.shape}"
                 )
-            self.__dict__["weight"] = values  # the cached_property's slot
+            self.__dict__["weight"] = read_only(values)  # the cached_property's slot
 
     @property
     def d_out(self) -> int:
@@ -208,8 +208,8 @@ class QuantizedLayer:
 
     @cached_property
     def weight(self) -> np.ndarray:
-        """The realized weight: the solver's values, else dequantized once."""
-        return self.dequantize()
+        """The realized weight, read-only: the solver's values, else dequantized once."""
+        return read_only(self.dequantize())
 
 
 def rtn_quantize(W, cfg: QuantConfig) -> QuantizedLayer:

@@ -11,7 +11,7 @@ what they round toward:
   H_E = sum_i H_i + lam*I and R = sum_i W_i H_i + lam*W_m, computes the
   continuous optimizer W* = R inv(H_E), and runs the sequential solver
   toward W* under curvature H_E. The anchored objective
-  sum_i ||Q X_i - W_i X_i||_F^2 + lam*||Q - W_m||_F^2 differs from
+  F(Q) = sum_i ||Q X_i - W_i X_i||_F^2 + lam*||Q - W_m||_F^2 differs from
   ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so one rounding
   routine serves gptq and epmq.
 
@@ -19,6 +19,11 @@ Both solves take one factor, inv(H) = U^T U (linalg.cholesky_inverse_upper):
 the continuous solve of H_E, the rounding of its damped curvature. The
 rounding then pays one GEMV and one in-place quantize per column and one
 GEMM per block, and its values become the quantized layer's realized weight.
+
+Scores take no GEMM: rounding toward T under H + delta*I compensates column
+j by err_j with sum_j ||err_j||^2 = tr(E (H + delta*I) E^T), E = Q - T, so
+the rounding gap tr(E H E^T) (gptq's score) is that sum less delta*||E||_F^2,
+and epmq's F(Q) is the gap plus a constant (solve_layer).
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from .quant import (
 
 # columns rounded one by one between two lazy batch updates
 ROUNDING_BLOCK = 128
+# columns of the random probe that estimates the continuous solve's residual
+PROBE_COLUMNS = 4
 
 
 @dataclass
@@ -126,14 +133,15 @@ def build_epmq_statistics(
     merged_weight: np.ndarray,
     stats: LayerCalibStats,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Effective curvature and right-hand side of the anchored problem.
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(H_E, R, lam, c) of the anchored problem F(Q) = tr(Q H_E Q^T) - 2<Q, R> + c.
 
-    H_E = sum_i H_i + lam*I and R = sum_i W_i H_i + lam*W_m, where
-    lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda).
+    H_E = sum_i H_i + lam*I, R = sum_i W_i H_i + lam*W_m and
+    c = sum_i <W_i H_i, W_i> + lam*||W_m||_F^2, with
+    lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda), summed in task order.
     """
     merged_weight = as_matrix(merged_weight, "merged_weight")
-    if len(expert_weights) != stats.num_tasks:
+    if not expert_weights or len(expert_weights) != stats.num_tasks:
         raise ValueError(
             f"{len(expert_weights)} expert weights for {stats.num_tasks} task statistics"
         )
@@ -141,19 +149,24 @@ def build_epmq_statistics(
     if merged_weight.shape[1] != d:
         raise ValueError(f"merged weight width {merged_weight.shape[1]} != stats dim {d}")
     lam = anchor_lambda(stats, alpha)
-    h_e = np.zeros((d, d))
-    r = np.zeros_like(merged_weight)
+    h_e = r = None
+    c = 0.0
     for w_i, h_i in zip(expert_weights, stats.hessians):
         w_i = as_matrix(w_i, "expert weight")
         if w_i.shape != merged_weight.shape:
             raise ValueError(
                 f"expert weight shape {w_i.shape} != merged shape {merged_weight.shape}"
             )
-        h_e += h_i
-        r += matmul(w_i, h_i)
+        wh = matmul(w_i, h_i)
+        c += float(np.vdot(wh, w_i))
+        if h_e is None:
+            h_e, r = h_i.copy(), wh
+        else:
+            h_e += h_i
+            r += wh
     h_e.flat[:: d + 1] += lam
     r += lam * merged_weight
-    return h_e, r, lam
+    return h_e, r, lam, c + lam * frobenius_sq(merged_weight)
 
 
 def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -161,15 +174,19 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Requires H_E symmetric (solve_layer checks that once, in SolverProblem)
     and positive definite; callers damp first when the anchor is zero and
-    the pooled curvature is singular. Q = (R U^T) U; one refinement step
-    against the same U keeps the stationary residual near machine precision
-    even for poorly conditioned instances.
+    the pooled curvature is singular. Q = (R U^T) U. The residual
+    ||R - Q H_E||_F is estimated as ||R V - Q (H_E V)||_F / sqrt(p) with a
+    fixed, seeded (d, p) Gaussian probe V, p = PROBE_COLUMNS; only when the
+    estimate exceeds 1e-12 * (1 + ||R||_F) is the full residual formed and one
+    refinement step taken against the same U, which keeps the residual near
+    machine precision even for poorly conditioned instances.
     """
     u = cholesky_inverse_upper(h_e, context="h")
     q = (r @ u.T) @ u
-    residual = r - matmul(q, h_e)
-    if np.sqrt(frobenius_sq(residual)) > 1e-10 * (1.0 + np.sqrt(frobenius_sq(r))):
-        q += (residual @ u.T) @ u
+    v = np.random.default_rng(0).standard_normal((len(h_e), PROBE_COLUMNS))
+    estimate = np.sqrt(frobenius_sq(r @ v - q @ (h_e @ v)) / PROBE_COLUMNS)
+    if estimate > 1e-12 * (1.0 + np.sqrt(frobenius_sq(r))):
+        q += ((r - matmul(q, h_e)) @ u.T) @ u
     return q
 
 
@@ -261,16 +278,23 @@ def _round_sequential(problem: SolverProblem) -> tuple:
     return quantized, damp, np.sqrt(comp_sq)
 
 
+def _rounding_gap(comp_norms: np.ndarray, damp: float, error: np.ndarray) -> float:
+    """tr(E H E^T) for the rounding error E = Q - T under the pre-damping
+    curvature H: the squared compensation norms sum to tr(E (H + damp*I) E^T)."""
+    return float(np.dot(comp_norms, comp_norms)) - damp * frobenius_sq(error)
+
+
 def gptq_solve(problem: SolverProblem) -> SolveReport:
     """Sequential error-compensated rounding toward the problem target.
 
-    Rounds with _round_sequential; the reported objective is recomputed
-    from scratch on the final codes' values against the pre-damping curvature.
+    Rounds with _round_sequential; the reported objective is the rounding
+    gap tr((Q - T) H (Q - T)^T) of the final values against the pre-damping
+    curvature, read from the compensation norms (no GEMM).
     """
     quantized, damp, comp_norms = _round_sequential(problem)
     return SolveReport(
         quantized=quantized,
-        objective=quadratic_objective(quantized.weight, problem.target, problem.curvature),
+        objective=_rounding_gap(comp_norms, damp, quantized.weight - problem.target),
         lam=0.0,
         damping=damp,
         per_column_comp_norms=comp_norms,
@@ -288,11 +312,15 @@ def solve_layer(
 
     rtn ignores the experts and needs no statistics; with statistics its
     objective is scored against the pooled curvature. gptq rounds the merged
-    weight under the pooled curvature. epmq builds (H_E, R, lam), computes
-    the continuous target W* = R inv(H_E) (damping H_E and retrying when the
-    anchor is zero and the pooled curvature is singular), then rounds toward
-    W* under H_E; its objective is the full anchored objective of the final
-    codes, experts and anchor included.
+    weight under the pooled curvature. epmq builds (H_E, R, lam, c), computes
+    the continuous target W* = R inv(H_E), then rounds toward W* under H_E.
+    Its objective, the full anchored objective of the final codes, is
+    F(Q) = gap + c - <R, W*> with gap = tr(E H_E E^T), E = Q - W*. When the
+    anchor is zero and the pooled curvature singular, W* solves
+    W* (H_E + delta'*I) = R for a damping delta', and F(Q) takes
+    - 2 delta' <W*, E> - delta' ||W*||_F^2 more. The closed form cancels terms
+    of size c, so it rounds relative to c, not to F(Q); epmq_objective
+    recomputes F(Q) from the curvatures, with K GEMMs, as a reference.
     """
     merged_weight = as_matrix(merged_weight, "merged_weight")
     if cfg.solver == "rtn":
@@ -319,26 +347,30 @@ def solve_layer(
                 cfg=cfg,
             )
         )
-    h_e, r, lam = build_epmq_statistics(expert_weights, merged_weight, stats, cfg.alpha)
-    fallback = False
+    h_e, r, lam, c = build_epmq_statistics(expert_weights, merged_weight, stats, cfg.alpha)
+    shift = 0.0
     try:
         w_star = continuous_solution(h_e, r)
     except SingularMatrixError:
-        fallback = True
+        shift = _damping_for(h_e, cfg.percdamp)
         damped = h_e.copy()
-        damped.flat[:: stats.d + 1] += _damping_for(h_e, cfg.percdamp)
+        damped.flat[:: stats.d + 1] += shift
         w_star = continuous_solution(damped, r)
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
     problem = SolverProblem(
         target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg
     )
     quantized, damp, comp_norms = _round_sequential(problem)
+    error = quantized.weight - w_star
+    objective = _rounding_gap(comp_norms, damp, error) + (c - float(np.vdot(r, w_star)))
+    if shift:
+        objective -= shift * (2.0 * float(np.vdot(w_star, error)) + frobenius_sq(w_star))
     return SolveReport(
         quantized=quantized,
-        objective=epmq_objective(quantized.weight, expert_weights, merged_weight, stats, lam),
+        objective=objective,
         lam=lam,
         damping=damp,
         per_column_comp_norms=comp_norms,
         solver="epmq",
-        damped_fallback=fallback,
+        damped_fallback=bool(shift),
     )

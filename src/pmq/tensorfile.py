@@ -75,7 +75,8 @@ def write_json(path, obj) -> None:
     write_atomic(path, (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode())
 
 
-def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, str] | None = None) -> None:
+def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, str] | None = None) -> bytes:
+    """Write `tensors` (and `metadata`) canonically to `path`; returns the file's bytes."""
     header: dict[str, object] = {}
     if metadata:
         header[METADATA_KEY] = {str(k): str(v) for k, v in metadata.items()}
@@ -92,7 +93,9 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray], metadata: dict[str, 
             "data_offsets": [start, start + len(data)],
         }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomic(path, b"".join((struct.pack("<Q", len(blob)), blob, payload)))
+    data = b"".join((struct.pack("<Q", len(blob)), blob, payload))
+    write_atomic(path, data)
+    return data
 
 
 def read_tensor_file(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import hashlib
 import json
 import struct
 import time
@@ -509,11 +510,10 @@ def _sweep_point_from_scratch(cfg_dict, axis, value, method, subdir):
         subpath = Path(subdir)
         subpath.mkdir(parents=True, exist_ok=True)
         save_model(run.model, subpath / "quantized.safetensors")
-        blob = json.dumps(
-            run_to_json_dict(run, config=point_cfg.to_json_dict()),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        record = run_to_json_dict(run, config=point_cfg.to_json_dict())
+        model_bytes = (subpath / "quantized.safetensors").read_bytes()
+        record["model_sha256"] = hashlib.sha256(model_bytes).hexdigest()
+        blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
         (subpath / "run.json").write_text(blob + "\n", encoding="utf-8")
         for task_id, mse in sorted(result.per_task_mse.items()):
             row[f"mse_task{task_id}"] = repr(mse)

@@ -62,7 +62,7 @@ def _stationarity_ratio(rng, d, k):
     """Stationary residual ||W* H_E - R||_F over its bound 1e-8*(1+||R||_F)."""
     _, ws, wm, stats = _random_instance(rng, d, k)
     alpha = float(rng.uniform(0.01, 1.0))
-    h_e, r, _ = build_epmq_statistics(ws, wm, stats, alpha)
+    h_e, r, _, _ = build_epmq_statistics(ws, wm, stats, alpha)
     q = continuous_solution(h_e, r)
     return np.sqrt(frobenius_sq(q @ h_e - r)) / (1e-8 * (1.0 + np.sqrt(frobenius_sq(r))))
 
@@ -93,7 +93,7 @@ def _reduction_gap(rng, d, k):
     """Relative gap between the expanded objective and ||(Q - W*) L||_F^2 plus a constant."""
     xs, ws, wm, stats = _random_instance(rng, d, k)
     alpha = float(rng.uniform(0.01, 1.0))
-    h_e, r, lam = build_epmq_statistics(ws, wm, stats, alpha)
+    h_e, r, lam, _ = build_epmq_statistics(ws, wm, stats, alpha)
     w_star = continuous_solution(h_e, r)
     constant = _expanded_objective(w_star, xs, ws, wm, lam)
     q = rng.normal(size=wm.shape)
@@ -155,7 +155,7 @@ def test_criterion_3_oracle_optimality_gap():
             d=d,
         )
         rep = solve_layer(ws, wm, stats, cfg_e)
-        h_e, r, lam = build_epmq_statistics(ws, wm, stats, cfg_e.alpha)
+        h_e, r, lam, _ = build_epmq_statistics(ws, wm, stats, cfg_e.alpha)
         w_star = continuous_solution(h_e, r)
         prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=w_star, cfg=cfg_e)
         codes_opt, _ = brute_force_optimum(prob)

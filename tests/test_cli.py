@@ -1070,6 +1070,53 @@ class TestAtomicWrites:
         assert not list(out.rglob(".*.tmp"))
         assert dir_hashes(out) == before
 
+    def test_run_json_left_behind_by_a_failed_rerun_fails_eval(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A rerun whose last write, run.json, fails leaves a new model beside the
+        old record; the record's model_sha256 no longer matches, so eval exits 4."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        model_path, run_path = out / "quantized.safetensors", out / "run.json"
+        recorded = json.loads(run_path.read_text())["model_sha256"]
+        assert recorded == hashlib.sha256(model_path.read_bytes()).hexdigest()
+        old_model, old_run = model_path.read_bytes(), run_path.read_bytes()
+        real = pmq.tensorfile.os.replace
+
+        def failing_for_run_json(src, dst):
+            if Path(dst).name == "run.json":
+                raise PermissionError(13, "Permission denied", str(dst))
+            return real(src, dst)
+
+        monkeypatch.setattr(pmq.tensorfile.os, "replace", failing_for_run_json)
+        args = ("--config", cfg, "--out", str(out), "--set", "quant.bits=3")
+        assert run_cli("quantize", *args) == 4
+        monkeypatch.undo()
+        assert model_path.read_bytes() != old_model and run_path.read_bytes() == old_run
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("eval", *args) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "does not describe" in err and recorded in err
+        assert dir_hashes(out) == before  # no metrics.csv, run.json untouched
+        # a completed rerun pairs them again
+        assert run_cli("quantize", *args) == 0
+        assert run_cli("eval", *args) == 0
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"method": "epmq"}'])
+    def test_eval_of_an_unreadable_run_json_is_4(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        (out / "run.json").write_text(text)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
 
 PIPELINE_SCRIPT = """
 import sys

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
+import pmq.linalg
+
 from pmq.linalg import (
     CHUNK_ELEMENTS,
     ShapeError,
@@ -300,19 +302,42 @@ class TestBlockCholesky:
         assert err.value.pivot == 50
 
     def test_pivot_comes_from_the_failing_block(self, monkeypatch):
-        """The pivot is named even where dpotrf of the whole matrix succeeds, as it
-        can when rounding puts a pivot near zero on different sides of zero."""
+        """The pivot is named from the leaf that failed, never from a factor of the
+        whole matrix, which rounding can put on the other side of zero at a pivot
+        near it."""
         h = non_pd_inside_the_schur_complement()[::-1, ::-1]
-        real = lapack.dpotrf
-
-        def whole_matrix_succeeds(a, *args, **kwargs):
-            out = real(a, *args, **kwargs)
-            return (out[0], 0) if len(a) == len(h) else out
-
-        monkeypatch.setattr(lapack, "dpotrf", whole_matrix_succeeds)
+        real = pmq.linalg._first_bad_pivot
+        searched = []
+        monkeypatch.setattr(
+            pmq.linalg, "_first_bad_pivot", lambda a: searched.append(a.shape) or real(a)
+        )
         with pytest.raises(SingularMatrixError) as err:
             cholesky_inverse_upper(h)
         assert err.value.pivot == 50
+        assert searched == [(50, 50)]  # the leaf [150:200] of the reversed matrix
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 64),
+        first_negative=st.integers(0, 64),
+    )
+    def test_first_bad_pivot_is_dpotrf_info(self, seed, d, first_negative):
+        """h = V^T D V with V unit upper triangular has Cholesky pivots D exactly; D
+        is drawn with |D_jj| in [0.5, 2] and |V_ij| <= 0.5 / sqrt(d), so rounding
+        moves no pivot anywhere near zero and both sides must agree on the first
+        negative one (none when first_negative >= d)."""
+        rng = np.random.default_rng(seed)
+        v = np.eye(d) + np.triu(rng.uniform(-0.5, 0.5, size=(d, d)), 1) / np.sqrt(d)
+        pivots = rng.uniform(0.5, 2.0, size=d)
+        pivots[first_negative:] *= rng.choice([-1.0, 1.0], size=d - min(first_negative, d))
+        if first_negative < d:
+            pivots[first_negative] = -abs(pivots[first_negative])
+        h = v.T @ (pivots[:, None] * v)
+        h = (h + h.T) / 2
+        info = int(lapack.dpotrf(h, lower=0)[1])
+        assert info == (first_negative + 1 if first_negative < d else 0)
+        assert pmq.linalg._first_bad_pivot(h) == info
 
     def test_reversed_factor_names_the_column_of_h(self):
         # unreversed, elimination runs from the last column: the named pivot is the
@@ -351,8 +376,8 @@ def run_python(script: str) -> str:
 
 
 class TestOneBlasPool:
-    """Factorizations share numpy's BLAS: scipy.linalg (which loads its own
-    BLAS and thread pool) is imported only to name a failing pivot."""
+    """Factorizations share numpy's BLAS: pmq never imports scipy.linalg (which
+    loads its own BLAS and thread pool), not even to name a failing pivot."""
 
     def test_import_pmq_leaves_scipy_linalg_unloaded(self):
         out = run_python(
@@ -386,6 +411,7 @@ class TestOneBlasPool:
                 cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0]))
             except SingularMatrixError as exc:
                 print(exc.pivot)
+            print("scipy.linalg" in sys.modules)
             """
         )
-        assert out.split() == ["False", "2"]
+        assert out.split() == ["False", "2", "False"]

@@ -45,6 +45,11 @@ def run_method(problem, merged, method):
     )
 
 
+def scaled_heldout(heldout, factor):
+    batches = [Batch(b.inputs * factor, b.task_id, b.targets) for b in heldout.batches]
+    return CalibSet(batches=batches, samples_per_task=heldout.samples_per_task)
+
+
 def prefix_chain(layers):
     return functools.reduce(chain_link, layers, EMPTY_PREFIX).hex()
 
@@ -148,6 +153,19 @@ class TestRealizedWeights:
         for layer, rep in zip(run.model.layers, run.layer_reports):
             assert layer.weight is rep.solve.quantized.weight
             assert layer.weight.tobytes() == layer.source.dequantize().tobytes()
+
+    def test_epmq_run_scores_without_objective_gemms(self, monkeypatch):
+        """Each epmq layer makes K products W_i H_i and no other (d_out, d) x (d, d)
+        GEMM: no objective, and no residual while the probe does not refine."""
+        problem, merged = merged_problem(seed=5, dims=[6, 8, 7, 5])
+        quadratic = counting(monkeypatch, pmq.solver, "quadratic_objective")
+        anchored = counting(monkeypatch, pmq.solver, "epmq_objective")
+        products = counting(monkeypatch, pmq.solver, "matmul")
+        run = run_method(problem, merged, "epmq")
+        assert quadratic == [] and anchored == []
+        experts = [e.layers[i].weight for i in range(run.model.num_layers) for e in problem.experts]
+        assert len(products) == len(experts)
+        assert all(a is w for (a, _), w in zip(products, experts))
 
     def test_epmq_run_never_dequantizes_nor_squares_activations(self, monkeypatch):
         """An epmq quantize (and the evaluation after it) reads every realized weight
@@ -328,6 +346,41 @@ class TestDeviationDiagnostics:
         with pytest.raises(ArithmeticError, match="layer 'layer1' task 1: deviation decomposition"):
             deviation_diagnostics(run, problem.heldout)
 
+    @pytest.mark.parametrize("factor", [1e7, 1e9])
+    def test_identity_tolerance_follows_the_scale_of_the_outputs(self, factor):
+        """Inputs 1e7 and 1e9 times the generator's: the gaps grow with the outputs
+        (past the absolute 1e-9 at 1e9) and a correct decomposition still passes."""
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 7, 5])
+        run = run_method(problem, merged, "epmq")
+        heldout = scaled_heldout(problem.heldout, factor)
+        report = deviation_diagnostics(run, heldout)
+        assert len(report.rows) == 3 * heldout.num_tasks
+        assert report.max_identity_error() > (pmq.pipeline.IDENTITY_TOL if factor > 1e8 else 0)
+
+    def test_corrupted_decomposition_at_scale_still_raises(self, monkeypatch):
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 7, 5])
+        run = run_method(problem, merged, "epmq")
+        heldout = scaled_heldout(problem.heldout, 1e7)
+
+        class Corrupting:
+            """numpy, except that the quant deviation Q X - W_m X (formed in place
+            over Q X) is off by 1e-6 of max|Q X| in one entry per task."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def subtract(a, b, out=None):
+                peak = np.abs(a).max()
+                result = np.subtract(a, b, out=out)
+                if out is a:
+                    result[:, 0, 0] += 1e-6 * peak
+                return result
+
+        monkeypatch.setattr(pmq.pipeline, "np", Corrupting())
+        with pytest.raises(ArithmeticError, match="layer 'layer1' task 1: deviation decomposition"):
+            deviation_diagnostics(run, heldout)
+
     def test_inputs_not_fitting_layer_one_are_a_config_error(self):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
         run = run_method(problem, merged, "epmq")
@@ -390,12 +443,13 @@ class TestTrajectoryChecksum:
         problem, merged = merged_problem(seed=22, dims=[6] * 10)
         calls = counting(monkeypatch, pmq.pipeline, "chain_link")
         run = run_method(problem, merged, "epmq")
-        # before and after the solve: layer l's source and layer l-1, whose
-        # digest at collection is the chain link itself
-        assert len(calls) <= 4 * run.model.num_layers
+        # one link per layer extends the trajectory checksum; nothing is re-hashed
+        assert len(calls) <= run.model.num_layers
 
 
 class TestStateGuard:
+    """The arrays a layer step can reach are read-only: a write fails where it is made."""
+
     @pytest.mark.parametrize("method", ["epmq", "gptq"])
     def test_solver_writing_merged_weight_raises(self, monkeypatch, method):
         problem, merged = merged_problem(seed=23, dims=[6, 8, 7, 5])
@@ -411,7 +465,7 @@ class TestStateGuard:
             return report
 
         monkeypatch.setattr(pmq.pipeline, "solve_layer", corrupting)
-        with pytest.raises(RuntimeError, match="layer 'layer2'.*changed between collection"):
+        with pytest.raises(ValueError, match="layer 'layer2'.*read-only"):
             run_method(problem, merged, method)
 
     def test_solver_writing_previous_layer_raises(self, monkeypatch):
@@ -433,8 +487,20 @@ class TestStateGuard:
 
         monkeypatch.setattr(pmq.pipeline, "collect_layer_stats", recording)
         monkeypatch.setattr(pmq.pipeline, "solve_layer", corrupting)
-        with pytest.raises(RuntimeError, match="layer 'layer2'.*changed between collection"):
+        with pytest.raises(ValueError, match="layer 'layer2'.*read-only"):
             run_method(problem, merged, "epmq")
+
+    def test_caller_arrays_stay_writable(self):
+        problem, merged = merged_problem(seed=25, dims=[6, 8, 5])
+        weight = np.array(merged.layers[0].weight)
+        inputs = np.array(problem.calib.task(1).inputs)
+        layers = [LayerWeights(merged.layers[0].id, weight, merged.layers[0].bias)]
+        ckpt = Checkpoint(layers=layers + merged.layers[1:], manifest=merged.manifest)
+        batch = Batch(inputs, task_id=1)
+        assert ckpt.layers[0].weight.base is weight and batch.inputs.base is inputs
+        assert not ckpt.layers[0].weight.flags.writeable and not batch.inputs.flags.writeable
+        weight[0, 0] += 1.0  # the caller's own arrays keep their flags
+        inputs[0, 0] += 1.0
 
 
 class TestEvaluate:

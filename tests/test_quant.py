@@ -265,7 +265,9 @@ class TestQuantizedLayer:
         q = small_rtn_layer(rng)
         values = q.dequantize()
         given_values = QuantizedLayer(q.codes, q.scales, q.zeros, q.bits, q.group_size, values)
-        assert given_values.weight is values
+        # a read-only view of the caller's array, which stays writable
+        assert given_values.weight.base is values
+        assert not given_values.weight.flags.writeable and values.flags.writeable
 
     @pytest.mark.parametrize(
         "values", [np.zeros((3, 9)), np.zeros((10, 3)), np.zeros((3, 10), dtype=np.float32)]

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmq.solver
 from pmq.calib import LayerCalibStats
@@ -27,6 +29,7 @@ from oracles import (
     gradient_descent_anchored,
     matmul_triple_loop,
 )
+from test_pipeline import counting
 
 
 def random_stats(rng, d, k, n=10, energy_scale=1.0):
@@ -38,6 +41,19 @@ def random_stats(rng, d, k, n=10, energy_scale=1.0):
         ),
         xs,
     )
+
+
+def tilted_instance(rng, d, k, n, decades, d_out=3):
+    """Experts and statistics whose curvature spans `decades` decades of
+    eigenvalues in a random basis, with weights large where it is small, so
+    that ||W*|| ||H_E|| / ||R|| grows with the conditioning."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    spread = np.logspace(0, -decades, d)
+    xs = [(basis * spread) @ rng.normal(size=(d, n)) for _ in range(k)]
+    tilt = (basis / spread) @ basis.T
+    wm = rng.normal(size=(d_out, d)) @ tilt
+    experts = [wm + 0.3 * rng.normal(size=(d_out, d)) @ tilt for _ in range(k)]
+    return LayerCalibStats(hessians=[x @ x.T for x in xs], d=d), xs, experts, wm
 
 
 def expanded_objective(q, xs, ws, wm, lam):
@@ -55,7 +71,7 @@ class TestBuildStatistics:
         d = 5
         stats, _ = random_stats(rng, d, 1)
         wm = rng.normal(size=(3, d))
-        h_e, r, lam = build_epmq_statistics([wm], wm, stats, alpha=0.5)
+        h_e, r, lam, _ = build_epmq_statistics([wm], wm, stats, alpha=0.5)
         assert lam > 0
         np.testing.assert_allclose(continuous_solution(h_e, r), wm, rtol=1e-9, atol=1e-10)
 
@@ -64,7 +80,7 @@ class TestBuildStatistics:
         stats, _ = random_stats(rng, d, 1)
         w1 = rng.normal(size=(2, d))
         wm = rng.normal(size=(2, d))
-        h_e, r, lam = build_epmq_statistics([w1], wm, stats, alpha=0.0)
+        h_e, r, lam, _ = build_epmq_statistics([w1], wm, stats, alpha=0.0)
         assert lam == 0.0
         np.testing.assert_allclose(h_e, stats.hessians[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(r, w1 @ stats.hessians[0], rtol=1e-12, atol=1e-12)
@@ -74,13 +90,13 @@ class TestBuildStatistics:
         stats, _ = random_stats(rng, d, 2)
         ws = [rng.normal(size=(3, d)) for _ in range(2)]
         wm = rng.normal(size=(3, d))
-        h_e, r, lam = build_epmq_statistics(ws, wm, stats, alpha=0.2)
-        expected = (
-            matmul_triple_loop(ws[0], stats.hessians[0])
-            + matmul_triple_loop(ws[1], stats.hessians[1])
-            + lam * wm
-        )
+        h_e, r, lam, c = build_epmq_statistics(ws, wm, stats, alpha=0.2)
+        products = [matmul_triple_loop(w, h) for w, h in zip(ws, stats.hessians)]
+        expected = products[0] + products[1] + lam * wm
         np.testing.assert_allclose(r, expected, rtol=1e-10, atol=1e-10)
+        # the constant of F(Q) = tr(Q H_E Q^T) - 2<Q, R> + c
+        constant = sum(float(np.sum(p * w)) for p, w in zip(products, ws))
+        assert c == pytest.approx(constant + lam * float(np.sum(wm * wm)), rel=1e-12)
 
 
 class TestContinuousSolution:
@@ -162,7 +178,7 @@ class TestObjectiveReduction:
                 d=d,
             )
             alpha = float(rng.uniform(0.01, 1.0))
-            h_e, r, lam = build_epmq_statistics(ws, wm, stats, alpha)
+            h_e, r, lam, _ = build_epmq_statistics(ws, wm, stats, alpha)
             w_star = continuous_solution(h_e, r)
             constant = expanded_objective(w_star, xs, ws, wm, lam)
             q = rng.normal(size=(2, d))
@@ -275,7 +291,9 @@ class TestGptqSolve:
         h = random_spd(rng, 12)
         cfg = QuantConfig(bits=bits, group_size=group_size, solver="gptq")
         rep = gptq_solve(SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg))
-        assert rep.objective == quadratic_objective(rep.quantized.dequantize(), w, h)
+        # read from the compensation norms, so equal to rounding
+        expected = quadratic_objective(rep.quantized.dequantize(), w, h)
+        assert rep.objective == pytest.approx(expected, rel=1e-10)
 
     def test_epmq_merged_grids_match_columnwise_oracle(self):
         r = np.random.default_rng(7)
@@ -285,7 +303,7 @@ class TestGptqSolve:
         experts = [wm + 0.1 * r.normal(size=(d_out, d)) / np.sqrt(d) for _ in range(2)]
         cfg = QuantConfig(bits=3, group_size=48, solver="epmq", grid_source="merged")
         rep = solve_layer(experts, wm, stats, cfg)
-        h_e, rhs, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+        h_e, rhs, _, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
         w_star = continuous_solution(h_e, rhs)
         prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=wm, cfg=cfg)
         codes, comp_norms, _ = gptq_columnwise(prob)
@@ -352,18 +370,16 @@ class TestEpmqSolve:
         wm = rng.normal(size=(3, d))
         experts = [wm + 0.3 * rng.normal(size=(3, d)) for _ in range(k)]
         cfg = QuantConfig(bits=3, group_size=4, solver="epmq", alpha=0.1)
-        calls = []
-        original = pmq.solver.quadratic_objective
-        monkeypatch.setattr(
-            pmq.solver,
-            "quadratic_objective",
-            lambda *args: calls.append(None) or original(*args),
-        )
+        quadratic = counting(monkeypatch, pmq.solver, "quadratic_objective")
+        anchored = counting(monkeypatch, pmq.solver, "epmq_objective")
+        products = counting(monkeypatch, pmq.solver, "matmul")
         rep = solve_layer(experts, wm, stats, cfg)
-        # one term per expert, none for a curvature-only score that is discarded
-        assert len(calls) == k
+        # scored in closed form: the K products W_i H_i, no score, no residual GEMM
+        assert quadratic == [] and anchored == []
+        assert len(products) == k and all(a is w for (a, _), w in zip(products, experts))
+        monkeypatch.undo()
         expected = epmq_objective(rep.quantized.dequantize(), experts, wm, stats, rep.lam)
-        assert rep.objective == expected
+        assert rep.objective == pytest.approx(expected, rel=1e-10)
 
     def test_single_expert_equal_to_merged_matches_gptq(self, rng):
         d = 5
@@ -392,7 +408,7 @@ class TestEpmqSolve:
             )
             cfg = QuantConfig(bits=2, group_size=4, solver="epmq", alpha=0.01)
             rep = solve_layer(experts, wm, stats, cfg)
-            h_e, r_mat, lam = build_epmq_statistics(experts, wm, stats, 0.01)
+            h_e, r_mat, lam, _ = build_epmq_statistics(experts, wm, stats, 0.01)
             w_star = continuous_solution(h_e, r_mat)
             prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=w_star, cfg=cfg)
             codes_opt, _ = brute_force_optimum(prob)
@@ -460,6 +476,75 @@ class TestEpmqSolve:
         assert rep_t.quantized.scales.shape == rep_m.quantized.scales.shape
 
 
+def closed_form_check(rep, xs, experts, wm, stats, cfg):
+    """|F_closed - F| and its bound, with F the objective in activation space.
+
+    Three sizes S limit the agreement, each by rounding, not by F itself:
+    the closed form gap + c - <R, W*> cancels terms of size c; W* is
+    stationary only to 1e-12 (1 + ||R||) (the probe's refinement bound),
+    which moves the score by up to ||R|| (||W*|| + 2 ||Q - W*||) times that;
+    and any score from the H_i carries their rounding, of relative size eps,
+    times ||Q - W_i||^2. The bound is rel 1e-10 of F plus 1e-11 of S; where
+    F is far below S (one expert and no anchor, with few samples or fine
+    grids; or curvature and weights tilted against each other) the relative
+    error is larger."""
+    h_e, r, _, c = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+    if rep.damped_fallback:
+        h_e.flat[:: stats.d + 1] += pmq.solver._damping_for(h_e, cfg.percdamp)
+    w_star = continuous_solution(h_e, r)
+    q = rep.quantized.weight
+    exact = expanded_objective(q, xs, experts, wm, rep.lam)
+    norm = np.linalg.norm
+    scale = c + norm(r) * (norm(w_star) + 2.0 * norm(q - w_star))
+    scale += sum(norm(h) * norm(q - w) ** 2 for h, w in zip(stats.hessians, experts))
+    return abs(rep.objective - exact), 1e-10 * exact + 1e-11 * scale
+
+
+class TestClosedFormObjective:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        d=st.integers(2, 24),
+        n=st.integers(1, 40),
+        alpha=st.sampled_from([0.0, 0.01, 1.0]),
+        bits=st.integers(2, 8),
+        decades=st.sampled_from([0.0, 4.0]),
+    )
+    def test_equals_the_activation_space_objective(self, seed, k, d, n, alpha, bits, decades):
+        """alpha = 0 with n < d takes the damped fallback; four decades of tilt
+        make the probe refine on some draws."""
+        rng = np.random.default_rng(seed)
+        stats, xs, experts, wm = tilted_instance(rng, d, k, n, decades)
+        cfg = QuantConfig(bits=bits, group_size=max(1, d // 2), solver="epmq", alpha=alpha)
+        rep = solve_layer(experts, wm, stats, cfg)
+        err, bound = closed_form_check(rep, xs, experts, wm, stats, cfg)
+        assert err <= bound
+
+    def test_damped_fallback_keeps_its_correction_terms(self):
+        rng = np.random.default_rng(5)
+        stats, xs, experts, wm = tilted_instance(rng, d=12, k=2, n=4, decades=0.0)
+        cfg = QuantConfig(bits=4, group_size=6, solver="epmq", alpha=0.0)
+        rep = solve_layer(experts, wm, stats, cfg)
+        assert rep.damped_fallback
+        exact = expanded_objective(rep.quantized.weight, xs, experts, wm, rep.lam)
+        assert rep.objective == pytest.approx(exact, rel=1e-10)
+
+    def test_refinement_adds_one_residual_gemm(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        d, k = 24, 2
+        stats, xs, experts, wm = tilted_instance(rng, d, k, n=d + 8, decades=6.0)
+        cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
+        products = counting(monkeypatch, pmq.solver, "matmul")
+        rep = solve_layer(experts, wm, stats, cfg)
+        monkeypatch.undo()
+        # the K products W_i H_i, then Q H_E for the full residual
+        assert [(a.shape, b.shape) for a, b in products] == [((3, d), (d, d))] * (k + 1)
+        assert products[-1][1] is not stats.hessians[-1]
+        err, bound = closed_form_check(rep, xs, experts, wm, stats, cfg)
+        assert err <= bound
+
+
 class TestCompensationNorms:
     @pytest.mark.parametrize("d", [65, 300])
     @pytest.mark.parametrize("solver", ["epmq", "gptq"])
@@ -474,7 +559,7 @@ class TestCompensationNorms:
         cfg = QuantConfig(bits=4, group_size=32, solver=solver)
         rep = solve_layer(experts, wm, stats, cfg)
         if solver == "epmq":
-            h, r, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+            h, r, _, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
             target = continuous_solution(h, r)
         else:
             h, target = stats.pooled_hessian(), wm
@@ -505,8 +590,8 @@ class TestRealizedWeight:
         assert (weight == 0.0).any()
         assert weight.tobytes() == rep.quantized.dequantize().tobytes()
         if solver == "epmq":
-            assert rep.objective == epmq_objective(
-                rep.quantized.dequantize(), experts, wm, stats, rep.lam
+            assert rep.objective == pytest.approx(
+                epmq_objective(rep.quantized.dequantize(), experts, wm, stats, rep.lam), rel=1e-10
             )
 
 
