@@ -8,7 +8,6 @@ synthetic-task harness for desk-scale experiments.
 
 from .calib import (
     CalibSet,
-    LayerCalibStats,
     SyntheticProblem,
     anchor_lambda,
     collect_layer_stats,
@@ -80,7 +79,6 @@ __all__ = [
     "Checkpoint",
     "DeviationReport",
     "EvalResult",
-    "LayerCalibStats",
     "LayerSpec",
     "LayerWeights",
     "ManifestError",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +35,9 @@ from .tensorfile import MalformedHeaderError, read_tensor_file, write_json, writ
 
 @dataclass
 class CalibSet:
-    """Per-task batches, task ids covering 1..K, all with one width n."""
+    """Per-task batches, task ids covering 1..K, all with one width n (samples_per_task)."""
 
     batches: list[Batch]
-    samples_per_task: int
     seed: int | None = None
 
     def __post_init__(self):
@@ -53,23 +53,12 @@ class CalibSet:
     def num_tasks(self) -> int:
         return len(self.batches)
 
+    @property
+    def samples_per_task(self) -> int:
+        return self.batches[0].inputs.shape[1]
+
     def task(self, task_id: int) -> Batch:
         return self.batches[task_id - 1]
-
-
-@dataclass
-class LayerCalibStats:
-    """Curvatures for one layer, per task."""
-
-    hessians: list[np.ndarray]
-    d: int
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.hessians)
-
-    def pooled_hessian(self) -> np.ndarray:
-        return sum(self.hessians[1:], self.hessians[0].copy())  # in task order
 
 
 def accumulate_stats(x: np.ndarray) -> np.ndarray:
@@ -86,30 +75,24 @@ def accumulate_stats(x: np.ndarray) -> np.ndarray:
 
 
 def collect_layer_stats(
-    model: Model, layer_index: int, activations: dict[int, np.ndarray]
-) -> LayerCalibStats:
-    """Statistics of the layer-l inputs `activations` (task id -> X_i), in task order."""
+    model: Model, layer_index: int, activations: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """The curvatures H_i of the layer-l inputs `activations`, K arrays X_i in task order."""
     d = model.layers[layer_index - 1].spec.d_in
-    hessians = []
-    for task_id in sorted(activations):
-        x = activations[task_id]
+    for task_id, x in enumerate(activations, start=1):
         if x.shape[0] != d:
             raise ShapeError(
                 f"activations for task {task_id} have {x.shape[0]} rows, "
                 f"layer {layer_index} expects {d}"
             )
-        hessians.append(accumulate_stats(x))
-    return LayerCalibStats(hessians=hessians, d=d)
+    return [accumulate_stats(x) for x in activations]
 
 
-def anchor_lambda(stats: LayerCalibStats, alpha: float) -> float:
+def anchor_lambda(hessians: Sequence[np.ndarray], alpha: float) -> float:
     """Adaptive anchor strength: (alpha / d) * sum_i trace(H_i), summed in task order."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    energy = 0.0
-    for h in stats.hessians:
-        energy += float(np.trace(h))
-    return (alpha / stats.d) * energy
+    return (alpha / len(hessians[0])) * sum(float(np.trace(h)) for h in hessians)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +246,8 @@ def make_synthetic_tasks(
         xs, ys = np.stack(train_xs), np.stack(train_ys)
         experts = _train_experts(base, xs, ys, train_steps, learning_rate)
 
-    calib = CalibSet(batches=calib_batches, samples_per_task=samples_per_task, seed=seed)
-    heldout = CalibSet(batches=heldout_batches, samples_per_task=heldout_samples, seed=seed)
+    calib = CalibSet(batches=calib_batches, seed=seed)
+    heldout = CalibSet(batches=heldout_batches, seed=seed)
     return SyntheticProblem(base=base, experts=experts, calib=calib, heldout=heldout)
 
 
@@ -316,7 +299,10 @@ def load_calib_set(directory) -> CalibSet:
     index_path = directory / "index.json"
     try:
         index = json.loads(index_path.read_text(encoding="utf-8"))
-        num_tasks, samples_per_task = int(index["K"]), int(index["samples_per_task"])
+        num_tasks, samples_per_task, seed = index["K"], index["samples_per_task"], index.get("seed")
+        counts = (num_tasks, samples_per_task, 0 if seed is None else seed)
+        if not all(type(v) is int for v in counts):
+            raise TypeError(f"K, samples_per_task and seed must be integers, got {index}")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedHeaderError(f"{index_path}: malformed index: {exc!r}") from exc
     if num_tasks < 1:
@@ -325,8 +311,4 @@ def load_calib_set(directory) -> CalibSet:
     for task_id in range(1, num_tasks + 1):
         inputs, targets = _read_task(directory / f"task{task_id}.safetensors", samples_per_task)
         batches.append(Batch(inputs=inputs, task_id=task_id, targets=targets))
-    return CalibSet(
-        batches=batches,
-        samples_per_task=samples_per_task,
-        seed=None if index.get("seed") is None else int(index["seed"]),
-    )
+    return CalibSet(batches=batches, seed=seed)

@@ -90,18 +90,26 @@ class ModelManifest:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelManifest":
+        """The manifest in `obj`; a field of another JSON type is malformed."""
+
+        def field(entry, key, kind):
+            if type(entry[key]) is not kind:
+                raise ManifestError(f"'{key}' must be a {kind.__name__}, got {entry[key]!r}")
+            return entry[key]
+
         try:
             layers = tuple(
                 LayerSpec(
-                    id=str(entry["id"]),
-                    d_in=int(entry["d_in"]),
-                    d_out=int(entry["d_out"]),
-                    activation=str(entry["activation"]),
-                    has_bias=bool(entry["has_bias"]),
+                    id=field(entry, "id", str),
+                    d_in=field(entry, "d_in", int),
+                    d_out=field(entry, "d_out", int),
+                    activation=field(entry, "activation", str),
+                    has_bias=field(entry, "has_bias", bool),
                 )
                 for entry in obj["layers"]
             )
-            return cls(layers=layers, dtype=str(obj["dtype"]), version=int(obj["version"]))
+            dtype, version = field(obj, "dtype", str), field(obj, "version", int)
+            return cls(layers=layers, dtype=dtype, version=version)
         except (KeyError, TypeError) as exc:
             raise ManifestError(f"malformed manifest JSON: {exc}") from exc
 

@@ -28,7 +28,7 @@ from .checkpoint import (
     storage_dtype,
 )
 from .linalg import ShapeError, matmul, read_only
-from .quant import QuantizedLayer, pack_codes, unpack_codes
+from .quant import QuantizedLayer, check_grid, pack_codes, unpack_codes
 from .tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
 
 # tanh-form gelu constants, fixed so independent builds agree at 64-bit
@@ -247,27 +247,26 @@ def load_model(path) -> Model:
         quant_attrs = metadata.get(f"{spec.id}.quant")
         source: np.ndarray | QuantizedLayer
         if quant_attrs is not None:
-            try:
-                attrs = json.loads(quant_attrs)
-                bits = int(attrs["bits"])
-                group_size = int(attrs["group_size"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MalformedHeaderError(
-                    f"{path}: bad quant attrs for layer '{spec.id}': {quant_attrs!r}"
-                ) from exc
             for part in ("codes", "scales", "zeros"):
                 if f"{spec.id}.{part}" not in tensors:
                     raise MalformedHeaderError(f"{path}: missing tensor '{spec.id}.{part}'")
-            codes = unpack_codes(
-                tensors.pop(f"{spec.id}.codes"), bits, spec.d_out, spec.d_in
-            )
-            source = QuantizedLayer(
-                codes=codes,
-                scales=tensors.pop(f"{spec.id}.scales"),
-                zeros=tensors.pop(f"{spec.id}.zeros"),
-                bits=bits,
-                group_size=group_size,
-            )
+            # attrs that are not JSON, not {bits, group_size} or disagree with the tensors
+            try:
+                attrs = json.loads(quant_attrs)
+                bits, group_size = attrs["bits"], attrs["group_size"]
+                check_grid(bits, group_size)
+                codes = unpack_codes(tensors.pop(f"{spec.id}.codes"), bits, spec.d_out, spec.d_in)
+                source = QuantizedLayer(
+                    codes=codes,
+                    scales=tensors.pop(f"{spec.id}.scales"),
+                    zeros=tensors.pop(f"{spec.id}.zeros"),
+                    bits=bits,
+                    group_size=group_size,
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedHeaderError(
+                    f"{path}: bad quantized layer '{spec.id}' ({quant_attrs!r}): {exc}"
+                ) from exc
         else:
             source = np.asarray(pop_weight(tensors, path, spec, manifest), dtype=np.float64)
         bias = None

@@ -2,10 +2,10 @@
 
 The driver walks the layers front to back. For each layer it collects the
 per-task input activations from the current partially quantized model
-(advancing a per-task activation cache through each freshly quantized layer,
-which for sequential models is exactly equivalent to re-running the forward
-pass), solves for low-bit codes, and swaps the layer in place before moving
-on.
+(advancing the K tasks' inputs, one (K, d, n) stack, through each freshly
+quantized layer with one propagation, which for sequential models is exactly
+equivalent to re-running the forward pass), solves for low-bit codes, and
+swaps the layer in place before moving on.
 
 Each layer report carries a trajectory checksum: the prefix chain
 c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
@@ -21,7 +21,7 @@ Deviation diagnostics decompose the held-out output error of each
 quantized layer into the quantization part (Q X - W_m X) and the
 expert-relative merging part (W_m X - W_i X), whose sum telescopes to the
 combined deviation Q X - W_i X. They, like evaluation, walk all tasks
-forward together as one (K, d, n) stack.
+forward together as one (K, d, n) stack, as quantize does.
 """
 
 from __future__ import annotations
@@ -156,24 +156,21 @@ def quantize(
         _check_tasks(calib, merged.manifest, "calibration", targets=False)
 
     model = Model.from_checkpoint(merged)
-    cache = None if calib is None else {batch.task_id: batch.inputs for batch in calib.batches}
+    # layer-l inputs in task order: the K batch arrays, a (K, d, n) stack from layer 2 on
+    cache = None if calib is None else [batch.inputs for batch in calib.batches]
     reports: list[LayerReport] = []
     chain = EMPTY_PREFIX
     for layer_index in range(1, model.num_layers + 1):
         layer = model.layers[layer_index - 1]
         layer_id = layer.spec.id
         try:
-            stats = None
-            if cache is not None:
-                stats = collect_layer_stats(model, layer_index, cache)
+            hessians = None if cache is None else collect_layer_stats(model, layer_index, cache)
             solve = solve_layer(
-                [e.layers[layer_index - 1].weight for e in experts], layer.weight, stats, cfg
+                [e.layers[layer_index - 1].weight for e in experts], layer.weight, hessians, cfg
             )
             model.replace_layer(layer_index, solve.quantized)
             if cache is not None and layer_index < model.num_layers:
-                cache = {
-                    task_id: propagate_through_layer(x, layer) for task_id, x in cache.items()
-                }
+                cache = propagate_through_layer(cache, layer)
         except Exception as exc:
             exc.args = (f"layer '{layer_id}': {exc}",)
             raise

@@ -20,6 +20,16 @@ SOLVERS = ("rtn", "gptq", "epmq")
 GRID_SOURCES = ("target", "merged")
 
 
+def check_grid(bits, group_size) -> None:
+    """Raise ValueError unless bits is an int in [2, 8] and group_size an int >= 1."""
+    if type(bits) is not int or type(group_size) is not int:
+        raise ValueError(f"bits and group_size must be integers, got {bits!r}, {group_size!r}")
+    if not 2 <= bits <= 8:
+        raise ValueError(f"bits must be in [2, 8], got {bits}")
+    if group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     """Knobs for one quantization run.
@@ -43,14 +53,7 @@ class QuantConfig:
     grid_source: str = "target"
 
     def __post_init__(self):
-        if type(self.bits) is not int or type(self.group_size) is not int:
-            raise ValueError(
-                f"bits and group_size must be integers, got {self.bits!r}, {self.group_size!r}"
-            )
-        if not 2 <= self.bits <= 8:
-            raise ValueError(f"bits must be in [2, 8], got {self.bits}")
-        if self.group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        check_grid(self.bits, self.group_size)
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver '{self.solver}' (allowed: {SOLVERS})")
         if self.solver != "rtn" and not self.percdamp > 0:

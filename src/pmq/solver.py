@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calib import LayerCalibStats, anchor_lambda
+from .calib import anchor_lambda
 from .linalg import (
     SingularMatrixError,
     as_matrix,
@@ -117,12 +117,13 @@ def epmq_objective(
     q: np.ndarray,
     expert_weights: Sequence[np.ndarray],
     merged_weight: np.ndarray,
-    stats: LayerCalibStats,
+    hessians: Sequence[np.ndarray],
     lam: float,
 ) -> float:
-    """Full anchored objective: sum_i ||(Q - W_i) X_i||_F^2 + lam*||Q - W_m||_F^2."""
+    """Full anchored objective: sum_i ||(Q - W_i) X_i||_F^2 + lam*||Q - W_m||_F^2,
+    with ||(Q - W_i) X_i||_F^2 read under `hessians`, the H_i = X_i X_i^T in task order."""
     total = 0.0
-    for w_i, h_i in zip(expert_weights, stats.hessians):
+    for w_i, h_i in zip(expert_weights, hessians):
         total += quadratic_objective(q, w_i, h_i)
     total += lam * frobenius_sq(as_matrix(q) - as_matrix(merged_weight))
     return total
@@ -131,27 +132,26 @@ def epmq_objective(
 def build_epmq_statistics(
     expert_weights: Sequence[np.ndarray],
     merged_weight: np.ndarray,
-    stats: LayerCalibStats,
+    hessians: Sequence[np.ndarray],
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(H_E, R, lam, c) of the anchored problem F(Q) = tr(Q H_E Q^T) - 2<Q, R> + c.
 
-    H_E = sum_i H_i + lam*I, R = sum_i W_i H_i + lam*W_m and
+    `hessians` are the task curvatures H_i, one per expert weight W_i, in task
+    order. H_E = sum_i H_i + lam*I, R = sum_i W_i H_i + lam*W_m and
     c = sum_i <W_i H_i, W_i> + lam*||W_m||_F^2, with
     lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda), summed in task order.
     """
     merged_weight = as_matrix(merged_weight, "merged_weight")
-    if not expert_weights or len(expert_weights) != stats.num_tasks:
-        raise ValueError(
-            f"{len(expert_weights)} expert weights for {stats.num_tasks} task statistics"
-        )
-    d = stats.d
+    if not expert_weights or len(expert_weights) != len(hessians):
+        raise ValueError(f"{len(expert_weights)} expert weights for {len(hessians)} curvatures")
+    d = len(hessians[0])
     if merged_weight.shape[1] != d:
-        raise ValueError(f"merged weight width {merged_weight.shape[1]} != stats dim {d}")
-    lam = anchor_lambda(stats, alpha)
+        raise ValueError(f"merged weight width {merged_weight.shape[1]} != curvature dim {d}")
+    lam = anchor_lambda(hessians, alpha)
     h_e = r = None
     c = 0.0
-    for w_i, h_i in zip(expert_weights, stats.hessians):
+    for w_i, h_i in zip(expert_weights, hessians):
         w_i = as_matrix(w_i, "expert weight")
         if w_i.shape != merged_weight.shape:
             raise ValueError(
@@ -305,15 +305,18 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
 def solve_layer(
     expert_weights: Sequence[np.ndarray],
     merged_weight: np.ndarray,
-    stats: LayerCalibStats | None,
+    hessians: Sequence[np.ndarray] | None,
     cfg: QuantConfig,
 ) -> SolveReport:
     """Codes for one layer with solver cfg.solver.
 
-    rtn ignores the experts and needs no statistics; with statistics its
-    objective is scored against the pooled curvature. gptq rounds the merged
-    weight under the pooled curvature. epmq builds (H_E, R, lam, c), computes
-    the continuous target W* = R inv(H_E), then rounds toward W* under H_E.
+    `hessians` are the layer's task curvatures H_i = X_i X_i^T in task order
+    (one per expert for epmq), or None without calibration; the pooled
+    curvature is their task-order sum. rtn ignores the experts and needs no
+    curvatures; with them its objective is scored against the pooled
+    curvature. gptq rounds the merged weight under the pooled curvature.
+    epmq builds (H_E, R, lam, c), computes the continuous target
+    W* = R inv(H_E), then rounds toward W* under H_E.
     Its objective, the full anchored objective of the final codes, is
     F(Q) = gap + c - <R, W*> with gap = tr(E H_E E^T), E = Q - W*. When the
     anchor is zero and the pooled curvature singular, W* solves
@@ -326,10 +329,8 @@ def solve_layer(
     if cfg.solver == "rtn":
         quantized = rtn_quantize(merged_weight, cfg)
         objective = None
-        if stats is not None:
-            objective = quadratic_objective(
-                quantized.weight, merged_weight, stats.pooled_hessian()
-            )
+        if hessians is not None:
+            objective = quadratic_objective(quantized.weight, merged_weight, sum(hessians))
         return SolveReport(
             quantized=quantized,
             objective=objective,
@@ -342,19 +343,19 @@ def solve_layer(
         return gptq_solve(
             SolverProblem(
                 target=merged_weight,
-                curvature=stats.pooled_hessian(),
+                curvature=sum(hessians),
                 grid_source_weight=merged_weight,
                 cfg=cfg,
             )
         )
-    h_e, r, lam, c = build_epmq_statistics(expert_weights, merged_weight, stats, cfg.alpha)
+    h_e, r, lam, c = build_epmq_statistics(expert_weights, merged_weight, hessians, cfg.alpha)
     shift = 0.0
     try:
         w_star = continuous_solution(h_e, r)
     except SingularMatrixError:
         shift = _damping_for(h_e, cfg.percdamp)
         damped = h_e.copy()
-        damped.flat[:: stats.d + 1] += shift
+        damped.flat[:: len(h_e) + 1] += shift
         w_star = continuous_solution(damped, r)
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
     problem = SolverProblem(

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import lapack
 
-from pmq.calib import LayerCalibStats, accumulate_stats
+from pmq.calib import accumulate_stats
 from pmq.checkpoint import Checkpoint, LayerWeights
 from pmq.cli import ConfigError, _generate_problem, config_from_dict
 from pmq.merge import apply_merge
@@ -254,15 +254,14 @@ def quantize_from_scratch(merged, experts, calib, cfg):
     model = Model.from_checkpoint(merged)
     reports = []
     for ell in range(1, model.num_layers + 1):
-        stats = None
+        hessians = None
         if calib is not None:
             hessians = [
                 accumulate_stats(forward_to_layer(model, batch.inputs, ell))
                 for batch in calib.batches
             ]
-            stats = LayerCalibStats(hessians, d=hessians[0].shape[0])
         expert_weights = [e.layers[ell - 1].weight for e in experts]
-        report = solve_layer(expert_weights, model.layers[ell - 1].weight, stats, cfg)
+        report = solve_layer(expert_weights, model.layers[ell - 1].weight, hessians, cfg)
         model.replace_layer(ell, report.quantized)
         reports.append(report)
     return model, reports

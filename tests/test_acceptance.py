@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from pmq.calib import LayerCalibStats, make_synthetic_tasks
+from pmq.calib import make_synthetic_tasks
 from pmq.checkpoint import load_checkpoint, save_checkpoint
 from pmq.linalg import frobenius_sq
 from pmq.merge import MergeSpec, apply_merge
@@ -43,11 +43,8 @@ def _random_instance(rng, d, k, rows=2, samples=None):
     xs = [rng.normal(size=(d, samples)) for _ in range(k)]
     ws = [rng.normal(size=(rows, d)) for _ in range(k)]
     wm = rng.normal(size=(rows, d))
-    stats = LayerCalibStats(
-        hessians=[x @ x.T for x in xs],
-        d=d,
-    )
-    return xs, ws, wm, stats
+    hessians = [x @ x.T for x in xs]
+    return xs, ws, wm, hessians
 
 
 def _expanded_objective(q, xs, ws, wm, lam):
@@ -60,9 +57,9 @@ def _expanded_objective(q, xs, ws, wm, lam):
 
 def _stationarity_ratio(rng, d, k):
     """Stationary residual ||W* H_E - R||_F over its bound 1e-8*(1+||R||_F)."""
-    _, ws, wm, stats = _random_instance(rng, d, k)
+    _, ws, wm, hessians = _random_instance(rng, d, k)
     alpha = float(rng.uniform(0.01, 1.0))
-    h_e, r, _, _ = build_epmq_statistics(ws, wm, stats, alpha)
+    h_e, r, _, _ = build_epmq_statistics(ws, wm, hessians, alpha)
     q = continuous_solution(h_e, r)
     return np.sqrt(frobenius_sq(q @ h_e - r)) / (1e-8 * (1.0 + np.sqrt(frobenius_sq(r))))
 
@@ -91,9 +88,9 @@ def test_criterion_1_closed_form_stationarity():
 
 def _reduction_gap(rng, d, k):
     """Relative gap between the expanded objective and ||(Q - W*) L||_F^2 plus a constant."""
-    xs, ws, wm, stats = _random_instance(rng, d, k)
+    xs, ws, wm, hessians = _random_instance(rng, d, k)
     alpha = float(rng.uniform(0.01, 1.0))
-    h_e, r, lam, _ = build_epmq_statistics(ws, wm, stats, alpha)
+    h_e, r, lam, _ = build_epmq_statistics(ws, wm, hessians, alpha)
     w_star = continuous_solution(h_e, r)
     constant = _expanded_objective(w_star, xs, ws, wm, lam)
     q = rng.normal(size=wm.shape)
@@ -150,12 +147,9 @@ def test_criterion_3_oracle_optimality_gap():
         wm = rng.normal(size=(1, d))
         ws = [wm + 0.3 * rng.normal(size=(1, d)) for _ in range(2)]
         xs = [rng.normal(size=(d, 10)) for _ in range(2)]
-        stats = LayerCalibStats(
-            hessians=[x @ x.T for x in xs],
-            d=d,
-        )
-        rep = solve_layer(ws, wm, stats, cfg_e)
-        h_e, r, lam, _ = build_epmq_statistics(ws, wm, stats, cfg_e.alpha)
+        hessians = [x @ x.T for x in xs]
+        rep = solve_layer(ws, wm, hessians, cfg_e)
+        h_e, r, lam, _ = build_epmq_statistics(ws, wm, hessians, cfg_e.alpha)
         w_star = continuous_solution(h_e, r)
         prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=w_star, cfg=cfg_e)
         codes_opt, _ = brute_force_optimum(prob)
@@ -163,8 +157,8 @@ def test_criterion_3_oracle_optimality_gap():
             codes=codes_opt, scales=rep.quantized.scales, zeros=rep.quantized.zeros,
             bits=2, group_size=4,
         )
-        obj_s = epmq_objective(rep.quantized.dequantize(), ws, wm, stats, lam)
-        obj_o = epmq_objective(opt.dequantize(), ws, wm, stats, lam)
+        obj_s = epmq_objective(rep.quantized.dequantize(), ws, wm, hessians, lam)
+        obj_o = epmq_objective(opt.dequantize(), ws, wm, hessians, lam)
         never_below &= obj_s >= obj_o - 1e-12 * max(1.0, obj_o)
         epmq_ok += obj_s <= 1.25 * obj_o + 1e-12
     elapsed = time.perf_counter() - start
@@ -186,14 +180,11 @@ def test_criterion_4_anchor_dominant_degeneration():
         wm = rng.normal(size=(2, d))
         ws = [wm + 0.3 * rng.normal(size=(2, d)) for _ in range(2)]
         xs = [rng.normal(size=(d, 10)) for _ in range(2)]
-        stats = LayerCalibStats(
-            hessians=[x @ x.T for x in xs],
-            d=d,
-        )
+        hessians = [x @ x.T for x in xs]
         hit = None
         for alpha in alphas:
             cfg = QuantConfig(bits=4, group_size=4, solver="epmq", alpha=alpha)
-            rep = solve_layer(ws, wm, stats, cfg)
+            rep = solve_layer(ws, wm, hessians, cfg)
             rtn = rtn_quantize(wm, cfg)
             if np.array_equal(rep.quantized.codes, rtn.codes):
                 hit = alpha
@@ -251,14 +242,14 @@ def test_criterion_6_epmq_vs_naive_gptq():
             merged, problem.experts, problem.calib, QuantConfig(bits=4, solver="epmq", alpha=0.01)
         )
         run_g = quantize(merged, [], problem.calib, QuantConfig(bits=4, solver="gptq"))
-        stats = layer_stats(Model.from_checkpoint(merged), problem.calib, 1)
+        hessians = layer_stats(Model.from_checkpoint(merged), problem.calib, 1)
         lam = run_e.layer_reports[0].solve.lam
         experts_w = [e.layers[0].weight for e in problem.experts]
         obj_e = epmq_objective(
-            run_e.model.layers[0].weight, experts_w, merged.layers[0].weight, stats, lam
+            run_e.model.layers[0].weight, experts_w, merged.layers[0].weight, hessians, lam
         )
         obj_g = epmq_objective(
-            run_g.model.layers[0].weight, experts_w, merged.layers[0].weight, stats, lam
+            run_g.model.layers[0].weight, experts_w, merged.layers[0].weight, hessians, lam
         )
         obj_wins += obj_e < obj_g
         mse_wins += (
@@ -412,3 +403,34 @@ def test_criterion_10_gptq_beats_rtn():
         wins += obj_g <= obj_r
     ok = wins >= 95
     _report(10, ok, f"gptq beats rtn on the layer objective in {wins}/100 random layers (need >= 95)")
+
+
+def test_solver_ordering_at_256_wide():
+    """epmq < gptq < rtn in held-out macro MSE at the north star's width, on every seed."""
+    start = time.perf_counter()
+    wins, readings = 0, []
+    for seed in range(3):
+        problem = make_synthetic_tasks(
+            seed,
+            num_tasks=2,
+            dims=[256, 256, 256],
+            samples_per_task=512,
+            heldout_samples=256,
+            expert_mode="perturb",
+        )
+        merged = apply_merge(MergeSpec(), problem.base, problem.experts)
+        mse = {}
+        for solver in ("epmq", "gptq", "rtn"):
+            cfg = QuantConfig(bits=4, group_size=128, solver=solver)
+            experts = problem.experts if solver == "epmq" else []
+            run = quantize(merged, experts, problem.calib, cfg)
+            mse[solver] = evaluate(run.model, problem.heldout).macro_mse
+        wins += mse["epmq"] < mse["gptq"] < mse["rtn"]
+        readings.append("/".join(f"{mse[s]:.4f}" for s in ("epmq", "gptq", "rtn")))
+    elapsed = time.perf_counter() - start
+    ok = wins == 3
+    print(
+        f"ordering at 256 wide: {'PASS' if ok else 'FAIL'} - epmq < gptq < rtn held-out MSE "
+        f"on {wins}/3 seeds (epmq/gptq/rtn {', '.join(readings)}), {elapsed:.1f}s"
+    )
+    assert ok, f"ordering at 256 wide: {wins}/3 seeds, {readings}"

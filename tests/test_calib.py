@@ -6,7 +6,6 @@ import pytest
 import pmq.calib
 from pmq.calib import (
     CalibSet,
-    LayerCalibStats,
     accumulate_stats,
     anchor_lambda,
     collect_layer_stats,
@@ -37,7 +36,7 @@ def small_problem(seed=0, **kwargs):
 
 def layer_stats(model, calib, layer_index):
     """collect_layer_stats on every task forwarded from its inputs to the layer."""
-    acts = {b.task_id: forward_to_layer(model, b.inputs, layer_index) for b in calib.batches}
+    acts = [forward_to_layer(model, b.inputs, layer_index) for b in calib.batches]
     return collect_layer_stats(model, layer_index, acts)
 
 
@@ -45,19 +44,25 @@ class TestCalibSet:
     def test_task_ids_must_cover_range(self, rng):
         batches = [Batch(rng.normal(size=(3, 4)), task_id=2)]
         with pytest.raises(ValueError):
-            CalibSet(batches=batches, samples_per_task=4)
+            CalibSet(batches=batches)
         with pytest.raises(ValueError, match="K >= 1"):
-            CalibSet(batches=[], samples_per_task=4)
+            CalibSet(batches=[])
 
     def test_ragged_batches_raise(self, rng):
         batches = [Batch(rng.normal(size=(3, n)), task_id=i) for i, n in ((1, 4), (2, 5))]
         with pytest.raises(ValueError, match=re.escape("same number of samples, got [4, 5]")):
-            CalibSet(batches=batches, samples_per_task=4)
+            CalibSet(batches=batches)
+
+    def test_samples_per_task_is_the_batch_width(self, tmp_path, rng):
+        calib = CalibSet(batches=[Batch(rng.normal(size=(3, 5)), task_id=1)])
+        assert calib.samples_per_task == 5
+        with pytest.raises(TypeError):
+            CalibSet(batches=calib.batches, samples_per_task=7)
+        save_calib_set(calib, tmp_path / "c")
+        assert load_calib_set(tmp_path / "c").samples_per_task == 5
 
     def test_inputs_width_must_be_samples_per_task(self, tmp_path, rng):
-        calib = CalibSet(
-            batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2)], samples_per_task=3
-        )
+        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2)])
         save_calib_set(calib, tmp_path / "c")
         (tmp_path / "c" / "index.json").write_text('{"K": 2, "samples_per_task": 4}')
         path = tmp_path / "c" / "task1.safetensors"
@@ -70,7 +75,7 @@ class TestCalibSet:
             Batch(rng.normal(size=(3, 4)), task_id=1),
             Batch(rng.normal(size=(3, 4)), task_id=2, targets=rng.normal(size=(2, 4))),
         ]
-        calib = CalibSet(batches=batches, samples_per_task=4, seed=9)
+        calib = CalibSet(batches=batches, seed=9)
         save_calib_set(calib, tmp_path / "calib")
         loaded = load_calib_set(tmp_path / "calib")
         assert loaded.num_tasks == 2 and loaded.samples_per_task == 4 and loaded.seed == 9
@@ -79,10 +84,7 @@ class TestCalibSet:
         assert loaded.task(1).targets is None
 
     def test_file_count_matches_tasks(self, tmp_path, rng):
-        calib = CalibSet(
-            batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2, 3)],
-            samples_per_task=3,
-        )
+        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2, 3)])
         save_calib_set(calib, tmp_path / "c")
         files = sorted(p.name for p in (tmp_path / "c").glob("task*.safetensors"))
         assert files == ["task1.safetensors", "task2.safetensors", "task3.safetensors"]
@@ -96,10 +98,15 @@ class TestCalibSet:
             ("{K:", "JSONDecodeError"),
             ("[]", "TypeError"),
             ('{"K": 0, "samples_per_task": 4}', "K=0, need K >= 1"),
+            ('{"K": 1, "samples_per_task": 3, "seed": "x"}', "seed must be integers"),
+            ('{"K": Infinity, "samples_per_task": 3}', "K, samples_per_task"),
+            ('{"K": 1.0, "samples_per_task": 3}', "must be integers"),
+            ('{"K": 1, "samples_per_task": "3"}', "must be integers"),
+            ('{"K": 1, "samples_per_task": 3, "seed": false}', "must be integers"),
         ],
     )
     def test_incomplete_index_is_malformed(self, tmp_path, rng, index, message):
-        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=1)], samples_per_task=3)
+        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=1)])
         save_calib_set(calib, tmp_path / "c")
         (tmp_path / "c" / "index.json").write_text(index)
         with pytest.raises(MalformedHeaderError, match=re.escape(message)):
@@ -111,11 +118,11 @@ class TestLayerStats:
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
         model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
-        stats = layer_stats(model, problem.calib, 1)
-        for batch, h in zip(problem.calib.batches, stats.hessians):
+        hessians = layer_stats(model, problem.calib, 1)
+        for batch, h in zip(problem.calib.batches, hessians, strict=True):
             np.testing.assert_array_equal(forward_to_layer(model, batch.inputs, 1), batch.inputs)
             np.testing.assert_array_equal(h, accumulate_stats(batch.inputs))
-        assert stats.d == 6
+            assert h.shape == (6, 6)
 
     def test_single_sample_rank_one(self, rng):
         x = rng.normal(size=(5, 1))
@@ -128,13 +135,12 @@ class TestLayerStats:
         problem = small_problem(dims=[6, 8, 7, 5], train_steps=10)
         model = Model.from_checkpoint(problem.base)
         model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
-        cache = {b.task_id: b.inputs for b in problem.calib.batches}
         from pmq.model import propagate_through_layer
 
-        cache = {t: propagate_through_layer(x, model.layers[0]) for t, x in cache.items()}
-        stats_cached = collect_layer_stats(model, 2, cache)
-        stats_fresh = layer_stats(model, problem.calib, 2)
-        for hc, hf in zip(stats_cached.hessians, stats_fresh.hessians):
+        cache = propagate_through_layer([b.inputs for b in problem.calib.batches], model.layers[0])
+        cached = collect_layer_stats(model, 2, cache)
+        fresh = layer_stats(model, problem.calib, 2)
+        for hc, hf in zip(cached, fresh, strict=True):
             np.testing.assert_allclose(hc, hf, rtol=0, atol=1e-10)
 
     def test_trace_identity(self):
@@ -142,16 +148,15 @@ class TestLayerStats:
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
         for ell in (1, 2):
-            stats = layer_stats(model, problem.calib, ell)
-            for batch, h in zip(problem.calib.batches, stats.hessians):
+            hessians = layer_stats(model, problem.calib, ell)
+            for batch, h in zip(problem.calib.batches, hessians, strict=True):
                 e = frobenius_sq(forward_to_layer(model, batch.inputs, ell))
                 assert abs(np.trace(h) - e) <= 1e-9 * max(1.0, abs(e))
 
     def test_psd_probe_vectors(self, rng):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        stats = layer_stats(model, problem.calib, 2)
-        for h in stats.hessians:
+        for h in layer_stats(model, problem.calib, 2):
             tr = np.trace(h)
             for _ in range(50):
                 v = rng.normal(size=h.shape[0])
@@ -171,8 +176,7 @@ class TestLayerStats:
         x = rng.normal(size=shape)
         h = accumulate_stats(x)
         e = float(np.trace(h))
-        stats = LayerCalibStats(hessians=[h], d=shape[0])
-        assert anchor_lambda(stats, 1.0) == (1.0 / shape[0]) * (0.0 + e)
+        assert anchor_lambda([h], 1.0) == (1.0 / shape[0]) * (0.0 + e)
         assert abs(e - frobenius_sq(x)) <= 1e-13 * e
 
     def test_overflowing_energy_raises(self):
@@ -191,7 +195,7 @@ class TestLayerStats:
     def test_cache_shape_drift_detected(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        bad_cache = {1: np.zeros((3, 4)), 2: np.zeros((3, 4))}
+        bad_cache = [np.zeros((3, 4)), np.zeros((3, 4))]
         with pytest.raises(ShapeError):
             collect_layer_stats(model, 1, bad_cache)
 
@@ -200,20 +204,19 @@ class TestAnchorLambda:
     def test_zero_alpha(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        stats = layer_stats(model, problem.calib, 1)
-        assert anchor_lambda(stats, 0.0) == 0.0
+        assert anchor_lambda(layer_stats(model, problem.calib, 1), 0.0) == 0.0
 
     def test_direct_arithmetic(self):
         # trace 8 per task: (0.1 / 4) * 16
-        stats = LayerCalibStats(hessians=[2.0 * np.eye(4), 2.0 * np.eye(4)], d=4)
-        assert anchor_lambda(stats, 0.1) == pytest.approx(0.4, abs=1e-15)
+        lam = anchor_lambda([2.0 * np.eye(4), 2.0 * np.eye(4)], 0.1)
+        assert lam == pytest.approx(0.4, abs=1e-15)
 
     def test_matches_trace_form(self):
         problem = small_problem(seed=3)
         model = Model.from_checkpoint(problem.base)
-        stats = layer_stats(model, problem.calib, 2)
-        lam = anchor_lambda(stats, 0.7)
-        trace_form = 0.7 / stats.d * np.trace(stats.pooled_hessian())
+        hessians = layer_stats(model, problem.calib, 2)
+        lam = anchor_lambda(hessians, 0.7)
+        trace_form = 0.7 / len(hessians[0]) * np.trace(sum(hessians))
         assert abs(lam - trace_form) <= 1e-9 * max(1.0, abs(trace_form))
 
 

@@ -394,7 +394,6 @@ class TestOneBlasPool:
             """
             import sys
             import numpy as np
-            from pmq.calib import LayerCalibStats
             from pmq.linalg import SingularMatrixError, cholesky_inverse_upper
             from pmq.quant import QuantConfig
             from pmq.solver import solve_layer
@@ -402,10 +401,10 @@ class TestOneBlasPool:
             rng = np.random.default_rng(0)
             d, d_out = 300, 16
             xs = [rng.normal(size=(d, d + 16)) for _ in range(2)]
-            stats = LayerCalibStats(hessians=[x @ x.T for x in xs], d=d)
+            hessians = [x @ x.T for x in xs]
             wm = rng.normal(size=(d_out, d)) / np.sqrt(d)
             experts = [wm + 0.1 * rng.normal(size=(d_out, d)) / np.sqrt(d) for _ in range(2)]
-            solve_layer(experts, wm, stats, QuantConfig(bits=4, group_size=128, solver="epmq"))
+            solve_layer(experts, wm, hessians, QuantConfig(bits=4, group_size=128, solver="epmq"))
             print("scipy.linalg" in sys.modules)
             try:
                 cholesky_inverse_upper(np.diag([1.0, -1.0, 1.0]))

@@ -47,7 +47,7 @@ def run_method(problem, merged, method):
 
 def scaled_heldout(heldout, factor):
     batches = [Batch(b.inputs * factor, b.task_id, b.targets) for b in heldout.batches]
-    return CalibSet(batches=batches, samples_per_task=heldout.samples_per_task)
+    return CalibSet(batches=batches)
 
 
 def prefix_chain(layers):
@@ -137,8 +137,7 @@ class TestRunEpmq:
             batches=[
                 Batch(np.full_like(b.inputs, 1e200), task_id=b.task_id)
                 for b in problem.calib.batches
-            ],
-            samples_per_task=problem.calib.samples_per_task,
+            ]
         )
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.01)
         with np.errstate(all="ignore"), pytest.raises(Exception, match="layer"):
@@ -385,7 +384,7 @@ class TestDeviationDiagnostics:
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
         run = run_method(problem, merged, "epmq")
         batches = [problem.heldout.task(1), Batch(problem.heldout.task(2).inputs[:5], task_id=2)]
-        heldout = CalibSet(batches=batches, samples_per_task=problem.heldout.samples_per_task)
+        heldout = CalibSet(batches=batches)
         with pytest.raises(ConfigError, match="held-out task 2 has inputs of 5 rows"):
             deviation_diagnostics(run, heldout)
 
@@ -406,6 +405,17 @@ class TestActivationCache:
         assert [rep.solve.to_json_dict() for rep in run.layer_reports] == [
             rep.to_json_dict() for rep in reports
         ]
+
+    @pytest.mark.parametrize("num_tasks", [1, 3])
+    def test_propagates_one_task_stack_per_layer(self, monkeypatch, num_tasks):
+        """L - 1 propagations per run whatever K is; the first takes the batch
+        inputs themselves, so no stacked copy of them is made before it."""
+        problem, merged = merged_problem(seed=26, dims=[6, 8, 7, 5], num_tasks=num_tasks)
+        propagations = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
+        run_method(problem, merged, "epmq")
+        assert [np.shape(x) for x, _ in propagations] == [(num_tasks, 6, 24), (num_tasks, 8, 24)]
+        first = propagations[0][0]
+        assert all(x is b.inputs for x, b in zip(first, problem.calib.batches, strict=True))
 
 
 class TestTrajectoryChecksum:
@@ -514,10 +524,8 @@ class TestEvaluate:
         problem = small_problem(seed=13, num_tasks=1)
         model = Model.from_checkpoint(problem.base)
         outputs = forward(model, problem.heldout.task(1).inputs)
-        heldout = CalibSet(
-            batches=[Batch(problem.heldout.task(1).inputs, task_id=1, targets=outputs)],
-            samples_per_task=problem.heldout.samples_per_task,
-        )
+        batch = Batch(problem.heldout.task(1).inputs, task_id=1, targets=outputs)
+        heldout = CalibSet(batches=[batch])
         result = evaluate(model, heldout)
         assert result.macro_mse == 0.0
 
@@ -530,12 +538,8 @@ class TestEvaluate:
         )
         model = Model.from_checkpoint(ckpt)
         x = rng.normal(size=(3, 5))
-        zero_targets = CalibSet(
-            batches=[Batch(x, task_id=1, targets=np.zeros((2, 5)))], samples_per_task=5
-        )
-        unit_targets = CalibSet(
-            batches=[Batch(x, task_id=1, targets=np.ones((2, 5)))], samples_per_task=5
-        )
+        zero_targets = CalibSet(batches=[Batch(x, task_id=1, targets=np.zeros((2, 5)))])
+        unit_targets = CalibSet(batches=[Batch(x, task_id=1, targets=np.ones((2, 5)))])
         assert evaluate(model, zero_targets).macro_mse == 0.0
         assert evaluate(model, unit_targets).macro_mse == 1.0
 
@@ -567,3 +571,10 @@ class TestRunJson:
         jsonschema.validate(blob, RUN_JSON_SCHEMA)
         checksums = [rep["trajectory_checksum"] for rep in blob["layers"]]
         assert len(set(checksums)) == len(checksums)  # state changes at every layer
+
+
+def test_public_names_resolve_once():
+    """Every name in pmq.__all__ is an attribute of pmq, and none is listed twice."""
+    assert len(set(pmq.__all__)) == len(pmq.__all__)
+    missing = [name for name in pmq.__all__ if not hasattr(pmq, name)]
+    assert missing == []

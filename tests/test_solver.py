@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmq.solver
-from pmq.calib import LayerCalibStats
 from pmq.linalg import SingularMatrixError, cholesky_solve, frobenius_sq
 from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
 from pmq.solver import (
@@ -32,15 +31,9 @@ from oracles import (
 from test_pipeline import counting
 
 
-def random_stats(rng, d, k, n=10, energy_scale=1.0):
+def random_hessians(rng, d, k, n=10, energy_scale=1.0):
     xs = [energy_scale * rng.normal(size=(d, n)) for _ in range(k)]
-    return (
-        LayerCalibStats(
-            hessians=[x @ x.T for x in xs],
-            d=d,
-        ),
-        xs,
-    )
+    return [x @ x.T for x in xs], xs
 
 
 def tilted_instance(rng, d, k, n, decades, d_out=3):
@@ -53,7 +46,7 @@ def tilted_instance(rng, d, k, n, decades, d_out=3):
     tilt = (basis / spread) @ basis.T
     wm = rng.normal(size=(d_out, d)) @ tilt
     experts = [wm + 0.3 * rng.normal(size=(d_out, d)) @ tilt for _ in range(k)]
-    return LayerCalibStats(hessians=[x @ x.T for x in xs], d=d), xs, experts, wm
+    return [x @ x.T for x in xs], xs, experts, wm
 
 
 def expanded_objective(q, xs, ws, wm, lam):
@@ -69,29 +62,29 @@ def expanded_objective(q, xs, ws, wm, lam):
 class TestBuildStatistics:
     def test_identity_case_recovers_merged(self, rng):
         d = 5
-        stats, _ = random_stats(rng, d, 1)
+        hessians, _ = random_hessians(rng, d, 1)
         wm = rng.normal(size=(3, d))
-        h_e, r, lam, _ = build_epmq_statistics([wm], wm, stats, alpha=0.5)
+        h_e, r, lam, _ = build_epmq_statistics([wm], wm, hessians, alpha=0.5)
         assert lam > 0
         np.testing.assert_allclose(continuous_solution(h_e, r), wm, rtol=1e-9, atol=1e-10)
 
     def test_alpha_zero_single_expert(self, rng):
         d = 4
-        stats, _ = random_stats(rng, d, 1)
+        hessians, _ = random_hessians(rng, d, 1)
         w1 = rng.normal(size=(2, d))
         wm = rng.normal(size=(2, d))
-        h_e, r, lam, _ = build_epmq_statistics([w1], wm, stats, alpha=0.0)
+        h_e, r, lam, _ = build_epmq_statistics([w1], wm, hessians, alpha=0.0)
         assert lam == 0.0
-        np.testing.assert_allclose(h_e, stats.hessians[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(r, w1 @ stats.hessians[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(h_e, hessians[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r, w1 @ hessians[0], rtol=1e-12, atol=1e-12)
 
     def test_rhs_matches_scalar_loop(self, rng):
         d = 4
-        stats, _ = random_stats(rng, d, 2)
+        hessians, _ = random_hessians(rng, d, 2)
         ws = [rng.normal(size=(3, d)) for _ in range(2)]
         wm = rng.normal(size=(3, d))
-        h_e, r, lam, c = build_epmq_statistics(ws, wm, stats, alpha=0.2)
-        products = [matmul_triple_loop(w, h) for w, h in zip(ws, stats.hessians)]
+        h_e, r, lam, c = build_epmq_statistics(ws, wm, hessians, alpha=0.2)
+        products = [matmul_triple_loop(w, h) for w, h in zip(ws, hessians)]
         expected = products[0] + products[1] + lam * wm
         np.testing.assert_allclose(r, expected, rtol=1e-10, atol=1e-10)
         # the constant of F(Q) = tr(Q H_E Q^T) - 2<Q, R> + c
@@ -106,13 +99,13 @@ class TestContinuousSolution:
 
     def test_large_anchor_limit_recovers_merged(self, rng):
         d = 5
-        stats, _ = random_stats(rng, d, 2)
+        hessians, _ = random_hessians(rng, d, 2)
         ws = [rng.normal(size=(2, d)) for _ in range(2)]
         wm = rng.normal(size=(2, d))
-        trace_scale = np.trace(stats.pooled_hessian())
+        trace_scale = np.trace(sum(hessians))
         lam = 1e6 * trace_scale
-        h_e = stats.pooled_hessian() + lam * np.eye(d)
-        r = ws[0] @ stats.hessians[0] + ws[1] @ stats.hessians[1] + lam * wm
+        h_e = sum(hessians) + lam * np.eye(d)
+        r = ws[0] @ hessians[0] + ws[1] @ hessians[1] + lam * wm
         q = continuous_solution(h_e, r)
         np.testing.assert_allclose(q, wm, rtol=1e-3, atol=1e-6)
 
@@ -173,12 +166,9 @@ class TestObjectiveReduction:
             xs = [rng.normal(size=(d, int(rng.integers(d, d + 6)))) for _ in range(k)]
             ws = [rng.normal(size=(2, d)) for _ in range(k)]
             wm = rng.normal(size=(2, d))
-            stats = LayerCalibStats(
-                hessians=[x @ x.T for x in xs],
-                d=d,
-            )
+            hessians = [x @ x.T for x in xs]
             alpha = float(rng.uniform(0.01, 1.0))
-            h_e, r, lam, _ = build_epmq_statistics(ws, wm, stats, alpha)
+            h_e, r, lam, _ = build_epmq_statistics(ws, wm, hessians, alpha)
             w_star = continuous_solution(h_e, r)
             constant = expanded_objective(w_star, xs, ws, wm, lam)
             q = rng.normal(size=(2, d))
@@ -298,12 +288,12 @@ class TestGptqSolve:
     def test_epmq_merged_grids_match_columnwise_oracle(self):
         r = np.random.default_rng(7)
         d_out, d = 40, 200
-        stats, _ = random_stats(r, d, 2, n=d + 16)
+        hessians, _ = random_hessians(r, d, 2, n=d + 16)
         wm = r.normal(size=(d_out, d)) / np.sqrt(d)
         experts = [wm + 0.1 * r.normal(size=(d_out, d)) / np.sqrt(d) for _ in range(2)]
         cfg = QuantConfig(bits=3, group_size=48, solver="epmq", grid_source="merged")
-        rep = solve_layer(experts, wm, stats, cfg)
-        h_e, rhs, _, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+        rep = solve_layer(experts, wm, hessians, cfg)
+        h_e, rhs, _, _ = build_epmq_statistics(experts, wm, hessians, cfg.alpha)
         w_star = continuous_solution(h_e, rhs)
         prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=wm, cfg=cfg)
         codes, comp_norms, _ = gptq_columnwise(prob)
@@ -353,11 +343,11 @@ class TestEpmqSolve:
             d = 6
             wm = r.normal(size=(2, d))
             experts = [wm + 0.3 * r.normal(size=(2, d)) for _ in range(2)]
-            stats, _ = random_stats(np.random.default_rng(seed + 500), d, 2)
+            hessians, _ = random_hessians(np.random.default_rng(seed + 500), d, 2)
             found = None
             for alpha in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
                 cfg = QuantConfig(bits=4, group_size=4, solver="epmq", alpha=alpha)
-                rep = solve_layer(experts, wm, stats, cfg)
+                rep = solve_layer(experts, wm, hessians, cfg)
                 rtn = rtn_quantize(wm, cfg)
                 if np.array_equal(rep.quantized.codes, rtn.codes):
                     found = alpha
@@ -366,29 +356,29 @@ class TestEpmqSolve:
 
     def test_scores_codes_once_with_the_anchored_objective(self, rng, monkeypatch):
         d, k = 6, 3
-        stats, _ = random_stats(rng, d, k)
+        hessians, _ = random_hessians(rng, d, k)
         wm = rng.normal(size=(3, d))
         experts = [wm + 0.3 * rng.normal(size=(3, d)) for _ in range(k)]
         cfg = QuantConfig(bits=3, group_size=4, solver="epmq", alpha=0.1)
         quadratic = counting(monkeypatch, pmq.solver, "quadratic_objective")
         anchored = counting(monkeypatch, pmq.solver, "epmq_objective")
         products = counting(monkeypatch, pmq.solver, "matmul")
-        rep = solve_layer(experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, hessians, cfg)
         # scored in closed form: the K products W_i H_i, no score, no residual GEMM
         assert quadratic == [] and anchored == []
         assert len(products) == k and all(a is w for (a, _), w in zip(products, experts))
         monkeypatch.undo()
-        expected = epmq_objective(rep.quantized.dequantize(), experts, wm, stats, rep.lam)
+        expected = epmq_objective(rep.quantized.dequantize(), experts, wm, hessians, rep.lam)
         assert rep.objective == pytest.approx(expected, rel=1e-10)
 
     def test_single_expert_equal_to_merged_matches_gptq(self, rng):
         d = 5
-        stats, _ = random_stats(rng, d, 1)
+        hessians, _ = random_hessians(rng, d, 1)
         wm = rng.normal(size=(3, d))
         cfg = QuantConfig(bits=3, group_size=8, solver="epmq", alpha=0.1)
-        rep_e = solve_layer([wm], wm, stats, cfg)
+        rep_e = solve_layer([wm], wm, hessians, cfg)
         lam = rep_e.lam
-        h = stats.hessians[0] + lam * np.eye(d)
+        h = hessians[0] + lam * np.eye(d)
         rep_g = gptq_solve(
             SolverProblem(target=wm, curvature=h, grid_source_weight=wm, cfg=cfg)
         )
@@ -402,13 +392,10 @@ class TestEpmqSolve:
             wm = r.normal(size=(1, d))
             experts = [wm + 0.3 * r.normal(size=(1, d)) for _ in range(2)]
             xs = [r.normal(size=(d, 10)) for _ in range(2)]
-            stats = LayerCalibStats(
-                hessians=[x @ x.T for x in xs],
-                d=d,
-            )
+            hessians = [x @ x.T for x in xs]
             cfg = QuantConfig(bits=2, group_size=4, solver="epmq", alpha=0.01)
-            rep = solve_layer(experts, wm, stats, cfg)
-            h_e, r_mat, lam, _ = build_epmq_statistics(experts, wm, stats, 0.01)
+            rep = solve_layer(experts, wm, hessians, cfg)
+            h_e, r_mat, lam, _ = build_epmq_statistics(experts, wm, hessians, 0.01)
             w_star = continuous_solution(h_e, r_mat)
             prob = SolverProblem(target=w_star, curvature=h_e, grid_source_weight=w_star, cfg=cfg)
             codes_opt, _ = brute_force_optimum(prob)
@@ -419,8 +406,8 @@ class TestEpmqSolve:
                 bits=2,
                 group_size=4,
             )
-            obj_e = epmq_objective(rep.quantized.dequantize(), experts, wm, stats, lam)
-            obj_o = epmq_objective(opt.dequantize(), experts, wm, stats, lam)
+            obj_e = epmq_objective(rep.quantized.dequantize(), experts, wm, hessians, lam)
+            obj_o = epmq_objective(opt.dequantize(), experts, wm, hessians, lam)
             assert obj_e >= obj_o - 1e-12 * max(1.0, obj_o)
             ratio_ok += obj_e <= 1.25 * obj_o + 1e-12
         assert ratio_ok >= 80
@@ -428,12 +415,10 @@ class TestEpmqSolve:
     def test_zero_alpha_rank_deficient_uses_damped_fallback(self, rng):
         d = 8
         x = rng.normal(size=(d, 3))  # rank 3 < d
-        stats = LayerCalibStats(
-            hessians=[x @ x.T], d=d
-        )
+        hessians = [x @ x.T]
         wm = rng.normal(size=(2, d))
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
-        rep = solve_layer([wm + 0.1], wm, stats, cfg)
+        rep = solve_layer([wm + 0.1], wm, hessians, cfg)
         assert rep.damped_fallback
         assert rep.lam == 0.0
 
@@ -442,33 +427,31 @@ class TestEpmqSolve:
         r = np.random.default_rng(9)
         d = 150
         x = r.normal(size=(d, 100))
-        stats = LayerCalibStats(
-            hessians=[x @ x.T], d=d
-        )
+        hessians = [x @ x.T]
         wm = r.normal(size=(4, d)) / np.sqrt(d)
         cfg = QuantConfig(bits=4, group_size=64, solver="epmq", alpha=0.0)
-        rep = solve_layer([wm + 0.01], wm, stats, cfg)
+        rep = solve_layer([wm + 0.01], wm, hessians, cfg)
         assert rep.damped_fallback
         assert rep.lam == 0.0
 
     def test_asymmetric_curvature_rejected(self, rng):
         d = 6
-        stats, _ = random_stats(rng, d, 2)
-        stats.hessians[1][0, 3] += 1.0
+        hessians, _ = random_hessians(rng, d, 2)
+        hessians[1][0, 3] += 1.0
         wm = rng.normal(size=(2, d))
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq")
         with pytest.raises(ValueError, match="symmetric"):
-            solve_layer([wm, wm + 0.1], wm, stats, cfg)
+            solve_layer([wm, wm + 0.1], wm, hessians, cfg)
         with pytest.raises(ValueError, match="symmetric"):
-            SolverProblem(target=wm, curvature=stats.hessians[1], grid_source_weight=wm, cfg=cfg)
+            SolverProblem(target=wm, curvature=hessians[1], grid_source_weight=wm, cfg=cfg)
 
     def test_grid_source_merged_switch(self, rng):
         d = 5
-        stats, _ = random_stats(rng, d, 2)
+        hessians, _ = random_hessians(rng, d, 2)
         wm = rng.normal(size=(2, d))
         experts = [wm + rng.normal(size=(2, d)) for _ in range(2)]
-        rep_t = solve_layer(experts, wm, stats, QuantConfig(solver="epmq", grid_source="target", group_size=8))
-        rep_m = solve_layer(experts, wm, stats, QuantConfig(solver="epmq", grid_source="merged", group_size=8))
+        rep_t = solve_layer(experts, wm, hessians, QuantConfig(solver="epmq", grid_source="target", group_size=8))
+        rep_m = solve_layer(experts, wm, hessians, QuantConfig(solver="epmq", grid_source="merged", group_size=8))
         # merged-sourced grids must equal the rtn grids on the merged weight
         rtn = rtn_quantize(wm, QuantConfig(solver="rtn", group_size=8))
         np.testing.assert_array_equal(rep_m.quantized.scales, rtn.scales)
@@ -476,7 +459,7 @@ class TestEpmqSolve:
         assert rep_t.quantized.scales.shape == rep_m.quantized.scales.shape
 
 
-def closed_form_check(rep, xs, experts, wm, stats, cfg):
+def closed_form_check(rep, xs, experts, wm, hessians, cfg):
     """|F_closed - F| and its bound, with F the objective in activation space.
 
     Three sizes S limit the agreement, each by rounding, not by F itself:
@@ -488,15 +471,15 @@ def closed_form_check(rep, xs, experts, wm, stats, cfg):
     F is far below S (one expert and no anchor, with few samples or fine
     grids; or curvature and weights tilted against each other) the relative
     error is larger."""
-    h_e, r, _, c = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+    h_e, r, _, c = build_epmq_statistics(experts, wm, hessians, cfg.alpha)
     if rep.damped_fallback:
-        h_e.flat[:: stats.d + 1] += pmq.solver._damping_for(h_e, cfg.percdamp)
+        h_e.flat[:: len(h_e) + 1] += pmq.solver._damping_for(h_e, cfg.percdamp)
     w_star = continuous_solution(h_e, r)
     q = rep.quantized.weight
     exact = expanded_objective(q, xs, experts, wm, rep.lam)
     norm = np.linalg.norm
     scale = c + norm(r) * (norm(w_star) + 2.0 * norm(q - w_star))
-    scale += sum(norm(h) * norm(q - w) ** 2 for h, w in zip(stats.hessians, experts))
+    scale += sum(norm(h) * norm(q - w) ** 2 for h, w in zip(hessians, experts))
     return abs(rep.objective - exact), 1e-10 * exact + 1e-11 * scale
 
 
@@ -515,17 +498,17 @@ class TestClosedFormObjective:
         """alpha = 0 with n < d takes the damped fallback; four decades of tilt
         make the probe refine on some draws."""
         rng = np.random.default_rng(seed)
-        stats, xs, experts, wm = tilted_instance(rng, d, k, n, decades)
+        hessians, xs, experts, wm = tilted_instance(rng, d, k, n, decades)
         cfg = QuantConfig(bits=bits, group_size=max(1, d // 2), solver="epmq", alpha=alpha)
-        rep = solve_layer(experts, wm, stats, cfg)
-        err, bound = closed_form_check(rep, xs, experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, hessians, cfg)
+        err, bound = closed_form_check(rep, xs, experts, wm, hessians, cfg)
         assert err <= bound
 
     def test_damped_fallback_keeps_its_correction_terms(self):
         rng = np.random.default_rng(5)
-        stats, xs, experts, wm = tilted_instance(rng, d=12, k=2, n=4, decades=0.0)
+        hessians, xs, experts, wm = tilted_instance(rng, d=12, k=2, n=4, decades=0.0)
         cfg = QuantConfig(bits=4, group_size=6, solver="epmq", alpha=0.0)
-        rep = solve_layer(experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, hessians, cfg)
         assert rep.damped_fallback
         exact = expanded_objective(rep.quantized.weight, xs, experts, wm, rep.lam)
         assert rep.objective == pytest.approx(exact, rel=1e-10)
@@ -533,15 +516,15 @@ class TestClosedFormObjective:
     def test_refinement_adds_one_residual_gemm(self, monkeypatch):
         rng = np.random.default_rng(3)
         d, k = 24, 2
-        stats, xs, experts, wm = tilted_instance(rng, d, k, n=d + 8, decades=6.0)
+        hessians, xs, experts, wm = tilted_instance(rng, d, k, n=d + 8, decades=6.0)
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
         products = counting(monkeypatch, pmq.solver, "matmul")
-        rep = solve_layer(experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, hessians, cfg)
         monkeypatch.undo()
         # the K products W_i H_i, then Q H_E for the full residual
         assert [(a.shape, b.shape) for a, b in products] == [((3, d), (d, d))] * (k + 1)
-        assert products[-1][1] is not stats.hessians[-1]
-        err, bound = closed_form_check(rep, xs, experts, wm, stats, cfg)
+        assert products[-1][1] is not hessians[-1]
+        err, bound = closed_form_check(rep, xs, experts, wm, hessians, cfg)
         assert err <= bound
 
 
@@ -553,16 +536,16 @@ class TestCompensationNorms:
         a check of the rounding loop that holds at any width, with T = W* and
         H = H_E for epmq, T = W_m and H = sum_i H_i for gptq."""
         rng = np.random.default_rng(d)
-        stats, _ = random_stats(rng, d, k=2, n=d + 16)
+        hessians, _ = random_hessians(rng, d, k=2, n=d + 16)
         wm = rng.normal(size=(16, d)) / np.sqrt(d)
         experts = [wm + 0.1 * rng.normal(size=wm.shape) / np.sqrt(d) for _ in range(2)]
         cfg = QuantConfig(bits=4, group_size=32, solver=solver)
-        rep = solve_layer(experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, hessians, cfg)
         if solver == "epmq":
-            h, r, _, _ = build_epmq_statistics(experts, wm, stats, cfg.alpha)
+            h, r, _, _ = build_epmq_statistics(experts, wm, hessians, cfg.alpha)
             target = continuous_solution(h, r)
         else:
-            h, target = stats.pooled_hessian(), wm
+            h, target = sum(hessians), wm
         e = rep.quantized.dequantize() - target
         loss = float(np.sum((e @ (h + rep.damping * np.eye(d))) * e))
         assert abs(float(np.sum(rep.per_column_comp_norms**2)) - loss) <= 1e-12 * loss
@@ -579,11 +562,11 @@ class TestRealizedWeight:
         """The values a solver scores are the layer's realized weight: the bytes of
         dequantize(), +0.0 where a code sits on its zero-point included."""
         rng = np.random.default_rng(d_in)
-        stats, _ = random_stats(rng, d_in, k=2, n=d_in + 8)
+        hessians, _ = random_hessians(rng, d_in, k=2, n=d_in + 8)
         wm = rng.normal(size=(d_out, d_in)) / np.sqrt(d_in)
         experts = [wm + 0.1 * rng.normal(size=wm.shape) / np.sqrt(d_in) for _ in range(2)]
         cfg = QuantConfig(bits=4, group_size=group_size, solver=solver)
-        rep = solve_layer(experts, wm, stats, cfg)
+        rep = solve_layer(experts, wm, hessians, cfg)
         weight = rep.quantized.weight
         assert weight.shape == (d_out, d_in) and weight.dtype == np.float64
         assert weight.flags["C_CONTIGUOUS"]
@@ -591,7 +574,7 @@ class TestRealizedWeight:
         assert weight.tobytes() == rep.quantized.dequantize().tobytes()
         if solver == "epmq":
             assert rep.objective == pytest.approx(
-                epmq_objective(rep.quantized.dequantize(), experts, wm, stats, rep.lam), rel=1e-10
+                epmq_objective(rep.quantized.dequantize(), experts, wm, hessians, rep.lam), rel=1e-10
             )
 
 
