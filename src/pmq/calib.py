@@ -192,7 +192,8 @@ def make_synthetic_tasks(
     as targets. Experts start from the base and take `train_steps` full-batch
     gradient steps toward their teacher ("train" mode) or are the teacher
     itself ("perturb" mode). Calibration and held-out sets are disjoint
-    draws; held-out batches carry teacher targets for evaluation.
+    draws; held-out batches carry teacher targets for evaluation. An expert
+    or held-out target that is not finite raises FloatingPointError.
     """
     if num_tasks < 1:
         raise ValueError(f"need at least one task, got {num_tasks}")
@@ -245,6 +246,15 @@ def make_synthetic_tasks(
     if expert_mode == "train":  # training draws nothing, so it runs after every task's draws
         xs, ys = np.stack(train_xs), np.stack(train_ys)
         experts = _train_experts(base, xs, ys, train_steps, learning_rate)
+    # a diverging trainer or an outsized teacher overflows; no caller gets the result
+    for task_id, expert in enumerate(experts, start=1):
+        for lw in expert.layers:
+            for name, arr in (("weight", lw.weight), ("bias", lw.bias)):
+                if arr is not None and not np.isfinite(arr).all():
+                    raise FloatingPointError(f"expert {task_id}: {lw.id}.{name} is not finite")
+    for batch in heldout_batches:
+        if not np.isfinite(batch.targets).all():
+            raise FloatingPointError(f"held-out targets of task {batch.task_id} are not finite")
 
     calib = CalibSet(batches=calib_batches, seed=seed)
     heldout = CalibSet(batches=heldout_batches, seed=seed)

@@ -3,7 +3,9 @@
 A checkpoint file holds one tensor per layer weight ("<id>.weight", shape
 d_out x d_in) and optionally "<id>.bias" (shape d_out). The manifest is a
 sidecar JSON file "<name>.manifest.json" describing layer dimensions,
-activations, the storage dtype, and the format version.
+activations, the storage dtype, and the format version. Model files share
+the format, with quantized layers in place of weights: write_layers and
+read_layers are its one writer and reader.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import read_only, require_finite
+from .linalg import read_only
+from .quant import QuantizedLayer, check_grid, pack_codes, unpack_codes
 from .tensorfile import (
     DtypeMismatchError,
     MalformedHeaderError,
@@ -25,7 +28,9 @@ from .tensorfile import (
 
 MANIFEST_VERSION = 1
 ACTIVATIONS = ("identity", "relu", "gelu")
-_STORAGE_DTYPES = {"f32": "F32", "f64": "F64"}
+_STORAGE_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# a quantized layer's codes, scales and zeros as stored: any other dtype would be cast
+_QUANT_DTYPES = (np.dtype("<u1"), np.dtype("<f4"), np.dtype("<i4"))
 
 
 class ManifestError(ValueError):
@@ -161,10 +166,6 @@ def manifest_path(path) -> Path:
     return path.with_name(path.stem + ".manifest.json")
 
 
-def save_manifest(manifest: ModelManifest, path) -> None:
-    write_json(path, manifest.to_json_dict())
-
-
 def load_manifest(path) -> ModelManifest:
     """The manifest in sidecar `path`; a malformed one is a MalformedHeaderError naming it."""
     try:
@@ -173,64 +174,106 @@ def load_manifest(path) -> ModelManifest:
         raise MalformedHeaderError(f"{path}: bad manifest: {exc}") from exc
 
 
-def storage_dtype(manifest: ModelManifest) -> np.dtype:
-    return np.dtype("<f4") if manifest.dtype == "f32" else np.dtype("<f8")
+def write_layers(path, manifest: ModelManifest, layers) -> bytes:
+    """Write `layers`, one (weight source, bias) pair per manifest layer, and
+    the manifest sidecar; returns the tensor file's bytes.
+
+    A full-precision weight is stored as "<id>.weight" in the manifest's
+    storage dtype; a QuantizedLayer as "<id>.codes" (packed bitstream),
+    "<id>.scales" (F32) and "<id>.zeros" (I32), with {bits, group_size} as
+    the JSON attrs "<id>.quant" in the file metadata. Biases are stored F64.
+    """
+    store = _STORAGE_DTYPES[manifest.dtype]
+    tensors: dict[str, np.ndarray] = {}
+    metadata: dict[str, str] = {}
+    for spec, (source, bias) in zip(manifest.layers, layers):
+        if isinstance(source, QuantizedLayer):
+            tensors[f"{spec.id}.codes"] = pack_codes(source.codes, source.bits)
+            tensors[f"{spec.id}.scales"] = source.scales
+            tensors[f"{spec.id}.zeros"] = source.zeros
+            metadata[f"{spec.id}.quant"] = json.dumps(
+                {"bits": source.bits, "group_size": source.group_size}, sort_keys=True
+            )
+        else:
+            tensors[f"{spec.id}.weight"] = source.astype(store, copy=False)
+        if bias is not None:
+            tensors[f"{spec.id}.bias"] = bias.astype(np.float64, copy=False)
+    data = write_tensor_file(path, tensors, metadata=metadata)
+    write_json(manifest_path(path), manifest.to_json_dict())
+    return data
+
+
+def read_layers(path) -> tuple[ModelManifest, list[tuple]]:
+    """The manifest and the (weight source, bias) pairs of a file written by
+    write_layers, weights and biases as float64.
+
+    A missing, misshapen or unexpected tensor, or quant attrs that are not
+    JSON {bits, group_size} agreeing with the codes, scales and zeros, is a
+    MalformedHeaderError; a weight not in the storage dtype, or codes, scales
+    or zeros not U8, F32 and I32, is a DtypeMismatchError. Both name the file.
+    """
+    manifest = load_manifest(manifest_path(path))
+    tensors, metadata = read_tensor_file(path)
+
+    def take(key: str, shape=None) -> np.ndarray:
+        if key not in tensors:
+            raise MalformedHeaderError(f"{path}: missing tensor '{key}'")
+        arr = tensors.pop(key)
+        if shape is not None and arr.shape != shape:
+            raise MalformedHeaderError(
+                f"{path}: tensor '{key}' has shape {list(arr.shape)}, "
+                f"manifest declares {list(shape)}"
+            )
+        return arr
+
+    layers = []
+    for spec in manifest.layers:
+        attrs = metadata.get(f"{spec.id}.quant")
+        source: np.ndarray | QuantizedLayer
+        if attrs is not None:
+            codes, scales, zeros = (take(f"{spec.id}.{p}") for p in ("codes", "scales", "zeros"))
+            if (codes.dtype, scales.dtype, zeros.dtype) != _QUANT_DTYPES:
+                raise DtypeMismatchError(
+                    f"{path}: layer '{spec.id}' stores codes, scales and zeros as "
+                    f"{codes.dtype}, {scales.dtype}, {zeros.dtype}, not uint8, float32, int32"
+                )
+            # attrs that are not JSON, not {bits, group_size} or disagree with the tensors
+            try:
+                grid = json.loads(attrs)
+                bits, group_size = grid["bits"], grid["group_size"]
+                check_grid(bits, group_size)  # before unpacking at that width
+                codes = unpack_codes(codes, bits, spec.d_out, spec.d_in)
+                source = QuantizedLayer(codes, scales, zeros, bits, group_size)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedHeaderError(
+                    f"{path}: bad quantized layer '{spec.id}' ({attrs!r}): {exc}"
+                ) from exc
+        else:
+            source = take(f"{spec.id}.weight", (spec.d_out, spec.d_in))
+            if source.dtype != _STORAGE_DTYPES[manifest.dtype]:
+                raise DtypeMismatchError(
+                    f"{path}: tensor '{spec.id}.weight' has dtype {source.dtype}, "
+                    f"manifest declares {manifest.dtype}"
+                )
+            source = source.astype(np.float64, copy=False)
+        bias = take(f"{spec.id}.bias", (spec.d_out,)) if spec.has_bias else None
+        layers.append((source, None if bias is None else bias.astype(np.float64, copy=False)))
+    if tensors:
+        raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(tensors)}")
+    return manifest, layers
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write a full-precision checkpoint plus its manifest sidecar."""
-    store = storage_dtype(ckpt.manifest)
-    tensors: dict[str, np.ndarray] = {}
-    for lw in ckpt.layers:
-        tensors[f"{lw.id}.weight"] = lw.weight.astype(store)
-        if lw.bias is not None:
-            tensors[f"{lw.id}.bias"] = lw.bias.astype(store)
-    write_tensor_file(path, tensors)
-    save_manifest(ckpt.manifest, manifest_path(path))
-
-
-def pop_tensor(tensors: dict, path, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Remove and return tensors[key]; a missing tensor or one whose shape
-    disagrees with the manifest is a MalformedHeaderError naming the file."""
-    if key not in tensors:
-        raise MalformedHeaderError(f"{path}: missing tensor '{key}'")
-    arr = tensors.pop(key)
-    if arr.shape != shape:
-        raise MalformedHeaderError(
-            f"{path}: tensor '{key}' has shape {list(arr.shape)}, manifest declares {list(shape)}"
-        )
-    return arr
-
-
-def pop_weight(tensors: dict, path, spec: LayerSpec, manifest: ModelManifest) -> np.ndarray:
-    """pop_tensor of layer `spec`'s full-precision weight; a stored dtype other
-    than the manifest's storage dtype is a DtypeMismatchError naming the file."""
-    key = f"{spec.id}.weight"
-    weight = pop_tensor(tensors, path, key, (spec.d_out, spec.d_in))
-    if weight.dtype != storage_dtype(manifest):
-        raise DtypeMismatchError(
-            f"{path}: tensor '{key}' has dtype {weight.dtype}, manifest declares {manifest.dtype}"
-        )
-    return weight
+    write_layers(path, ckpt.manifest, [(lw.weight, lw.bias) for lw in ckpt.layers])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a full-precision checkpoint written by save_checkpoint."""
-    manifest = load_manifest(manifest_path(path))
-    tensors, _ = read_tensor_file(path)
-    layers = []
-    for spec in manifest.layers:
-        weight = pop_weight(tensors, path, spec, manifest)
-        bias = None
-        if spec.has_bias:
-            bias = pop_tensor(tensors, path, f"{spec.id}.bias", (spec.d_out,))
-        layers.append(
-            LayerWeights(
-                id=spec.id,
-                weight=require_finite(np.asarray(weight, dtype=np.float64), f"{spec.id}.weight"),
-                bias=None if bias is None else np.asarray(bias, dtype=np.float64),
-            )
-        )
-    if tensors:
-        raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(tensors)}")
-    return Checkpoint(layers=layers, manifest=manifest)
+    """Read a full-precision checkpoint; a quantized layer is a MalformedHeaderError naming it."""
+    manifest, layers = read_layers(path)
+    weights = []
+    for spec, (source, bias) in zip(manifest.layers, layers):
+        if isinstance(source, QuantizedLayer):
+            raise MalformedHeaderError(f"{path}: layer '{spec.id}' is quantized")
+        weights.append(LayerWeights(id=spec.id, weight=source, bias=bias))
+    return Checkpoint(layers=weights, manifest=manifest)

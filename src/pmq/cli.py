@@ -16,17 +16,15 @@ import dataclasses
 import hashlib
 import io
 import json
-import numbers
 import os
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calib import SyntheticProblem, load_calib_set, make_synthetic_tasks, save_calib_set
 from .checkpoint import Checkpoint, ManifestError, load_checkpoint, save_checkpoint
-from .linalg import SingularMatrixError
+from .linalg import SingularMatrixError, require_real
 from .merge import MergeSpec, apply_merge
 from .model import load_model, save_model
 from .pipeline import (
@@ -42,11 +40,6 @@ from .tensorfile import TensorFileError, write_atomic, write_json
 
 SWEEP_AXES = ("bits", "alpha", "samples")
 PROBLEM_RECORD = "problem.json"  # the _problem_inputs of the problem `pmq gen` wrote
-
-
-def _is_real(value) -> bool:
-    """A real number proper: an int or float, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -90,16 +83,16 @@ class RunConfig:
             if m not in ("rtn", "gptq", "epmq"):
                 raise ConfigError(f"unknown sweep method '{m}'")
         for name in ("learning_rate", "teacher_scale"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        for name, wanted, ok in (
-            ("sweep_bits", "integers", lambda v: type(v) is int),
-            ("sweep_samples", "integers", lambda v: type(v) is int),
-            ("sweep_alpha", "real numbers", _is_real),
-        ):
+            require_real(getattr(self, name), name)
+        for name in ("sweep_bits", "sweep_samples"):
             values = getattr(self, name)
-            if not isinstance(values, (list, tuple)) or not all(map(ok, values)):
-                raise ConfigError(f"{name} must be a list of {wanted}, got {values!r}")
+            if not isinstance(values, (list, tuple)) or any(type(v) is not int for v in values):
+                raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+        alphas = self.sweep_alpha
+        if not isinstance(alphas, (list, tuple)):
+            raise ConfigError(f"sweep_alpha must be a list of real numbers, got {alphas!r}")
+        for value in alphas:
+            require_real(value, "sweep_alpha entry")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)  # merge and quant become nested dicts too
@@ -360,7 +353,7 @@ def _error_text(exc: Exception) -> str:
 
 
 def _sweep_point(
-    cfg: RunConfig, problem: SyntheticProblem, merged: Checkpoint, subdir: str
+    cfg: RunConfig, problem: SyntheticProblem, merged: Checkpoint, subdir: Path
 ) -> dict:
     """One sweep point on a generated and merged problem: quantize, evaluate, write.
 
@@ -371,9 +364,8 @@ def _sweep_point(
         run = quantize(merged, problem.experts, problem.calib, cfg.quant)
         wall = time.perf_counter() - start
         result = evaluate(run.model, problem.heldout)
-        subpath = Path(subdir)
-        subpath.mkdir(parents=True, exist_ok=True)
-        _write_run(run, cfg, subpath)
+        subdir.mkdir(parents=True, exist_ok=True)
+        _write_run(run, cfg, subdir)
     except Exception as exc:  # record the failure, keep sweeping
         return {"error": _error_text(exc)}
     row = {f"mse_task{task_id}": repr(mse) for task_id, mse in sorted(result.per_task_mse.items())}
@@ -383,22 +375,19 @@ def _sweep_point(
     return row
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
+def cmd_sweep(cfg: RunConfig, out: Path, axis: str) -> None:
     """Sweep one axis over every method, one CSV row per (value, method) point.
 
     Points whose generation and merge inputs agree share one problem, merged
     once here; only the `samples` axis changes those inputs. A group whose
     generation inputs equal the record `pmq gen` left in `out` loads that
     problem from `out` (an unreadable file there is the group's error, never a
-    reason to regenerate); any other group generates its own. With jobs > 1
-    the points are quantized in worker processes that receive the shared
-    problem. An invalid point, or one whose problem failed to generate or
-    load, gets an `error` row and the sweep goes on.
+    reason to regenerate); any other group generates its own. The points run
+    in this process, group by group. An invalid point, or one whose problem
+    failed to generate or load, gets an `error` row and the sweep goes on.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got '{axis}'")
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     values = getattr(cfg, f"sweep_{axis}")
     if not values:
         raise ConfigError(f"sweep axis '{axis}' has no values configured")
@@ -417,36 +406,22 @@ def cmd_sweep(cfg: RunConfig, out: Path, axis: str, jobs: int = 1) -> None:
         groups.setdefault(key, []).append((idx, point_cfg))
 
     recorded = _recorded_problem(out)
-    workers = min(jobs, sum(len(members) for members in groups.values()))
-    pool_context = nullcontext()
-    if workers > 1:
-        # the costliest import pmq.cli would make, so it is made only for a pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool_context = ProcessPoolExecutor(max_workers=workers)
-    with pool_context as pool:
-        futures = []
-        for members in groups.values():
-            group_cfg = members[0][1]
-            try:
-                if recorded == _problem_inputs(group_cfg):
-                    problem = _load_problem(out, group_cfg.k)
-                else:
-                    problem = _generate_problem(group_cfg)
-                merged = apply_merge(group_cfg.merge, problem.base, problem.experts)
-            except Exception as exc:  # every point of the group records the failure
-                for idx, _ in members:
-                    rows[idx]["error"] = _error_text(exc)
-                continue
-            for idx, point_cfg in members:
-                value, method = points[idx]
-                args = (point_cfg, problem, merged, str(out / "sweep" / f"{axis}={value}" / method))
-                if pool is None:
-                    rows[idx].update(_sweep_point(*args))
-                else:
-                    futures.append((idx, pool.submit(_sweep_point, *args)))
-        for idx, future in futures:
-            rows[idx].update(future.result())
+    for members in groups.values():
+        group_cfg = members[0][1]
+        try:
+            if recorded == _problem_inputs(group_cfg):
+                problem = _load_problem(out, group_cfg.k)
+            else:
+                problem = _generate_problem(group_cfg)
+            merged = apply_merge(group_cfg.merge, problem.base, problem.experts)
+        except Exception as exc:  # every point of the group records the failure
+            for idx, _ in members:
+                rows[idx]["error"] = _error_text(exc)
+            continue
+        for idx, point_cfg in members:
+            value, method = points[idx]
+            subdir = out / "sweep" / f"{axis}={value}" / method
+            rows[idx].update(_sweep_point(point_cfg, problem, merged, subdir))
 
     fieldnames = ["axis", "axis_value", "method"]
     fieldnames += [f"mse_task{i}" for i in range(1, cfg.k + 1)]
@@ -480,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if name == "sweep":
             p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-            p.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
     return parser
 
 
@@ -499,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg, out)
         elif args.command == "sweep":
-            cmd_sweep(cfg, out, args.axis, jobs=args.jobs)
+            cmd_sweep(cfg, out, args.axis)
         return 0
     # a ManifestError here means checkpoints disagree; a malformed sidecar is an i/o failure
     except (ConfigError, ManifestError) as exc:

@@ -10,6 +10,8 @@ give bit-identical results; across thread counts results agree to rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # widths that numpy.linalg factors directly; wider blocks split in two
@@ -43,6 +45,16 @@ def read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
+
+
+def require_real(value, name: str) -> None:
+    """Raise ValueError unless `value` is a finite real number: an int or float, not a bool."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import Checkpoint, LayerWeights, ManifestError
+from .linalg import require_real
 
 MERGE_METHODS = ("average", "task_arithmetic", "ties")
 
@@ -28,6 +29,8 @@ class MergeSpec:
     def __post_init__(self):
         if self.method not in MERGE_METHODS:
             raise ValueError(f"unknown merge method '{self.method}' (allowed: {MERGE_METHODS})")
+        for name in ("coefficient", "density"):
+            require_real(getattr(self, name), name)
         if self.method in ("task_arithmetic", "ties") and self.coefficient < 0:
             raise ValueError(f"coefficient must be >= 0 for '{self.method}'")
         if not 0 < self.density <= 1:

@@ -11,25 +11,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import (
-    Checkpoint,
-    LayerSpec,
-    ModelManifest,
-    load_manifest,
-    manifest_path,
-    pop_tensor,
-    pop_weight,
-    save_manifest,
-    storage_dtype,
-)
+from .checkpoint import Checkpoint, LayerSpec, ModelManifest, read_layers, write_layers
 from .linalg import ShapeError, matmul, read_only
-from .quant import QuantizedLayer, check_grid, pack_codes, unpack_codes
-from .tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
+from .quant import QuantizedLayer
 
 # tanh-form gelu constants, fixed so independent builds agree at 64-bit
 _GELU_COEF = 0.7978845608028654
@@ -208,73 +196,13 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: Model, path) -> str:
-    """Write a (possibly partially quantized) model plus manifest sidecar;
-    returns the hex SHA-256 of the model file's bytes.
-
-    Full-precision layers store "<id>.weight"; quantized layers store
-    "<id>.codes" (packed bitstream), "<id>.scales" (f32), "<id>.zeros" (i32),
-    with {bits, group_size} recorded as JSON attrs in the file metadata.
-    Biases are always stored at full precision.
-    """
-    store = storage_dtype(model.manifest)
-    tensors: dict[str, np.ndarray] = {}
-    metadata: dict[str, str] = {}
-    for layer in model.layers:
-        lid = layer.spec.id
-        if layer.is_quantized:
-            q: QuantizedLayer = layer.source
-            tensors[f"{lid}.codes"] = pack_codes(q.codes, q.bits)
-            tensors[f"{lid}.scales"] = q.scales
-            tensors[f"{lid}.zeros"] = q.zeros
-            metadata[f"{lid}.quant"] = json.dumps(
-                {"bits": q.bits, "group_size": q.group_size}, sort_keys=True
-            )
-        else:
-            tensors[f"{lid}.weight"] = layer.weight.astype(store)
-        if layer.bias is not None:
-            tensors[f"{lid}.bias"] = layer.bias.astype(np.float64)
-    data = write_tensor_file(path, tensors, metadata=metadata or None)
-    save_manifest(model.manifest, manifest_path(path))
-    return hashlib.sha256(data).hexdigest()
+    """Write a (possibly partially quantized) model plus manifest sidecar with
+    checkpoint.write_layers; returns the hex SHA-256 of the model file's bytes."""
+    layers = [(layer.source, layer.bias) for layer in model.layers]
+    return hashlib.sha256(write_layers(path, model.manifest, layers)).hexdigest()
 
 
 def load_model(path) -> Model:
     """Read a model written by save_model (full-precision or quantized layers)."""
-    manifest = load_manifest(manifest_path(path))
-    tensors, metadata = read_tensor_file(path)
-    layers: list[RealizedLayer] = []
-    for spec in manifest.layers:
-        quant_attrs = metadata.get(f"{spec.id}.quant")
-        source: np.ndarray | QuantizedLayer
-        if quant_attrs is not None:
-            for part in ("codes", "scales", "zeros"):
-                if f"{spec.id}.{part}" not in tensors:
-                    raise MalformedHeaderError(f"{path}: missing tensor '{spec.id}.{part}'")
-            # attrs that are not JSON, not {bits, group_size} or disagree with the tensors
-            try:
-                attrs = json.loads(quant_attrs)
-                bits, group_size = attrs["bits"], attrs["group_size"]
-                check_grid(bits, group_size)
-                codes = unpack_codes(tensors.pop(f"{spec.id}.codes"), bits, spec.d_out, spec.d_in)
-                source = QuantizedLayer(
-                    codes=codes,
-                    scales=tensors.pop(f"{spec.id}.scales"),
-                    zeros=tensors.pop(f"{spec.id}.zeros"),
-                    bits=bits,
-                    group_size=group_size,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedHeaderError(
-                    f"{path}: bad quantized layer '{spec.id}' ({quant_attrs!r}): {exc}"
-                ) from exc
-        else:
-            source = np.asarray(pop_weight(tensors, path, spec, manifest), dtype=np.float64)
-        bias = None
-        if spec.has_bias:
-            bias = pop_tensor(tensors, path, f"{spec.id}.bias", (spec.d_out,))
-            bias = np.asarray(bias, dtype=np.float64)
-        layers.append(RealizedLayer(spec=spec, source=source, bias=bias))
-    if tensors:
-        raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(tensors)}")
-    return Model(manifest, layers)
-
+    manifest, layers = read_layers(path)
+    return Model(manifest, [RealizedLayer(s, *pair) for s, pair in zip(manifest.layers, layers)])

@@ -290,7 +290,6 @@ def evaluate(model: Model, heldout: CalibSet) -> EvalResult:
 def run_to_json_dict(run: PmqRun, config: dict | None = None) -> dict:
     return {
         "method": run.method,
-        "solver": run.cfg.solver,
         "damped": run.damped_fallback,
         "total_objective": run.total_objective(),
         "config": config or {},
@@ -300,11 +299,10 @@ def run_to_json_dict(run: PmqRun, config: dict | None = None) -> dict:
 
 RUN_JSON_SCHEMA = {
     "type": "object",
-    "required": ["method", "solver", "damped", "total_objective", "config", "layers"],
+    "required": ["method", "damped", "total_objective", "config", "layers"],
     "additionalProperties": True,
     "properties": {
         "method": {"type": "string", "enum": ["rtn", "gptq", "epmq"]},
-        "solver": {"type": "string", "enum": ["rtn", "gptq", "epmq"]},
         "damped": {"type": "boolean"},
         "total_objective": {"type": "number"},
         "config": {"type": "object"},

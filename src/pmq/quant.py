@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import read_only, require_finite
+from .linalg import read_only, require_finite, require_real
 
 SOLVERS = ("rtn", "gptq", "epmq")
 GRID_SOURCES = ("target", "merged")
@@ -54,6 +54,8 @@ class QuantConfig:
 
     def __post_init__(self):
         check_grid(self.bits, self.group_size)
+        for name in ("percdamp", "alpha"):
+            require_real(getattr(self, name), name)
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver '{self.solver}' (allowed: {SOLVERS})")
         if self.solver != "rtn" and not self.percdamp > 0:
@@ -166,6 +168,7 @@ class QuantizedLayer:
     values: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, values):
+        check_grid(self.bits, self.group_size)
         codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
         scales = np.ascontiguousarray(self.scales, dtype=np.float32)
         zeros = np.ascontiguousarray(self.zeros, dtype=np.int32)

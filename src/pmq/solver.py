@@ -174,7 +174,10 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Requires H_E symmetric (solve_layer checks that once, in SolverProblem)
     and positive definite; callers damp first when the anchor is zero and
-    the pooled curvature is singular. Q = (R U^T) U. The residual
+    the pooled curvature is singular. H_E is singular to working precision,
+    a SingularMatrixError, also when its smallest squared Cholesky pivot,
+    (1 / max diag U)^2, is below d * eps * max diag(H_E): rounding, not the
+    data, decides such a solve. Q = (R U^T) U. The residual
     ||R - Q H_E||_F is estimated as ||R V - Q (H_E V)||_F / sqrt(p) with a
     fixed, seeded (d, p) Gaussian probe V, p = PROBE_COLUMNS; only when the
     estimate exceeds 1e-12 * (1 + ||R||_F) is the full residual formed and one
@@ -182,6 +185,14 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
     machine precision even for poorly conditioned instances.
     """
     u = cholesky_inverse_upper(h_e, context="h")
+    col = int(np.argmax(u.diagonal()))
+    pivot_sq, max_diag = float(u[col, col]) ** -2, float(h_e.diagonal().max())
+    if pivot_sq < len(h_e) * np.finfo(np.float64).eps * max_diag:
+        raise SingularMatrixError(
+            f"h is singular to working precision: squared pivot {pivot_sq:.3g} "
+            f"at column {col + 1}, max diagonal {max_diag:.3g}",
+            pivot=col + 1,
+        )
     q = (r @ u.T) @ u
     v = np.random.default_rng(0).standard_normal((len(h_e), PROBE_COLUMNS))
     estimate = np.sqrt(frobenius_sq(r @ v - q @ (h_e @ v)) / PROBE_COLUMNS)

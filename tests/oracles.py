@@ -527,8 +527,8 @@ def _sweep_point_from_scratch(cfg_dict, axis, value, method, subdir):
 def sweep_from_scratch(cfg, out, axis):
     """`pmq sweep` in which every (value, method) point generates and merges its own problem.
 
-    Writes the same files as pmq.cli.cmd_sweep at --jobs 1: sweep.csv and,
-    per point, sweep/<axis>=<value>/<method>/{quantized.safetensors,run.json}.
+    Writes the same files as pmq.cli.cmd_sweep: sweep.csv and, per point,
+    sweep/<axis>=<value>/<method>/{quantized.safetensors,run.json}.
     """
     values = {"bits": cfg.sweep_bits, "alpha": cfg.sweep_alpha, "samples": cfg.sweep_samples}[axis]
     out = Path(out)

@@ -221,6 +221,17 @@ class TestAnchorLambda:
 
 
 class TestSyntheticTasks:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"learning_rate": 1e308}, "expert 1: layer1.weight is not finite"),
+            ({"train_steps": 0, "teacher_scale": 1e300}, "held-out targets of task 1 are not"),
+        ],
+    )
+    def test_non_finite_problem_raises(self, kwargs, message):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=message):
+            small_problem(**kwargs)
+
     def test_zero_steps_expert_equals_base(self):
         problem = small_problem(train_steps=0, num_tasks=1)
         for lw_e, lw_b in zip(problem.experts[0].layers, problem.base.layers):

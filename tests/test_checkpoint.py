@@ -12,7 +12,8 @@ from pmq.checkpoint import (
     manifest_path,
     save_checkpoint,
 )
-from pmq.model import load_model
+from pmq.model import Model, load_model, save_model
+from pmq.quant import QuantConfig, rtn_quantize
 from pmq.tensorfile import MalformedHeaderError, read_tensor_file, write_tensor_file
 
 
@@ -76,6 +77,9 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+        tensors, _ = read_tensor_file(p1)
+        assert tensors["layer1.weight"].dtype == np.float32
+        assert tensors["layer1.bias"].dtype == np.float64  # biases are F64, as in model files
 
     def test_dtype_mismatch_detected(self, tmp_path, rng):
         ckpt = make_checkpoint(rng, dtype="f64")
@@ -88,7 +92,7 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
     def test_model_reader_checks_the_stored_dtype_too(self, tmp_path, rng):
-        """An F64 layer1.weight beside an f32 sidecar fails both readers alike."""
+        """An F64 layer1.weight beside an f32 sidecar fails both loaders alike."""
         path = tmp_path / "m.safetensors"
         save_checkpoint(make_checkpoint(rng, dtype="f64"), path)
         mpath = manifest_path(path)
@@ -98,6 +102,29 @@ class TestCheckpointIO:
             with pytest.raises(DtypeMismatchError) as err:
                 load(path)
             assert str(err.value) == message
+
+    def test_quantized_layer_is_not_a_checkpoint(self, tmp_path, rng):
+        model = Model.from_checkpoint(make_checkpoint(rng))
+        model.replace_layer(2, rtn_quantize(model.layers[1].weight, QuantConfig(solver="rtn")))
+        path = tmp_path / "q.safetensors"
+        save_model(model, path)
+        with pytest.raises(MalformedHeaderError, match=f"{path}: layer 'layer2' is quantized"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "part, dtype", [("codes", np.int32), ("scales", np.float64), ("zeros", np.float32)]
+    )
+    def test_quantized_tensor_in_another_dtype_is_refused(self, tmp_path, rng, part, dtype):
+        """Loading cast F64 scales to float32 and F32 zeros to int32 without a word."""
+        model = Model.from_checkpoint(make_checkpoint(rng))
+        model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
+        path = tmp_path / "q.safetensors"
+        save_model(model, path)
+        tensors, metadata = read_tensor_file(path)
+        tensors[f"layer1.{part}"] = tensors[f"layer1.{part}"].astype(dtype)
+        write_tensor_file(path, tensors, metadata)
+        with pytest.raises(DtypeMismatchError, match=f"{path}: layer 'layer1' stores codes"):
+            load_model(path)
 
     def test_shape_must_match_manifest(self, rng):
         manifest = make_manifest()

@@ -1,4 +1,4 @@
-import concurrent.futures
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -126,6 +126,23 @@ def test_config_reference_lists_every_key():
     for removed in ({"recompute_trajectory": False}, {"quant": {"samples_per_task": 64}}):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict(removed)
+
+
+def test_readme_cli_section_names_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("### Config reference", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    commands = next(
+        a for a in pmq.cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == flags
 
 
 def test_make_goldens_check_passes_in_a_fresh_interpreter():
@@ -256,7 +273,8 @@ class TestQuantize:
         blob = json.loads((out / "run.json").read_text())
         jsonschema.validate(blob, RUN_JSON_SCHEMA)
         assert blob["method"] == "epmq"
-        assert len(blob["layers"]) == 3
+        assert "solver" not in blob  # it always equalled method; each layer keeps its own
+        assert [layer["solver"] for layer in blob["layers"]] == ["epmq"] * 3
 
     def test_quantize_idempotent(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -391,19 +409,9 @@ class TestSweep:
             rows = list(csv.DictReader(f))
         assert len(rows) == 3 * 2  # three values x two methods
 
-    def test_parallel_jobs_match_sequential(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"sweep_bits": [4, 8], "sweep_methods": ["rtn"]})
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert run_cli("sweep", "--config", cfg, "--out", str(out1), "--axis", "bits") == 0
-        assert (
-            run_cli("sweep", "--config", cfg, "--out", str(out2), "--axis", "bits", "--jobs", "2")
-            == 0
-        )
-        assert strip_wall_time(out1 / "sweep.csv") == strip_wall_time(out2 / "sweep.csv")
-
     @pytest.mark.parametrize("axis", ["bits", "alpha", "samples"])
     def test_matches_from_scratch_oracle(self, tmp_path, axis):
-        """Byte-identical to regenerating the problem at every point, at --jobs 1 and 2."""
+        """Byte-identical to regenerating the problem at every point."""
         cfg = write_cfg(
             tmp_path,
             {
@@ -422,26 +430,23 @@ class TestSweep:
         expected = dir_hashes(oracle)
         expected.pop("sweep.csv")
         assert sum(name.endswith("run.json") for name in expected) >= 6
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            args = ("--config", cfg, "--out", str(out), "--axis", axis, "--jobs", jobs)
-            assert run_cli("sweep", *args) == 0
-            got = dir_hashes(out)
-            got.pop("sweep.csv")
-            assert got == expected
-            assert strip_wall_time(out / "sweep.csv") == strip_wall_time(oracle / "sweep.csv")
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--axis", axis) == 0
+        got = dir_hashes(out)
+        got.pop("sweep.csv")
+        assert got == expected
+        assert strip_wall_time(out / "sweep.csv") == strip_wall_time(oracle / "sweep.csv")
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("axis, problems", [("bits", 1), ("alpha", 1), ("samples", 3)])
-    def test_one_problem_per_generation_config(self, tmp_path, monkeypatch, axis, problems, jobs):
+    def test_one_problem_per_generation_config(self, tmp_path, monkeypatch, axis, problems, k):
         calls = count_calls(monkeypatch, "make_synthetic_tasks", "apply_merge")
         cfg = write_cfg(
             tmp_path,
-            {"sweep_bits": [3, 4], "sweep_alpha": [0.0, 0.1], "sweep_samples": [8, 16, 24]},
+            {"k": k, "sweep_bits": [3, 4], "sweep_alpha": [0.0, 0.1], "sweep_samples": [8, 16, 24]},
         )
         out = tmp_path / "out"
-        args = ("--config", cfg, "--out", str(out), "--axis", axis, "--jobs", jobs)
-        assert run_cli("sweep", *args) == 0
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--axis", axis) == 0
         assert calls == {"make_synthetic_tasks": problems, "apply_merge": problems}
         with open(out / "sweep.csv") as f:
             rows = list(csv.DictReader(f))
@@ -476,35 +481,19 @@ class TestSweep:
             assert not r["error"] and float(r["macro_mse"]) > 0
         assert sorted(p.parent.name for p in out.glob("sweep/*/*/run.json")) == ["epmq", "gptq"]
 
-    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
-        sizes = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        def pool(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
-
-        # cmd_sweep imports the pool class when it needs one, so patch its home
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        cfg = write_cfg(tmp_path, {"sweep_bits": [4, 8], "sweep_methods": ["rtn"]})
-        out = tmp_path / "out"
-        args = ("--config", cfg, "--out", str(out), "--axis", "bits", "--jobs", "64")
-        assert run_cli("sweep", *args) == 0
-        assert sizes == [2]
-
 
 class TestSweepAfterGen:
     """`sweep` loads the problem `gen` wrote to --out when gen's record matches."""
 
     CFG = {"sweep_bits": [3, 4], "sweep_alpha": [0.0, 0.1], "sweep_samples": [8, 32, 16]}
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("axis, generated", [("bits", 0), ("alpha", 0), ("samples", 2)])
-    def test_reuse_changes_no_output(self, tmp_path, monkeypatch, axis, generated, jobs):
+    def test_reuse_changes_no_output(self, tmp_path, monkeypatch, axis, generated, k):
         """Only the group whose inputs equal the record loads; samples_per_task is 32."""
-        cfg = write_cfg(tmp_path, self.CFG)
+        cfg = write_cfg(tmp_path, {**self.CFG, "k": k})
         fresh, reused = tmp_path / "fresh", tmp_path / "reused"
-        args = ("--config", cfg, "--axis", axis, "--jobs", jobs)
+        args = ("--config", cfg, "--axis", axis)
         assert run_cli("sweep", "--out", str(fresh), *args) == 0
         assert run_cli("gen", "--config", cfg, "--out", str(reused)) == 0
         recorded = json.loads((reused / "problem.json").read_text())
@@ -653,6 +642,43 @@ class TestExitCodes:
         assert "Traceback" not in err and "config error" in err and "real number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            ["quant.alpha=NaN"],
+            ["quant.alpha=Infinity"],
+            ["quant.alpha=true"],
+            ["quant.solver=rtn", 'quant.percdamp="x"'],
+            ["merge.method=average", 'merge.coefficient="x"'],
+            ["merge.density=NaN"],
+            ["learning_rate=-Infinity"],
+            ["sweep_alpha=[0.1,NaN]"],
+        ],
+        ids=lambda sets: ",".join(sets),
+    )
+    def test_float_not_a_finite_real_number_is_2(self, tmp_path, capsys, sets):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("gen", "--config", cfg, "--out", str(out), *args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "must be a finite real number" in err
+        assert not out.exists()
+
+    def test_non_finite_generation_is_3_and_writes_nothing(self, tmp_path, capsys):
+        """A finite but diverging learning rate trained non-finite experts."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        args = ("--config", cfg, "--out", str(out), "--set", "learning_rate=1e308")
+        with np.errstate(all="ignore"):
+            assert run_cli("gen", *args) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "numeric failure: expert 1: layer1.weight is not finite" in err
+        assert not out.exists()
+
     def test_integer_rates_and_alphas_are_real_numbers(self):
         cfg = config_from_dict(
             {"learning_rate": 1, "teacher_scale": 0, "sweep_alpha": [0, 1, 0.5]}
@@ -742,13 +768,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_sweep_jobs_below_one_is_2(self, tmp_path, capsys, jobs):
+        """--jobs is no flag (sweep points run in process): argparse's usage error."""
         cfg = write_cfg(tmp_path, {"sweep_bits": [4], "sweep_methods": ["rtn"]})
         out = tmp_path / "out"
         capsys.readouterr()
         args = ("--config", cfg, "--out", str(out), "--axis", "bits", "--jobs", jobs)
-        assert run_cli("sweep", *args) == 2
+        with pytest.raises(SystemExit) as exited:
+            run_cli("sweep", *args)
+        assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and f"--jobs must be >= 1, got {jobs}" in err
+        assert "Traceback" not in err and err.startswith("usage: pmq")
+        assert f"unrecognized arguments: --jobs {jobs}" in err
+        assert not out.exists()
+
+    def test_sweep_jobs_flag_exits_2_with_usage(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"sweep_bits": [4], "sweep_methods": ["rtn"]})
+        out = tmp_path / "out"
+        args = ("--config", cfg, "--out", str(out), "--axis", "bits", "--jobs", "2")
+        done = subprocess.run(
+            [sys.executable, "-m", "pmq.cli", "sweep", *args],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: pmq") and "Traceback" not in done.stderr
+        assert "unrecognized arguments: --jobs 2" in done.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -857,6 +903,21 @@ class TestExitCodes:
         assert "Traceback" not in err and "i/o failure" in err
         assert f"{path}: tensor 'layer1.weight' has shape [5, 8], manifest declares [12, 8]" in err
         assert not (out / "merged.safetensors").exists()
+
+    def test_quantized_model_as_checkpoint_is_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        for command in ("gen", "merge", "quantize"):
+            assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+        for suffix in (".safetensors", ".manifest.json"):
+            (out / f"merged{suffix}").write_bytes((out / f"quantized{suffix}").read_bytes())
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"i/o failure: {out / 'merged.safetensors'}: layer 'layer1' is quantized" in err
+        assert dir_hashes(out) == before
 
     def test_model_weight_not_in_its_sidecar_dtype_is_4(self, tmp_path, capsys):
         """An F64 full-precision layer1.weight beside an f32 sidecar."""

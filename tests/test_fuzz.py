@@ -200,9 +200,12 @@ CONFIG_KEYS = [
     "merge.method", "merge.coefficient", "merge.density", "quant.bits", "quant.group_size",
     "quant.percdamp", "quant.alpha", "quant.solver", "quant.grid_source",
 ]
-# values no config key accepts: numbers and booleans are valid for some keys
+# values no config key accepts: finite numbers are valid for some keys; booleans,
+# NaN and the infinities for none
 CONFIG_JUNK = st.one_of(
     st.none(),
+    st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
     JUNK_TEXT,
     st.lists(JUNK_TEXT, min_size=1, max_size=2),
     st.dictionaries(JUNK_TEXT, st.integers(), min_size=1, max_size=2),
@@ -211,6 +214,9 @@ CONFIG_JUNK = st.one_of(
 
 @FUZZ
 @given(key=st.sampled_from(CONFIG_KEYS), value=CONFIG_JUNK, raw=st.booleans())
+@example(key="quant.alpha", value=float("nan"), raw=False)
+@example(key="quant.percdamp", value=True, raw=False)
+@example(key="merge.coefficient", value="x", raw=False)
 def test_corrupted_config_value(prepared, key, value, raw):
     """A --set value of the wrong type; gen reads every key before its first write."""
     text = value if raw and isinstance(value, str) else json.dumps(value)

@@ -42,6 +42,9 @@ class TestMergeSpec:
             {"method": "ties", "coefficient": -0.1},
             {"density": 0.0},
             {"density": 1.5},
+            {"density": True},
+            {"method": "average", "coefficient": "x"},
+            {"coefficient": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -34,6 +34,11 @@ class TestQuantConfig:
             {"alpha": -1.0},
             {"grid_source": "expert"},
             {"solver": "epmq", "percdamp": -0.01},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"alpha": True},
+            {"solver": "rtn", "percdamp": "x"},
+            {"solver": "rtn", "percdamp": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -234,6 +239,21 @@ class TestQuantizedLayer:
                 zeros=np.zeros((1, 1), dtype=np.int32),
                 bits=3,
                 group_size=4,
+            )
+
+    @pytest.mark.parametrize(
+        "bits, group_size, code, message",
+        [(4, 0, 0, "group_size must be >= 1"), (9, 4, 200, "bits must be in")],
+    )
+    def test_checks_its_own_grid(self, bits, group_size, code, message):
+        """group_size 0 was a ZeroDivisionError; 9-bit codes were accepted."""
+        with pytest.raises(ValueError, match=message):
+            QuantizedLayer(
+                codes=np.full((1, 4), code, dtype=np.uint8),
+                scales=np.ones((1, 1), dtype=np.float32),
+                zeros=np.zeros((1, 1), dtype=np.int32),
+                bits=bits,
+                group_size=group_size,
             )
 
     def test_rejects_nonpositive_scale(self):

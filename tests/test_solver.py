@@ -49,6 +49,17 @@ def tilted_instance(rng, d, k, n, decades, d_out=3):
     return [x @ x.T for x in xs], xs, experts, wm
 
 
+def row_scaled_instance(n, d=23, k=2, d_out=4, seed=0):
+    """Experts, no anchor, and task inputs whose rows span six decades:
+    with k * n < d the pooled curvature has rank k * n."""
+    rng = np.random.default_rng(seed)
+    scale = np.logspace(0, -6, d)[:, None]
+    xs = [scale * rng.normal(size=(d, n)) for _ in range(k)]
+    wm = 0.1 * rng.normal(size=(d_out, d))
+    experts = [wm + 0.1 * rng.normal(size=(d_out, d)) for _ in range(k)]
+    return [x @ x.T for x in xs], experts, wm
+
+
 def expanded_objective(q, xs, ws, wm, lam):
     """Direct activation-space evaluation of the anchored objective."""
     total = 0.0
@@ -134,6 +145,13 @@ class TestContinuousSolution:
         h = np.zeros((3, 3))
         with pytest.raises(SingularMatrixError):
             continuous_solution(h, np.ones((1, 3)))
+
+    def test_singular_to_working_precision_raises(self):
+        """Rank 22 of 23: every pivot is positive, the smallest is rounding."""
+        hessians, experts, wm = row_scaled_instance(n=11)
+        h_e, r, _, _ = build_epmq_statistics(experts, wm, hessians, alpha=0.0)
+        with pytest.raises(SingularMatrixError, match="singular to working precision"):
+            continuous_solution(h_e, r)
 
     def test_refinement_reuses_the_inverted_factor(self, rng, monkeypatch):
         d = 200
@@ -433,6 +451,17 @@ class TestEpmqSolve:
         rep = solve_layer([wm + 0.01], wm, hessians, cfg)
         assert rep.damped_fallback
         assert rep.lam == 0.0
+
+    @pytest.mark.parametrize("n, damped", [(11, True), (40, False)])
+    def test_near_singular_curvature_uses_damped_fallback(self, n, damped):
+        """Rank 22 of 23 solved exactly gave weights of ~1e5 against experts
+        below 1; full rank at the same scaling keeps the exact solve."""
+        hessians, experts, wm = row_scaled_instance(n)
+        cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.0)
+        rep = solve_layer(experts, wm, hessians, cfg)
+        assert rep.damped_fallback is damped
+        if damped:
+            assert np.abs(rep.quantized.weight).max() < 2 * max(np.abs(w).max() for w in experts)
 
     def test_asymmetric_curvature_rejected(self, rng):
         d = 6
