@@ -31,7 +31,7 @@ from .linalg import (
     frobenius_sq,
     matmul,
 )
-from .merge import MergeSpec, apply_merge, merge_average, merge_task_arithmetic, merge_ties
+from .merge import MergeSpec, apply_merge
 from .model import (
     Batch,
     Model,
@@ -113,9 +113,6 @@ __all__ = [
     "load_model",
     "make_synthetic_tasks",
     "matmul",
-    "merge_average",
-    "merge_task_arithmetic",
-    "merge_ties",
     "pack_codes",
     "propagate_through_layer",
     "quadratic_objective",

@@ -168,6 +168,9 @@ def _train_experts(
     return [Checkpoint(layers=list(per_task), manifest=base.manifest) for per_task in zip(*layers)]
 
 
+# an overflow in the draws, teacher forwards or training surfaces as the
+# finiteness error below, with no numpy warning before it
+@np.errstate(over="ignore", invalid="ignore")
 def make_synthetic_tasks(
     seed: int,
     num_tasks: int,

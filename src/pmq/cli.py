@@ -221,7 +221,7 @@ def _load_problem(out: Path, k: int) -> SyntheticProblem:
     """The problem `pmq gen` wrote to `out`, read back from its files."""
     return SyntheticProblem(
         base=load_checkpoint(out / "base.safetensors"),
-        experts=[load_checkpoint(p) for p in _expert_paths(out, k)],
+        experts=_load_experts(out, k, required=True),
         calib=load_calib_set(out / "calib"),
         heldout=load_calib_set(out / "heldout"),
     )
@@ -242,7 +242,7 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
 
 def cmd_merge(cfg: RunConfig, out: Path) -> None:
     base = _load_matching(cfg, out / "base.safetensors", load_checkpoint)
-    experts = [load_checkpoint(p) for p in _expert_paths(out, cfg.k)]
+    experts = _load_experts(out, cfg.k, required=True)
     merged = apply_merge(cfg.merge, base, experts)
     save_checkpoint(merged, out / "merged.safetensors")
 
@@ -291,7 +291,7 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
                 f"file {digest}; rerun pmq quantize"
             )
     heldout = load_calib_set(out / "heldout")
-    # the deviation diagnostics are skipped only when no expert file exists
+    # the deviation diagnostics are skipped when no expert file or no run.json exists
     experts = _load_experts(out, cfg.k, required=False)
     result = evaluate(model, heldout)
     rows = [

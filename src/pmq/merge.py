@@ -1,9 +1,9 @@
 """Merge operators over expert checkpoints.
 
-Three upstream mergers: elementwise averaging, task arithmetic
-(base + coefficient * sum of task vectors), and trim/elect-sign/disjoint-mean
-merging. All operate per tensor, biases included, and require every
-checkpoint to share one manifest.
+`apply_merge` walks the tensors of the base and the experts together, biases
+included, and applies one of three upstream rules to each: elementwise
+averaging, task arithmetic (base + coefficient * sum of task vectors), and
+trim/elect-sign/disjoint-mean merging. Every checkpoint shares one manifest.
 """
 
 from __future__ import annotations
@@ -37,61 +37,6 @@ class MergeSpec:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
 
 
-def _require_shared_manifest(checkpoints: Sequence[Checkpoint]) -> None:
-    first = checkpoints[0].manifest
-    for ckpt in checkpoints[1:]:
-        if ckpt.manifest != first:
-            raise ManifestError("checkpoints do not share a manifest")
-
-
-def _zip_tensors(ckpt: Checkpoint):
-    for lw in ckpt.layers:
-        yield lw.weight
-        if lw.bias is not None:
-            yield lw.bias
-
-
-def _rebuild(template: Checkpoint, tensors: list[np.ndarray]) -> Checkpoint:
-    it = iter(tensors)
-    layers = []
-    for lw in template.layers:
-        weight = next(it)
-        bias = next(it) if lw.bias is not None else None
-        layers.append(LayerWeights(id=lw.id, weight=weight, bias=bias))
-    return Checkpoint(layers=layers, manifest=template.manifest)
-
-
-def merge_average(experts: Sequence[Checkpoint]) -> Checkpoint:
-    """Elementwise mean of expert tensors, accumulated in expert order."""
-    if len(experts) < 1:
-        raise ValueError("need at least one expert")
-    _require_shared_manifest(experts)
-    stacks = [list(_zip_tensors(e)) for e in experts]
-    merged = []
-    for idx in range(len(stacks[0])):
-        acc = sum((expert[idx] for expert in stacks[1:]), stacks[0][idx])  # in expert order
-        merged.append(acc / len(experts))
-    return _rebuild(experts[0], merged)
-
-
-def merge_task_arithmetic(
-    base: Checkpoint, experts: Sequence[Checkpoint], coefficient: float = 0.3
-) -> Checkpoint:
-    """base + coefficient * sum_i (expert_i - base), per tensor."""
-    if len(experts) < 1:
-        raise ValueError("need at least one expert")
-    _require_shared_manifest([base, *experts])
-    base_tensors = list(_zip_tensors(base))
-    stacks = [list(_zip_tensors(e)) for e in experts]
-    merged = []
-    for idx, b in enumerate(base_tensors):
-        acc = stacks[0][idx] - b
-        for expert in stacks[1:]:
-            acc = acc + (expert[idx] - b)
-        merged.append(b + coefficient * acc)
-    return _rebuild(base, merged)
-
-
 def _trim_to_density(tau: np.ndarray, density: float) -> np.ndarray:
     """Zero all but the top-ceil(density * size) entries by |value|.
 
@@ -105,48 +50,48 @@ def _trim_to_density(tau: np.ndarray, density: float) -> np.ndarray:
     return tau * mask.reshape(tau.shape)
 
 
-def merge_ties(
-    base: Checkpoint,
-    experts: Sequence[Checkpoint],
-    coefficient: float = 0.3,
-    density: float = 0.2,
-) -> Checkpoint:
-    """Trim task vectors, elect a per-entry sign, disjoint-mean the survivors.
+def _disjoint_mean(trimmed: list[np.ndarray]) -> np.ndarray:
+    """Elect sign(sum of trimmed values) per entry, zero sums counting as +, and
+    average the values whose sign matches it (entries with no match become 0)."""
+    total = sum(trimmed[1:], trimmed[0])
+    elected = np.where(total < 0, -1.0, 1.0)
+    matched_sum = np.zeros_like(total)
+    matched_count = np.zeros_like(total)
+    for t in trimmed:
+        match = (np.sign(t) == elected) & (t != 0)
+        matched_sum = matched_sum + np.where(match, t, 0.0)
+        matched_count = matched_count + match
+    return np.divide(matched_sum, matched_count, out=np.zeros_like(total), where=matched_count > 0)
 
-    Per tensor: (1) task vectors tau_i = expert_i - base; (2) per expert keep
-    only the top-density fraction by magnitude; (3) elect sign(sum of trimmed
-    values), zero sums counting as +; (4) average trimmed values over the
-    experts whose sign matches the election (entries with no match become 0);
-    (5) merged = base + coefficient * disjoint mean.
-    """
-    if len(experts) < 1:
-        raise ValueError("need at least one expert")
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    _require_shared_manifest([base, *experts])
-    base_tensors = list(_zip_tensors(base))
-    stacks = [list(_zip_tensors(e)) for e in experts]
-    merged = []
-    for idx, b in enumerate(base_tensors):
-        trimmed = [_trim_to_density(expert[idx] - b, density) for expert in stacks]
-        total = sum(trimmed[1:], trimmed[0])
-        elected = np.where(total < 0, -1.0, 1.0)
-        matched_sum = np.zeros_like(b)
-        matched_count = np.zeros_like(b)
-        for t in trimmed:
-            match = (np.sign(t) == elected) & (t != 0)
-            matched_sum = matched_sum + np.where(match, t, 0.0)
-            matched_count = matched_count + match
-        mean = np.divide(
-            matched_sum, matched_count, out=np.zeros_like(b), where=matched_count > 0
-        )
-        merged.append(b + coefficient * mean)
-    return _rebuild(base, merged)
+
+def _merge_tensor(spec: MergeSpec, base: np.ndarray, experts: list[np.ndarray]) -> np.ndarray:
+    """One merged tensor; every sum runs in expert order."""
+    if spec.method == "average":  # the base is not read
+        return sum(experts[1:], experts[0]) / len(experts)
+    if spec.method == "task_arithmetic":
+        acc = experts[0] - base
+        for expert in experts[1:]:
+            acc = acc + (expert - base)
+        return base + spec.coefficient * acc
+    # ties: trim each task vector, then disjoint-mean the survivors
+    trimmed = [_trim_to_density(expert - base, spec.density) for expert in experts]
+    return base + spec.coefficient * _disjoint_mean(trimmed)
 
 
 def apply_merge(spec: MergeSpec, base: Checkpoint, experts: Sequence[Checkpoint]) -> Checkpoint:
-    if spec.method == "average":
-        return merge_average(experts)
-    if spec.method == "task_arithmetic":
-        return merge_task_arithmetic(base, experts, spec.coefficient)
-    return merge_ties(base, experts, spec.coefficient, spec.density)
+    """Merge `experts` into one checkpoint by `spec.method`, tensor by tensor.
+
+    Every expert must share the base's manifest, for `average` too, which
+    does not read the base's weights.
+    """
+    if len(experts) < 1:
+        raise ValueError("need at least one expert")
+    if any(expert.manifest != base.manifest for expert in experts):
+        raise ManifestError("checkpoints do not share a manifest")
+    layers = []
+    for idx, lw in enumerate(base.layers):
+        peers = [expert.layers[idx] for expert in experts]
+        weight = _merge_tensor(spec, lw.weight, [p.weight for p in peers])
+        bias = None if lw.bias is None else _merge_tensor(spec, lw.bias, [p.bias for p in peers])
+        layers.append(LayerWeights(id=lw.id, weight=weight, bias=bias))
+    return Checkpoint(layers=layers, manifest=base.manifest)

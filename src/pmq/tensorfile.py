@@ -3,7 +3,8 @@
 Layout: an unsigned 64-bit little-endian header length, a UTF-8 JSON header
 mapping tensor name -> {dtype, shape, data_offsets}, then contiguous raw
 little-endian tensor payloads. An optional "__metadata__" header entry holds
-a string-to-string map. Offsets are relative to the end of the header.
+a string-to-string map. Offsets are relative to the end of the header, and
+the tensors' byte ranges tile the payload: no overlap, no gap, no tail.
 
 Writes are canonical (sorted tensor names, compact sorted-key JSON) so that
 identical inputs produce byte-identical files.
@@ -12,6 +13,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -126,26 +128,27 @@ def read_tensor_file(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise MalformedHeaderError(f"{path}: __metadata__ must map strings to strings")
 
     tensors: dict[str, np.ndarray] = {}
+    spans = []
     for name, entry in header.items():
         if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "data_offsets"}:
             raise MalformedHeaderError(f"{path}: bad header entry for tensor '{name}'")
         tag = entry["dtype"]
-        if tag not in _DTYPES:
-            raise DtypeMismatchError(f"{path}: tensor '{name}' has unknown dtype tag '{tag}'")
+        if type(tag) is not str or tag not in _DTYPES:
+            raise DtypeMismatchError(f"{path}: tensor '{name}' has unknown dtype tag {tag!r}")
         shape = entry["shape"]
-        if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
             raise MalformedHeaderError(f"{path}: tensor '{name}' has a bad shape {shape!r}")
         offsets = entry["data_offsets"]
         if (
             not isinstance(offsets, list)
             or len(offsets) != 2
-            or not all(isinstance(o, int) and o >= 0 for o in offsets)
+            or not all(type(o) is int and o >= 0 for o in offsets)
             or offsets[1] < offsets[0]
         ):
             raise MalformedHeaderError(f"{path}: tensor '{name}' has bad data_offsets {offsets!r}")
         start, end = offsets
         dt = _DTYPES[tag]
-        expected = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+        expected = math.prod(shape) * dt.itemsize
         if end - start != expected:
             raise MalformedHeaderError(
                 f"{path}: tensor '{name}' spans {end - start} bytes, shape/dtype need {expected}"
@@ -154,8 +157,19 @@ def read_tensor_file(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise TruncatedPayloadError(
                 f"{path}: tensor '{name}' payload ends at {end}, only {len(payload)} bytes present"
             )
-        arr = np.require(payload[start:end].view(dt), requirements="A").reshape(shape)
+        try:
+            arr = np.require(payload[start:end].view(dt), requirements="A").reshape(shape)
+        except ValueError as exc:  # an empty tensor with a dimension numpy cannot hold
+            raise MalformedHeaderError(f"{path}: tensor '{name}' has a bad shape {shape!r}") from exc
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise TensorFileError(f"{path}: tensor '{name}' contains non-finite values")
         tensors[name] = arr
+        spans.append((start, end))
+    covered = 0
+    for start, end in sorted(spans):
+        if start != covered:
+            raise MalformedHeaderError(f"{path}: tensor payloads overlap or leave a gap at byte {covered}")
+        covered = end
+    if covered != len(payload):
+        raise MalformedHeaderError(f"{path}: {len(payload) - covered} payload bytes belong to no tensor")
     return tensors, dict(metadata)

@@ -672,11 +672,36 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         args = ("--config", cfg, "--out", str(out), "--set", "learning_rate=1e308")
-        with np.errstate(all="ignore"):
-            assert run_cli("gen", *args) == 3
+        assert run_cli("gen", *args) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "numeric failure: expert 1: layer1.weight is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (["learning_rate=1e308"], "expert 1: layer1.weight is not finite"),
+            (["teacher_scale=1e300"], "expert 1: layer1.weight is not finite"),
+            (["teacher_scale=1e300", "expert_mode=perturb"], "held-out targets of task 1"),
+        ],
+        ids=["diverging-training", "outsized-teacher-train", "outsized-teacher-perturb"],
+    )
+    def test_non_finite_generation_prints_only_its_error(self, tmp_path, sets, message):
+        """No numpy warning precedes the error, in a fresh interpreter's stderr."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        args = [arg for item in sets for arg in ("--set", item)]
+        done = subprocess.run(
+            [sys.executable, "-m", "pmq.cli", "gen", "--config", cfg, "--out", str(out), *args],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        lines = done.stderr.splitlines()
+        assert done.returncode == 3 and len(lines) == 1, done.stderr
+        assert lines[0].startswith(f"pmq: numeric failure: {message}")
         assert not out.exists()
 
     def test_integer_rates_and_alphas_are_real_numbers(self):
@@ -703,30 +728,45 @@ class TestExitCodes:
         assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 3
 
     @pytest.mark.parametrize(
-        "solver, removed, overrides",
+        "command, solver, removed, overrides",
         [
-            ("epmq", ["expert2"], []),
-            ("gptq", ["expert1"], []),
-            ("epmq", ["expert1", "expert2"], []),
-            ("epmq", [], ["k=3"]),
-            ("epmq", [], ["k=1"]),
+            ("quantize", "epmq", ["expert2"], []),
+            ("quantize", "gptq", ["expert1"], []),
+            ("quantize", "epmq", ["expert1", "expert2"], []),
+            ("quantize", "epmq", [], ["k=3"]),
+            ("quantize", "epmq", [], ["k=1"]),
+            ("merge", "epmq", ["expert2"], []),
+            ("merge", "epmq", [], ["k=3"]),
+        ],
+        ids=[
+            "epmq-removed0-overrides0",
+            "gptq-removed1-overrides1",
+            "epmq-removed2-overrides2",
+            "epmq-removed3-overrides3",
+            "epmq-removed4-overrides4",
+            "merge-expert2-removed",
+            "merge-k3",
         ],
     )
-    def test_expert_files_not_matching_k_is_2(self, tmp_path, capsys, solver, removed, overrides):
+    def test_expert_files_not_matching_k_is_2(
+        self, tmp_path, capsys, command, solver, removed, overrides
+    ):
         cfg = write_cfg(tmp_path, {"quant.solver": solver})
         out = tmp_path / "out"
         run_cli("gen", "--config", cfg, "--out", str(out))
-        run_cli("merge", "--config", cfg, "--out", str(out))
+        if command == "quantize":
+            run_cli("merge", "--config", cfg, "--out", str(out))
         for name in removed:
             (out / f"{name}.safetensors").unlink()
         capsys.readouterr()
         sets = [arg for item in overrides for arg in ("--set", item)]
-        assert run_cli("quantize", "--config", cfg, "--out", str(out), *sets) == 2
+        assert run_cli(command, "--config", cfg, "--out", str(out), *sets) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "config error" in err
-        for name in removed:
-            assert name in err
-        assert not (out / "quantized.safetensors").exists()
+        for name in removed + (["expert3"] if overrides == ["k=3"] else []):
+            assert f"{name}.safetensors" in err
+        written = "quantized" if command == "quantize" else "merged"
+        assert not (out / f"{written}.safetensors").exists()
 
     @pytest.mark.parametrize(
         "command, solver, tensor, rows, message",

@@ -1,16 +1,18 @@
 """Corrupted inputs end every pmq command with a documented exit code.
 
 Each example copies one generated, merged, quantized and evaluated run
-directory, corrupts one input (the calibration index, a quantized layer's
-attrs or tensors, a manifest sidecar, or a --set config value) and runs the
-command that reads it. The command must exit with 2, 3 or 4, print no
-traceback, leave no temp file and rewrite no file.
+directory, corrupts one input (the calibration index, a task tensor file, a
+quantized layer's attrs or tensors, a manifest sidecar, run.json, problem.json
+or a --set config value) and runs the command that reads it. A failing
+command must exit with 2, 3 or 4 and rewrite no file; no command may print a
+traceback or leave a temp file.
 """
 
 import contextlib
 import io
 import json
 import shutil
+import struct
 import tempfile
 import traceback
 from pathlib import Path
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from pmq.cli import main
 from pmq.tensorfile import read_tensor_file, write_tensor_file
 
-from test_cli import FIXTURE_CFG, dir_hashes
+from test_cli import FIXTURE_CFG, dir_hashes, strip_wall_time
 
 FUZZ = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -57,8 +59,9 @@ def prepared(tmp_path_factory):
     return cfg, out
 
 
-def run_corrupted(prepared, corrupt, command, *extra):
-    """Copy the prepared run, corrupt it, run `command`; assert the documented failure."""
+def run_corrupted(prepared, corrupt, command, *extra, codes=(2, 3, 4), check=None):
+    """Copy the prepared run, corrupt it, run `command`; assert an exit code in
+    `codes`, and that a failure rewrote no file or a success passes `check(out)`."""
     cfg, source = prepared
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -73,9 +76,12 @@ def run_corrupted(prepared, corrupt, command, *extra):
             code = 1
             err.write(traceback.format_exc())
         text = err.getvalue()
-        assert code in (2, 3, 4) and "Traceback" not in text, f"exit {code}: {text}"
+        assert code in codes and "Traceback" not in text, f"exit {code}: {text}"
         assert not list(out.rglob(".*.tmp"))
-        assert dir_hashes(out) == before
+        if code != 0:
+            assert dir_hashes(out) == before
+        elif check is not None:
+            check(out)
 
 
 def edit_json(path: Path, edit) -> None:
@@ -221,3 +227,164 @@ def test_corrupted_config_value(prepared, key, value, raw):
     """A --set value of the wrong type; gen reads every key before its first write."""
     text = value if raw and isinstance(value, str) else json.dumps(value)
     run_corrupted(prepared, lambda out: None, "gen", "--set", f"{key}={text}")
+
+
+def read_header(path: Path) -> tuple[dict, bytes]:
+    """A tensor file's JSON header and the payload bytes after it."""
+    data = path.read_bytes()
+    (length,) = struct.unpack("<Q", data[:8])
+    return json.loads(data[8 : 8 + length]), data[8 + length :]
+
+
+def edit_header(path: Path, edit) -> None:
+    """Rewrite a tensor file's JSON header through `edit`, keeping its payload."""
+    header, payload = read_header(path)
+    blob = json.dumps(edit(header)).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+
+
+TASK_FILES = {"calib": "quantize", "heldout": "eval"}
+HEADER_JUNK = {
+    "dtype": st.one_of(st.sampled_from(["F32", "U8", "I32"]), JUNK),
+    "shape": st.one_of(
+        st.lists(st.integers(0, 300), max_size=3),
+        st.lists(st.sampled_from([2**63, 2**64 + 8, -1, True]), min_size=1, max_size=2),
+        JUNK,
+    ),
+    "data_offsets": st.one_of(
+        st.lists(st.integers(0, 8000), min_size=2, max_size=2),
+        st.lists(st.sampled_from([2**64, -8, True]), min_size=2, max_size=2),
+        JUNK,
+    ),
+}
+
+
+@st.composite
+def task_file_corruptions(draw):
+    """(directory, task, tensor, how, detail): one way to damage a task tensor file."""
+    directory = draw(st.sampled_from(sorted(TASK_FILES)))
+    task = draw(st.sampled_from([1, 2]))
+    tensor = draw(st.sampled_from(["inputs", "targets"] if directory == "heldout" else ["inputs"]))
+    how = draw(st.sampled_from(["header", "truncate", "drop", "nan"]))
+    if how == "header":
+        key = draw(st.sampled_from(sorted(HEADER_JUNK)))
+        detail = (key, draw(HEADER_JUNK[key]))
+    elif how == "truncate":
+        detail = draw(st.floats(0, 1, exclude_max=True))
+    else:
+        detail = draw(st.integers(0, 10**6))
+    return directory, task, tensor, how, detail
+
+
+@FUZZ
+@given(case=task_file_corruptions())
+@example(case=("heldout", 1, "targets", "header", ("data_offsets", [0, 3072])))
+@example(case=("heldout", 1, "inputs", "header", ("data_offsets", [8, 4104])))
+@example(case=("calib", 1, "inputs", "header", ("shape", [2**64, 0])))
+@example(case=("calib", 2, "inputs", "header", ("shape", [True, 256])))
+@example(case=("calib", 1, "inputs", "header", ("dtype", "U8")))
+@example(case=("calib", 1, "inputs", "header", ("dtype", ["x"])))
+@example(case=("heldout", 2, "inputs", "drop", 0))
+def test_corrupted_task_file(prepared, case):
+    """A task file's header entry made another value, the file cut short, its
+    inputs dropped, or a NaN in its payload: quantize or eval exits 4."""
+    directory, task, tensor, how, detail = case
+    path_of = lambda out: out / directory / f"task{task}.safetensors"
+    if how == "header":
+        key, value = detail
+        if not differs(value, read_header(path_of(prepared[1]))[0][tensor][key]):
+            return
+
+    def corrupt(out):
+        path = path_of(out)
+        if how == "header":
+            edit_header(path, lambda header: {**header, tensor: {**header[tensor], key: value}})
+        elif how == "truncate":
+            data = path.read_bytes()
+            path.write_bytes(data[: int(detail * len(data))])
+        else:
+            tensors, _ = read_tensor_file(path)
+            if how == "drop":
+                del tensors["inputs"]
+            else:
+                values = tensors[tensor].copy()
+                values.flat[detail % values.size] = float("nan")
+                tensors[tensor] = values
+            write_tensor_file(path, tensors)
+
+    run_corrupted(prepared, corrupt, TASK_FILES[directory], codes=(4,))
+
+
+def damage_json(draw, original: dict):
+    """A function that damages JSON text: cut it short, overwrite one byte, or
+    set a top-level key to junk or drop it."""
+    how = draw(st.sampled_from(["truncate", "byte", "value", "drop"]))
+    if how in ("value", "drop"):
+        key = draw(st.sampled_from(sorted(original)))
+        value = draw(JUNK)
+
+        def edit(obj):
+            if how == "drop":
+                del obj[key]
+            else:
+                obj[key] = value
+            return obj
+
+        return lambda data: json.dumps(edit(json.loads(data))).encode()
+    at = draw(st.floats(0, 1, exclude_max=True))
+    if how == "truncate":
+        return lambda data: data[: int(at * len(data))]
+    byte = draw(st.integers(0, 255))
+    return lambda data: data[: int(at * len(data))] + bytes([byte]) + data[int(at * len(data)) + 1 :]
+
+
+def records_sha(data: bytes, sha: str) -> bool:
+    try:
+        obj = json.loads(data)
+    except ValueError:
+        return False
+    return isinstance(obj, dict) and obj.get("model_sha256") == sha
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupted_run_json(prepared, data):
+    """run.json cut short, a byte overwritten, or a key changed or dropped: eval
+    exits 4 and leaves run.json and metrics.csv alone, or exits 0 when the
+    model_sha256 it records survived."""
+    original = (prepared[1] / "run.json").read_bytes()
+    damaged = damage_json(data.draw, json.loads(original))(original)
+    survived = records_sha(damaged, json.loads(original)["model_sha256"])
+    corrupt = lambda out: (out / "run.json").write_bytes(damaged)
+    run_corrupted(prepared, corrupt, "eval", codes=(0, 4) if survived else (4,))
+
+
+SWEEP_ARGS = ("--axis", "bits", "--set", "sweep_bits=[4]", "--set", 'sweep_methods=["rtn","epmq"]')
+
+
+@pytest.fixture(scope="module")
+def clean_sweep(prepared):
+    """sweep.csv rows of the sweep on the uncorrupted run, which loads the recorded problem."""
+    cfg, source = prepared
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(source, out)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *SWEEP_ARGS]) == 0
+        return strip_wall_time(out / "sweep.csv")
+
+
+@settings(FUZZ, max_examples=15)
+@given(data=st.data())
+def test_corrupted_problem_record(prepared, clean_sweep, data):
+    """problem.json damaged: sweep treats the record as absent, regenerates the
+    problem and writes the sweep.csv of the undamaged run."""
+    damage = damage_json(data.draw, json.loads((prepared[1] / "problem.json").read_bytes()))
+
+    def corrupt(out):
+        path = out / "problem.json"
+        path.write_bytes(damage(path.read_bytes()))
+
+    def check(out):
+        assert strip_wall_time(out / "sweep.csv") == clean_sweep
+
+    run_corrupted(prepared, corrupt, "sweep", *SWEEP_ARGS, codes=(0,), check=check)

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from pmq.checkpoint import Checkpoint, LayerWeights, ManifestError, ModelManifest
-from pmq.merge import (
-    MergeSpec,
-    apply_merge,
-    merge_average,
-    merge_task_arithmetic,
-    merge_ties,
-)
+from pmq.merge import MergeSpec, apply_merge
 
 from oracles import mean_of_arrays_scalar, task_arithmetic_scalar, ties_reference
 from test_checkpoint import make_checkpoint, make_manifest
@@ -55,28 +49,29 @@ class TestMergeSpec:
 class TestAverage:
     def test_single_expert_unchanged(self, rng):
         e = make_checkpoint(rng)
-        merged = merge_average([e])
+        merged = apply_merge(MergeSpec(method="average"), e, [e])
         for a, b in zip(all_tensors(merged), all_tensors(e)):
             np.testing.assert_array_equal(a, b)
 
     def test_opposite_experts_cancel(self, rng):
         e = make_checkpoint(rng)
         neg = clone_with(e, lambda t: -t)
-        merged = merge_average([e, neg])
+        merged = apply_merge(MergeSpec(method="average"), e, [e, neg])
         for t in all_tensors(merged):
             np.testing.assert_array_equal(t, np.zeros_like(t))
 
     def test_matches_scalar_mean_oracle_exactly(self, rng):
         experts = [make_checkpoint(np.random.default_rng(s)) for s in (1, 2, 3)]
-        merged = merge_average(experts)
+        merged = apply_merge(MergeSpec(method="average"), experts[0], experts)
         for idx, t in enumerate(all_tensors(merged)):
             stacks = [list(all_tensors(e))[idx] for e in experts]
             np.testing.assert_array_equal(t, mean_of_arrays_scalar(stacks))
 
     def test_permutation_invariant(self, rng):
         experts = [make_checkpoint(np.random.default_rng(s)) for s in (1, 2, 3)]
-        m1 = merge_average(experts)
-        m2 = merge_average(experts[::-1])
+        spec = MergeSpec(method="average")
+        m1 = apply_merge(spec, experts[0], experts)
+        m2 = apply_merge(spec, experts[0], experts[::-1])
         for a, b in zip(all_tensors(m1), all_tensors(m2)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
@@ -84,32 +79,35 @@ class TestAverage:
         a = make_checkpoint(rng)
         b = make_checkpoint(rng, dims=(4, 3, 2), dtype="f32")
         with pytest.raises(ManifestError):
-            merge_average([a, b])
+            apply_merge(MergeSpec(method="average"), a, [a, b])
+
+    def test_base_with_another_manifest_is_refused(self, rng):
+        # average never reads the base, yet its manifest must match the experts'
+        base = make_checkpoint(rng, dims=(4, 3, 2), dtype="f32")
+        experts = [make_checkpoint(np.random.default_rng(s)) for s in (1, 2)]
+        with pytest.raises(ManifestError, match="share a manifest"):
+            apply_merge(MergeSpec(method="average"), base, experts)
 
 
 class TestTaskArithmetic:
     def test_zero_coefficient_returns_base(self, rng):
         base = make_checkpoint(rng)
         expert = make_checkpoint(np.random.default_rng(7))
-        merged = merge_task_arithmetic(base, [expert], coefficient=1e-300)
-        # exact zero coefficient is rejected by MergeSpec; the formula itself
-        # with coefficient 0 reduces to the base:
-        merged0 = merge_task_arithmetic(base, [expert], coefficient=0.0)
-        for a, b in zip(all_tensors(merged0), all_tensors(base)):
+        merged = apply_merge(MergeSpec(coefficient=0.0), base, [expert])
+        for a, b in zip(all_tensors(merged), all_tensors(base)):
             np.testing.assert_array_equal(a, b)
-        assert merged is not None
 
     def test_single_expert_unit_coefficient_is_identity(self, rng):
         base = make_checkpoint(rng)
         expert = make_checkpoint(np.random.default_rng(7))
-        merged = merge_task_arithmetic(base, [expert], coefficient=1.0)
+        merged = apply_merge(MergeSpec(coefficient=1.0), base, [expert])
         for a, b in zip(all_tensors(merged), all_tensors(expert)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
     def test_matches_scalar_oracle(self, rng):
         base = make_checkpoint(rng)
         experts = [make_checkpoint(np.random.default_rng(s)) for s in (5, 6)]
-        merged = merge_task_arithmetic(base, experts, coefficient=0.3)
+        merged = apply_merge(MergeSpec(coefficient=0.3), base, experts)
         for idx, t in enumerate(all_tensors(merged)):
             b = list(all_tensors(base))[idx]
             es = [list(all_tensors(e))[idx] for e in experts]
@@ -128,7 +126,9 @@ class TestTies:
             ],
             manifest=base.manifest,
         )
-        merged = merge_ties(base, [expert, expert, expert], coefficient=0.4, density=1.0)
+        merged = apply_merge(
+            MergeSpec(method="ties", coefficient=0.4, density=1.0), base, [expert, expert, expert]
+        )
         for got, b, t in zip(all_tensors(merged), all_tensors(base), tau):
             np.testing.assert_allclose(got, b + 0.4 * t, rtol=0, atol=1e-12)
 
@@ -148,13 +148,17 @@ class TestTies:
             )
             for v in (1.0, 3.0, -2.0)
         ]
-        merged = merge_ties(base, experts, coefficient=1.0, density=1.0)
+        merged = apply_merge(
+            MergeSpec(method="ties", coefficient=1.0, density=1.0), base, experts
+        )
         assert merged.layers[0].weight[0, 0] == 2.0
 
     def test_matches_literal_reference(self, rng):
         base = make_checkpoint(rng, dims=(4, 4, 4))
         experts = [make_checkpoint(np.random.default_rng(s), dims=(4, 4, 4)) for s in (11, 12, 13)]
-        merged = merge_ties(base, experts, coefficient=0.3, density=0.5)
+        merged = apply_merge(
+            MergeSpec(method="ties", coefficient=0.3, density=0.5), base, experts
+        )
         for idx, got in enumerate(all_tensors(merged)):
             b = list(all_tensors(base))[idx]
             es = [list(all_tensors(e))[idx] for e in experts]
@@ -171,7 +175,9 @@ class TestTies:
         expert = Checkpoint(
             layers=[LayerWeights("layer1", tau, np.zeros(1))], manifest=base.manifest
         )
-        merged = merge_ties(base, [expert], coefficient=1.0, density=0.5)
+        merged = apply_merge(
+            MergeSpec(method="ties", coefficient=1.0, density=0.5), base, [expert]
+        )
         np.testing.assert_array_equal(merged.layers[0].weight, [[1.0, -1.0, 0.0, 0.0]])
 
     def test_full_density_shared_signs_equals_mean_arithmetic(self, rng):
@@ -185,9 +191,17 @@ class TestTies:
             )
             for t, bt in zip(taus, bias_taus)
         ]
-        merged = merge_ties(base, experts, coefficient=0.3, density=1.0)
+        merged = apply_merge(
+            MergeSpec(method="ties", coefficient=0.3, density=1.0), base, experts
+        )
         expected_w = base.layers[0].weight + 0.3 * (taus[0] + taus[1]) / 2
         np.testing.assert_allclose(merged.layers[0].weight, expected_w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["average", "task_arithmetic", "ties"])
+def test_apply_merge_needs_an_expert(rng, method):
+    with pytest.raises(ValueError, match="at least one expert"):
+        apply_merge(MergeSpec(method=method), make_checkpoint(rng), [])
 
 
 def test_apply_merge_dispatch(rng):

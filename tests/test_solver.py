@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmq.solver
-from pmq.linalg import SingularMatrixError, cholesky_solve, frobenius_sq
+from pmq.linalg import SingularMatrixError, cholesky_inverse_upper, cholesky_solve, frobenius_sq
 from pmq.quant import QuantConfig, QuantizedLayer, rtn_quantize
 from pmq.solver import (
     SolverProblem,
@@ -578,6 +578,39 @@ class TestCompensationNorms:
         e = rep.quantized.dequantize() - target
         loss = float(np.sum((e @ (h + rep.damping * np.eye(d))) * e))
         assert abs(float(np.sum(rep.per_column_comp_norms**2)) - loss) <= 1e-12 * loss
+
+
+    @pytest.mark.parametrize(
+        "d, bits, group_size", [(127, 3, 32), (129, 2, 64), (300, 4, 128), (385, 8, 128)]
+    )
+    @pytest.mark.parametrize("solver", ["epmq", "gptq"])
+    def test_unclipped_columns_meet_the_nearest_plane_bound(self, solver, d, bits, group_size):
+        """Sequential rounding is Babai's nearest-plane algorithm (Chen et al. 2025,
+        "GPTQ as Babai's Nearest Plane Algorithm"): a column whose codes all avoid
+        0 and 2^bits - 1 is rounded to within half a step s_ij per entry, so
+        comp_j^2 <= sum_i (s_ij / 2)^2 / U_jj^2, U the upper factor of
+        inv(H + delta*I), H = H_E for epmq and sum_i H_i for gptq."""
+        checked = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            hessians, _ = random_hessians(rng, d, k=2, n=d + 16)
+            wm = rng.normal(size=(16, d)) / np.sqrt(d)
+            experts = [wm + 0.1 * rng.normal(size=wm.shape) / np.sqrt(d) for _ in range(2)]
+            cfg = QuantConfig(bits=bits, group_size=group_size, solver=solver)
+            rep = solve_layer(experts, wm, hessians, cfg)
+            if solver == "epmq":
+                h = build_epmq_statistics(experts, wm, hessians, cfg.alpha)[0]
+            else:
+                h = sum(hessians)
+            pivots = np.diag(cholesky_inverse_upper(h, shift=rep.damping))
+            q = rep.quantized
+            steps = q.scales.astype(np.float64)[:, np.arange(d) // group_size]
+            unclipped = ((q.codes > 0) & (q.codes < (1 << bits) - 1)).all(axis=0)
+            bound = np.sum((steps / 2) ** 2, axis=0) / pivots**2
+            norms_sq = rep.per_column_comp_norms[unclipped] ** 2
+            assert (norms_sq <= bound[unclipped] * (1 + 1e-12)).all()
+            checked += int(unclipped.sum())
+        assert checked > 0
 
 
 class TestRealizedWeight:

@@ -103,6 +103,53 @@ def test_offsets_inconsistent_with_shape(tmp_path):
         read_tensor_file(path)
 
 
+def write_raw(path, header: dict, payload_bytes: int):
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * payload_bytes)
+
+
+@pytest.mark.parametrize(
+    "offsets, payload_bytes",
+    [([[0, 8], [0, 8]], 8), ([[0, 8], [16, 24]], 24), ([[0, 8], [8, 16]], 24)],
+    ids=["overlap", "gap", "tail"],
+)
+def test_payloads_must_tile_the_buffer(tmp_path, offsets, payload_bytes):
+    header = {
+        name: {"dtype": "F64", "shape": [1], "data_offsets": span}
+        for name, span in zip("xy", offsets)
+    }
+    path = tmp_path / "bad.safetensors"
+    write_raw(path, header, payload_bytes)
+    with pytest.raises(MalformedHeaderError, match="overlap or leave a gap|belong to no tensor"):
+        read_tensor_file(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("shape", [True, 1], MalformedHeaderError),
+        ("shape", [2**64, 0], MalformedHeaderError),
+        ("shape", [2**63, 2], MalformedHeaderError),
+        ("data_offsets", [False, 8], MalformedHeaderError),
+        ("dtype", ["F64"], DtypeMismatchError),
+    ],
+    ids=["bool-shape", "huge-empty-shape", "overflowing-shape", "bool-offsets", "list-dtype"],
+)
+def test_header_fields_of_the_wrong_type(tmp_path, field, value, error):
+    entry = {"dtype": "F64", "shape": [1], "data_offsets": [0, 8]}
+    path = tmp_path / "bad.safetensors"
+    write_raw(path, {"x": {**entry, field: value}}, 8)
+    with pytest.raises(error):
+        read_tensor_file(path)
+
+
+def test_empty_tensor_with_an_outsized_dimension(tmp_path):
+    path = tmp_path / "bad.safetensors"
+    write_raw(path, {"x": {"dtype": "F64", "shape": [2**64, 0], "data_offsets": [0, 0]}}, 0)
+    with pytest.raises(MalformedHeaderError, match="bad shape"):
+        read_tensor_file(path)
+
+
 def test_non_finite_rejected(tmp_path):
     path = tmp_path / "nan.safetensors"
     write_tensor_file(path, {"x": np.array([[1.0, 2.0]])})
