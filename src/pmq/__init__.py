@@ -47,6 +47,7 @@ from .pipeline import (
     PmqRun,
     deviation_diagnostics,
     evaluate,
+    evaluate_with_deviations,
     quantize,
     run_epmq,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "deviation_diagnostics",
     "epmq_objective",
     "evaluate",
+    "evaluate_with_deviations",
     "fit_grid",
     "forward",
     "forward_to_layer",

@@ -30,8 +30,8 @@ from .model import load_model, save_model
 from .pipeline import (
     ConfigError,
     PmqRun,
-    deviation_diagnostics,
     evaluate,
+    evaluate_with_deviations,
     quantize,
     run_to_json_dict,
 )
@@ -293,7 +293,12 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
     heldout = load_calib_set(out / "heldout")
     # the deviation diagnostics are skipped when no expert file or no run.json exists
     experts = _load_experts(out, cfg.k, required=False)
-    result = evaluate(model, heldout)
+    merged = None
+    if obj is not None and experts:
+        merged = _load_matching(cfg, out / "merged.safetensors", load_checkpoint)
+    # one walk gives metrics.csv and the deviation rows, all before the first
+    # write, so a failed eval writes no file
+    result, deviation = evaluate_with_deviations(model, heldout, merged, experts)
     rows = [
         {
             "task": task,
@@ -305,19 +310,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         }
         for task, mse in [*sorted(result.per_task_mse.items()), ("macro", result.macro_mse)]
     ]
-    # compute everything before the first write, so a failed eval writes no file
-    updated = None
-    if obj is not None and experts:
-        run = PmqRun(
-            merged=load_checkpoint(out / "merged.safetensors"),
-            experts=experts,
-            calib=None,
-            cfg=cfg.quant,
-            layer_reports=[],
-            model=model,
-            method=cfg.quant.solver,
-        )
-        deviation = deviation_diagnostics(run, heldout)
+    _write_csv(out / "metrics.csv", ["task", "method", "bits", "alpha", "samples", "mse"], rows)
+    if deviation is not None:
         updated = dict(obj)
         updated["deviation"] = [
             {
@@ -329,8 +323,6 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
             }
             for row in deviation.rows
         ]
-    _write_csv(out / "metrics.csv", ["task", "method", "bits", "alpha", "samples", "mse"], rows)
-    if updated is not None:
         write_json(run_path, updated)
 
 

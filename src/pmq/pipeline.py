@@ -20,12 +20,13 @@ the state that is replaced.
 Deviation diagnostics decompose the held-out output error of each
 quantized layer into the quantization part (Q X - W_m X) and the
 expert-relative merging part (W_m X - W_i X), whose sum telescopes to the
-combined deviation Q X - W_i X. They, like evaluation, walk all tasks
-forward together as one (K, d, n) stack, as quantize does.
+combined deviation Q X - W_i X. They and evaluation share one walk of all
+tasks together as one (K, d, n) stack, as quantize does (`_walk`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,89 +203,139 @@ def run_epmq(
     return quantize(merged, experts, calib, cfg)
 
 
+def _walk(
+    model: Model,
+    heldout: CalibSet,
+    merged: Checkpoint | None = None,
+    experts: Sequence[Checkpoint] = (),
+    outputs: bool = True,
+) -> tuple[np.ndarray | None, DeviationReport | None]:
+    """The (K, d_out, n) outputs of the K held-out tasks walked through `model`
+    as one (K, d, n) stack and, when `merged` is given, the deviation rows
+    against it and `experts` (one per task) from the same pass. With
+    `merged` and not `outputs` the outputs are None: the last layer forms
+    no fresh array for a caller that wants only the rows.
+
+    Without `merged` the walk is `forward`. With it, per layer, Q X and the
+    W_i X_i go into a (3, K, d_out, n) workspace and W_m X into a
+    (K, d_out, n) one, both reused while the output width stays (two arrays:
+    a single 4-slot one, 8 MB at 512 wide, got fresh pages on every walk).
+    The next inputs are formed from Q X (bias, then activation) before the
+    deviations overwrite it in place, and one square-and-sum and one abs-max
+    fill the layer's norms. After the walk the first row, layer-major, whose
+    gap exceeds IDENTITY_TOL * max(1, max|Q X|, max|W_i X|) raises, so a
+    correct decomposition passes at any scale of the data; that scale is
+    measured (forwarding the layer's inputs afresh) only past IDENTITY_TOL
+    itself. Raises ConfigError, before any compute, unless there is one
+    held-out task per expert and every checkpoint shares the model's
+    manifest.
+    """
+    x = np.stack([batch.inputs for batch in heldout.batches])
+    if merged is None:
+        return forward(model, x), None
+    if heldout.num_tasks != len(experts):
+        raise ConfigError(f"{heldout.num_tasks} held-out tasks for {len(experts)} experts")
+    for idx, ckpt in enumerate([merged, *experts]):
+        if ckpt.manifest != model.manifest:
+            name = f"expert {idx}" if idx else "merged checkpoint"
+            raise ConfigError(f"{name} does not share the quantized model's manifest")
+    # per layer and task: squared sums of the quant, merge and combined deviations, the gap
+    stats = np.empty((model.num_layers, 4, len(x)))
+    work = None
+    for index, layer in enumerate(model.layers):
+        if work is None or work.shape[2] != layer.spec.d_out:
+            work = np.empty((3, len(x), layer.spec.d_out, x.shape[-1]))
+            mx = np.empty(work.shape[1:])
+        # Q X becomes the quant deviation, W_i X_i the merge one and W_m X the gap
+        qx, ex, combined = work
+        np.matmul(layer.weight, x, out=qx)
+        np.matmul(merged.layers[index].weight, x, out=mx)
+        for t, expert in enumerate(experts):
+            np.matmul(expert.layers[index].weight, x[t], out=ex[t])
+        x = None
+        if outputs or index + 1 < model.num_layers:
+            # a fresh array: identity would hand back qx, overwritten below
+            x = apply_activation(
+                layer.spec.activation, qx.copy() if layer.bias is None else qx + layer.bias[:, None]
+            )
+        np.subtract(qx, ex, out=combined)
+        np.subtract(mx, ex, out=ex)
+        np.subtract(qx, mx, out=qx)
+        np.subtract(combined, np.add(qx, ex, out=mx), out=mx)
+        np.abs(mx, out=mx).max(axis=(1, 2), out=stats[index, 3])
+        np.sum(np.square(work, out=work), axis=(2, 3), out=stats[index, :3])
+    np.sqrt(stats[:, :3], out=stats[:, :3])
+    rows = [
+        DeviationRow(layer.spec.id, task_id, *values)
+        for layer, per_task in zip(model.layers, stats.transpose(0, 2, 1).tolist())
+        for task_id, values in enumerate(per_task, start=1)
+    ]
+    gaps = stats[:, 3]
+    # the tolerance scales with the outputs (>= 1), measured only past the absolute one
+    for index in np.flatnonzero(gaps.max(axis=1) > IDENTITY_TOL):
+        scales = _output_scales(model, experts, heldout, index + 1)
+        failed = np.flatnonzero(gaps[index] > IDENTITY_TOL * scales)
+        if failed.size:
+            raise ArithmeticError(
+                f"layer '{model.layers[index].spec.id}' task {failed[0] + 1}: "
+                f"deviation decomposition violated by {gaps[index, failed[0]]:g}"
+            )
+    return x, DeviationReport(rows=rows)
+
+
+def _output_scales(
+    model: Model, experts: Sequence[Checkpoint], heldout: CalibSet, layer_index: int
+) -> np.ndarray:
+    """Per task max(1, max|Q X|, max|W_i X|) at layer `layer_index`, forwarded afresh."""
+    x0 = np.stack([batch.inputs for batch in heldout.batches])
+    x = forward_to_layer(model, x0, layer_index)
+    qx = matmul(model.layers[layer_index - 1].weight, x)
+    ex = np.stack([e.layers[layer_index - 1].weight @ x_t for e, x_t in zip(experts, x)])
+    return np.maximum(np.maximum(*(np.abs(y).max(axis=(1, 2)) for y in (qx, ex))), 1.0)
+
+
 def deviation_diagnostics(run: PmqRun, heldout: CalibSet) -> DeviationReport:
     """Layer/task deviation norms on held-out activations of the quantized model.
 
     For each layer and task: the quantization deviation Q X - W_m X, the
     expert-relative merging deviation W_m X - W_i X, and the combined
-    deviation Q X - W_i X, which must equal their sum elementwise.
-
-    The K tasks walk the quantized model as one (K, d, n) stack, advanced
-    from Q X itself (bias, then activation). Per layer: one stacked product
-    each for Q X and W_m X, one product per task for W_i X_i, at most five
-    (K, d_out, n) arrays. Rows come out layer-major and keep the absolute
-    identity gap; the first whose gap exceeds
-    IDENTITY_TOL * max(1, max|Q X|, max|W_i X|), over its layer and task,
-    raises, so a correct decomposition passes at any scale of the data. The
-    scale is at least 1, so it is measured (by forwarding that layer's inputs
-    afresh) only for a layer with a gap past IDENTITY_TOL itself.
-    Raises ConfigError unless the held-out set has one task per expert, with
-    inputs that fit layer 1.
+    deviation Q X - W_i X, which must equal their sum elementwise. Rows come
+    out layer-major and keep the absolute identity gap; see `_walk`.
     """
-    if heldout.num_tasks != len(run.experts):
-        raise ConfigError(f"{heldout.num_tasks} held-out tasks for {len(run.experts)} experts")
     _check_tasks(heldout, run.model.manifest, "held-out", targets=False)
-    layers = run.model.layers
-    x = np.stack([batch.inputs for batch in heldout.batches])
-    rows: list[DeviationRow] = []
-    for layer_index, layer in enumerate(layers, start=1):
-        qx = matmul(layer.weight, x)
-        mx = matmul(run.merged.layers[layer_index - 1].weight, x)
-        ex = np.empty_like(qx)
-        for t, expert in enumerate(run.experts):
-            np.matmul(expert.layers[layer_index - 1].weight, x[t], out=ex[t])
-        del x
-        if layer_index < len(layers):  # a copy: identity would hand back qx, overwritten below
-            x = apply_activation(
-                layer.spec.activation, qx.copy() if layer.bias is None else qx + layer.bias[:, None]
-            )
-        # in place from here: combined, then merge (in ex), quant (in qx), the gap (in mx)
-        combined = qx - ex
-        np.subtract(mx, ex, out=ex)
-        np.subtract(qx, mx, out=qx)
-        np.subtract(combined, np.add(qx, ex, out=mx), out=mx)
-        gaps = np.abs(mx, out=mx).max(axis=(1, 2))
-        quant, merge, comb = (
-            np.sqrt(np.sum(np.square(dev, out=dev), axis=(1, 2))) for dev in (qx, ex, combined)
-        )
-        del qx, mx, ex, combined  # freed before the next layer's products
-        for task_id, values in enumerate(zip(quant, merge, comb, gaps), start=1):
-            rows.append(DeviationRow(layer.spec.id, task_id, *map(float, values)))
-        # the tolerance scales with the outputs (>= 1), measured only past the absolute one
-        if gaps.max() > IDENTITY_TOL:
-            failed = np.flatnonzero(gaps > IDENTITY_TOL * _output_scales(run, heldout, layer_index))
-            if failed.size:
-                raise ArithmeticError(
-                    f"layer '{layer.spec.id}' task {failed[0] + 1}: deviation decomposition "
-                    f"violated by {gaps[failed[0]]:g}"
-                )
-    return DeviationReport(rows=rows)
+    return _walk(run.model, heldout, run.merged, run.experts, outputs=False)[1]
 
 
-def _output_scales(run: PmqRun, heldout: CalibSet, layer_index: int) -> np.ndarray:
-    """Per task max(1, max|Q X|, max|W_i X|) at layer `layer_index`, forwarded afresh."""
-    x0 = np.stack([batch.inputs for batch in heldout.batches])
-    x = forward_to_layer(run.model, x0, layer_index)
-    qx = matmul(run.model.layers[layer_index - 1].weight, x)
-    ex = np.stack([e.layers[layer_index - 1].weight @ x_t for e, x_t in zip(run.experts, x)])
-    return np.maximum(np.maximum(*(np.abs(y).max(axis=(1, 2)) for y in (qx, ex))), 1.0)
+def evaluate_with_deviations(
+    model: Model,
+    heldout: CalibSet,
+    merged: Checkpoint | None = None,
+    experts: Sequence[Checkpoint] = (),
+) -> tuple[EvalResult, DeviationReport | None]:
+    """`evaluate`, and with `merged` the deviation rows against it and
+    `experts`, from one walk of the held-out tasks through `model`.
 
-
-def evaluate(model: Model, heldout: CalibSet) -> EvalResult:
-    """Per-task mean squared error against held-out targets, plus the macro mean.
-
-    All tasks are forwarded together as one (K, d, n) stack. Raises
-    ConfigError, before any forward pass, when a task's inputs do not fit
-    layer 1 or its targets are missing or do not fit the last layer.
+    Raises ConfigError, before any forward pass, when a task's inputs do not
+    fit layer 1 or its targets are missing or do not fit the last layer, and
+    when the checkpoints do not fit the model (see `_walk`).
     """
     _check_tasks(heldout, model.manifest, "held-out", targets=True)
-    outputs = forward(model, np.stack([batch.inputs for batch in heldout.batches]))
+    outputs, report = _walk(model, heldout, merged, experts)
     per_task = {
         batch.task_id: float(np.mean((out - batch.targets) ** 2))
         for out, batch in zip(outputs, heldout.batches)
     }
     macro = float(np.mean(list(per_task.values())))
-    return EvalResult(per_task_mse=per_task, macro_mse=macro)
+    return EvalResult(per_task_mse=per_task, macro_mse=macro), report
+
+
+def evaluate(model: Model, heldout: CalibSet) -> EvalResult:
+    """Per-task mean squared error against held-out targets, plus the macro mean.
+
+    All tasks are forwarded together as one (K, d, n) stack; the input checks
+    are `evaluate_with_deviations`'s.
+    """
+    return evaluate_with_deviations(model, heldout)[0]
 
 
 def run_to_json_dict(run: PmqRun, config: dict | None = None) -> dict:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import pmq.cli
+import pmq.model
+import pmq.pipeline
 import pmq.tensorfile
 from conftest import subprocess_env
 from oracles import sweep_from_scratch
@@ -19,7 +22,7 @@ from pmq.checkpoint import load_checkpoint
 from pmq.cli import ConfigError, RunConfig, config_from_dict, load_config, main
 from pmq.merge import MergeSpec
 from pmq.model import Model, load_model, save_model
-from pmq.pipeline import RUN_JSON_SCHEMA
+from pmq.pipeline import RUN_JSON_SCHEMA, PmqRun, deviation_diagnostics, evaluate
 from pmq.quant import QuantConfig
 from pmq.tensorfile import read_tensor_file, write_tensor_file
 
@@ -360,6 +363,50 @@ class TestEval:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "3 held-out tasks for 2 experts" in err
         assert dir_hashes(out) == before
+
+
+    def test_walks_once_and_writes_what_two_walks_wrote(self, tmp_path, monkeypatch):
+        """One held-out walk: one stacked activation per layer, where evaluate
+        then deviation_diagnostics made 2L - 1, and the same metrics.csv and
+        run.json bytes as those two walks."""
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "k": 3,
+                "dims": [32, 48, 48, 16],
+                "train_samples": 64,
+                "train_steps": 50,
+                "merge.method": "ties",
+                "quant.solver": "gptq",
+                "quant.group_size": 32,
+            },
+        )
+        out, two = tmp_path / "out", tmp_path / "two"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        shutil.copytree(out, two)
+        activations = []
+        for module in (pmq.model, pmq.pipeline):
+            real = module.apply_activation
+
+            def spy(name, x, _real=real):
+                activations.append(x.shape)
+                return _real(name, x)
+
+            monkeypatch.setattr(module, "apply_activation", spy)
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 0
+        assert activations == [(3, 48, 64), (3, 48, 64), (3, 16, 64)]
+        monkeypatch.undo()
+
+        def two_walks(model, heldout, merged, experts):
+            run = PmqRun(merged, experts, None, None, [], model, "gptq")
+            return evaluate(model, heldout), deviation_diagnostics(run, heldout)
+
+        monkeypatch.setattr(pmq.cli, "evaluate_with_deviations", two_walks)
+        assert run_cli("eval", "--config", cfg, "--out", str(two)) == 0
+        assert len(json.loads((out / "run.json").read_text())["deviation"]) == 3 * 3
+        for name in ("metrics.csv", "run.json"):
+            assert (out / name).read_bytes() == (two / name).read_bytes()
 
 
 class TestSweep:
@@ -1019,9 +1066,30 @@ class TestExitCodes:
         assert "Traceback" not in err and "config error" in err and "manifest" in err
         assert dir_hashes(out) == before
 
+    @pytest.mark.parametrize("rerun", [["gen", "merge"], ["gen"]])
+    def test_eval_against_checkpoints_of_other_shapes_is_2(self, tmp_path, capsys, rerun):
+        """gen (and merge) rerun with other hidden dims leave a model whose
+        merged checkpoint or experts no longer fit it."""
+        cfg = write_cfg(tmp_path, {"dims": [8, 16, 6]})
+        out = tmp_path / "out"
+        for stage in ("gen", "merge", "quantize", "eval"):
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        for stage in rerun:
+            assert run_cli(stage, "--config", cfg, "--out", str(out), "--set", "dims=[8,12,6]") == 0
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        if "merge" in rerun:
+            assert "disagree with the manifest of" in err and "merged.safetensors" in err
+        else:
+            assert "expert 1 does not share the quantized model's manifest" in err
+        assert dir_hashes(out) == before
+
     @pytest.mark.parametrize(
         "command, compute",
-        [("merge", "apply_merge"), ("quantize", "quantize"), ("eval", "evaluate")],
+        [("merge", "apply_merge"), ("quantize", "quantize"), ("eval", "evaluate_with_deviations")],
     )
     def test_dims_not_matching_the_checkpoint_is_2(
         self, tmp_path, capsys, monkeypatch, command, compute

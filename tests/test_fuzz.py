@@ -199,6 +199,28 @@ def test_corrupted_manifest_sidecar(prepared, name, field, value):
     run_corrupted(prepared, corrupt, MANIFESTS[name])
 
 
+@pytest.fixture(scope="module")
+def other_shapes(prepared, tmp_path_factory):
+    """gen and merge with other hidden dims than the prepared run's."""
+    cfg, _ = prepared
+    out = tmp_path_factory.mktemp("other") / "out"
+    for command in ("gen", "merge"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--set", "dims=[8,14,10,6]"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("names", [["merged"], ["expert2"], ["merged", "expert1", "expert2"]])
+def test_checkpoints_of_other_shapes(prepared, other_shapes, names):
+    """The merged checkpoint or experts replaced by ones that do not fit the model."""
+
+    def corrupt(out):
+        for name in names:
+            for suffix in (".safetensors", ".manifest.json"):
+                shutil.copyfile(other_shapes / f"{name}{suffix}", out / f"{name}{suffix}")
+
+    run_corrupted(prepared, corrupt, "eval", codes=(2,))
+
+
 CONFIG_KEYS = [
     "seed", "k", "dims", "samples_per_task", "heldout_samples", "train_steps",
     "train_samples", "learning_rate", "teacher_scale", "expert_mode", "hidden_activation",

@@ -289,11 +289,13 @@ class TestDeviationDiagnostics:
         run = run_method(problem, merged, "epmq")
         propagations = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
         activations = counting(monkeypatch, pmq.pipeline, "apply_activation")
-        per_task = counting(monkeypatch, np, "matmul")
+        products = counting(monkeypatch, np, "matmul")
         deviation_diagnostics(run, problem.heldout)
         layers = run.model.num_layers
         assert [x.shape for _, x in activations] == [(3, 6, 24)] * (layers - 1)
-        assert [x.shape for _, x in per_task] == [(6, 24)] * (layers * 3)
+        # per layer: Q X and W_m X over the stack, then W_i X_i task by task
+        per_layer = [(3, 6, 24)] * 2 + [(6, 24)] * 3
+        assert [x.shape for _, x in products] == per_layer * layers
         assert propagations == []
 
     @pytest.mark.parametrize("num_tasks", [1, 4])
@@ -379,6 +381,45 @@ class TestDeviationDiagnostics:
         monkeypatch.setattr(pmq.pipeline, "np", Corrupting())
         with pytest.raises(ArithmeticError, match="layer 'layer1' task 1: deviation decomposition"):
             deviation_diagnostics(run, heldout)
+
+    def test_identity_check_after_the_walk_names_the_first_failing_layer(self, monkeypatch):
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 7, 5])
+        run = run_method(problem, merged, "epmq")
+        quant_deviations = []
+
+        class Corrupting:
+            """numpy, except that the quant deviation Q X - W_m X (formed in place
+            over Q X) is off by 1 in layer 2 task 2 and in layer 3 task 1."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def subtract(a, b, out=None):
+                result = np.subtract(a, b, out=out)
+                if out is a:
+                    quant_deviations.append(result)
+                    corrupt = {2: 1, 3: 0}.get(len(quant_deviations))
+                    if corrupt is not None:
+                        result[corrupt, 0, 0] += 1.0
+                return result
+
+        monkeypatch.setattr(pmq.pipeline, "np", Corrupting())
+        with pytest.raises(ArithmeticError, match="layer 'layer2' task 2: deviation decomposition"):
+            deviation_diagnostics(run, problem.heldout)
+        assert len(quant_deviations) == 3  # the check ran after the whole walk
+
+    @pytest.mark.parametrize("stale", ["merged", "expert"])
+    def test_checkpoints_not_sharing_the_model_manifest_are_a_config_error(self, stale):
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
+        run = run_method(problem, merged, "epmq")
+        other, other_merged = merged_problem(seed=19, dims=[6, 7, 5])
+        if stale == "merged":
+            run.merged, message = other_merged, "merged checkpoint"
+        else:
+            run.experts[1], message = other.experts[1], "expert 2"
+        with pytest.raises(ConfigError, match=f"{message} does not share the quantized model"):
+            deviation_diagnostics(run, problem.heldout)
 
     def test_inputs_not_fitting_layer_one_are_a_config_error(self):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
