@@ -17,8 +17,8 @@ from .calib import (
 )
 from .checkpoint import (
     Checkpoint,
+    Layer,
     LayerSpec,
-    LayerWeights,
     ManifestError,
     ModelManifest,
     load_checkpoint,
@@ -54,8 +54,6 @@ from .pipeline import (
 from .quant import (
     QuantConfig,
     QuantizedLayer,
-    dequantize_values,
-    fit_grid,
     pack_codes,
     quantize_values,
     rtn_quantize,
@@ -80,8 +78,8 @@ __all__ = [
     "Checkpoint",
     "DeviationReport",
     "EvalResult",
+    "Layer",
     "LayerSpec",
-    "LayerWeights",
     "ManifestError",
     "MergeSpec",
     "Model",
@@ -100,12 +98,10 @@ __all__ = [
     "cholesky_solve",
     "collect_layer_stats",
     "continuous_solution",
-    "dequantize_values",
     "deviation_diagnostics",
     "epmq_objective",
     "evaluate",
     "evaluate_with_deviations",
-    "fit_grid",
     "forward",
     "forward_to_layer",
     "frobenius_sq",

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LayerWeights, ModelManifest, LayerSpec
+from .checkpoint import Checkpoint, Layer, LayerSpec, ModelManifest
 # `matmul` is unused here but perfbench's alias test requires pmq.calib.matmul; the
 # trainer's stacked products bypass the traced matmul (see ROADMAP item 1)
 from .linalg import ShapeError, as_matrix, matmul  # noqa: F401
@@ -112,21 +112,21 @@ def _random_checkpoint(rng: np.random.Generator, manifest: ModelManifest) -> Che
     for spec in manifest.layers:
         weight = rng.normal(0.0, 1.0 / np.sqrt(spec.d_in), size=(spec.d_out, spec.d_in))
         bias = rng.normal(0.0, 0.05, size=spec.d_out) if spec.has_bias else None
-        layers.append(LayerWeights(id=spec.id, weight=weight, bias=bias))
-    return Checkpoint(layers=layers, manifest=manifest)
+        layers.append(Layer(spec, weight, bias))
+    return Checkpoint(layers, manifest)
 
 
 def _perturb_checkpoint(
     rng: np.random.Generator, base: Checkpoint, scale: float
 ) -> Checkpoint:
     layers = []
-    for lw, spec in zip(base.layers, base.manifest.layers):
-        delta = rng.normal(0.0, scale / np.sqrt(spec.d_in), size=lw.weight.shape)
+    for lw in base.layers:
+        delta = rng.normal(0.0, scale / np.sqrt(lw.spec.d_in), size=lw.weight.shape)
         bias = None
         if lw.bias is not None:
             bias = lw.bias + rng.normal(0.0, 0.02, size=lw.bias.shape)
-        layers.append(LayerWeights(id=lw.id, weight=lw.weight + delta, bias=bias))
-    return Checkpoint(layers=layers, manifest=base.manifest)
+        layers.append(Layer(lw.spec, lw.weight + delta, bias))
+    return Checkpoint(layers, base.manifest)
 
 
 def _train_experts(
@@ -138,7 +138,7 @@ def _train_experts(
     k = len(inputs)
     weights = [np.tile(lw.weight, (k, 1, 1)) for lw in base.layers]
     biases = [None if lw.bias is None else np.tile(lw.bias, (k, 1)) for lw in base.layers]
-    acts = [spec.activation for spec in base.manifest.layers]
+    acts = [lw.spec.activation for lw in base.layers]
     for _ in range(steps):
         # forward with taps
         a = inputs
@@ -162,10 +162,10 @@ def _train_experts(
                 g = np.ascontiguousarray(weights[idx].transpose(0, 2, 1)) @ gz
             weights[idx] = weights[idx] - lr * dw
     layers = [
-        [LayerWeights(lw.id, w[t], None if b is None else b[t]) for t in range(k)]
+        [Layer(lw.spec, w[t], None if b is None else b[t]) for t in range(k)]
         for lw, w, b in zip(base.layers, weights, biases)
     ]
-    return [Checkpoint(layers=list(per_task), manifest=base.manifest) for per_task in zip(*layers)]
+    return [Checkpoint(list(per_task), base.manifest) for per_task in zip(*layers)]
 
 
 # an overflow in the draws, teacher forwards or training surfaces as the
@@ -254,7 +254,7 @@ def make_synthetic_tasks(
         for lw in expert.layers:
             for name, arr in (("weight", lw.weight), ("bias", lw.bias)):
                 if arr is not None and not np.isfinite(arr).all():
-                    raise FloatingPointError(f"expert {task_id}: {lw.id}.{name} is not finite")
+                    raise FloatingPointError(f"expert {task_id}: {lw.spec.id}.{name} is not finite")
     for batch in heldout_batches:
         if not np.isfinite(batch.targets).all():
             raise FloatingPointError(f"held-out targets of task {batch.task_id} are not finite")

@@ -6,12 +6,16 @@ sidecar JSON file "<name>.manifest.json" describing layer dimensions,
 activations, the storage dtype, and the format version. Model files share
 the format, with quantized layers in place of weights: write_layers and
 read_layers are its one writer and reader.
+
+`Layer` is the one layer record of checkpoints, models and layer files: a
+spec, a weight source (full precision or quantized) and a bias, validated
+once when it is built. A Checkpoint is a stack of full-precision Layers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,10 @@ ACTIVATIONS = ("identity", "relu", "gelu")
 _STORAGE_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 # a quantized layer's codes, scales and zeros as stored: any other dtype would be cast
 _QUANT_DTYPES = (np.dtype("<u1"), np.dtype("<f4"), np.dtype("<i4"))
+
+
+# each LayerSpec field's JSON type, in the order from_json_dict checks them
+_SPEC_TYPES = {"id": str, "d_in": int, "d_out": int, "activation": str, "has_bias": bool}
 
 
 class ManifestError(ValueError):
@@ -81,16 +89,7 @@ class ModelManifest:
         return {
             "version": self.version,
             "dtype": self.dtype,
-            "layers": [
-                {
-                    "id": s.id,
-                    "d_in": s.d_in,
-                    "d_out": s.d_out,
-                    "activation": s.activation,
-                    "has_bias": s.has_bias,
-                }
-                for s in self.layers
-            ],
+            "layers": [asdict(s) for s in self.layers],
         }
 
     @classmethod
@@ -104,13 +103,7 @@ class ModelManifest:
 
         try:
             layers = tuple(
-                LayerSpec(
-                    id=field(entry, "id", str),
-                    d_in=field(entry, "d_in", int),
-                    d_out=field(entry, "d_out", int),
-                    activation=field(entry, "activation", str),
-                    has_bias=field(entry, "has_bias", bool),
-                )
+                LayerSpec(**{key: field(entry, key, kind) for key, kind in _SPEC_TYPES.items()})
                 for entry in obj["layers"]
             )
             dtype, version = field(obj, "dtype", str), field(obj, "version", int)
@@ -119,46 +112,75 @@ class ModelManifest:
             raise ManifestError(f"malformed manifest JSON: {exc}") from exc
 
 
-@dataclass
-class LayerWeights:
-    id: str
-    weight: np.ndarray  # (d_out, d_in) float64
-    bias: np.ndarray | None = None  # (d_out,) float64
+@dataclass(frozen=True)
+class Layer:
+    """One layer of a stack: its spec, weight source and bias, checked against the spec.
+
+    `source` is a float matrix, kept as a read-only contiguous float64 view
+    (the caller's array keeps its flags), or a QuantizedLayer; the bias is
+    kept like a float matrix. A shape or bias that disagrees with `spec` is
+    a ManifestError.
+    """
+
+    spec: LayerSpec
+    source: np.ndarray | QuantizedLayer
+    bias: np.ndarray | None = None
+
+    def __post_init__(self):
+        spec = self.spec
+        if not self.is_quantized:
+            object.__setattr__(self, "source", _float64(self.source))
+        shape = self.source.codes.shape if self.is_quantized else self.source.shape
+        if shape != (spec.d_out, spec.d_in):
+            raise ManifestError(
+                f"layer '{spec.id}': weight shape {shape} != ({spec.d_out}, {spec.d_in})"
+            )
+        if (self.bias is not None) != spec.has_bias:
+            state = "a bias but none given" if spec.has_bias else "no bias but one was given"
+            raise ManifestError(f"layer '{spec.id}': manifest declares {state}")
+        if self.bias is not None:
+            object.__setattr__(self, "bias", _float64(self.bias))
+            if self.bias.shape != (spec.d_out,):
+                raise ManifestError(
+                    f"layer '{spec.id}': bias shape {self.bias.shape} != ({spec.d_out},)"
+                )
+
+    @property
+    def is_quantized(self) -> bool:
+        return isinstance(self.source, QuantizedLayer)
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The realized weight; a quantized source caches its own."""
+        return self.source.weight if self.is_quantized else self.source
+
+
+def _float64(a) -> np.ndarray:
+    return read_only(np.ascontiguousarray(a, dtype=np.float64))
+
+
+def check_layers(layers: list[Layer], manifest: ModelManifest) -> None:
+    """Raise ManifestError unless `layers` are the manifest's layers, in order."""
+    specs = tuple(layer.spec for layer in layers)
+    if specs != manifest.layers:
+        raise ManifestError(
+            f"layers {[s.id for s in specs]} are not the manifest's "
+            f"{[s.id for s in manifest.layers]} with the same dimensions"
+        )
 
 
 @dataclass
 class Checkpoint:
-    """Layer weights checked against the manifest, each weight and bias kept
-    as a read-only float64 view (the caller's arrays keep their flags)."""
+    """A full-precision stack: its layers, in the manifest's order."""
 
-    layers: list[LayerWeights] = field(default_factory=list)
-    manifest: ModelManifest | None = None
+    layers: list[Layer]
+    manifest: ModelManifest
 
     def __post_init__(self):
-        if self.manifest is None:
-            raise ManifestError("checkpoint requires a manifest")
-        if len(self.layers) != len(self.manifest.layers):
-            raise ManifestError(
-                f"checkpoint has {len(self.layers)} layers, manifest declares {len(self.manifest.layers)}"
-            )
-        for lw, spec in zip(self.layers, self.manifest.layers):
-            if lw.id != spec.id:
-                raise ManifestError(f"layer id '{lw.id}' does not match manifest id '{spec.id}'")
-            lw.weight = read_only(np.ascontiguousarray(lw.weight, dtype=np.float64))
-            if lw.weight.shape != (spec.d_out, spec.d_in):
-                raise ManifestError(
-                    f"layer '{lw.id}': weight shape {lw.weight.shape} != ({spec.d_out}, {spec.d_in})"
-                )
-            if spec.has_bias:
-                if lw.bias is None:
-                    raise ManifestError(f"layer '{lw.id}': manifest declares a bias but none given")
-                lw.bias = read_only(np.ascontiguousarray(lw.bias, dtype=np.float64))
-                if lw.bias.shape != (spec.d_out,):
-                    raise ManifestError(
-                        f"layer '{lw.id}': bias shape {lw.bias.shape} != ({spec.d_out},)"
-                    )
-            elif lw.bias is not None:
-                raise ManifestError(f"layer '{lw.id}': manifest declares no bias but one was given")
+        check_layers(self.layers, self.manifest)
+        for layer in self.layers:
+            if layer.is_quantized:
+                raise ManifestError(f"layer '{layer.spec.id}' is quantized, not full precision")
 
 
 def manifest_path(path) -> Path:
@@ -174,9 +196,9 @@ def load_manifest(path) -> ModelManifest:
         raise MalformedHeaderError(f"{path}: bad manifest: {exc}") from exc
 
 
-def write_layers(path, manifest: ModelManifest, layers) -> bytes:
-    """Write `layers`, one (weight source, bias) pair per manifest layer, and
-    the manifest sidecar; returns the tensor file's bytes.
+def write_layers(path, manifest: ModelManifest, layers: list[Layer]) -> bytes:
+    """Write `layers`, the manifest's, and the manifest sidecar; returns the
+    tensor file's bytes.
 
     A full-precision weight is stored as "<id>.weight" in the manifest's
     storage dtype; a QuantizedLayer as "<id>.codes" (packed bitstream),
@@ -186,8 +208,9 @@ def write_layers(path, manifest: ModelManifest, layers) -> bytes:
     store = _STORAGE_DTYPES[manifest.dtype]
     tensors: dict[str, np.ndarray] = {}
     metadata: dict[str, str] = {}
-    for spec, (source, bias) in zip(manifest.layers, layers):
-        if isinstance(source, QuantizedLayer):
+    for layer in layers:
+        spec, source = layer.spec, layer.source
+        if layer.is_quantized:
             tensors[f"{spec.id}.codes"] = pack_codes(source.codes, source.bits)
             tensors[f"{spec.id}.scales"] = source.scales
             tensors[f"{spec.id}.zeros"] = source.zeros
@@ -196,16 +219,15 @@ def write_layers(path, manifest: ModelManifest, layers) -> bytes:
             )
         else:
             tensors[f"{spec.id}.weight"] = source.astype(store, copy=False)
-        if bias is not None:
-            tensors[f"{spec.id}.bias"] = bias.astype(np.float64, copy=False)
+        if layer.bias is not None:
+            tensors[f"{spec.id}.bias"] = layer.bias
     data = write_tensor_file(path, tensors, metadata=metadata)
     write_json(manifest_path(path), manifest.to_json_dict())
     return data
 
 
-def read_layers(path) -> tuple[ModelManifest, list[tuple]]:
-    """The manifest and the (weight source, bias) pairs of a file written by
-    write_layers, weights and biases as float64.
+def read_layers(path) -> tuple[ModelManifest, list[Layer]]:
+    """The manifest and the layers of a file written by write_layers.
 
     A missing, misshapen or unexpected tensor, or quant attrs that are not
     JSON {bits, group_size} agreeing with the codes, scales and zeros, is a
@@ -255,9 +277,8 @@ def read_layers(path) -> tuple[ModelManifest, list[tuple]]:
                     f"{path}: tensor '{spec.id}.weight' has dtype {source.dtype}, "
                     f"manifest declares {manifest.dtype}"
                 )
-            source = source.astype(np.float64, copy=False)
         bias = take(f"{spec.id}.bias", (spec.d_out,)) if spec.has_bias else None
-        layers.append((source, None if bias is None else bias.astype(np.float64, copy=False)))
+        layers.append(Layer(spec, source, bias))
     if tensors:
         raise MalformedHeaderError(f"{path}: unexpected tensors {sorted(tensors)}")
     return manifest, layers
@@ -265,15 +286,13 @@ def read_layers(path) -> tuple[ModelManifest, list[tuple]]:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write a full-precision checkpoint plus its manifest sidecar."""
-    write_layers(path, ckpt.manifest, [(lw.weight, lw.bias) for lw in ckpt.layers])
+    write_layers(path, ckpt.manifest, ckpt.layers)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a full-precision checkpoint; a quantized layer is a MalformedHeaderError naming it."""
     manifest, layers = read_layers(path)
-    weights = []
-    for spec, (source, bias) in zip(manifest.layers, layers):
-        if isinstance(source, QuantizedLayer):
-            raise MalformedHeaderError(f"{path}: layer '{spec.id}' is quantized")
-        weights.append(LayerWeights(id=spec.id, weight=source, bias=bias))
-    return Checkpoint(layers=weights, manifest=manifest)
+    for layer in layers:
+        if layer.is_quantized:
+            raise MalformedHeaderError(f"{path}: layer '{layer.spec.id}' is quantized")
+    return Checkpoint(layers, manifest)

@@ -164,8 +164,8 @@ def _expert_paths(out: Path, k: int) -> list[Path]:
     return [out / f"expert{i}.safetensors" for i in range(1, k + 1)]
 
 
-def _load_experts(out: Path, k: int, required: bool) -> list[Checkpoint]:
-    """The k expert checkpoints, or [] when none exists and they are optional.
+def _expert_files(out: Path, k: int, required: bool) -> list[Path]:
+    """The k expert files, or [] when none exists and they are optional.
 
     A partial set means k and `pmq gen` disagree, which is a config error
     whether or not the command needs the experts.
@@ -176,7 +176,7 @@ def _load_experts(out: Path, k: int, required: bool) -> list[Checkpoint]:
         raise ConfigError(
             f"k={k} but {out} lacks expert files {missing}; run `pmq gen` with the same k"
         )
-    return [] if missing else [load_checkpoint(p) for p in paths]
+    return [] if missing else paths
 
 
 def _load_matching(cfg: RunConfig, path: Path, load):
@@ -221,7 +221,7 @@ def _load_problem(out: Path, k: int) -> SyntheticProblem:
     """The problem `pmq gen` wrote to `out`, read back from its files."""
     return SyntheticProblem(
         base=load_checkpoint(out / "base.safetensors"),
-        experts=_load_experts(out, k, required=True),
+        experts=[load_checkpoint(p) for p in _expert_files(out, k, required=True)],
         calib=load_calib_set(out / "calib"),
         heldout=load_calib_set(out / "heldout"),
     )
@@ -242,7 +242,7 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
 
 def cmd_merge(cfg: RunConfig, out: Path) -> None:
     base = _load_matching(cfg, out / "base.safetensors", load_checkpoint)
-    experts = _load_experts(out, cfg.k, required=True)
+    experts = [load_checkpoint(p) for p in _expert_files(out, cfg.k, required=True)]
     merged = apply_merge(cfg.merge, base, experts)
     save_checkpoint(merged, out / "merged.safetensors")
 
@@ -268,7 +268,7 @@ def cmd_quantize(cfg: RunConfig, out: Path) -> None:
     calib_dir = out / "calib"
     calib = load_calib_set(calib_dir) if (calib_dir / "index.json").exists() else None
     # rtn and gptq run without experts
-    experts = _load_experts(out, cfg.k, required=cfg.quant.solver == "epmq")
+    experts = [load_checkpoint(p) for p in _expert_files(out, cfg.k, cfg.quant.solver == "epmq")]
     _write_run(quantize(merged, experts, calib, cfg.quant), cfg, out)
 
 
@@ -291,10 +291,12 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
                 f"file {digest}; rerun pmq quantize"
             )
     heldout = load_calib_set(out / "heldout")
-    # the deviation diagnostics are skipped when no expert file or no run.json exists
-    experts = _load_experts(out, cfg.k, required=False)
-    merged = None
-    if obj is not None and experts:
+    # the deviation diagnostics are skipped when no expert file or no run.json
+    # exists; only then are the experts and the merged checkpoint read
+    expert_paths = _expert_files(out, cfg.k, required=False)
+    merged, experts = None, []
+    if obj is not None and expert_paths:
+        experts = [load_checkpoint(p) for p in expert_paths]
         merged = _load_matching(cfg, out / "merged.safetensors", load_checkpoint)
     # one walk gives metrics.csv and the deviation rows, all before the first
     # write, so a failed eval writes no file

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LayerWeights, ManifestError
+from .checkpoint import Checkpoint, Layer, ManifestError
 from .linalg import require_real
 
 MERGE_METHODS = ("average", "task_arithmetic", "ties")
@@ -93,5 +93,5 @@ def apply_merge(spec: MergeSpec, base: Checkpoint, experts: Sequence[Checkpoint]
         peers = [expert.layers[idx] for expert in experts]
         weight = _merge_tensor(spec, lw.weight, [p.weight for p in peers])
         bias = None if lw.bias is None else _merge_tensor(spec, lw.bias, [p.bias for p in peers])
-        layers.append(LayerWeights(id=lw.id, weight=weight, bias=bias))
-    return Checkpoint(layers=layers, manifest=base.manifest)
+        layers.append(Layer(lw.spec, weight, bias))
+    return Checkpoint(layers, base.manifest)

@@ -1,9 +1,10 @@
 """Sequential feed-forward model semantics.
 
-A Model realizes each checkpoint layer from either a full-precision float64
-matrix or a quantized layer (its `weight`: the values its solver formed, or
-dequantized on first use). Forward passes are pure; replacing a layer's
-weight source mutates the model and is only done by the quantization
+A Model is a list of checkpoint.Layer records, each with a full-precision
+float64 matrix or a quantized layer as its weight source (its `weight`: the
+values its solver formed, or dequantized on first use). Layers are
+immutable, so forward passes are pure; replace_layer puts a new quantized
+Layer in the model's own list and is only called by the quantization
 pipeline, which serializes those writes.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LayerSpec, ModelManifest, read_layers, write_layers
+from .checkpoint import Checkpoint, Layer, ModelManifest, check_layers, read_layers, write_layers
 from .linalg import ShapeError, matmul, read_only
 from .quant import QuantizedLayer
 
@@ -72,47 +73,19 @@ class Batch:
                 raise ShapeError("targets must have the same number of columns as inputs")
 
 
-@dataclass
-class RealizedLayer:
-    spec: LayerSpec
-    source: np.ndarray | QuantizedLayer  # checked once, when the layer is built
-    bias: np.ndarray | None
-
-    def __post_init__(self):
-        w = self.source
-        shape, dtype = (w.codes.shape, np.float64) if self.is_quantized else (w.shape, w.dtype)
-        if shape != (self.spec.d_out, self.spec.d_in) or dtype != np.float64:
-            raise ShapeError(
-                f"layer '{self.spec.id}': weight is {np.dtype(dtype)} {shape}, "
-                f"not float64 ({self.spec.d_out}, {self.spec.d_in})"
-            )
-
-    @property
-    def is_quantized(self) -> bool:
-        return isinstance(self.source, QuantizedLayer)
-
-    @property
-    def weight(self) -> np.ndarray:
-        """The realized weight; a quantized source caches its own."""
-        return self.source.weight if self.is_quantized else self.source
-
-
 class Model:
-    """A checkpoint with per-layer realized weight sources."""
+    """A stack of Layers, full precision or quantized, in the manifest's order."""
 
-    def __init__(self, manifest: ModelManifest, layers: list[RealizedLayer]):
-        if len(layers) != len(manifest.layers):
-            raise ShapeError("layer count does not match manifest")
+    def __init__(self, manifest: ModelManifest, layers: list[Layer]):
+        check_layers(layers, manifest)
         self.manifest = manifest
         self.layers = layers
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "Model":
-        layers = [
-            RealizedLayer(spec=spec, source=lw.weight, bias=lw.bias)
-            for spec, lw in zip(ckpt.manifest.layers, ckpt.layers)
-        ]
-        return cls(ckpt.manifest, layers)
+        """A model over the checkpoint's immutable layers, in a list of its own,
+        so replace_layer leaves the checkpoint as it is."""
+        return cls(ckpt.manifest, list(ckpt.layers))
 
     @property
     def num_layers(self) -> int:
@@ -120,21 +93,13 @@ class Model:
 
     def _check_index(self, layer_index: int) -> int:
         if not 1 <= layer_index <= self.num_layers:
-            raise IndexError(
-                f"layer index {layer_index} out of range [1, {self.num_layers}]"
-            )
+            raise IndexError(f"layer index {layer_index} out of range [1, {self.num_layers}]")
         return layer_index
 
     def replace_layer(self, layer_index: int, quantized: QuantizedLayer) -> None:
-        """Swap layer `layer_index` (1-based) to a quantized weight source."""
-        self._check_index(layer_index)
-        spec = self.layers[layer_index - 1].spec
-        if (quantized.d_out, quantized.d_in) != (spec.d_out, spec.d_in):
-            raise ShapeError(
-                f"layer '{spec.id}': quantized shape ({quantized.d_out}, {quantized.d_in}) "
-                f"!= ({spec.d_out}, {spec.d_in})"
-            )
-        self.layers[layer_index - 1].source = quantized
+        """Put a new Layer with the quantized weight source at `layer_index` (1-based)."""
+        old = self.layers[self._check_index(layer_index) - 1]
+        self.layers[layer_index - 1] = Layer(old.spec, quantized, old.bias)
 
     def state_checksum(self) -> str:
         """Hex SHA-256 prefix chain over every layer, in layer order.
@@ -150,7 +115,7 @@ class Model:
 EMPTY_PREFIX = hashlib.sha256().digest()
 
 
-def chain_link(prev: bytes, layer: RealizedLayer) -> bytes:
+def chain_link(prev: bytes, layer: Layer) -> bytes:
     """One link of the prefix chain: sha256(prev || id || W || b).
 
     W is the realized weight and b the bias, hashed through the buffer
@@ -165,8 +130,8 @@ def chain_link(prev: bytes, layer: RealizedLayer) -> bytes:
     return h.digest()
 
 
-def propagate_through_layer(x: np.ndarray, layer: RealizedLayer) -> np.ndarray:
-    """act(W x + b) for a single realized layer, on x (d_in, n) or a stack (..., d_in, n)."""
+def propagate_through_layer(x: np.ndarray, layer: Layer) -> np.ndarray:
+    """act(W x + b) for a single layer, on x (d_in, n) or a stack (..., d_in, n)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] != layer.spec.d_in:
         raise ShapeError(
@@ -198,11 +163,9 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
 def save_model(model: Model, path) -> str:
     """Write a (possibly partially quantized) model plus manifest sidecar with
     checkpoint.write_layers; returns the hex SHA-256 of the model file's bytes."""
-    layers = [(layer.source, layer.bias) for layer in model.layers]
-    return hashlib.sha256(write_layers(path, model.manifest, layers)).hexdigest()
+    return hashlib.sha256(write_layers(path, model.manifest, model.layers)).hexdigest()
 
 
 def load_model(path) -> Model:
     """Read a model written by save_model (full-precision or quantized layers)."""
-    manifest, layers = read_layers(path)
-    return Model(manifest, [RealizedLayer(s, *pair) for s, pair in zip(manifest.layers, layers)])
+    return Model(*read_layers(path))

@@ -5,7 +5,7 @@ per-task input activations from the current partially quantized model
 (advancing the K tasks' inputs, one (K, d, n) stack, through each freshly
 quantized layer with one propagation, which for sequential models is exactly
 equivalent to re-running the forward pass), solves for low-bit codes, and
-swaps the layer in place before moving on.
+puts the quantized layer in its place before moving on.
 
 Each layer report carries a trajectory checksum: the prefix chain
 c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
@@ -170,6 +170,7 @@ def quantize(
                 [e.layers[layer_index - 1].weight for e in experts], layer.weight, hessians, cfg
             )
             model.replace_layer(layer_index, solve.quantized)
+            layer = model.layers[layer_index - 1]  # the quantized Layer, for the cache and chain
             if cache is not None and layer_index < model.num_layers:
                 cache = propagate_through_layer(cache, layer)
         except Exception as exc:

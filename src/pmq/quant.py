@@ -121,27 +121,11 @@ def fit_grid_rows(block: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]
     return scales, zeros.astype(np.int32)
 
 
-def fit_grid(group, bits: int) -> tuple[float, int]:
-    """Fit a single (scale, zero) pair for one group of values."""
-    group = np.atleast_1d(np.asarray(group, dtype=np.float64))
-    if group.size == 0:
-        raise ValueError("empty group")
-    scales, zeros = fit_grid_rows(group.reshape(1, -1), bits)
-    return float(scales[0]), int(zeros[0])
-
-
 def quantize_values(w, scale, zero, bits: int) -> np.ndarray:
     """code = clamp(round(w / scale) + zero, 0, 2^b - 1)."""
     w = np.asarray(w, dtype=np.float64)
     codes = round_half_away(w / np.asarray(scale, dtype=np.float64)) + np.asarray(zero)
     return np.clip(codes, 0, (1 << bits) - 1).astype(np.uint8)
-
-
-def dequantize_values(codes, scale, zero) -> np.ndarray:
-    """value = scale * (code - zero)."""
-    return np.asarray(scale, dtype=np.float64) * (
-        np.asarray(codes, dtype=np.float64) - np.asarray(zero, dtype=np.float64)
-    )
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ def make_ties_golden():
         base_b = lw.bias
         expert_ws = [e.layers[idx].weight for e in problem.experts]
         expert_bs = [e.layers[idx].bias for e in problem.experts]
-        tensors[f"{lw.id}.weight"] = ties_reference(base_w, expert_ws, **TIES).tolist()
-        tensors[f"{lw.id}.bias"] = ties_reference(base_b, expert_bs, **TIES).tolist()
+        tensors[f"{lw.spec.id}.weight"] = ties_reference(base_w, expert_ws, **TIES).tolist()
+        tensors[f"{lw.spec.id}.bias"] = ties_reference(base_b, expert_bs, **TIES).tolist()
     return {"fixture": FIXTURE, "ties": TIES, "tensors": tensors}
 
 

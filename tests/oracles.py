@@ -36,12 +36,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from pmq.calib import accumulate_stats
-from pmq.checkpoint import Checkpoint, LayerWeights
+from pmq.checkpoint import Checkpoint, Layer
 from pmq.cli import ConfigError, _generate_problem, config_from_dict
 from pmq.merge import apply_merge
 from pmq.model import Model, activation_grad, apply_activation, forward_to_layer, save_model
 from pmq.pipeline import DeviationRow, evaluate, quantize, run_to_json_dict
-from pmq.quant import QuantConfig, dequantize_values, fit_layer_grids, quantize_values
+from pmq.quant import QuantConfig, fit_layer_grids, quantize_values
 from pmq.solver import solve_layer
 
 
@@ -74,6 +74,13 @@ def cholesky_inverse_upper_via_inverse(h):
     u, info = lapack.dpotrf(inv, lower=0)
     assert info == 0, f"dpotrf of inv(h) failed with info={info}"
     return np.triu(u)
+
+
+def dequantize_values(codes, scale, zero) -> np.ndarray:
+    """value = scale * (code - zero), elementwise in float64."""
+    return np.asarray(scale, dtype=np.float64) * (
+        np.asarray(codes, dtype=np.float64) - np.asarray(zero, dtype=np.float64)
+    )
 
 
 def gptq_columnwise(problem):
@@ -237,11 +244,8 @@ def train_expert_per_task(base, inputs, targets, steps, lr):
             if idx > 0:
                 g = np.ascontiguousarray(weights[idx].T) @ gz
             weights[idx] = weights[idx] - lr * dw
-    layers = [
-        LayerWeights(id=lw.id, weight=w, bias=b)
-        for lw, w, b in zip(base.layers, weights, biases)
-    ]
-    return Checkpoint(layers=layers, manifest=base.manifest)
+    layers = [Layer(lw.spec, w, b) for lw, w, b in zip(base.layers, weights, biases)]
+    return Checkpoint(layers, base.manifest)
 
 
 def quantize_from_scratch(merged, experts, calib, cfg):

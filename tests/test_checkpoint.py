@@ -4,8 +4,8 @@ import pytest
 from pmq.checkpoint import (
     Checkpoint,
     DtypeMismatchError,
+    Layer,
     LayerSpec,
-    LayerWeights,
     ManifestError,
     ModelManifest,
     load_checkpoint,
@@ -28,10 +28,10 @@ def make_manifest(dims=(4, 3, 2), dtype="f64", activation="relu"):
 def make_checkpoint(rng, dims=(4, 3, 2), dtype="f64"):
     manifest = make_manifest(dims, dtype)
     layers = [
-        LayerWeights(spec.id, rng.normal(size=(spec.d_out, spec.d_in)), rng.normal(size=spec.d_out))
+        Layer(spec, rng.normal(size=(spec.d_out, spec.d_in)), rng.normal(size=spec.d_out))
         for spec in manifest.layers
     ]
-    return Checkpoint(layers=layers, manifest=manifest)
+    return Checkpoint(layers, manifest)
 
 
 class TestManifest:
@@ -128,12 +128,12 @@ class TestCheckpointIO:
 
     def test_shape_must_match_manifest(self, rng):
         manifest = make_manifest()
-        layers = [
-            LayerWeights(spec.id, rng.normal(size=(spec.d_out, spec.d_in + 1)), rng.normal(size=spec.d_out))
-            for spec in manifest.layers
-        ]
         with pytest.raises(ManifestError, match="shape"):
-            Checkpoint(layers=layers, manifest=manifest)
+            layers = [
+                Layer(spec, rng.normal(size=(spec.d_out, spec.d_in + 1)), rng.normal(size=spec.d_out))
+                for spec in manifest.layers
+            ]
+            Checkpoint(layers, manifest)
 
     @pytest.mark.parametrize(
         "key, cut, shape",

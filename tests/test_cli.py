@@ -226,10 +226,10 @@ class TestMerge:
         merged = load_checkpoint(out / "merged.safetensors")
         for lw in merged.layers:
             np.testing.assert_allclose(
-                lw.weight, np.array(golden["tensors"][f"{lw.id}.weight"]), rtol=1e-12, atol=1e-14
+                lw.weight, np.array(golden["tensors"][f"{lw.spec.id}.weight"]), rtol=1e-12, atol=1e-14
             )
             np.testing.assert_allclose(
-                lw.bias, np.array(golden["tensors"][f"{lw.id}.bias"]), rtol=1e-12, atol=1e-14
+                lw.bias, np.array(golden["tensors"][f"{lw.spec.id}.bias"]), rtol=1e-12, atol=1e-14
             )
 
 
@@ -336,6 +336,28 @@ class TestEval:
         if code == 2:
             assert "config error" in err and "expert2.safetensors" in err
             assert not (out / "metrics.csv").exists()
+
+    def test_eval_without_run_json_reads_no_checkpoint(self, tmp_path, capsys, monkeypatch):
+        """No run.json means no deviation rows, so a cut expert file is never read."""
+        cfg = write_cfg(tmp_path, {"dims": [8, 12, 6]})
+        out = tmp_path / "out"
+        for cmd in ("gen", "merge", "quantize"):
+            assert run_cli(cmd, "--config", cfg, "--out", str(out)) == 0
+        (out / "run.json").unlink()
+        expert2 = out / "expert2.safetensors"
+        expert2.write_bytes(expert2.read_bytes()[:100])
+        calls = count_calls(monkeypatch, "load_checkpoint")
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 0
+        assert calls == {"load_checkpoint": 0}
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "metrics.csv").exists() and not (out / "run.json").exists()
+        # the partial-set rule still holds without reading a file
+        (out / "metrics.csv").unlink()
+        expert2.unlink()
+        assert run_cli("eval", "--config", cfg, "--out", str(out)) == 2
+        assert "expert2.safetensors" in capsys.readouterr().err
+        assert calls == {"load_checkpoint": 0} and not (out / "metrics.csv").exists()
 
     def test_missing_merged_checkpoint_is_4_and_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmq.checkpoint import Checkpoint, LayerWeights, ManifestError, ModelManifest
+from pmq.checkpoint import Checkpoint, Layer, ManifestError, ModelManifest
 from pmq.merge import MergeSpec, apply_merge
 
 from oracles import mean_of_arrays_scalar, task_arithmetic_scalar, ties_reference
@@ -11,7 +11,7 @@ from test_checkpoint import make_checkpoint, make_manifest
 def clone_with(ckpt, transform):
     return Checkpoint(
         layers=[
-            LayerWeights(lw.id, transform(lw.weight), transform(lw.bias))
+            Layer(lw.spec, transform(lw.weight), transform(lw.bias))
             for lw in ckpt.layers
         ],
         manifest=ckpt.manifest,
@@ -121,7 +121,7 @@ class TestTies:
         expert_tensors = [b + t for b, t in zip(all_tensors(base), tau)]
         expert = Checkpoint(
             layers=[
-                LayerWeights(lw.id, expert_tensors[2 * i], expert_tensors[2 * i + 1])
+                Layer(lw.spec, expert_tensors[2 * i], expert_tensors[2 * i + 1])
                 for i, lw in enumerate(base.layers)
             ],
             manifest=base.manifest,
@@ -138,12 +138,11 @@ class TestTies:
         manifest = ModelManifest(
             layers=(make_manifest(dims=(1, 1)).layers[0],)
         )
-        base = Checkpoint(
-            layers=[LayerWeights("layer1", np.zeros((1, 1)), np.zeros(1))], manifest=manifest
-        )
+        spec = manifest.layers[0]
+        base = Checkpoint(layers=[Layer(spec, np.zeros((1, 1)), np.zeros(1))], manifest=manifest)
         experts = [
             Checkpoint(
-                layers=[LayerWeights("layer1", np.array([[v]]), np.zeros(1))],
+                layers=[Layer(spec, np.array([[v]]), np.zeros(1))],
                 manifest=manifest,
             )
             for v in (1.0, 3.0, -2.0)
@@ -167,14 +166,13 @@ class TestTies:
 
     def test_magnitude_tie_break_keeps_lower_flat_index(self):
         manifest = make_manifest(dims=(4, 1))
+        spec = manifest.layers[0]
         base = Checkpoint(
-            layers=[LayerWeights("layer1", np.zeros((1, 4)), np.zeros(1))],
+            layers=[Layer(spec, np.zeros((1, 4)), np.zeros(1))],
             manifest=ModelManifest(layers=manifest.layers[:1]),
         )
         tau = np.array([[1.0, -1.0, 1.0, -1.0]])
-        expert = Checkpoint(
-            layers=[LayerWeights("layer1", tau, np.zeros(1))], manifest=base.manifest
-        )
+        expert = Checkpoint(layers=[Layer(spec, tau, np.zeros(1))], manifest=base.manifest)
         merged = apply_merge(
             MergeSpec(method="ties", coefficient=1.0, density=0.5), base, [expert]
         )
@@ -186,7 +184,7 @@ class TestTies:
         bias_taus = [np.abs(np.random.default_rng(s + 10).normal(size=3)) + 0.1 for s in (1, 2)]
         experts = [
             Checkpoint(
-                layers=[LayerWeights("layer1", base.layers[0].weight + t, base.layers[0].bias + bt)],
+                layers=[Layer(base.layers[0].spec, base.layers[0].weight + t, base.layers[0].bias + bt)],
                 manifest=base.manifest,
             )
             for t, bt in zip(taus, bias_taus)

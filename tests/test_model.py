@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pmq.checkpoint import Checkpoint, LayerSpec, LayerWeights, ModelManifest
+from pmq.checkpoint import Checkpoint, Layer, LayerSpec, ManifestError, ModelManifest
 from pmq.linalg import ShapeError
 from pmq.model import (
     Model,
-    RealizedLayer,
     forward,
     forward_to_layer,
     load_model,
@@ -23,7 +24,7 @@ def single_layer_model(weight, bias=None, activation="identity"):
     d_out, d_in = weight.shape
     spec = LayerSpec("layer1", d_in, d_out, activation, bias is not None)
     manifest = ModelManifest(layers=(spec,))
-    ckpt = Checkpoint(layers=[LayerWeights("layer1", weight, bias)], manifest=manifest)
+    ckpt = Checkpoint(layers=[Layer(spec, weight, bias)], manifest=manifest)
     return Model.from_checkpoint(ckpt)
 
 
@@ -56,7 +57,7 @@ class TestForward:
             for i, s in enumerate(ckpt.manifest.layers)
         )
         ckpt = Checkpoint(
-            layers=[LayerWeights(lw.id, lw.weight, lw.bias) for lw in ckpt.layers],
+            layers=[Layer(s, lw.weight, lw.bias) for s, lw in zip(specs, ckpt.layers)],
             manifest=ModelManifest(layers=specs),
         )
         model = Model.from_checkpoint(ckpt)
@@ -111,7 +112,7 @@ class TestForwardToLayer:
         x = rng.normal(size=(4, 8))
         for ell in range(2, 4):
             truncated = Checkpoint(
-                layers=[LayerWeights(lw.id, lw.weight, lw.bias) for lw in ckpt.layers[: ell - 1]],
+                layers=ckpt.layers[: ell - 1],
                 manifest=ModelManifest(layers=ckpt.manifest.layers[: ell - 1]),
             )
             expected = forward(Model.from_checkpoint(truncated), x)
@@ -155,30 +156,17 @@ class TestQuantizedLayers:
         model = Model.from_checkpoint(ckpt)
         for idx, lw in enumerate(ckpt.layers, start=1):
             snapped = rtn_quantize(lw.weight, cfg).dequantize()
-            model.layers[idx - 1].source = snapped
+            model.layers[idx - 1] = Layer(lw.spec, snapped, lw.bias)
         x = rng.normal(size=(4, 5))
         before = forward(model, x)
         for idx in range(1, model.num_layers + 1):
             model.replace_layer(idx, rtn_quantize(model.layers[idx - 1].weight, cfg))
         np.testing.assert_array_equal(forward(model, x), before)
 
-    @pytest.mark.parametrize(
-        "source",
-        [np.zeros((3, 2)), np.zeros((2, 3), dtype=np.float32), np.zeros((2, 3), dtype=np.int64)],
-        ids=["shape", "float32", "int64"],
-    )
-    def test_layer_source_checked_when_built(self, source):
-        spec = LayerSpec("layer1", d_in=3, d_out=2)
-        with pytest.raises(ShapeError, match="layer 'layer1': weight is"):
-            RealizedLayer(spec=spec, source=source, bias=None)
-        quantized = rtn_quantize(np.ones((3, 2)), QuantConfig(solver="rtn"))
-        with pytest.raises(ShapeError, match=r"\(3, 2\), not float64 \(2, 3\)"):
-            RealizedLayer(spec=spec, source=quantized, bias=None)
-
     def test_replace_layer_shape_checked(self, rng):
         model = Model.from_checkpoint(make_checkpoint(rng))
         wrong = rtn_quantize(rng.normal(size=(2, 9)), QuantConfig(solver="rtn"))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ManifestError, match=r"layer 'layer1': weight shape \(2, 9\) != \(3, 4\)"):
             model.replace_layer(1, wrong)
 
     def test_state_checksum_changes_on_replace(self, rng):
@@ -186,6 +174,89 @@ class TestQuantizedLayers:
         before = model.state_checksum()
         model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
         assert model.state_checksum() != before
+
+
+# one layer spec with a bias and one without, (d_out, d_in) = (2, 3)
+SPEC = LayerSpec("layer1", d_in=3, d_out=2)
+NO_BIAS = dataclasses.replace(SPEC, has_bias=False)
+RTN = QuantConfig(solver="rtn")
+
+
+def in_checkpoint(spec, source, bias):
+    return Checkpoint([Layer(spec, source, bias)], ModelManifest(layers=(spec,)))
+
+
+def in_model(spec, source, bias):
+    return Model(ModelManifest(layers=(spec,)), [Layer(spec, source, bias)])
+
+
+@pytest.mark.parametrize("build", [in_checkpoint, in_model], ids=["checkpoint", "model"])
+class TestLayerValidation:
+    """One Layer record, checked alike wherever it is built."""
+
+    @pytest.mark.parametrize(
+        "spec, source, bias, message",
+        [
+            (SPEC, np.zeros((3, 2)), np.zeros(2), r"weight shape \(3, 2\) != \(2, 3\)"),
+            (SPEC, rtn_quantize(np.ones((3, 2)), RTN), np.zeros(2), r"weight shape \(3, 2\)"),
+            (NO_BIAS, np.zeros((2, 3)), np.zeros(2), "manifest declares no bias but one was given"),
+            (SPEC, np.zeros((2, 3)), None, "manifest declares a bias but none given"),
+            (SPEC, np.zeros((2, 3)), np.zeros(3), r"bias shape \(3,\) != \(2,\)"),
+        ],
+        ids=["weight-shape", "quantized-shape", "bias-undeclared", "bias-missing", "bias-shape"],
+    )
+    def test_refused(self, build, spec, source, bias, message):
+        with pytest.raises(ManifestError, match=f"layer 'layer1': {message}"):
+            build(spec, source, bias)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.arange(6, dtype=np.float32).reshape(2, 3),
+            np.arange(6, dtype=np.int64).reshape(2, 3),
+            np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        ],
+        ids=["float32", "int64", "fortran"],
+    )
+    def test_stored_as_read_only_float64(self, build, source):
+        bias = np.ones(2, dtype=source.dtype)
+        layer = build(SPEC, source, bias).layers[0]
+        for stored, given in ((layer.source, source), (layer.bias, bias)):
+            assert stored.dtype == np.float64 and stored.flags.c_contiguous
+            assert not stored.flags.writeable and given.flags.writeable
+            np.testing.assert_array_equal(stored, given)
+        assert layer.weight is layer.source and not layer.is_quantized
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.source = np.zeros((2, 3))
+
+    def test_quantized_layer_only_in_a_model(self, build):
+        quantized = rtn_quantize(np.ones((2, 3)), RTN)
+        if build is in_checkpoint:
+            with pytest.raises(ManifestError, match="layer 'layer1' is quantized"):
+                build(SPEC, quantized, np.zeros(2))
+        else:
+            layer = build(SPEC, quantized, np.zeros(2)).layers[0]
+            assert layer.is_quantized and layer.weight is quantized.weight
+
+    def test_layers_must_be_the_manifests(self, build):
+        other = dataclasses.replace(SPEC, activation="relu")
+        layers = [Layer(other, np.zeros((2, 3)), np.zeros(2))]
+        with pytest.raises(ManifestError, match="not the manifest's"):
+            if build is in_checkpoint:
+                Checkpoint(layers, ModelManifest(layers=(SPEC,)))
+            else:
+                Model(ModelManifest(layers=(SPEC,)), layers)
+
+
+def test_replace_layer_leaves_the_checkpoint_alone(rng):
+    ckpt = make_checkpoint(rng)
+    sources = [lw.source for lw in ckpt.layers]
+    model = Model.from_checkpoint(ckpt)
+    for idx in range(1, model.num_layers + 1):
+        model.replace_layer(idx, rtn_quantize(model.layers[idx - 1].weight, RTN))
+    assert all(layer.is_quantized for layer in model.layers)
+    assert all(lw.source is source for lw, source in zip(ckpt.layers, sources))
+    assert not any(lw.is_quantized for lw in ckpt.layers)
 
 
 class TestModelIO:
@@ -203,6 +274,9 @@ class TestModelIO:
         np.testing.assert_array_equal(q1.scales, q2.scales)
         np.testing.assert_array_equal(q1.zeros, q2.zeros)
         assert (q1.bits, q1.group_size) == (q2.bits, q2.group_size)
+        for layer in loaded.layers:
+            assert not layer.weight.flags.writeable and not layer.bias.flags.writeable
+        assert not loaded.layers[0].source.flags.writeable
 
     def test_save_is_deterministic(self, tmp_path, rng):
         model = Model.from_checkpoint(make_checkpoint(rng))

@@ -11,7 +11,7 @@ import pmq.linalg
 import pmq.pipeline
 import pmq.solver
 from pmq.calib import CalibSet, make_synthetic_tasks
-from pmq.checkpoint import Checkpoint, LayerWeights
+from pmq.checkpoint import Checkpoint, Layer
 from pmq.merge import MergeSpec, apply_merge
 from pmq.model import EMPTY_PREFIX, Batch, Model, chain_link, forward, forward_to_layer
 from pmq.pipeline import (
@@ -246,7 +246,7 @@ class TestDeviationDiagnostics:
         snapped_layers = []
         for lw in merged.layers:
             snapped = rtn_quantize(lw.weight, cfg).dequantize()
-            snapped_layers.append(LayerWeights(lw.id, snapped, lw.bias))
+            snapped_layers.append(Layer(lw.spec, snapped, lw.bias))
         snapped_ckpt = Checkpoint(layers=snapped_layers, manifest=merged.manifest)
         run = quantize(snapped_ckpt, problem.experts, problem.calib, cfg)
         report = deviation_diagnostics(run, problem.heldout)
@@ -329,7 +329,7 @@ class TestDeviationDiagnostics:
         )
 
         def bias_free(ckpt):
-            layers = [LayerWeights(lw.id, lw.weight) for lw in ckpt.layers]
+            layers = [Layer(spec, lw.weight) for spec, lw in zip(manifest.layers, ckpt.layers)]
             return Checkpoint(layers=layers, manifest=manifest)
 
         experts = [bias_free(e) for e in problem.experts]
@@ -482,7 +482,7 @@ class TestTrajectoryChecksum:
         problem, merged = merged_problem(seed=21, dims=[6, 8, 7, 5])
         layers = list(merged.layers)
         last = layers[-1]
-        layers[-1] = LayerWeights(last.id, last.weight + 0.5, last.bias)
+        layers[-1] = Layer(last.spec, last.weight + 0.5, last.bias)
         other = Checkpoint(layers=layers, manifest=merged.manifest)
         run_a = run_method(problem, merged, "epmq")
         run_b = run_method(problem, other, "epmq")
@@ -545,7 +545,7 @@ class TestStateGuard:
         problem, merged = merged_problem(seed=25, dims=[6, 8, 5])
         weight = np.array(merged.layers[0].weight)
         inputs = np.array(problem.calib.task(1).inputs)
-        layers = [LayerWeights(merged.layers[0].id, weight, merged.layers[0].bias)]
+        layers = [Layer(merged.layers[0].spec, weight, merged.layers[0].bias)]
         ckpt = Checkpoint(layers=layers + merged.layers[1:], manifest=merged.manifest)
         batch = Batch(inputs, task_id=1)
         assert ckpt.layers[0].weight.base is weight and batch.inputs.base is inputs
@@ -575,7 +575,7 @@ class TestEvaluate:
 
         manifest = ModelManifest(layers=(LayerSpec("layer1", 3, 2, "identity", False),))
         ckpt = Checkpoint(
-            layers=[LayerWeights("layer1", np.zeros((2, 3)), None)], manifest=manifest
+            layers=[Layer(manifest.layers[0], np.zeros((2, 3)), None)], manifest=manifest
         )
         model = Model.from_checkpoint(ckpt)
         x = rng.normal(size=(3, 5))

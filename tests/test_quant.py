@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from pmq.quant import (
     QuantConfig,
     QuantizedLayer,
-    dequantize_values,
-    fit_grid,
+    fit_grid_rows,
     pack_codes,
     quantize_values,
     rtn_quantize,
@@ -15,7 +14,18 @@ from pmq.quant import (
     unpack_codes,
 )
 
-from oracles import enumerate_quadratic_min, pack_bits_reference, round_half_away_by_fraction
+from oracles import (
+    dequantize_values,
+    enumerate_quadratic_min,
+    pack_bits_reference,
+    round_half_away_by_fraction,
+)
+
+
+def fit_one_group(group, bits):
+    """The (scale, zero) fit_grid_rows gives one group, as Python scalars."""
+    scales, zeros = fit_grid_rows(np.reshape(group, (1, -1)), bits)
+    return float(scales[0]), int(zeros[0])
 
 
 class TestQuantConfig:
@@ -118,11 +128,11 @@ class TestRoundingAgainstFractionTest:
 
 class TestFitGrid:
     def test_zero_to_three_two_bits(self):
-        scale, zero = fit_grid([0.0, 3.0], bits=2)
+        scale, zero = fit_one_group([0.0, 3.0], bits=2)
         assert scale == 1.0 and zero == 0
 
     def test_constant_group_reproduced_within_half_scale(self):
-        scale, zero = fit_grid([5.0, 5.0, 5.0], bits=2)
+        scale, zero = fit_one_group([5.0, 5.0, 5.0], bits=2)
         assert scale == 1.0
         code = quantize_values(5.0, scale, zero, bits=2)
         deq = dequantize_values(code, scale, zero)
@@ -130,7 +140,7 @@ class TestFitGrid:
 
     @pytest.mark.parametrize("c", [-7.2, -0.4, 0.0, 2.0, 9.9])
     def test_constant_group_general(self, c):
-        scale, zero = fit_grid([c, c, c, c], bits=3)
+        scale, zero = fit_one_group([c, c, c, c], bits=3)
         assert scale == 1.0
         code = quantize_values(c, scale, zero, bits=3)
         assert 0 <= int(code) <= 7
@@ -139,14 +149,14 @@ class TestFitGrid:
     def test_random_groups_error_bound(self, rng):
         for _ in range(10_000):
             group = rng.normal(size=16) * rng.uniform(0.1, 10.0)
-            scale, zero = fit_grid(group, bits=4)
+            scale, zero = fit_one_group(group, bits=4)
             codes = quantize_values(group, scale, zero, bits=4)
             deq = dequantize_values(codes, scale, zero)
             assert np.abs(group - deq).max() <= scale / 2 + 4 * np.finfo(np.float64).eps * scale
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            fit_grid([1.0, np.inf], bits=4)
+            fit_one_group([1.0, np.inf], bits=4)
 
 
 class TestQuantizeValues:
@@ -164,7 +174,7 @@ class TestQuantizeValues:
             assert dequantize_values(np.uint8(code), scale, zero) == w
 
     def test_sweep_within_half_scale(self):
-        scale, zero = fit_grid(np.array([-1.0, 1.0]), bits=4)
+        scale, zero = fit_one_group(np.array([-1.0, 1.0]), bits=4)
         w = np.linspace(-1.0, 1.0, 2001)
         deq = dequantize_values(quantize_values(w, scale, zero, bits=4), scale, zero)
         assert np.abs(w - deq).max() <= scale / 2 + 1e-12
