@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,8 +76,15 @@ def accumulate_stats(x: np.ndarray) -> np.ndarray:
 
 def collect_layer_stats(
     model: Model, layer_index: int, activations: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """The curvatures H_i of the layer-l inputs `activations`, K arrays X_i in task order."""
+) -> Iterator[np.ndarray]:
+    """The curvatures H_i of the layer-l inputs `activations`, K arrays X_i in task order.
+
+    The shapes are checked here; the H_i are formed one at a time as the
+    returned iterator is consumed, so a consumer that drops each H_i before
+    asking for the next holds one at a time. The iterator lets go of each X_i
+    once its H_i is formed, so a stack no one else holds is freed before the
+    last H_i is folded in.
+    """
     d = model.layers[layer_index - 1].spec.d_in
     for task_id, x in enumerate(activations, start=1):
         if x.shape[0] != d:
@@ -85,14 +92,16 @@ def collect_layer_stats(
                 f"activations for task {task_id} have {x.shape[0]} rows, "
                 f"layer {layer_index} expects {d}"
             )
-    return [accumulate_stats(x) for x in activations]
+    xs = list(activations)
+    return (accumulate_stats(xs.pop(0)) for _ in range(len(xs)))
 
 
-def anchor_lambda(hessians: Sequence[np.ndarray], alpha: float) -> float:
-    """Adaptive anchor strength: (alpha / d) * sum_i trace(H_i), summed in task order."""
+def anchor_lambda(energy: float, d: int, alpha: float) -> float:
+    """Adaptive anchor strength (alpha / d) * energy, for the energy
+    sum_i trace(H_i) of a layer of width d, summed in task order."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return (alpha / len(hessians[0])) * sum(float(np.trace(h)) for h in hessians)
+    return (alpha / d) * energy
 
 
 # ---------------------------------------------------------------------------

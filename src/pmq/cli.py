@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -427,7 +428,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, axis: str) -> None:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it as it is."""
     parser = argparse.ArgumentParser(prog="pmq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
@@ -453,8 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
         out = Path(args.out)

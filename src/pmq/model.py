@@ -25,14 +25,16 @@ _GELU_COEF = 0.7978845608028654
 _GELU_CUBIC = 0.044715
 
 
-def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
+def apply_activation(name: str, x: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """act(x); with `in_place` the result is written into x, which the caller owns."""
+    out = x if in_place else None
     if name == "identity":
         return x
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if name == "gelu":
         inner = _GELU_COEF * (x + _GELU_CUBIC * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
+        return np.multiply(0.5 * x, 1.0 + np.tanh(inner), out=out)
     raise ValueError(f"unknown activation '{name}'")
 
 
@@ -130,19 +132,30 @@ def chain_link(prev: bytes, layer: Layer) -> bytes:
     return h.digest()
 
 
-def propagate_through_layer(x: np.ndarray, layer: Layer) -> np.ndarray:
-    """act(W x + b) for a single layer, on x (d_in, n) or a stack (..., d_in, n)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-2] != layer.spec.d_in:
-        raise ShapeError(
-            f"layer '{layer.spec.id}': input {x.shape} does not have {layer.spec.d_in} rows"
-        )
-    y = matmul(layer.weight, x)
+def propagate_through_layer(x, layer: Layer) -> np.ndarray:
+    """act(W x + b) for a single layer, on x (d_in, n), a stack (..., d_in, n)
+    or a list of K (d_in, n) arrays, whose (K, d_out, n) outputs are formed
+    array by array, with no stacked copy of the inputs."""
+    d_in, d_out = layer.spec.d_in, layer.spec.d_out
+    if isinstance(x, list):
+        x = [np.asarray(x_t, dtype=np.float64) for x_t in x]
+        shapes = {x_t.shape for x_t in x}
+        if len(shapes) != 1 or len(x[0].shape) != 2 or x[0].shape[0] != d_in:
+            raise ShapeError(
+                f"layer '{layer.spec.id}': inputs {sorted(shapes)} are not all ({d_in}, n)"
+            )
+        y = np.empty((len(x), d_out, x[0].shape[1]))
+        for x_t, y_t in zip(x, y):
+            np.matmul(layer.weight, x_t, out=y_t)
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim < 2 or x.shape[-2] != d_in:
+            raise ShapeError(f"layer '{layer.spec.id}': input {x.shape} does not have {d_in} rows")
+        y = matmul(layer.weight, x)
     if layer.bias is not None:
         y += layer.bias[:, None]  # y is this call's own product
-    # relu writes a fresh array: writing it in place too raised the peak RSS
-    # of 512-wide runs by ~1 MB, through glibc's heap layout
-    return apply_activation(layer.spec.activation, y)
+    # in place: a fresh relu output lowered no peak (see propagate's measurement in CHANGES.md)
+    return apply_activation(layer.spec.activation, y, in_place=True)
 
 
 def forward_to_layer(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:

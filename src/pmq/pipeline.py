@@ -33,7 +33,7 @@ import numpy as np
 
 from .calib import CalibSet, collect_layer_stats
 from .checkpoint import Checkpoint, ModelManifest
-from .linalg import matmul
+from .linalg import CHUNK_ELEMENTS, matmul
 from .model import (
     EMPTY_PREFIX,
     Model,
@@ -166,6 +166,8 @@ def quantize(
         layer_id = layer.spec.id
         try:
             hessians = None if cache is None else collect_layer_stats(model, layer_index, cache)
+            if layer_index == model.num_layers:
+                cache = None  # the last stack lives only until its curvatures are taken
             solve = solve_layer(
                 [e.layers[layer_index - 1].weight for e in experts], layer.weight, hessians, cfg
             )
@@ -241,14 +243,20 @@ def _walk(
             name = f"expert {idx}" if idx else "merged checkpoint"
             raise ConfigError(f"{name} does not share the quantized model's manifest")
     # per layer and task: squared sums of the quant, merge and combined deviations, the gap
-    stats = np.empty((model.num_layers, 4, len(x)))
+    k, n = len(x), x.shape[-1]
+    stats = np.empty((model.num_layers, 4, k))
     work = None
     for index, layer in enumerate(model.layers):
-        if work is None or work.shape[2] != layer.spec.d_out:
-            work = np.empty((3, len(x), layer.spec.d_out, x.shape[-1]))
-            mx = np.empty(work.shape[1:])
+        if work is None or work.shape[1] != layer.spec.d_out:
+            shape = (layer.spec.d_out, n)
+            # the combined deviations go through a panel of about CHUNK_ELEMENTS,
+            # in one buffer with Q X and W_i X_i when it holds every task
+            panel = min(k, max(1, CHUNK_ELEMENTS // (shape[0] * n)))
+            work = np.empty((3 * k if panel == k else 2 * k, *shape))
+            combined = work[2 * k :] if panel == k else np.empty((panel, *shape))
+            mx = np.empty((k, *shape))
         # Q X becomes the quant deviation, W_i X_i the merge one and W_m X the gap
-        qx, ex, combined = work
+        qx, ex = work[:k], work[k : 2 * k]
         np.matmul(layer.weight, x, out=qx)
         np.matmul(merged.layers[index].weight, x, out=mx)
         for t, expert in enumerate(experts):
@@ -257,14 +265,22 @@ def _walk(
         if outputs or index + 1 < model.num_layers:
             # a fresh array: identity would hand back qx, overwritten below
             x = apply_activation(
-                layer.spec.activation, qx.copy() if layer.bias is None else qx + layer.bias[:, None]
+                layer.spec.activation,
+                qx.copy() if layer.bias is None else qx + layer.bias[:, None],
+                in_place=True,
             )
-        np.subtract(qx, ex, out=combined)
-        np.subtract(mx, ex, out=ex)
-        np.subtract(qx, mx, out=qx)
-        np.subtract(combined, np.add(qx, ex, out=mx), out=mx)
-        np.abs(mx, out=mx).max(axis=(1, 2), out=stats[index, 3])
-        np.sum(np.square(work, out=work), axis=(2, 3), out=stats[index, :3])
+        for t0 in range(0, k, panel):
+            t1 = min(t0 + panel, k)
+            q, e, m, c = qx[t0:t1], ex[t0:t1], mx[t0:t1], combined[: t1 - t0]
+            np.subtract(q, e, out=c)
+            np.subtract(m, e, out=e)
+            np.subtract(q, m, out=q)
+            np.subtract(c, np.add(q, e, out=m), out=m)
+            np.abs(m, out=m).max(axis=(1, 2), out=stats[index, 3, t0:t1])
+            if panel < k:  # the next panel overwrites this one
+                np.sum(np.square(c, out=c), axis=(1, 2), out=stats[index, 2, t0:t1])
+        sums = stats[index, :3].reshape(-1)[: len(work)]
+        np.sum(np.square(work, out=work), axis=(1, 2), out=sums)
     np.sqrt(stats[:, :3], out=stats[:, :3])
     rows = [
         DeviationRow(layer.spec.id, task_id, *values)

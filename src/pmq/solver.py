@@ -28,8 +28,9 @@ and epmq's F(Q) is the gap plus a constant (solve_layer).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .linalg import (
     cholesky_inverse_upper,
     frobenius_sq,
     matmul,
+    read_only,
 )
 from .quant import (
     QuantConfig,
@@ -123,7 +125,7 @@ def epmq_objective(
     """Full anchored objective: sum_i ||(Q - W_i) X_i||_F^2 + lam*||Q - W_m||_F^2,
     with ||(Q - W_i) X_i||_F^2 read under `hessians`, the H_i = X_i X_i^T in task order."""
     total = 0.0
-    for w_i, h_i in zip(expert_weights, hessians):
+    for w_i, h_i in zip(expert_weights, hessians, strict=True):
         total += quadratic_objective(q, w_i, h_i)
     total += lam * frobenius_sq(as_matrix(q) - as_matrix(merged_weight))
     return total
@@ -132,31 +134,36 @@ def epmq_objective(
 def build_epmq_statistics(
     expert_weights: Sequence[np.ndarray],
     merged_weight: np.ndarray,
-    hessians: Sequence[np.ndarray],
+    hessians: Iterable[np.ndarray],
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(H_E, R, lam, c) of the anchored problem F(Q) = tr(Q H_E Q^T) - 2<Q, R> + c.
 
     `hessians` are the task curvatures H_i, one per expert weight W_i, in task
-    order. H_E = sum_i H_i + lam*I, R = sum_i W_i H_i + lam*W_m and
-    c = sum_i <W_i H_i, W_i> + lam*||W_m||_F^2, with
-    lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda), summed in task order.
+    order, consumed once: each H_i is folded into the sums and dropped before
+    the next is asked for, so an iterator that forms them one at a time
+    (calib.collect_layer_stats) holds one at a time. H_E = sum_i H_i + lam*I,
+    R = sum_i W_i H_i + lam*W_m and c = sum_i <W_i H_i, W_i> + lam*||W_m||_F^2,
+    with lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda), all summed in
+    task order.
     """
     merged_weight = as_matrix(merged_weight, "merged_weight")
-    if not expert_weights or len(expert_weights) != len(hessians):
-        raise ValueError(f"{len(expert_weights)} expert weights for {len(hessians)} curvatures")
-    d = len(hessians[0])
-    if merged_weight.shape[1] != d:
-        raise ValueError(f"merged weight width {merged_weight.shape[1]} != curvature dim {d}")
-    lam = anchor_lambda(hessians, alpha)
+    k = len(expert_weights)
     h_e = r = None
-    c = 0.0
-    for w_i, h_i in zip(expert_weights, hessians):
-        w_i = as_matrix(w_i, "expert weight")
+    c, energy, count = 0.0, 0, 0
+    for h_i in hessians:
+        if count == k:
+            raise ValueError(f"{k} expert weights for more than {k} curvatures")
+        if h_e is None and merged_weight.shape[1] != len(h_i):
+            raise ValueError(
+                f"merged weight width {merged_weight.shape[1]} != curvature dim {len(h_i)}"
+            )
+        w_i = as_matrix(expert_weights[count], "expert weight")
         if w_i.shape != merged_weight.shape:
             raise ValueError(
                 f"expert weight shape {w_i.shape} != merged shape {merged_weight.shape}"
             )
+        energy += float(np.trace(h_i))
         wh = matmul(w_i, h_i)
         c += float(np.vdot(wh, w_i))
         if h_e is None:
@@ -164,9 +171,36 @@ def build_epmq_statistics(
         else:
             h_e += h_i
             r += wh
+        count += 1
+        del h_i, wh  # dead before the next curvature is formed
+    if not count or count != k:
+        raise ValueError(f"{k} expert weights for {count} curvatures")
+    d = len(h_e)
+    lam = anchor_lambda(energy, d, alpha)
     h_e.flat[:: d + 1] += lam
     r += lam * merged_weight
     return h_e, r, lam, c + lam * frobenius_sq(merged_weight)
+
+
+def _pooled_curvature(hessians: Iterable[np.ndarray]) -> np.ndarray:
+    """sum_i H_i in task order, each H_i added in place and dropped before the next."""
+    pooled = None
+    for h_i in hessians:
+        if pooled is None:
+            pooled = 0.0 + h_i  # sum()'s start, 0 + H_1: a -0.0 entry becomes 0.0
+        else:
+            pooled += h_i
+        del h_i
+    if pooled is None:
+        raise ValueError("no curvatures to pool")
+    return pooled
+
+
+@functools.cache
+def _probe(d: int) -> np.ndarray:
+    """The residual probe of continuous_solution for width d: a read-only
+    (d, PROBE_COLUMNS) standard normal draw of np.random.default_rng(0)."""
+    return read_only(np.random.default_rng(0).standard_normal((d, PROBE_COLUMNS)))
 
 
 def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -194,7 +228,7 @@ def continuous_solution(h_e: np.ndarray, r: np.ndarray) -> np.ndarray:
             pivot=col + 1,
         )
     q = (r @ u.T) @ u
-    v = np.random.default_rng(0).standard_normal((len(h_e), PROBE_COLUMNS))
+    v = _probe(len(h_e))
     estimate = np.sqrt(frobenius_sq(r @ v - q @ (h_e @ v)) / PROBE_COLUMNS)
     if estimate > 1e-12 * (1.0 + np.sqrt(frobenius_sq(r))):
         q += ((r - matmul(q, h_e)) @ u.T) @ u
@@ -252,7 +286,7 @@ def _round_sequential(problem: SolverProblem) -> tuple:
     work = problem.target.T.copy()
     codes = np.empty((d, d_out), dtype=np.uint8)
     values = np.empty((d, d_out))
-    errs = np.empty((min(ROUNDING_BLOCK, d), d_out))
+    errs, panel = np.empty((2, min(ROUNDING_BLOCK, d), d_out))
     comp_sq = np.empty(d)
     # the code range as arrays, so clipping converts no Python scalar per column
     lowest, highest = np.zeros(d_out), np.full(d_out, float((1 << cfg.bits) - 1))
@@ -275,7 +309,11 @@ def _round_sequential(problem: SolverProblem) -> tuple:
             err /= pivots[j]
         block_errs = errs[: b1 - b0]
         comp_sq[b0:b1] = np.einsum("ij,ij->i", block_errs, block_errs)
-        work[b1:] -= u[b0:b1, b1:].T @ block_errs
+        # the later columns in panels of ROUNDING_BLOCK rows, through one scratch panel
+        for c0 in range(b1, d, ROUNDING_BLOCK):
+            c1 = min(c0 + ROUNDING_BLOCK, d)
+            update = np.matmul(u[b0:b1, c0:c1].T, block_errs, out=panel[: c1 - c0])
+            np.subtract(work[c0:c1], update, out=work[c0:c1])
     del u, work  # dead before the two output copies, so they do not raise the peak
 
     quantized = QuantizedLayer(
@@ -341,7 +379,9 @@ def solve_layer(
         quantized = rtn_quantize(merged_weight, cfg)
         objective = None
         if hessians is not None:
-            objective = quadratic_objective(quantized.weight, merged_weight, sum(hessians))
+            objective = quadratic_objective(
+                quantized.weight, merged_weight, _pooled_curvature(hessians)
+            )
         return SolveReport(
             quantized=quantized,
             objective=objective,
@@ -354,7 +394,7 @@ def solve_layer(
         return gptq_solve(
             SolverProblem(
                 target=merged_weight,
-                curvature=sum(hessians),
+                curvature=_pooled_curvature(hessians),
                 grid_source_weight=merged_weight,
                 cfg=cfg,
             )
@@ -368,13 +408,16 @@ def solve_layer(
         damped = h_e.copy()
         damped.flat[:: len(h_e) + 1] += shift
         w_star = continuous_solution(damped, r)
+        del damped
+    constant = c - float(np.vdot(r, w_star))
+    del r  # dead before the rounding
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
     problem = SolverProblem(
         target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg
     )
     quantized, damp, comp_norms = _round_sequential(problem)
     error = quantized.weight - w_star
-    objective = _rounding_gap(comp_norms, damp, error) + (c - float(np.vdot(r, w_star)))
+    objective = _rounding_gap(comp_norms, damp, error) + constant
     if shift:
         objective -= shift * (2.0 * float(np.vdot(w_star, error)) + frobenius_sq(w_star))
     return SolveReport(

@@ -19,6 +19,7 @@ problem among sweep points gives what regenerating it for each would.
 train_expert_per_task reuses the package's activations and their
 derivatives, because what it pins down is that stacking the experts'
 gradient steps over one task axis changes no bit of any expert.
+traced_peak is a measuring tool, not an oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import hashlib
 import json
 import struct
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,22 @@ from pmq.model import Model, activation_grad, apply_activation, forward_to_layer
 from pmq.pipeline import DeviationRow, evaluate, quantize, run_to_json_dict
 from pmq.quant import QuantConfig, fit_layer_grids, quantize_values
 from pmq.solver import solve_layer
+
+
+def traced_peak(fn) -> int:
+    """Bytes of the highest level of traced allocations while fn() runs, above
+    the level at its start (numpy reports its array buffers to tracemalloc)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def matmul_triple_loop(a, b):

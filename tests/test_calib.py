@@ -16,6 +16,7 @@ from pmq.calib import (
 from pmq.linalg import ShapeError, frobenius_sq
 from pmq.model import Batch, Model, forward_to_layer
 from pmq.quant import QuantConfig, rtn_quantize
+from pmq.solver import build_epmq_statistics
 from pmq.tensorfile import MalformedHeaderError
 
 from oracles import train_expert_per_task
@@ -35,9 +36,10 @@ def small_problem(seed=0, **kwargs):
 
 
 def layer_stats(model, calib, layer_index):
-    """collect_layer_stats on every task forwarded from its inputs to the layer."""
+    """collect_layer_stats on every task forwarded from its inputs to the layer, as a list
+    (the package's iterator is consumed once; tests read the curvatures more than once)."""
     acts = [forward_to_layer(model, b.inputs, layer_index) for b in calib.batches]
-    return collect_layer_stats(model, layer_index, acts)
+    return list(collect_layer_stats(model, layer_index, acts))
 
 
 class TestCalibSet:
@@ -176,7 +178,8 @@ class TestLayerStats:
         x = rng.normal(size=shape)
         h = accumulate_stats(x)
         e = float(np.trace(h))
-        assert anchor_lambda([h], 1.0) == (1.0 / shape[0]) * (0.0 + e)
+        w = np.zeros((1, shape[0]))
+        assert build_epmq_statistics([w], w, [h], 1.0)[2] == (1.0 / shape[0]) * (0.0 + e)
         assert abs(e - frobenius_sq(x)) <= 1e-13 * e
 
     def test_overflowing_energy_raises(self):
@@ -204,18 +207,26 @@ class TestAnchorLambda:
     def test_zero_alpha(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        assert anchor_lambda(layer_stats(model, problem.calib, 1), 0.0) == 0.0
+        ws = [lw.weight for lw in model.layers[:1]] * problem.calib.num_tasks
+        hessians = layer_stats(model, problem.calib, 1)
+        assert build_epmq_statistics(ws, ws[0], hessians, 0.0)[2] == 0.0
+        assert anchor_lambda(sum(float(np.trace(h)) for h in hessians), 6, 0.0) == 0.0
 
     def test_direct_arithmetic(self):
         # trace 8 per task: (0.1 / 4) * 16
-        lam = anchor_lambda([2.0 * np.eye(4), 2.0 * np.eye(4)], 0.1)
+        assert anchor_lambda(16.0, 4, 0.1) == pytest.approx(0.4, abs=1e-15)
+        w = np.zeros((2, 4))
+        lam = build_epmq_statistics([w, w], w, iter([2.0 * np.eye(4)] * 2), 0.1)[2]
         assert lam == pytest.approx(0.4, abs=1e-15)
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            anchor_lambda(16.0, 4, -0.1)
 
     def test_matches_trace_form(self):
         problem = small_problem(seed=3)
         model = Model.from_checkpoint(problem.base)
         hessians = layer_stats(model, problem.calib, 2)
-        lam = anchor_lambda(hessians, 0.7)
+        ws = [model.layers[1].weight] * len(hessians)
+        lam = build_epmq_statistics(ws, ws[0], iter(hessians), 0.7)[2]
         trace_form = 0.7 / len(hessians[0]) * np.trace(sum(hessians))
         assert abs(lam - trace_form) <= 1e-9 * max(1.0, abs(trace_form))
 

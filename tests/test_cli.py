@@ -113,6 +113,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path, ["quant.bits=99"], env={})
 
+    def test_set_does_not_leak_into_the_next_call(self, tmp_path):
+        """main() builds its parser once per process, and each call reads only its own --set."""
+        cfg, out = write_cfg(tmp_path), str(tmp_path / "out")
+        for cmd in ("gen", "merge"):
+            assert run_cli(cmd, "--config", cfg, "--out", out) == 0
+        bits = []
+        for extra in (("--set", "quant.bits=3"), ()):
+            assert run_cli("quantize", "--config", cfg, "--out", out, *extra) == 0
+            run = json.loads((tmp_path / "out" / "run.json").read_text())
+            bits.append({layer["bits"] for layer in run["layers"]})
+        assert bits == [{3}, {4}]
+        assert pmq.cli._build_parser() is pmq.cli._build_parser()
+
 
 def test_config_reference_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -411,9 +424,9 @@ class TestEval:
         for module in (pmq.model, pmq.pipeline):
             real = module.apply_activation
 
-            def spy(name, x, _real=real):
+            def spy(name, x, _real=real, **kwargs):
                 activations.append(x.shape)
-                return _real(name, x)
+                return _real(name, x, **kwargs)
 
             monkeypatch.setattr(module, "apply_activation", spy)
         assert run_cli("eval", "--config", cfg, "--out", str(out)) == 0

@@ -103,6 +103,43 @@ class TestBuildStatistics:
         assert c == pytest.approx(constant + lam * float(np.sum(wm * wm)), rel=1e-12)
 
 
+class TestStreamedCurvatures:
+    """The curvatures are an iterable consumed once, in task order."""
+
+    @pytest.mark.parametrize("solver", ["rtn", "gptq", "epmq"])
+    def test_iterator_equals_list_bit_for_bit(self, rng, solver):
+        hessians, _ = random_hessians(rng, 20, 3, n=24)
+        wm = rng.normal(size=(5, 20))
+        experts = [wm + 0.1 * rng.normal(size=wm.shape) for _ in range(3)]
+        cfg = QuantConfig(bits=3, group_size=8, solver=solver)
+        listed = solve_layer(experts, wm, hessians, cfg)
+        streamed = solve_layer(experts, wm, iter(hessians), cfg)
+        np.testing.assert_array_equal(streamed.quantized.codes, listed.quantized.codes)
+        np.testing.assert_array_equal(streamed.quantized.weight, listed.quantized.weight)
+        assert streamed.objective == listed.objective and streamed.lam == listed.lam
+        np.testing.assert_array_equal(
+            streamed.per_column_comp_norms, listed.per_column_comp_norms
+        )
+
+    def test_count_mismatch_raises(self, rng):
+        hessians, _ = random_hessians(rng, 4, 3)
+        wm = rng.normal(size=(2, 4))
+        with pytest.raises(ValueError, match="2 expert weights for more than 2 curvatures"):
+            build_epmq_statistics([wm, wm], wm, iter(hessians), 0.1)
+        with pytest.raises(ValueError, match="3 expert weights for 2 curvatures"):
+            build_epmq_statistics([wm] * 3, wm, iter(hessians[:2]), 0.1)
+        with pytest.raises(ValueError, match="0 expert weights for 0 curvatures"):
+            build_epmq_statistics([], wm, iter([]), 0.1)
+
+    def test_reference_scorer_refuses_a_spent_iterator(self, rng):
+        hessians, _ = random_hessians(rng, 4, 2)
+        wm = rng.normal(size=(2, 4))
+        spent = iter(hessians)
+        build_epmq_statistics([wm, wm], wm, spent, 0.1)
+        with pytest.raises(ValueError, match="zip"):
+            epmq_objective(wm, [wm, wm], wm, spent, 0.1)
+
+
 class TestContinuousSolution:
     def test_identity_curvature(self, rng):
         r = rng.normal(size=(3, 6))
