@@ -154,7 +154,8 @@ def propagate_through_layer(x, layer: Layer) -> np.ndarray:
         y = matmul(layer.weight, x)
     if layer.bias is not None:
         y += layer.bias[:, None]  # y is this call's own product
-    # in place: a fresh relu output lowered no peak (see propagate's measurement in CHANGES.md)
+    # relu in place: a fresh output is one more (K, d_out, n) stack, which took a
+    # 1024-wide quantize (K=2, n=2048) from 215 to 251 MB peak RSS on a 2-vCPU VM
     return apply_activation(layer.spec.activation, y, in_place=True)
 
 

@@ -5,7 +5,10 @@ per-task input activations from the current partially quantized model
 (advancing the K tasks' inputs, one (K, d, n) stack, through each freshly
 quantized layer with one propagation, which for sequential models is exactly
 equivalent to re-running the forward pass), solves for low-bit codes, and
-puts the quantized layer in its place before moving on.
+puts the quantized layer in its place before moving on. The solver takes the
+layer's task curvatures one at a time as it consumes them
+(calib.collect_layer_stats), and the last layer's stack is let go once they
+are formed.
 
 Each layer report carries a trajectory checksum: the prefix chain
 c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
@@ -219,17 +222,17 @@ def _walk(
     `merged` and not `outputs` the outputs are None: the last layer forms
     no fresh array for a caller that wants only the rows.
 
-    Without `merged` the walk is `forward`. With it, per layer, Q X and the
-    W_i X_i go into a (3, K, d_out, n) workspace and W_m X into a
-    (K, d_out, n) one, both reused while the output width stays (two arrays:
-    a single 4-slot one, 8 MB at 512 wide, got fresh pages on every walk).
-    The next inputs are formed from Q X (bias, then activation) before the
-    deviations overwrite it in place, and one square-and-sum and one abs-max
-    fill the layer's norms. After the walk the first row, layer-major, whose
-    gap exceeds IDENTITY_TOL * max(1, max|Q X|, max|W_i X|) raises, so a
-    correct decomposition passes at any scale of the data; that scale is
-    measured (forwarding the layer's inputs afresh) only past IDENTITY_TOL
-    itself. Raises ConfigError, before any compute, unless there is one
+    Without `merged` the walk is `forward`. With it, per layer, Q X, the
+    W_i X_i and W_m X go into (K, d_out, n) workspaces reused while the
+    output width stays. The next inputs are formed from Q X (bias, then
+    activation in place) before the deviations overwrite it in place. The
+    combined deviations go through a panel of tasks of about CHUNK_ELEMENTS
+    entries (every task when they are small, so one square-and-sum then fills
+    the layer's norms), which saves a (K, d_out, n) slot on wide layers.
+    After the walk the first row, layer-major, whose gap exceeds
+    IDENTITY_TOL * max(1, max|Q X|, max|W_i X|) raises, so a correct
+    decomposition passes at any scale of the data; that scale is measured
+    (forwarding the layer's inputs afresh) only past IDENTITY_TOL itself. Raises ConfigError, before any compute, unless there is one
     held-out task per expert and every checkpoint shares the model's
     manifest.
     """

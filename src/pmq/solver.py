@@ -18,7 +18,14 @@ what they round toward:
 Both solves take one factor, inv(H) = U^T U (linalg.cholesky_inverse_upper):
 the continuous solve of H_E, the rounding of its damped curvature. The
 rounding then pays one GEMV and one in-place quantize per column and one
-GEMM per block, and its values become the quantized layer's realized weight.
+GEMM per block and later panel of columns, and its values become the
+quantized layer's realized weight.
+
+The task curvatures H_i reach the solvers as an iterable consumed once, in
+task order (calib.collect_layer_stats forms them one at a time). epmq folds
+each H_i into H_E, R and c, gptq and rtn into the pooled curvature, and each
+is dropped before the next is formed, so a layer holds one H_i, not K. epmq
+then drops R once <R, W*> is taken, and H_E once the rounding has its factor.
 
 Scores take no GEMM: rounding toward T under H + delta*I compensates column
 j by err_j with sum_j ||err_j||^2 = tr(E (H + delta*I) E^T), E = Q - T, so
@@ -151,6 +158,7 @@ def build_epmq_statistics(
     k = len(expert_weights)
     h_e = r = None
     c, energy, count = 0.0, 0, 0
+    # counted by hand: enumerate's reused tuple keeps H_i alive while H_{i+1} is formed
     for h_i in hessians:
         if count == k:
             raise ValueError(f"{k} expert weights for more than {k} curvatures")
@@ -173,7 +181,7 @@ def build_epmq_statistics(
             r += wh
         count += 1
         del h_i, wh  # dead before the next curvature is formed
-    if not count or count != k:
+    if not k or count != k:
         raise ValueError(f"{k} expert weights for {count} curvatures")
     d = len(h_e)
     lam = anchor_lambda(energy, d, alpha)
@@ -241,34 +249,12 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
     return damp if damp > 0 else percdamp
 
 
-def _round_sequential(problem: SolverProblem) -> tuple:
-    """Sequential error-compensated rounding toward the problem target.
-
-    Steps: damp the curvature by percdamp of its mean diagonal; take the
-    upper Cholesky factor U of the damped inverse; fit grids per group from
-    the grid-source weight; then for each column j in natural order, round
-    column j, divide the rounding error by U[j, j], and subtract the
-    weighted error from all not-yet-quantized columns via U[j, j+1:].
-
-    Work, values and errors are kept transposed, (d, d_out), so each column
-    is a contiguous row. The subtraction is deferred (GPTQ's lazy batch
-    updates) and left-looking: in a block of ROUNDING_BLOCK columns, column
-    j takes the errors of the block's earlier columns by one GEMV just
-    before it is rounded, and one GEMM per block carries the block's errors
-    to all later columns. The compensation norms ||err_j|| depend on the
-    summation order of these products, so they move to rounding with the
-    BLAS thread count; the codes move only at an exact rounding tie.
-    Each column is rounded in place in the values row, with its grid row and
-    pivot looked up from Python lists; the squared compensation norms are
-    summed once per block and their square roots taken once per layer.
-    Returns (quantized layer, whose weight is the values scale * (code - zero)
-    formed here, damping applied, per-column compensation norms).
-    """
-    cfg = problem.cfg
-    d_out, d = problem.target.shape
-    damp = _damping_for(problem.curvature, cfg.percdamp)
+def _rounding_factor(curvature: np.ndarray, percdamp: float) -> tuple[np.ndarray, float]:
+    """(U, damp) with inv(H + damp*I) = U^T U (cholesky_inverse_upper), for the
+    curvature H damped by percdamp of its mean diagonal."""
+    damp = _damping_for(curvature, percdamp)
     try:
-        u = cholesky_inverse_upper(problem.curvature, context="damped curvature", shift=damp)
+        return cholesky_inverse_upper(curvature, context="damped curvature", shift=damp), damp
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"curvature is singular even after damping {damp:g} "
@@ -276,17 +262,45 @@ def _round_sequential(problem: SolverProblem) -> tuple:
             pivot=exc.pivot,
         ) from exc
 
-    scales, zeros = fit_layer_grids(problem.grid_source_weight, cfg.bits, cfg.group_size)
+
+def _round_sequential(
+    target: np.ndarray, u: np.ndarray, grid_source_weight: np.ndarray, cfg: QuantConfig
+) -> tuple:
+    """Sequential error-compensated rounding of `target` under the curvature
+    whose damped inverse is U^T U (_rounding_factor).
+
+    Fit grids per group from the grid-source weight; then for each column j
+    in natural order, round column j, divide the rounding error by U[j, j],
+    and subtract the weighted error from all not-yet-quantized columns via
+    U[j, j+1:].
+
+    Work, values and errors are kept transposed, (d, d_out), so each column
+    is a contiguous row. The subtraction is deferred (GPTQ's lazy batch
+    updates) and left-looking: in a block of ROUNDING_BLOCK columns, column
+    j takes the errors of the block's earlier columns by one GEMV just
+    before it is rounded, and one GEMM per panel of ROUNDING_BLOCK later
+    columns carries the block's errors to them. The compensation norms
+    ||err_j|| depend on the summation order of these products, so they move
+    to rounding with the BLAS thread count; the codes move only at an exact
+    rounding tie.
+    Each column is rounded in place in the values row, with its grid row and
+    pivot looked up from Python lists; the squared compensation norms are
+    summed once per block and their square roots taken once per layer.
+    Returns (quantized layer, whose weight is the values scale * (code - zero)
+    formed here, per-column compensation norms).
+    """
+    d_out, d = target.shape
+    scales, zeros = fit_layer_grids(grid_source_weight, cfg.bits, cfg.group_size)
     # each column's grid row, and each pivot, looked up once as Python objects
     scale_rows, zero_rows = list(scales.T.copy()), list(zeros.T.astype(np.float64))
     col_scales = [scale_rows[j // cfg.group_size] for j in range(d)]
     col_zeros = [zero_rows[j // cfg.group_size] for j in range(d)]
     pivots = u.diagonal().tolist()
 
-    work = problem.target.T.copy()
+    work = target.T.copy()
     codes = np.empty((d, d_out), dtype=np.uint8)
     values = np.empty((d, d_out))
-    errs, panel = np.empty((2, min(ROUNDING_BLOCK, d), d_out))
+    errs = np.empty((min(ROUNDING_BLOCK, d), d_out))
     comp_sq = np.empty(d)
     # the code range as arrays, so clipping converts no Python scalar per column
     lowest, highest = np.zeros(d_out), np.full(d_out, float((1 << cfg.bits) - 1))
@@ -309,12 +323,12 @@ def _round_sequential(problem: SolverProblem) -> tuple:
             err /= pivots[j]
         block_errs = errs[: b1 - b0]
         comp_sq[b0:b1] = np.einsum("ij,ij->i", block_errs, block_errs)
-        # the later columns in panels of ROUNDING_BLOCK rows, through one scratch panel
-        for c0 in range(b1, d, ROUNDING_BLOCK):
-            c1 = min(c0 + ROUNDING_BLOCK, d)
-            update = np.matmul(u[b0:b1, c0:c1].T, block_errs, out=panel[: c1 - c0])
-            np.subtract(work[c0:c1], update, out=work[c0:c1])
-    del u, work  # dead before the two output copies, so they do not raise the peak
+        # the later columns in panels of ROUNDING_BLOCK rows: no (d - b1, d_out) temporary
+        for c in range(b1, d, ROUNDING_BLOCK):
+            work[c : c + ROUNDING_BLOCK] -= u[b0:b1, c : c + ROUNDING_BLOCK].T @ block_errs
+    # the work and error arrays, and the loop's views of them, are dead before the
+    # two output copies, so those do not raise the peak
+    del work, w, errs, err, block_errs
 
     quantized = QuantizedLayer(
         codes=np.ascontiguousarray(codes.T),
@@ -324,7 +338,7 @@ def _round_sequential(problem: SolverProblem) -> tuple:
         group_size=cfg.group_size,
         values=np.ascontiguousarray(values.T),
     )
-    return quantized, damp, np.sqrt(comp_sq)
+    return quantized, np.sqrt(comp_sq)
 
 
 def _rounding_gap(comp_norms: np.ndarray, damp: float, error: np.ndarray) -> float:
@@ -340,7 +354,10 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     gap tr((Q - T) H (Q - T)^T) of the final values against the pre-damping
     curvature, read from the compensation norms (no GEMM).
     """
-    quantized, damp, comp_norms = _round_sequential(problem)
+    u, damp = _rounding_factor(problem.curvature, problem.cfg.percdamp)
+    quantized, comp_norms = _round_sequential(
+        problem.target, u, problem.grid_source_weight, problem.cfg
+    )
     return SolveReport(
         quantized=quantized,
         objective=_rounding_gap(comp_norms, damp, quantized.weight - problem.target),
@@ -354,14 +371,14 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
 def solve_layer(
     expert_weights: Sequence[np.ndarray],
     merged_weight: np.ndarray,
-    hessians: Sequence[np.ndarray] | None,
+    hessians: Iterable[np.ndarray] | None,
     cfg: QuantConfig,
 ) -> SolveReport:
     """Codes for one layer with solver cfg.solver.
 
-    `hessians` are the layer's task curvatures H_i = X_i X_i^T in task order
-    (one per expert for epmq), or None without calibration; the pooled
-    curvature is their task-order sum. rtn ignores the experts and needs no
+    `hessians` are the layer's task curvatures H_i = X_i X_i^T, an iterable
+    consumed once in task order (one per expert for epmq), or None without
+    calibration; the pooled curvature is their task-order sum. rtn ignores the experts and needs no
     curvatures; with them its objective is scored against the pooled
     curvature. gptq rounds the merged weight under the pooled curvature.
     epmq builds (H_E, R, lam, c), computes the continuous target
@@ -400,6 +417,7 @@ def solve_layer(
             )
         )
     h_e, r, lam, c = build_epmq_statistics(expert_weights, merged_weight, hessians, cfg.alpha)
+    check_symmetric(h_e, "curvature")
     shift = 0.0
     try:
         w_star = continuous_solution(h_e, r)
@@ -410,12 +428,11 @@ def solve_layer(
         w_star = continuous_solution(damped, r)
         del damped
     constant = c - float(np.vdot(r, w_star))
-    del r  # dead before the rounding
+    del r
+    u, damp = _rounding_factor(h_e, cfg.percdamp)
+    del h_e  # R and H_E are dead before the rounding
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
-    problem = SolverProblem(
-        target=w_star, curvature=h_e, grid_source_weight=grid_source, cfg=cfg
-    )
-    quantized, damp, comp_norms = _round_sequential(problem)
+    quantized, comp_norms = _round_sequential(w_star, u, grid_source, cfg)
     error = quantized.weight - w_star
     objective = _rounding_gap(comp_norms, damp, error) + constant
     if shift:
