@@ -77,22 +77,17 @@ def accumulate_stats(x: np.ndarray) -> np.ndarray:
 def collect_layer_stats(
     model: Model, layer_index: int, activations: Sequence[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """The curvatures H_i of the layer-l inputs `activations`, K arrays X_i in task order.
-
-    The shapes are checked here; the H_i are formed one at a time as the
-    returned iterator is consumed, so a consumer that drops each H_i before
-    asking for the next holds one at a time. The iterator lets go of each X_i
-    once its H_i is formed, so a stack no one else holds is freed before the
-    last H_i is folded in.
-    """
+    """The curvatures H_i of the layer-l inputs `activations`, K arrays X_i in
+    task order, checked here and formed one at a time as the returned iterator
+    is consumed; it drops each X_i once its H_i is formed."""
     d = model.layers[layer_index - 1].spec.d_in
-    for task_id, x in enumerate(activations, start=1):
+    xs = list(activations)
+    for task_id, x in enumerate(xs, start=1):
         if x.shape[0] != d:
             raise ShapeError(
                 f"activations for task {task_id} have {x.shape[0]} rows, "
                 f"layer {layer_index} expects {d}"
             )
-    xs = list(activations)
     return (accumulate_stats(xs.pop(0)) for _ in range(len(xs)))
 
 

@@ -135,22 +135,17 @@ def chain_link(prev: bytes, layer: Layer) -> bytes:
 def propagate_through_layer(x, layer: Layer) -> np.ndarray:
     """act(W x + b) for a single layer, on x (d_in, n), a stack (..., d_in, n)
     or a list of K (d_in, n) arrays, whose (K, d_out, n) outputs are formed
-    array by array, with no stacked copy of the inputs."""
-    d_in, d_out = layer.spec.d_in, layer.spec.d_out
+    array by array, with no stacked copy of them."""
     if isinstance(x, list):
-        x = [np.asarray(x_t, dtype=np.float64) for x_t in x]
-        shapes = {x_t.shape for x_t in x}
-        if len(shapes) != 1 or len(x[0].shape) != 2 or x[0].shape[0] != d_in:
-            raise ShapeError(
-                f"layer '{layer.spec.id}': inputs {sorted(shapes)} are not all ({d_in}, n)"
-            )
-        y = np.empty((len(x), d_out, x[0].shape[1]))
+        y = np.empty((len(x), layer.spec.d_out, x[0].shape[1]))
         for x_t, y_t in zip(x, y):
-            np.matmul(layer.weight, x_t, out=y_t)
+            np.matmul(layer.weight, x_t, out=y_t)  # raises on a shape mismatch
     else:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2 or x.shape[-2] != d_in:
-            raise ShapeError(f"layer '{layer.spec.id}': input {x.shape} does not have {d_in} rows")
+        if x.ndim < 2 or x.shape[-2] != layer.spec.d_in:
+            raise ShapeError(
+                f"layer '{layer.spec.id}': input {x.shape} does not have {layer.spec.d_in} rows"
+            )
         y = matmul(layer.weight, x)
     if layer.bias is not None:
         y += layer.bias[:, None]  # y is this call's own product

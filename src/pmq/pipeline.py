@@ -5,10 +5,9 @@ per-task input activations from the current partially quantized model
 (advancing the K tasks' inputs, one (K, d, n) stack, through each freshly
 quantized layer with one propagation, which for sequential models is exactly
 equivalent to re-running the forward pass), solves for low-bit codes, and
-puts the quantized layer in its place before moving on. The solver takes the
-layer's task curvatures one at a time as it consumes them
-(calib.collect_layer_stats), and the last layer's stack is let go once they
-are formed.
+puts the quantized layer in its place before moving on. The curvatures are
+formed one at a time as the solver consumes them, and the last layer's stack
+is let go once they are.
 
 Each layer report carries a trajectory checksum: the prefix chain
 c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
@@ -232,9 +231,9 @@ def _walk(
     After the walk the first row, layer-major, whose gap exceeds
     IDENTITY_TOL * max(1, max|Q X|, max|W_i X|) raises, so a correct
     decomposition passes at any scale of the data; that scale is measured
-    (forwarding the layer's inputs afresh) only past IDENTITY_TOL itself. Raises ConfigError, before any compute, unless there is one
-    held-out task per expert and every checkpoint shares the model's
-    manifest.
+    (forwarding the layer's inputs afresh) only past IDENTITY_TOL itself.
+    Raises ConfigError, before any compute, unless there is one held-out
+    task per expert and every checkpoint shares the model's manifest.
     """
     x = np.stack([batch.inputs for batch in heldout.batches])
     if merged is None:
