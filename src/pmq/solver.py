@@ -195,7 +195,7 @@ def _pooled_curvature(hessians: Iterable[np.ndarray]) -> np.ndarray:
     pooled = None
     for h_i in hessians:
         if pooled is None:
-            pooled = 0.0 + h_i  # sum()'s start, 0 + H_1: a -0.0 entry becomes 0.0
+            pooled = 0.0 + h_i  # a fresh sum, never the caller's H_1 (-0.0 entries read 0.0)
         else:
             pooled += h_i
         del h_i
