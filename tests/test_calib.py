@@ -210,7 +210,8 @@ class TestAnchorLambda:
         ws = [lw.weight for lw in model.layers[:1]] * problem.calib.num_tasks
         hessians = layer_stats(model, problem.calib, 1)
         assert build_epmq_statistics(ws, ws[0], hessians, 0.0)[2] == 0.0
-        assert anchor_lambda(sum(float(np.trace(h)) for h in hessians), 6, 0.0) == 0.0
+        energy = sum(float(np.trace(h)) for h in hessians)
+        assert anchor_lambda(energy, len(hessians[0]), 0.0) == 0.0
 
     def test_direct_arithmetic(self):
         # trace 8 per task: (0.1 / 4) * 16

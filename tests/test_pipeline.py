@@ -488,7 +488,7 @@ class TestStreamedCurvatures:
         """A 256-wide epmq quantize of K = 4 tasks stays within d^2-sized arrays
         (H_E, R, W*, the factors, the rounding buffers, the quantized layer) and
         the task stack. Holding the K curvatures H_i at once, as a list, read 13.35
-        d^2 units here; streaming them reads 7.50."""
+        d^2 units here; streaming them reads 6.37."""
         d, k, n = 256, 4, 64
         problem = make_synthetic_tasks(
             0, k, [d, d, d], n, heldout_samples=16, expert_mode="perturb"
