@@ -18,8 +18,7 @@ what they round toward:
 Both solves take one factor, inv(H) = U^T U (linalg.cholesky_inverse_upper):
 the continuous solve of H_E, the rounding of its damped curvature. The
 rounding then pays one GEMV and one in-place quantize per column and one
-GEMM per block and later panel of columns, and its values become the
-quantized layer's realized weight.
+GEMM per block, and its values become the quantized layer's realized weight.
 
 The task curvatures H_i reach the solvers as an iterable consumed once, in
 task order (calib.collect_layer_stats forms them one at a time). epmq folds
@@ -249,12 +248,13 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
     return damp if damp > 0 else percdamp
 
 
-def _rounding_factor(curvature: np.ndarray, percdamp: float) -> tuple[np.ndarray, float]:
-    """(U, damp) with inv(H + damp*I) = U^T U (cholesky_inverse_upper), for the
-    curvature H damped by percdamp of its mean diagonal."""
+def _rounding_factor(curvature: np.ndarray, percdamp: float) -> tuple[list, float]:
+    """([U], damp) with inv(H + damp*I) = U^T U (cholesky_inverse_upper), for
+    the curvature H damped by percdamp of its mean diagonal. U comes in a
+    one-item list that _round_sequential empties, so no caller holds it."""
     damp = _damping_for(curvature, percdamp)
     try:
-        return cholesky_inverse_upper(curvature, context="damped curvature", shift=damp), damp
+        return [cholesky_inverse_upper(curvature, context="damped curvature", shift=damp)], damp
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"curvature is singular even after damping {damp:g} "
@@ -264,10 +264,11 @@ def _rounding_factor(curvature: np.ndarray, percdamp: float) -> tuple[np.ndarray
 
 
 def _round_sequential(
-    target: np.ndarray, u: np.ndarray, grid_source_weight: np.ndarray, cfg: QuantConfig
+    target: np.ndarray, factor: list, grid_source_weight: np.ndarray, cfg: QuantConfig
 ) -> tuple:
     """Sequential error-compensated rounding of `target` under the curvature
-    whose damped inverse is U^T U (_rounding_factor).
+    whose damped inverse is U^T U, U taken out of `factor` (_rounding_factor)
+    and dropped before the two output copies.
 
     Fit grids per group from the grid-source weight; then for each column j
     in natural order, round column j, divide the rounding error by U[j, j],
@@ -278,17 +279,17 @@ def _round_sequential(
     is a contiguous row. The subtraction is deferred (GPTQ's lazy batch
     updates) and left-looking: in a block of ROUNDING_BLOCK columns, column
     j takes the errors of the block's earlier columns by one GEMV just
-    before it is rounded, and one GEMM per panel of ROUNDING_BLOCK later
-    columns carries the block's errors to them. The compensation norms
-    ||err_j|| depend on the summation order of these products, so they move
-    to rounding with the BLAS thread count; the codes move only at an exact
-    rounding tie.
+    before it is rounded, and one GEMM per block carries the block's errors
+    to all later columns. The compensation norms ||err_j|| depend on the
+    summation order of these products, so they move to rounding with the
+    BLAS thread count; the codes move only at an exact rounding tie.
     Each column is rounded in place in the values row, with its grid row and
     pivot looked up from Python lists; the squared compensation norms are
     summed once per block and their square roots taken once per layer.
     Returns (quantized layer, whose weight is the values scale * (code - zero)
     formed here, per-column compensation norms).
     """
+    u = factor.pop()
     d_out, d = target.shape
     scales, zeros = fit_layer_grids(grid_source_weight, cfg.bits, cfg.group_size)
     # each column's grid row, and each pivot, looked up once as Python objects
@@ -323,12 +324,8 @@ def _round_sequential(
             err /= pivots[j]
         block_errs = errs[: b1 - b0]
         comp_sq[b0:b1] = np.einsum("ij,ij->i", block_errs, block_errs)
-        # the later columns in panels of ROUNDING_BLOCK rows: no (d - b1, d_out) temporary
-        for c in range(b1, d, ROUNDING_BLOCK):
-            work[c : c + ROUNDING_BLOCK] -= u[b0:b1, c : c + ROUNDING_BLOCK].T @ block_errs
-    # the work and error arrays, and the loop's views of them, are dead before the
-    # two output copies, so those do not raise the peak
-    del work, w, errs, err, block_errs
+        work[b1:] -= u[b0:b1, b1:].T @ block_errs
+    del u  # dead before the two output copies
 
     quantized = QuantizedLayer(
         codes=np.ascontiguousarray(codes.T),
@@ -354,9 +351,9 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
     gap tr((Q - T) H (Q - T)^T) of the final values against the pre-damping
     curvature, read from the compensation norms (no GEMM).
     """
-    u, damp = _rounding_factor(problem.curvature, problem.cfg.percdamp)
+    factor, damp = _rounding_factor(problem.curvature, problem.cfg.percdamp)
     quantized, comp_norms = _round_sequential(
-        problem.target, u, problem.grid_source_weight, problem.cfg
+        problem.target, factor, problem.grid_source_weight, problem.cfg
     )
     return SolveReport(
         quantized=quantized,
@@ -429,10 +426,10 @@ def solve_layer(
         del damped
     constant = c - float(np.vdot(r, w_star))
     del r
-    u, damp = _rounding_factor(h_e, cfg.percdamp)
+    factor, damp = _rounding_factor(h_e, cfg.percdamp)
     del h_e  # R and H_E are dead before the rounding
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
-    quantized, comp_norms = _round_sequential(w_star, u, grid_source, cfg)
+    quantized, comp_norms = _round_sequential(w_star, factor, grid_source, cfg)
     error = quantized.weight - w_star
     objective = _rounding_gap(comp_norms, damp, error) + constant
     if shift:

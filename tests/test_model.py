@@ -147,6 +147,22 @@ class TestPropagate:
             )
             acc = propagate_through_layer(acc, model.layers[ell - 1])
 
+    def test_list_of_task_arrays_equals_their_stack(self, rng):
+        layer = Model.from_checkpoint(make_checkpoint(rng, dims=(4, 6, 3))).layers[0]
+        xs = [rng.normal(size=(4, 5)) for _ in range(3)]
+        expected = propagate_through_layer(np.stack(xs), layer)
+        np.testing.assert_array_equal(propagate_through_layer(xs, layer), expected)
+        nested = [x.tolist() for x in xs]
+        np.testing.assert_array_equal(propagate_through_layer(nested, layer), expected)
+
+    @pytest.mark.parametrize(
+        "shapes", [[(4, 5), (3, 5)], [(4, 5), (4, 6)], [(4,), (4,)], [(4, 5, 1)]]
+    )
+    def test_list_of_task_arrays_checked(self, rng, shapes):
+        layer = Model.from_checkpoint(make_checkpoint(rng, dims=(4, 6, 3))).layers[0]
+        with pytest.raises(ShapeError, match=f"layer '{layer.spec.id}'"):
+            propagate_through_layer([rng.normal(size=s) for s in shapes], layer)
+
 
 class TestQuantizedLayers:
     def test_high_bit_requantization_preserves_forward(self, rng):

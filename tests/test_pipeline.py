@@ -289,6 +289,20 @@ class TestDeviationDiagnostics:
         assert len(report.rows) == 9 * 3
         assert report.rows == deviation_rows_from_scratch(run, problem.heldout)
 
+    @pytest.mark.parametrize("chunk", [1, 300])
+    def test_task_panels_give_the_rows_of_one_panel(self, monkeypatch, chunk):
+        """Panels of 1 and of 2 tasks (the last one short) for K=5 and 6 x 24 outputs."""
+        problem, merged = merged_problem(seed=17, dims=[6] * 4, num_tasks=5)
+        run = run_method(problem, merged, "epmq")
+        whole = deviation_diagnostics(run, problem.heldout).rows
+        monkeypatch.setattr(pmq.pipeline, "CHUNK_ELEMENTS", chunk)
+        panels = counting(monkeypatch, np, "square")
+        assert deviation_diagnostics(run, problem.heldout).rows == whole
+        assert whole == deviation_rows_from_scratch(run, problem.heldout)
+        # per layer, one square per panel of the combined deviations, one over Q X and W_i X_i
+        per_layer = [1] * 5 if chunk == 1 else [2, 2, 1]
+        assert [args[0].shape[0] for args in panels] == (per_layer + [10]) * run.model.num_layers
+
     def test_walks_one_task_stack(self, monkeypatch):
         """One (K, d, n) stack per layer; only W_i X_i is formed task by task."""
         problem, merged = merged_problem(seed=18, dims=[6] * 10, num_tasks=3)

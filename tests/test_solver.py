@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,30 @@ class TestStreamedCurvatures:
             build_epmq_statistics([wm] * 3, wm, iter(hessians[:2]), 0.1)
         with pytest.raises(ValueError, match="0 expert weights for 0 curvatures"):
             build_epmq_statistics([], wm, iter([]), 0.1)
+
+    @pytest.mark.parametrize("solver", ["gptq", "epmq"])
+    def test_factors_are_dead_before_the_layer_is_built(self, rng, monkeypatch, solver):
+        """No inverse factor (continuous solve's or rounding's) outlives the
+        rounding: the layer's copies are made after U is let go."""
+        factors, alive = [], []
+        original = pmq.solver.cholesky_inverse_upper
+
+        def tracked(*args, **kwargs):
+            u = original(*args, **kwargs)
+            factors.append(weakref.ref(u))
+            return u
+
+        def layer(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in factors))
+            return QuantizedLayer(*args, **kwargs)
+
+        monkeypatch.setattr(pmq.solver, "cholesky_inverse_upper", tracked)
+        monkeypatch.setattr(pmq.solver, "QuantizedLayer", layer)
+        hessians, _ = random_hessians(rng, 20, 3, n=24)
+        wm = rng.normal(size=(5, 20))
+        experts = [wm + 0.1 * rng.normal(size=wm.shape) for _ in range(3)]
+        solve_layer(experts, wm, iter(hessians), QuantConfig(bits=3, group_size=8, solver=solver))
+        assert factors and alive == [0]
 
     def test_reference_scorer_refuses_a_spent_iterator(self, rng):
         hessians, _ = random_hessians(rng, 4, 2)
