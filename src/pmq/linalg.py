@@ -18,6 +18,7 @@ import numpy as np
 FACTOR_LEAF = 64
 # elements in one bounded temporary: a row panel of check_symmetric
 CHUNK_ELEMENTS = 1 << 15
+SYMMETRY_RTOL = 1e-9
 
 
 class ShapeError(ValueError):
@@ -78,8 +79,8 @@ def frobenius_sq(a) -> float:
     return float(np.dot(flat, flat))
 
 
-def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.ndarray:
-    """Require an entrywise-symmetric square matrix (|H - H^T| <= rtol * |H|).
+def check_symmetric(h: np.ndarray, name: str = "h") -> np.ndarray:
+    """Require an entrywise-symmetric square matrix (|H - H^T| <= SYMMETRY_RTOL * |H|).
 
     Compares the upper triangle with the lower one in row panels of about
     CHUNK_ELEMENTS entries, so no d x d temporary is formed.
@@ -96,7 +97,7 @@ def check_symmetric(h: np.ndarray, name: str = "h", rtol: float = 1e-9) -> np.nd
             r1 = min(r0 + rows, d)
             diff = np.subtract(h[r0:r1, r0:], h[r0:, r0:r1].T)
             asym = max(asym, float(np.abs(diff, out=diff).max()))
-        if asym > rtol * max(scale, 1e-300):
+        if asym > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(f"{name} is not symmetric: max|H-H^T|={asym:g} vs max|H|={scale:g}")
     return h
 

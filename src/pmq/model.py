@@ -71,8 +71,8 @@ class Batch:
             raise ValueError(f"task_id must be >= 1, got {self.task_id}")
         if self.targets is not None:
             self.targets = read_only(np.ascontiguousarray(self.targets, dtype=np.float64))
-            if self.targets.shape[1] != self.inputs.shape[1]:
-                raise ShapeError("targets must have the same number of columns as inputs")
+            if self.targets.shape[1:] != self.inputs.shape[1:]:  # (rows, n) like the inputs
+                raise ShapeError(f"batch targets must be (rows, n), got {self.targets.shape}")
 
 
 class Model:
@@ -133,26 +133,16 @@ def chain_link(prev: bytes, layer: Layer) -> bytes:
 
 
 def propagate_through_layer(x, layer: Layer) -> np.ndarray:
-    """act(W x + b) for a single layer, on x (d_in, n), a stack (..., d_in, n)
-    or a list of K (d_in, n) ndarrays, whose (K, d_out, n) outputs are formed
-    array by array, with no stacked copy of them."""
-    if isinstance(x, list) and x and all(isinstance(x_t, np.ndarray) for x_t in x):
-        for t, x_t in enumerate(x, start=1):
-            if x_t.ndim != 2 or x_t.shape != (layer.spec.d_in, x[0].shape[1]):
-                raise ShapeError(
-                    f"layer '{layer.spec.id}': input {t} {x_t.shape} is not "
-                    f"({layer.spec.d_in}, n) with the n of input 1"
-                )
-        y = np.empty((len(x), layer.spec.d_out, x[0].shape[1]))
-        for x_t, y_t in zip(x, y):
-            np.matmul(layer.weight, x_t, out=y_t)
-    else:
+    """act(W x + b) for a single layer, on x (d_in, n) or a stack (..., d_in, n)."""
+    try:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2 or x.shape[-2] != layer.spec.d_in:
-            raise ShapeError(
-                f"layer '{layer.spec.id}': input {x.shape} does not have {layer.spec.d_in} rows"
-            )
-        y = matmul(layer.weight, x)
+    except ValueError as exc:  # a ragged sequence of arrays
+        raise ShapeError(f"layer '{layer.spec.id}': input is not one array: {exc}") from exc
+    if x.ndim < 2 or x.shape[-2] != layer.spec.d_in:
+        raise ShapeError(
+            f"layer '{layer.spec.id}': input {x.shape} does not have {layer.spec.d_in} rows"
+        )
+    y = matmul(layer.weight, x)
     if layer.bias is not None:
         y += layer.bias[:, None]  # y is this call's own product
     # relu in place: a fresh output is one more (K, d_out, n) stack, which read

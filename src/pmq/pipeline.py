@@ -159,8 +159,8 @@ def quantize(
         _check_tasks(calib, merged.manifest, "calibration", targets=False)
 
     model = Model.from_checkpoint(merged)
-    # layer-l inputs in task order: the K batch arrays, a (K, d, n) stack from layer 2 on
-    cache = None if calib is None else [batch.inputs for batch in calib.batches]
+    # layer-l inputs of the K tasks, one (K, d, n) stack: the calibration set's own at layer 1
+    cache = None if calib is None else calib.inputs
     reports: list[LayerReport] = []
     chain = EMPTY_PREFIX
     for layer_index in range(1, model.num_layers + 1):
@@ -216,18 +216,19 @@ def _walk(
     outputs: bool = True,
 ) -> tuple[np.ndarray | None, DeviationReport | None]:
     """The (K, d_out, n) outputs of the K held-out tasks walked through `model`
-    as one (K, d, n) stack and, when `merged` is given, the deviation rows
-    against it and `experts` (one per task) from the same pass. With
-    `merged` and not `outputs` the outputs are None: the last layer forms
-    no fresh array for a caller that wants only the rows.
+    from their stack `heldout.inputs` and, when `merged` is given, the
+    deviation rows against it and `experts` (one per task) from the same
+    pass. With `merged` and not `outputs` the outputs are None: the last
+    layer forms no fresh array for a caller that wants only the rows.
 
-    Without `merged` the walk is `forward`. With it, per layer, Q X, the
-    W_i X_i and W_m X go into (K, d_out, n) workspaces reused while the
-    output width stays. The next inputs are formed from Q X (bias, then
+    Without `merged` the walk is `forward`. With it, per layer, W_m X goes
+    into a (K, d_out, n) workspace, and Q X, the W_i X_i and one panel of
+    combined deviations, of about CHUNK_ELEMENTS entries (every task when
+    they are small), into one buffer of 2K + panel rows, both reused while
+    the output width stays. The next inputs are formed from Q X (bias, then
     activation in place) before the deviations overwrite it in place. The
-    combined deviations go through a panel of tasks of about CHUNK_ELEMENTS
-    entries (every task when they are small, so one square-and-sum then fills
-    the layer's norms), which saves a (K, d_out, n) slot on wide layers.
+    panels run last to first, each but the first summing its own squares, so
+    one square-and-sum over the buffer fills the rest of the layer's norms.
     After the walk the first row, layer-major, whose gap exceeds
     IDENTITY_TOL * max(1, max|Q X|, max|W_i X|) raises, so a correct
     decomposition passes at any scale of the data; that scale is measured
@@ -235,7 +236,7 @@ def _walk(
     Raises ConfigError, before any compute, unless there is one held-out
     task per expert and every checkpoint shares the model's manifest.
     """
-    x = np.stack([batch.inputs for batch in heldout.batches])
+    x = heldout.inputs
     if merged is None:
         return forward(model, x), None
     if heldout.num_tasks != len(experts):
@@ -251,11 +252,8 @@ def _walk(
     for index, layer in enumerate(model.layers):
         if work is None or work.shape[1] != layer.spec.d_out:
             shape = (layer.spec.d_out, n)
-            # the combined deviations go through a panel of about CHUNK_ELEMENTS,
-            # in one buffer with Q X and W_i X_i when it holds every task
             panel = min(k, max(1, CHUNK_ELEMENTS // (shape[0] * n)))
-            work = np.empty((3 * k if panel == k else 2 * k, *shape))
-            combined = work[2 * k :] if panel == k else np.empty((panel, *shape))
+            work = np.empty((2 * k + panel, *shape))  # Q X, W_i X_i, one combined panel
             mx = np.empty((k, *shape))
         # Q X becomes the quant deviation, W_i X_i the merge one and W_m X the gap
         qx, ex = work[:k], work[k : 2 * k]
@@ -271,15 +269,15 @@ def _walk(
                 qx.copy() if layer.bias is None else qx + layer.bias[:, None],
                 in_place=True,
             )
-        for t0 in range(0, k, panel):
+        for t0 in reversed(range(0, k, panel)):
             t1 = min(t0 + panel, k)
-            q, e, m, c = qx[t0:t1], ex[t0:t1], mx[t0:t1], combined[: t1 - t0]
+            q, e, m, c = qx[t0:t1], ex[t0:t1], mx[t0:t1], work[2 * k : 2 * k + t1 - t0]
             np.subtract(q, e, out=c)
             np.subtract(m, e, out=e)
             np.subtract(q, m, out=q)
             np.subtract(c, np.add(q, e, out=m), out=m)
             np.abs(m, out=m).max(axis=(1, 2), out=stats[index, 3, t0:t1])
-            if panel < k:  # the next panel overwrites this one
+            if t0:  # the next panel overwrites this one
                 np.sum(np.square(c, out=c), axis=(1, 2), out=stats[index, 2, t0:t1])
         sums = stats[index, :3].reshape(-1)[: len(work)]
         np.sum(np.square(work, out=work), axis=(1, 2), out=sums)
@@ -306,11 +304,10 @@ def _output_scales(
     model: Model, experts: Sequence[Checkpoint], heldout: CalibSet, layer_index: int
 ) -> np.ndarray:
     """Per task max(1, max|Q X|, max|W_i X|) at layer `layer_index`, forwarded afresh."""
-    x0 = np.stack([batch.inputs for batch in heldout.batches])
-    x = forward_to_layer(model, x0, layer_index)
-    qx = matmul(model.layers[layer_index - 1].weight, x)
-    ex = np.stack([e.layers[layer_index - 1].weight @ x_t for e, x_t in zip(experts, x)])
-    return np.maximum(np.maximum(*(np.abs(y).max(axis=(1, 2)) for y in (qx, ex))), 1.0)
+    x = forward_to_layer(model, heldout.inputs, layer_index)
+    qx = np.abs(matmul(model.layers[layer_index - 1].weight, x)).max(axis=(1, 2))
+    ex = [np.abs(e.layers[layer_index - 1].weight @ x_t).max() for e, x_t in zip(experts, x)]
+    return np.maximum(np.maximum(qx, ex), 1.0)
 
 
 def deviation_diagnostics(run: PmqRun, heldout: CalibSet) -> DeviationReport:

@@ -186,10 +186,6 @@ class QuantizedLayer:
     def d_in(self) -> int:
         return self.codes.shape[1]
 
-    @property
-    def num_groups(self) -> int:
-        return self.scales.shape[1]
-
     def dequantize(self) -> np.ndarray:
         g = np.arange(self.d_in) // self.group_size
         scales = self.scales.astype(np.float64)[:, g]

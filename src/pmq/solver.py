@@ -404,6 +404,8 @@ def solve_layer(
             per_column_comp_norms=np.zeros(merged_weight.shape[1]),
             solver="rtn",
         )
+    if hessians is None:
+        raise ValueError(f"solver '{cfg.solver}' needs the layer's curvatures, got None")
     if cfg.solver == "gptq":
         return gptq_solve(
             SolverProblem(

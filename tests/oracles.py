@@ -212,7 +212,7 @@ def deviation_rows_from_scratch(run, heldout):
         q_w = run.model.layers[layer_index - 1].weight
         m_w = run.merged.layers[layer_index - 1].weight
         for expert_idx, expert in enumerate(run.experts, start=1):
-            x = forward_to_layer(run.model, heldout.task(expert_idx).inputs, layer_index)
+            x = forward_to_layer(run.model, heldout.batches[expert_idx - 1].inputs, layer_index)
             e_w = expert.layers[layer_index - 1].weight
             qx = q_w @ x
             mx = m_w @ x

@@ -42,7 +42,39 @@ def layer_stats(model, calib, layer_index):
     return list(collect_layer_stats(model, layer_index, acts))
 
 
+class TestBatch:
+    @pytest.mark.parametrize(
+        "inputs, targets, message",
+        [
+            ((3,), None, r"batch inputs must be \(d, n>=1\), got \(3,\)"),
+            ((3, 0), None, r"batch inputs must be \(d, n>=1\), got \(3, 0\)"),
+            ((3, 4), (4,), r"batch targets must be \(rows, n\), got \(4,\)"),
+            ((3, 4), (2, 5), r"batch targets must be \(rows, n\), got \(2, 5\)"),
+        ],
+        ids=["1-d-inputs", "no-samples", "1-d-targets", "targets-width"],
+    )
+    def test_shapes_checked(self, rng, inputs, targets, message):
+        targets = None if targets is None else rng.normal(size=targets)
+        with pytest.raises(ShapeError, match=message):
+            Batch(rng.normal(size=inputs), task_id=1, targets=targets)
+
+
 class TestCalibSet:
+    def test_inputs_are_one_read_only_stack_the_batches_view(self, rng):
+        given = [Batch(rng.normal(size=(3, 4)), task_id=i) for i in (2, 1)]
+        calib = CalibSet(batches=given)
+        assert calib.inputs.shape == (2, 3, 4) and not calib.inputs.flags.writeable
+        for t, batch in enumerate(calib.batches):
+            assert np.shares_memory(batch.inputs, calib.inputs)
+            np.testing.assert_array_equal(batch.inputs, calib.inputs[t])
+            assert batch.task_id == t + 1 and batch is not given[1 - t]
+        assert [b.task_id for b in given] == [2, 1]
+        assert not np.shares_memory(given[0].inputs, calib.inputs)
+
+    def test_tasks_of_other_row_counts_have_no_stack(self, rng):
+        batches = [Batch(rng.normal(size=(d, 4)), task_id=i) for i, d in ((1, 3), (2, 5))]
+        assert CalibSet(batches=batches).inputs is None
+
     def test_task_ids_must_cover_range(self, rng):
         batches = [Batch(rng.normal(size=(3, 4)), task_id=2)]
         with pytest.raises(ValueError):
@@ -81,9 +113,9 @@ class TestCalibSet:
         save_calib_set(calib, tmp_path / "calib")
         loaded = load_calib_set(tmp_path / "calib")
         assert loaded.num_tasks == 2 and loaded.samples_per_task == 4 and loaded.seed == 9
-        np.testing.assert_array_equal(loaded.task(1).inputs, batches[0].inputs)
-        np.testing.assert_array_equal(loaded.task(2).targets, batches[1].targets)
-        assert loaded.task(1).targets is None
+        np.testing.assert_array_equal(loaded.batches[0].inputs, batches[0].inputs)
+        np.testing.assert_array_equal(loaded.batches[1].targets, batches[1].targets)
+        assert loaded.batches[0].targets is None
 
     def test_file_count_matches_tasks(self, tmp_path, rng):
         calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2, 3)])

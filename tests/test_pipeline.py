@@ -299,9 +299,10 @@ class TestDeviationDiagnostics:
         panels = counting(monkeypatch, np, "square")
         assert deviation_diagnostics(run, problem.heldout).rows == whole
         assert whole == deviation_rows_from_scratch(run, problem.heldout)
-        # per layer, one square per panel of the combined deviations, one over Q X and W_i X_i
-        per_layer = [1] * 5 if chunk == 1 else [2, 2, 1]
-        assert [args[0].shape[0] for args in panels] == (per_layer + [10]) * run.model.num_layers
+        # per layer, last to first, one square per panel of the combined deviations but the
+        # first, then one over Q X, W_i X_i and the first panel, in one buffer
+        per_layer = [1] * 4 + [11] if chunk == 1 else [1, 2, 12]
+        assert [args[0].shape[0] for args in panels] == per_layer * run.model.num_layers
 
     def test_walks_one_task_stack(self, monkeypatch):
         """One (K, d, n) stack per layer; only W_i X_i is formed task by task."""
@@ -444,10 +445,39 @@ class TestDeviationDiagnostics:
     def test_inputs_not_fitting_layer_one_are_a_config_error(self):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
         run = run_method(problem, merged, "epmq")
-        batches = [problem.heldout.task(1), Batch(problem.heldout.task(2).inputs[:5], task_id=2)]
+        batches = [problem.heldout.batches[0], Batch(problem.heldout.batches[1].inputs[:5], 2)]
         heldout = CalibSet(batches=batches)
         with pytest.raises(ConfigError, match="held-out task 2 has inputs of 5 rows"):
             deviation_diagnostics(run, heldout)
+
+    @pytest.mark.parametrize("name", ["calibration", "held-out"])
+    def test_tasks_of_other_row_counts_have_no_stack(self, name):
+        """The stack is None, and quantize and evaluate still name the first task
+        that does not fit layer 1."""
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
+        first, second = (problem.calib if name == "calibration" else problem.heldout).batches
+        ragged = CalibSet(batches=[first, Batch(second.inputs[:5], 2, second.targets)])
+        assert ragged.inputs is None
+        with pytest.raises(ConfigError, match=f"{name} task 2 has inputs of 5 rows"):
+            if name == "calibration":
+                run_epmq(merged, problem.experts, ragged, QuantConfig(solver="epmq"))
+            else:
+                evaluate(Model.from_checkpoint(merged), ragged)
+
+    def test_no_stage_stacks_the_task_inputs(self, monkeypatch):
+        """quantize, evaluate and the diagnostics read each set's stack in place."""
+        problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
+        stacks = counting(monkeypatch, np, "stack")
+        run = run_method(problem, merged, "epmq")
+        evaluate(run.model, problem.heldout)
+        deviation_diagnostics(run, problem.heldout)
+        task_inputs = [b.inputs for b in problem.calib.batches + problem.heldout.batches]
+        assert not [
+            a
+            for (arrays, *_) in stacks
+            for a in arrays
+            if any(np.shares_memory(a, x) for x in task_inputs)
+        ]
 
 
 class TestActivationCache:
@@ -469,14 +499,13 @@ class TestActivationCache:
 
     @pytest.mark.parametrize("num_tasks", [1, 3])
     def test_propagates_one_task_stack_per_layer(self, monkeypatch, num_tasks):
-        """L - 1 propagations per run whatever K is; the first takes the batch
-        inputs themselves, so no stacked copy of them is made before it."""
+        """L - 1 propagations per run whatever K is; the first takes the calibration
+        set's own (K, d, n) stack, so no copy of the task inputs is made before it."""
         problem, merged = merged_problem(seed=26, dims=[6, 8, 7, 5], num_tasks=num_tasks)
         propagations = counting(monkeypatch, pmq.pipeline, "propagate_through_layer")
         run_method(problem, merged, "epmq")
         assert [np.shape(x) for x, _ in propagations] == [(num_tasks, 6, 24), (num_tasks, 8, 24)]
-        first = propagations[0][0]
-        assert all(x is b.inputs for x, b in zip(first, problem.calib.batches, strict=True))
+        assert propagations[0][0] is problem.calib.inputs
 
 
 class TestStreamedCurvatures:
@@ -599,7 +628,7 @@ class TestStateGuard:
     def test_caller_arrays_stay_writable(self):
         problem, merged = merged_problem(seed=25, dims=[6, 8, 5])
         weight = np.array(merged.layers[0].weight)
-        inputs = np.array(problem.calib.task(1).inputs)
+        inputs = np.array(problem.calib.batches[0].inputs)
         layers = [Layer(merged.layers[0].spec, weight, merged.layers[0].bias)]
         ckpt = Checkpoint(layers=layers + merged.layers[1:], manifest=merged.manifest)
         batch = Batch(inputs, task_id=1)
@@ -619,8 +648,8 @@ class TestEvaluate:
     def test_perfect_model_zero_mse(self):
         problem = small_problem(seed=13, num_tasks=1)
         model = Model.from_checkpoint(problem.base)
-        outputs = forward(model, problem.heldout.task(1).inputs)
-        batch = Batch(problem.heldout.task(1).inputs, task_id=1, targets=outputs)
+        outputs = forward(model, problem.heldout.batches[0].inputs)
+        batch = Batch(problem.heldout.batches[0].inputs, task_id=1, targets=outputs)
         heldout = CalibSet(batches=[batch])
         result = evaluate(model, heldout)
         assert result.macro_mse == 0.0

@@ -133,6 +133,12 @@ class TestStreamedCurvatures:
             build_epmq_statistics([], wm, iter([]), 0.1)
 
     @pytest.mark.parametrize("solver", ["gptq", "epmq"])
+    def test_no_curvatures_is_an_error_naming_the_solver(self, rng, solver):
+        wm = rng.normal(size=(2, 4))
+        with pytest.raises(ValueError, match=f"solver '{solver}' needs the layer's curvatures"):
+            solve_layer([wm], wm, None, QuantConfig(group_size=4, solver=solver))
+
+    @pytest.mark.parametrize("solver", ["gptq", "epmq"])
     def test_factors_are_dead_before_the_layer_is_built(self, rng, monkeypatch, solver):
         """No inverse factor (continuous solve's or rounding's) outlives the
         rounding: the layer's copies are made after U is let go."""
