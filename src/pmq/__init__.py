@@ -33,7 +33,6 @@ from .linalg import (
 )
 from .merge import MergeSpec, apply_merge
 from .model import (
-    Batch,
     Model,
     forward,
     forward_to_layer,
@@ -73,7 +72,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
     "CalibSet",
     "Checkpoint",
     "DeviationReport",

@@ -14,9 +14,9 @@ by taking the teacher directly).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,47 +24,55 @@ from .checkpoint import Checkpoint, Layer, LayerSpec, ModelManifest
 # `matmul` is unused here but perfbench's alias test requires pmq.calib.matmul; the
 # trainer's stacked products bypass the traced matmul (see ROADMAP item 1)
 from .linalg import ShapeError, as_matrix, matmul, read_only  # noqa: F401
-from .model import (
-    Batch,
-    Model,
-    activation_grad,
-    apply_activation,
-    forward,
-)
+from .model import Model, activation_grad, apply_activation, forward
 from .tensorfile import MalformedHeaderError, read_tensor_file, write_json, write_tensor_file
+
+
+class _Task(NamedTuple):
+    inputs: np.ndarray
+
+
+def _task_stack(arrays, name: str) -> np.ndarray:
+    """`arrays` as a read-only float64 (K >= 1, rows, n >= 1) stack, a view when it is one."""
+    try:
+        stack = np.ascontiguousarray(arrays, dtype=np.float64)
+    except ValueError as exc:  # a ragged sequence of tasks
+        raise ShapeError(f"task {name} do not stack into one array: {exc}") from exc
+    if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[2] < 1:
+        raise ShapeError(f"task {name} must be a (K>=1, rows, n>=1) stack, got {stack.shape}")
+    return read_only(stack)
+
 
 @dataclass
 class CalibSet:
-    """Per-task batches, task ids covering 1..K, all with one width n (samples_per_task).
+    """K tasks' read-only (K, d, n) `inputs` and (K, d_out, n) `targets` or None;
+    task t sits at position t - 1, and n is samples_per_task. Shapes that are
+    not these raise ShapeError."""
 
-    `inputs` is the tasks' one read-only (K, d, n) stack, whose views are the
-    batches' inputs; None when the tasks differ in row count (the pipeline
-    refuses such a set before it reads the stack)."""
-
-    batches: list[Batch]
+    inputs: np.ndarray
+    targets: np.ndarray | None = None
     seed: int | None = None
-    inputs: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        ids = sorted(b.task_id for b in self.batches)
-        if not ids or ids != list(range(1, len(ids) + 1)):
-            raise ValueError(f"task ids must cover 1..K, K >= 1, exactly once, got {ids}")
-        batches = sorted(self.batches, key=lambda b: b.task_id)
-        widths = [b.inputs.shape[1] for b in batches]
-        if len(set(widths)) > 1:
-            raise ValueError(f"every task needs the same number of samples, got {widths}")
-        if len({b.inputs.shape for b in batches}) == 1:
-            self.inputs = read_only(np.stack([b.inputs for b in batches]))
-            batches = [Batch(x, b.task_id, b.targets) for x, b in zip(self.inputs, batches)]
-        self.batches = batches
+        self.inputs = _task_stack(self.inputs, "inputs")
+        if self.targets is not None:
+            self.targets = _task_stack(self.targets, "targets")
+            if self.targets.shape[::2] != self.inputs.shape[::2]:
+                raise ShapeError(
+                    f"task targets {self.targets.shape} and inputs {self.inputs.shape} "
+                    "differ in K or n"
+                )
+        # per-task views that nothing here reads, but perfbench's alias test
+        # reads batches[0].inputs (see ROADMAP item 1)
+        self.batches = [_Task(x) for x in self.inputs]
 
     @property
     def num_tasks(self) -> int:
-        return len(self.batches)
+        return len(self.inputs)
 
     @property
     def samples_per_task(self) -> int:
-        return self.batches[0].inputs.shape[1]
+        return self.inputs.shape[2]
 
 
 def accumulate_stats(x: np.ndarray) -> np.ndarray:
@@ -81,19 +89,19 @@ def accumulate_stats(x: np.ndarray) -> np.ndarray:
 
 
 def collect_layer_stats(
-    model: Model, layer_index: int, activations: Sequence[np.ndarray]
+    model: Model, layer_index: int, activations: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """The curvatures H_i of the layer-l inputs `activations`, K arrays X_i in
-    task order, checked here and formed one at a time as the returned iterator
-    is consumed; it drops each X_i once its H_i is formed."""
+    """The curvatures H_i of the layer-l inputs `activations`, a (K, d, n) stack
+    of the X_i in task order, checked here and formed one at a time as the
+    returned iterator is consumed. The X_i are views of the stack, so its
+    memory goes only once the caller has let go of it and the last H_i is
+    formed, not task by task."""
     d = model.layers[layer_index - 1].spec.d_in
-    xs = list(activations)
-    for task_id, x in enumerate(xs, start=1):
-        if x.shape[0] != d:
-            raise ShapeError(
-                f"activations for task {task_id} have {x.shape[0]} rows, "
-                f"layer {layer_index} expects {d}"
-            )
+    if activations.shape[1] != d:
+        raise ShapeError(
+            f"activations have {activations.shape[1]} rows, layer {layer_index} expects {d}"
+        )
+    xs = list(activations)  # popped, so no view outlives its H_i
     return (accumulate_stats(xs.pop(0)) for _ in range(len(xs)))
 
 
@@ -205,7 +213,7 @@ def make_synthetic_tasks(
     as targets. Experts start from the base and take `train_steps` full-batch
     gradient steps toward their teacher ("train" mode) or are the teacher
     itself ("perturb" mode). Calibration and held-out sets are disjoint
-    draws; held-out batches carry teacher targets for evaluation. An expert
+    draws; the held-out set carries teacher targets for evaluation. An expert
     or held-out target that is not finite raises FloatingPointError.
     """
     if num_tasks < 1:
@@ -232,9 +240,8 @@ def make_synthetic_tasks(
 
     d0 = dims[0]
     teachers, train_xs, train_ys = [], [], []
-    calib_batches = []
-    heldout_batches = []
-    for task_id in range(1, num_tasks + 1):
+    calib_xs, heldout_xs, heldout_ys = [], [], []
+    for _ in range(num_tasks):
         mean = rng.normal(0.0, input_mean_scale, size=(d0, 1))
         spread = rng.uniform(input_spread[0], input_spread[1], size=(d0, 1))
         teacher = _perturb_checkpoint(rng, base, teacher_scale)
@@ -249,11 +256,9 @@ def make_synthetic_tasks(
             train_xs.append(train_x)
             train_ys.append(forward(teacher_model, train_x))
 
-        calib_x = draw(samples_per_task)
-        heldout_x = draw(heldout_samples)
-        heldout_y = forward(teacher_model, heldout_x)
-        calib_batches.append(Batch(inputs=calib_x, task_id=task_id))
-        heldout_batches.append(Batch(inputs=heldout_x, task_id=task_id, targets=heldout_y))
+        calib_xs.append(draw(samples_per_task))
+        heldout_xs.append(draw(heldout_samples))
+        heldout_ys.append(forward(teacher_model, heldout_xs[-1]))
 
     experts = teachers
     if expert_mode == "train":  # training draws nothing, so it runs after every task's draws
@@ -265,15 +270,15 @@ def make_synthetic_tasks(
             for name, arr in (("weight", lw.weight), ("bias", lw.bias)):
                 if arr is not None and not np.isfinite(arr).all():
                     raise FloatingPointError(f"expert {task_id}: {lw.spec.id}.{name} is not finite")
-    for batch in heldout_batches:
-        if not np.isfinite(batch.targets).all():
-            raise FloatingPointError(f"held-out targets of task {batch.task_id} are not finite")
+    for task_id, y in enumerate(heldout_ys, start=1):
+        if not np.isfinite(y).all():
+            raise FloatingPointError(f"held-out targets of task {task_id} are not finite")
 
-    calib = CalibSet(batches=calib_batches, seed=seed)
-    # the calibration draws die before the held-out stack takes their memory: kept
+    calib = CalibSet(np.stack(calib_xs), seed=seed)
+    # the calibration draws die before the held-out stacks take their memory: kept
     # alive, peak_rss_mb@wide read 85.1-85.4 MB, not 84.1-84.4 (10 runs, 2-vCPU VM)
-    del calib_batches, calib_x
-    heldout = CalibSet(batches=heldout_batches, seed=seed)
+    del calib_xs
+    heldout = CalibSet(np.stack(heldout_xs), np.stack(heldout_ys), seed=seed)
     return SyntheticProblem(base=base, experts=experts, calib=calib, heldout=heldout)
 
 
@@ -284,11 +289,11 @@ def make_synthetic_tasks(
 def save_calib_set(calib: CalibSet, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for batch in calib.batches:
-        tensors = {"inputs": batch.inputs}
-        if batch.targets is not None:
-            tensors["targets"] = batch.targets
-        write_tensor_file(directory / f"task{batch.task_id}.safetensors", tensors)
+    for t, inputs in enumerate(calib.inputs):
+        tensors = {"inputs": inputs}
+        if calib.targets is not None:
+            tensors["targets"] = calib.targets[t]
+        write_tensor_file(directory / f"task{t + 1}.safetensors", tensors)
     index = {
         "K": calib.num_tasks,
         "samples_per_task": calib.samples_per_task,
@@ -333,8 +338,19 @@ def load_calib_set(directory) -> CalibSet:
         raise MalformedHeaderError(f"{index_path}: malformed index: {exc!r}") from exc
     if num_tasks < 1:
         raise MalformedHeaderError(f"{index_path}: malformed index: K={num_tasks}, need K >= 1")
-    batches = []
-    for task_id in range(1, num_tasks + 1):
-        inputs, targets = _read_task(directory / f"task{task_id}.safetensors", samples_per_task)
-        batches.append(Batch(inputs=inputs, task_id=task_id, targets=targets))
-    return CalibSet(batches=batches, seed=seed)
+    stacks = {}
+    for t in range(num_tasks):
+        path = directory / f"task{t + 1}.safetensors"
+        for name, task in zip(("inputs", "targets"), _read_task(path, samples_per_task)):
+            if t == 0 and task is not None:
+                stacks[name] = np.empty((num_tasks, *task.shape))
+            rows = [None if a is None else a.shape[-2] for a in (task, stacks.get(name))]
+            if rows[0] != rows[1]:
+                got, want = ("no" if r is None else r for r in rows)
+                raise ShapeError(
+                    f"{path}: tensor '{name}' has {got} rows where task1.safetensors "
+                    f"has {want}; the tasks do not stack"
+                )
+            if task is not None:
+                stacks[name][t] = task
+    return CalibSet(stacks["inputs"], stacks.get("targets"), seed=seed)

@@ -5,7 +5,8 @@
 One JSON config file drives everything; --set applies dotted-path overrides
 (values parsed as JSON when possible) so sweep definitions stay reproducible
 artifacts. PMQ_SEED overrides the config seed. Exit codes: 0 success,
-2 config error, 3 numeric failure, 4 I/O failure.
+2 config error, 3 numeric failure, 4 I/O failure. Task files whose tensors
+do not stack into one (K, rows, n) array are a config error (ShapeError).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .calib import SyntheticProblem, load_calib_set, make_synthetic_tasks, save_calib_set
 from .checkpoint import Checkpoint, ManifestError, load_checkpoint, save_checkpoint
-from .linalg import SingularMatrixError, require_real
+from .linalg import ShapeError, SingularMatrixError, require_real
 from .merge import MergeSpec, apply_merge
 from .model import load_model, save_model
 from .pipeline import (
@@ -472,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_sweep(cfg, out, args.axis)
         return 0
     # a ManifestError here means checkpoints disagree; a malformed sidecar is an i/o failure
-    except (ConfigError, ManifestError) as exc:
+    except (ConfigError, ManifestError, ShapeError) as exc:
         print(f"pmq: config error: {exc}", file=sys.stderr)
         return 2
     except (SingularMatrixError, ArithmeticError, FloatingPointError) as exc:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import Checkpoint, Layer, ModelManifest, check_layers, read_layers, write_layers
-from .linalg import ShapeError, matmul, read_only
+from .linalg import ShapeError, matmul
 from .quant import QuantizedLayer
 
 # tanh-form gelu constants, fixed so independent builds agree at 64-bit
@@ -50,29 +49,6 @@ def activation_grad(name: str, z: np.ndarray) -> np.ndarray:
         dinner = _GELU_COEF * (1.0 + 3.0 * _GELU_CUBIC * z**2)
         return 0.5 * (1.0 + t) + 0.5 * z * (1.0 - t**2) * dinner
     raise ValueError(f"unknown activation '{name}'")
-
-
-@dataclass
-class Batch:
-    """Inputs for one task: (d, n) columns of samples, 1-based task id.
-
-    Inputs and targets are kept as read-only float64 views.
-    """
-
-    inputs: np.ndarray
-    task_id: int
-    targets: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.inputs = read_only(np.ascontiguousarray(self.inputs, dtype=np.float64))
-        if self.inputs.ndim != 2 or self.inputs.shape[1] < 1:
-            raise ShapeError(f"batch inputs must be (d, n>=1), got {self.inputs.shape}")
-        if self.task_id < 1:
-            raise ValueError(f"task_id must be >= 1, got {self.task_id}")
-        if self.targets is not None:
-            self.targets = read_only(np.ascontiguousarray(self.targets, dtype=np.float64))
-            if self.targets.shape[1:] != self.inputs.shape[1:]:  # (rows, n) like the inputs
-                raise ShapeError(f"batch targets must be (rows, n), got {self.targets.shape}")
 
 
 class Model:

@@ -114,21 +114,18 @@ class ConfigError(ValueError):
 
 
 def _check_tasks(data: CalibSet, manifest: ModelManifest, name: str, targets: bool) -> None:
-    """Every task's inputs must fit layer 1 and, when asked, its targets the last layer."""
+    """The tasks' inputs must fit layer 1 and, when asked, their targets the last layer."""
     d_in, d_out = manifest.layers[0].d_in, manifest.layers[-1].d_out
-    for batch in data.batches:
-        task = f"{name} task {batch.task_id}"
-        if batch.inputs.shape[0] != d_in:
-            raise ConfigError(
-                f"{task} has inputs of {batch.inputs.shape[0]} rows, layer 1 has d_in={d_in}"
-            )
-        if targets and batch.targets is None:
-            raise ConfigError(f"{task} has no targets")
-        if targets and batch.targets.shape[0] != d_out:
-            raise ConfigError(
-                f"{task} has targets of {batch.targets.shape[0]} rows, "
-                f"the last layer has d_out={d_out}"
-            )
+    if data.inputs.shape[1] != d_in:
+        raise ConfigError(
+            f"{name} inputs have {data.inputs.shape[1]} rows, layer 1 has d_in={d_in}"
+        )
+    if targets and data.targets is None:
+        raise ConfigError(f"{name} tasks have no targets")
+    if targets and data.targets.shape[1] != d_out:
+        raise ConfigError(
+            f"{name} targets have {data.targets.shape[1]} rows, the last layer has d_out={d_out}"
+        )
 
 
 def quantize(
@@ -338,8 +335,8 @@ def evaluate_with_deviations(
     _check_tasks(heldout, model.manifest, "held-out", targets=True)
     outputs, report = _walk(model, heldout, merged, experts)
     per_task = {
-        batch.task_id: float(np.mean((out - batch.targets) ** 2))
-        for out, batch in zip(outputs, heldout.batches)
+        t: float(np.mean((out - y) ** 2))
+        for t, (out, y) in enumerate(zip(outputs, heldout.targets), start=1)
     }
     macro = float(np.mean(list(per_task.values())))
     return EvalResult(per_task_mse=per_task, macro_mse=macro), report

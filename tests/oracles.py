@@ -212,7 +212,7 @@ def deviation_rows_from_scratch(run, heldout):
         q_w = run.model.layers[layer_index - 1].weight
         m_w = run.merged.layers[layer_index - 1].weight
         for expert_idx, expert in enumerate(run.experts, start=1):
-            x = forward_to_layer(run.model, heldout.batches[expert_idx - 1].inputs, layer_index)
+            x = forward_to_layer(run.model, heldout.inputs[expert_idx - 1], layer_index)
             e_w = expert.layers[layer_index - 1].weight
             qx = q_w @ x
             mx = m_w @ x
@@ -278,10 +278,7 @@ def quantize_from_scratch(merged, experts, calib, cfg):
     for ell in range(1, model.num_layers + 1):
         hessians = None
         if calib is not None:
-            hessians = [
-                accumulate_stats(forward_to_layer(model, batch.inputs, ell))
-                for batch in calib.batches
-            ]
+            hessians = [accumulate_stats(forward_to_layer(model, x, ell)) for x in calib.inputs]
         expert_weights = [e.layers[ell - 1].weight for e in experts]
         report = solve_layer(expert_weights, model.layers[ell - 1].weight, hessians, cfg)
         model.replace_layer(ell, report.quantized)

@@ -14,7 +14,7 @@ from pmq.calib import (
     save_calib_set,
 )
 from pmq.linalg import ShapeError, frobenius_sq
-from pmq.model import Batch, Model, forward_to_layer
+from pmq.model import Model, forward_to_layer
 from pmq.quant import QuantConfig, rtn_quantize
 from pmq.solver import build_epmq_statistics
 from pmq.tensorfile import MalformedHeaderError
@@ -38,65 +38,73 @@ def small_problem(seed=0, **kwargs):
 def layer_stats(model, calib, layer_index):
     """collect_layer_stats on every task forwarded from its inputs to the layer, as a list
     (the package's iterator is consumed once; tests read the curvatures more than once)."""
-    acts = [forward_to_layer(model, b.inputs, layer_index) for b in calib.batches]
+    acts = np.stack([forward_to_layer(model, x, layer_index) for x in calib.inputs])
     return list(collect_layer_stats(model, layer_index, acts))
 
 
-class TestBatch:
+class TestCalibSet:
     @pytest.mark.parametrize(
         "inputs, targets, message",
         [
-            ((3,), None, r"batch inputs must be \(d, n>=1\), got \(3,\)"),
-            ((3, 0), None, r"batch inputs must be \(d, n>=1\), got \(3, 0\)"),
-            ((3, 4), (4,), r"batch targets must be \(rows, n\), got \(4,\)"),
-            ((3, 4), (2, 5), r"batch targets must be \(rows, n\), got \(2, 5\)"),
+            ((3, 4), None, r"task inputs must be a \(K>=1, rows, n>=1\) stack, got \(3, 4\)"),
+            ((2, 3, 0), None, r"task inputs must be .*, got \(2, 3, 0\)"),
+            ((0, 3, 4), None, r"task inputs must be .*, got \(0, 3, 4\)"),
+            ((2, 3, 4), (3, 2, 4), r"targets \(3, 2, 4\) and inputs \(2, 3, 4\) differ in K"),
+            ((2, 3, 4), (2, 2, 5), r"targets \(2, 2, 5\) and inputs \(2, 3, 4\) differ in K"),
+            ((2, 3, 4), (2, 4), r"task targets must be .*, got \(2, 4\)"),
         ],
-        ids=["1-d-inputs", "no-samples", "1-d-targets", "targets-width"],
+        ids=["2-d-inputs", "no-samples", "no-tasks", "targets-tasks", "targets-width",
+             "2-d-targets"],
     )
     def test_shapes_checked(self, rng, inputs, targets, message):
         targets = None if targets is None else rng.normal(size=targets)
         with pytest.raises(ShapeError, match=message):
-            Batch(rng.normal(size=inputs), task_id=1, targets=targets)
+            CalibSet(rng.normal(size=inputs), targets)
 
-
-class TestCalibSet:
-    def test_inputs_are_one_read_only_stack_the_batches_view(self, rng):
-        given = [Batch(rng.normal(size=(3, 4)), task_id=i) for i in (2, 1)]
-        calib = CalibSet(batches=given)
+    def test_inputs_are_one_read_only_stack(self, rng):
+        given = rng.normal(size=(2, 3, 4))
+        calib = CalibSet(given)
         assert calib.inputs.shape == (2, 3, 4) and not calib.inputs.flags.writeable
-        for t, batch in enumerate(calib.batches):
-            assert np.shares_memory(batch.inputs, calib.inputs)
-            np.testing.assert_array_equal(batch.inputs, calib.inputs[t])
-            assert batch.task_id == t + 1 and batch is not given[1 - t]
-        assert [b.task_id for b in given] == [2, 1]
-        assert not np.shares_memory(given[0].inputs, calib.inputs)
+        assert calib.inputs.base is given and given.flags.writeable
+        assert calib.targets is None and calib.num_tasks == 2
+
+    def test_a_list_of_tasks_is_stacked(self, rng):
+        tasks = [rng.normal(size=(3, 4)) for _ in range(2)]
+        calib = CalibSet(tasks, [rng.normal(size=(2, 4)) for _ in range(2)])
+        assert calib.inputs.shape == (2, 3, 4) and calib.targets.shape == (2, 2, 4)
+        for t, x in enumerate(tasks):
+            np.testing.assert_array_equal(calib.inputs[t], x)
+            assert not np.shares_memory(x, calib.inputs)
 
     def test_tasks_of_other_row_counts_have_no_stack(self, rng):
-        batches = [Batch(rng.normal(size=(d, 4)), task_id=i) for i, d in ((1, 3), (2, 5))]
-        assert CalibSet(batches=batches).inputs is None
+        tasks = [rng.normal(size=(d, 4)) for d in (3, 5)]
+        with pytest.raises(ShapeError, match="task inputs do not stack into one array"):
+            CalibSet(tasks)
 
-    def test_task_ids_must_cover_range(self, rng):
-        batches = [Batch(rng.normal(size=(3, 4)), task_id=2)]
-        with pytest.raises(ValueError):
-            CalibSet(batches=batches)
-        with pytest.raises(ValueError, match="K >= 1"):
-            CalibSet(batches=[])
+    def test_task_ids_must_cover_range(self):
+        """Task t is position t - 1 of the stack, so an empty list of tasks is all
+        that is left to refuse (an empty stack is a shape case above)."""
+        with pytest.raises(ShapeError, match="K>=1"):
+            CalibSet([])
 
     def test_ragged_batches_raise(self, rng):
-        batches = [Batch(rng.normal(size=(3, n)), task_id=i) for i, n in ((1, 4), (2, 5))]
-        with pytest.raises(ValueError, match=re.escape("same number of samples, got [4, 5]")):
-            CalibSet(batches=batches)
+        tasks = [rng.normal(size=(3, n)) for n in (4, 5)]
+        with pytest.raises(ShapeError, match="task inputs do not stack into one array"):
+            CalibSet(tasks)
+        targets = [rng.normal(size=(2, n)) for n in (4, 5)]
+        with pytest.raises(ShapeError, match="task targets do not stack into one array"):
+            CalibSet(rng.normal(size=(2, 3, 4)), targets)
 
     def test_samples_per_task_is_the_batch_width(self, tmp_path, rng):
-        calib = CalibSet(batches=[Batch(rng.normal(size=(3, 5)), task_id=1)])
+        calib = CalibSet(rng.normal(size=(1, 3, 5)))
         assert calib.samples_per_task == 5
         with pytest.raises(TypeError):
-            CalibSet(batches=calib.batches, samples_per_task=7)
+            CalibSet(calib.inputs, samples_per_task=7)
         save_calib_set(calib, tmp_path / "c")
         assert load_calib_set(tmp_path / "c").samples_per_task == 5
 
     def test_inputs_width_must_be_samples_per_task(self, tmp_path, rng):
-        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2)])
+        calib = CalibSet(rng.normal(size=(2, 2, 3)))
         save_calib_set(calib, tmp_path / "c")
         (tmp_path / "c" / "index.json").write_text('{"K": 2, "samples_per_task": 4}')
         path = tmp_path / "c" / "task1.safetensors"
@@ -105,20 +113,30 @@ class TestCalibSet:
             load_calib_set(tmp_path / "c")
 
     def test_round_trip_files(self, tmp_path, rng):
-        batches = [
-            Batch(rng.normal(size=(3, 4)), task_id=1),
-            Batch(rng.normal(size=(3, 4)), task_id=2, targets=rng.normal(size=(2, 4))),
-        ]
-        calib = CalibSet(batches=batches, seed=9)
-        save_calib_set(calib, tmp_path / "calib")
+        inputs, targets = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 2, 4))
+        save_calib_set(CalibSet(inputs, targets, seed=9), tmp_path / "calib")
         loaded = load_calib_set(tmp_path / "calib")
         assert loaded.num_tasks == 2 and loaded.samples_per_task == 4 and loaded.seed == 9
-        np.testing.assert_array_equal(loaded.batches[0].inputs, batches[0].inputs)
-        np.testing.assert_array_equal(loaded.batches[1].targets, batches[1].targets)
-        assert loaded.batches[0].targets is None
+        np.testing.assert_array_equal(loaded.inputs, inputs)
+        np.testing.assert_array_equal(loaded.targets, targets)
+        save_calib_set(CalibSet(inputs), tmp_path / "bare")
+        assert load_calib_set(tmp_path / "bare").targets is None
+
+    @pytest.mark.parametrize("with_targets", [False, True])
+    def test_save_load_save_rewrites_the_same_bytes(self, tmp_path, with_targets):
+        problem = small_problem(seed=11, num_tasks=3)
+        calib = problem.heldout if with_targets else problem.calib
+        save_calib_set(calib, tmp_path / "a")
+        save_calib_set(load_calib_set(tmp_path / "a"), tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["index.json", "task1.safetensors", "task2.safetensors",
+                         "task3.safetensors"]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_file_count_matches_tasks(self, tmp_path, rng):
-        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=i) for i in (1, 2, 3)])
+        calib = CalibSet(rng.normal(size=(3, 2, 3)))
         save_calib_set(calib, tmp_path / "c")
         files = sorted(p.name for p in (tmp_path / "c").glob("task*.safetensors"))
         assert files == ["task1.safetensors", "task2.safetensors", "task3.safetensors"]
@@ -140,7 +158,7 @@ class TestCalibSet:
         ],
     )
     def test_incomplete_index_is_malformed(self, tmp_path, rng, index, message):
-        calib = CalibSet(batches=[Batch(rng.normal(size=(2, 3)), task_id=1)])
+        calib = CalibSet(rng.normal(size=(1, 2, 3)))
         save_calib_set(calib, tmp_path / "c")
         (tmp_path / "c" / "index.json").write_text(index)
         with pytest.raises(MalformedHeaderError, match=re.escape(message)):
@@ -153,9 +171,9 @@ class TestLayerStats:
         model = Model.from_checkpoint(problem.base)
         model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
         hessians = layer_stats(model, problem.calib, 1)
-        for batch, h in zip(problem.calib.batches, hessians, strict=True):
-            np.testing.assert_array_equal(forward_to_layer(model, batch.inputs, 1), batch.inputs)
-            np.testing.assert_array_equal(h, accumulate_stats(batch.inputs))
+        for x, h in zip(problem.calib.inputs, hessians, strict=True):
+            np.testing.assert_array_equal(forward_to_layer(model, x, 1), x)
+            np.testing.assert_array_equal(h, accumulate_stats(x))
             assert h.shape == (6, 6)
 
     def test_single_sample_rank_one(self, rng):
@@ -171,7 +189,7 @@ class TestLayerStats:
         model.replace_layer(1, rtn_quantize(model.layers[0].weight, QuantConfig(solver="rtn")))
         from pmq.model import propagate_through_layer
 
-        cache = propagate_through_layer([b.inputs for b in problem.calib.batches], model.layers[0])
+        cache = propagate_through_layer(problem.calib.inputs, model.layers[0])
         cached = collect_layer_stats(model, 2, cache)
         fresh = layer_stats(model, problem.calib, 2)
         for hc, hf in zip(cached, fresh, strict=True):
@@ -183,8 +201,8 @@ class TestLayerStats:
         model = Model.from_checkpoint(problem.base)
         for ell in (1, 2):
             hessians = layer_stats(model, problem.calib, ell)
-            for batch, h in zip(problem.calib.batches, hessians, strict=True):
-                e = frobenius_sq(forward_to_layer(model, batch.inputs, ell))
+            for x, h in zip(problem.calib.inputs, hessians, strict=True):
+                e = frobenius_sq(forward_to_layer(model, x, ell))
                 assert abs(np.trace(h) - e) <= 1e-9 * max(1.0, abs(e))
 
     def test_psd_probe_vectors(self, rng):
@@ -230,7 +248,7 @@ class TestLayerStats:
     def test_cache_shape_drift_detected(self):
         problem = small_problem()
         model = Model.from_checkpoint(problem.base)
-        bad_cache = [np.zeros((3, 4)), np.zeros((3, 4))]
+        bad_cache = np.zeros((2, 3, 4))
         with pytest.raises(ShapeError):
             collect_layer_stats(model, 1, bad_cache)
 
@@ -288,17 +306,15 @@ class TestSyntheticTasks:
         for a, b in zip(p1.experts, p2.experts):
             for la, lb in zip(a.layers, b.layers):
                 assert la.weight.tobytes() == lb.weight.tobytes()
-        for ba, bb in zip(p1.calib.batches, p2.calib.batches):
-            assert ba.inputs.tobytes() == bb.inputs.tobytes()
-        for ba, bb in zip(p1.heldout.batches, p2.heldout.batches):
-            assert ba.targets.tobytes() == bb.targets.tobytes()
+        assert p1.calib.inputs.tobytes() == p2.calib.inputs.tobytes()
+        assert p1.heldout.targets.tobytes() == p2.heldout.targets.tobytes()
 
     def test_calib_and_heldout_disjoint(self):
         problem = small_problem(seed=8)
-        for b_cal, b_held in zip(problem.calib.batches, problem.heldout.batches):
-            assert b_cal.inputs.shape[1] == 24 and b_held.inputs.shape[1] == 24
+        for x_cal, x_held in zip(problem.calib.inputs, problem.heldout.inputs, strict=True):
+            assert x_cal.shape[1] == 24 and x_held.shape[1] == 24
             # disjoint draws: no shared columns
-            shared = set(map(tuple, b_cal.inputs.T)) & set(map(tuple, b_held.inputs.T))
+            shared = set(map(tuple, x_cal.T)) & set(map(tuple, x_held.T))
             assert not shared
 
     def test_experts_beat_base_on_own_task(self):
@@ -364,10 +380,7 @@ class TestSyntheticTasks:
         """Training draws nothing, so the modes share one random stream and one data set."""
         perturb = small_problem(seed=4, expert_mode="perturb")
         train = small_problem(seed=4, expert_mode="train")
-        for a, b in zip(
-            [*perturb.calib.batches, *perturb.heldout.batches],
-            [*train.calib.batches, *train.heldout.batches],
-        ):
+        for a, b in ((perturb.calib, train.calib), (perturb.heldout, train.heldout)):
             assert a.inputs.tobytes() == b.inputs.tobytes()
             if a.targets is not None:
                 assert a.targets.tobytes() == b.targets.tobytes()

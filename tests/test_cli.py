@@ -851,40 +851,55 @@ class TestExitCodes:
         assert not (out / f"{written}.safetensors").exists()
 
     @pytest.mark.parametrize(
-        "command, solver, tensor, rows, message",
+        "command, solver, tensor, files, rows, message",
         [
-            ("quantize", "gptq", "calib/inputs", 5, "calibration task 1 has inputs of 5 rows, "
-             "layer 1 has d_in=8"),
-            ("quantize", "rtn", "calib/inputs", 5, "calibration task 1 has inputs of 5 rows, "
-             "layer 1 has d_in=8"),
-            ("eval", "gptq", "heldout/inputs", 5, "held-out task 1 has inputs of 5 rows, "
-             "layer 1 has d_in=8"),
-            ("eval", "gptq", "heldout/targets", None, "held-out task 1 has no targets"),
-            ("eval", "gptq", "heldout/targets", 4, "held-out task 1 has targets of 4 rows, "
-             "the last layer has d_out=6"),
+            # one task file changed: the tasks do not stack, and loading names the next file
+            ("quantize", "gptq", "calib/inputs", "task1", 5,
+             "task2.safetensors: tensor 'inputs' has 8 rows where task1.safetensors has 5"),
+            ("quantize", "rtn", "calib/inputs", "task1", 5,
+             "task2.safetensors: tensor 'inputs' has 8 rows where task1.safetensors has 5"),
+            ("eval", "gptq", "heldout/inputs", "task1", 5,
+             "task2.safetensors: tensor 'inputs' has 8 rows where task1.safetensors has 5"),
+            ("eval", "gptq", "heldout/targets", "task1", None,
+             "task2.safetensors: tensor 'targets' has 6 rows where task1.safetensors has no"),
+            ("eval", "gptq", "heldout/targets", "task1", 4,
+             "task2.safetensors: tensor 'targets' has 6 rows where task1.safetensors has 4"),
+            # every task file changed: the tasks stack but do not fit the model
+            ("quantize", "gptq", "calib/inputs", "task*", 5,
+             "calibration inputs have 5 rows, layer 1 has d_in=8"),
+            ("quantize", "rtn", "calib/inputs", "task*", 5,
+             "calibration inputs have 5 rows, layer 1 has d_in=8"),
+            ("eval", "gptq", "heldout/inputs", "task*", 5,
+             "held-out inputs have 5 rows, layer 1 has d_in=8"),
+            ("eval", "gptq", "heldout/targets", "task*", None, "held-out tasks have no targets"),
+            ("eval", "gptq", "heldout/targets", "task*", 4,
+             "held-out targets have 4 rows, the last layer has d_out=6"),
         ],
-        ids=["calib-width-gptq", "calib-width-rtn", "heldout-width", "no-targets", "target-rows"],
+        ids=["calib-width-gptq", "calib-width-rtn", "heldout-width", "no-targets", "target-rows",
+             "all-calib-width-gptq", "all-calib-width-rtn", "all-heldout-width",
+             "all-no-targets", "all-target-rows"],
     )
     def test_data_not_matching_model_is_2(
-        self, tmp_path, capsys, command, solver, tensor, rows, message
+        self, tmp_path, capsys, command, solver, tensor, files, rows, message
     ):
         cfg = write_cfg(tmp_path, {"quant.solver": solver})
         out = tmp_path / "out"
         for stage in ("gen", "merge", "quantize")[: 2 if command == "quantize" else 3]:
             assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
         subdir, name = tensor.split("/")
-        path = out / subdir / "task1.safetensors"
-        tensors, _ = read_tensor_file(path)
-        if rows is None:
-            del tensors[name]
-        else:
-            tensors[name] = tensors[name][:rows]
-        write_tensor_file(path, tensors)
+        for path in (out / subdir).glob(f"{files}.safetensors"):
+            tensors, _ = read_tensor_file(path)
+            if rows is None:
+                del tensors[name]
+            else:
+                tensors[name] = tensors[name][:rows]
+            write_tensor_file(path, tensors)
         before = dir_hashes(out)
         capsys.readouterr()
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and message in err
+        assert "Traceback" not in err and "config error" in err and message in err
+        assert files != "task1" or f"{out / subdir / 'task2.safetensors'}: " in err
         # no quantized.safetensors or run.json, no metrics.csv, run.json untouched
         assert dir_hashes(out) == before
 

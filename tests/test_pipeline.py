@@ -13,8 +13,9 @@ import pmq.pipeline
 import pmq.solver
 from pmq.calib import CalibSet, make_synthetic_tasks
 from pmq.checkpoint import Checkpoint, Layer
+from pmq.linalg import ShapeError
 from pmq.merge import MergeSpec, apply_merge
-from pmq.model import EMPTY_PREFIX, Batch, Model, chain_link, forward, forward_to_layer
+from pmq.model import EMPTY_PREFIX, Model, chain_link, forward, forward_to_layer
 from pmq.pipeline import (
     ConfigError,
     deviation_diagnostics,
@@ -52,8 +53,7 @@ def run_method(problem, merged, method):
 
 
 def scaled_heldout(heldout, factor):
-    batches = [Batch(b.inputs * factor, b.task_id, b.targets) for b in heldout.batches]
-    return CalibSet(batches=batches)
+    return CalibSet(heldout.inputs * factor, heldout.targets)
 
 
 def prefix_chain(layers):
@@ -109,9 +109,9 @@ class TestRunEpmq:
             q = run.model.layers[ell - 1].weight
             lam = run.layer_reports[ell - 1].solve.lam
             obj = 0.0
-            for batch in problem.calib.batches:
-                x = forward_to_layer(run.model, batch.inputs, ell)
-                w_i = problem.experts[batch.task_id - 1].layers[ell - 1].weight
+            for inputs, expert in zip(problem.calib.inputs, problem.experts, strict=True):
+                x = forward_to_layer(run.model, inputs, ell)
+                w_i = expert.layers[ell - 1].weight
                 diff = q @ x - w_i @ x
                 obj += float(np.sum(diff * diff))
             obj += lam * float(np.sum((q - merged.layers[ell - 1].weight) ** 2))
@@ -139,12 +139,7 @@ class TestRunEpmq:
 
     def test_layer_failure_names_layer(self):
         problem, merged = merged_problem(seed=0)
-        bad_calib = CalibSet(
-            batches=[
-                Batch(np.full_like(b.inputs, 1e200), task_id=b.task_id)
-                for b in problem.calib.batches
-            ]
-        )
+        bad_calib = CalibSet(np.full_like(problem.calib.inputs, 1e200))
         cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.01)
         with np.errstate(all="ignore"), pytest.raises(Exception, match="layer"):
             run_epmq(merged, problem.experts, bad_calib, cfg)
@@ -328,8 +323,8 @@ class TestDeviationDiagnostics:
         run = run_method(problem, merged, "epmq")
         result = evaluate(run.model, problem.heldout)
         assert result.per_task_mse == {
-            b.task_id: float(np.mean((forward(run.model, b.inputs) - b.targets) ** 2))
-            for b in problem.heldout.batches
+            t: float(np.mean((forward(run.model, x) - y) ** 2))
+            for t, (x, y) in enumerate(zip(problem.heldout.inputs, problem.heldout.targets), 1)
         }
         report = deviation_diagnostics(run, problem.heldout)
         assert report.rows == deviation_rows_from_scratch(run, problem.heldout)
@@ -445,24 +440,19 @@ class TestDeviationDiagnostics:
     def test_inputs_not_fitting_layer_one_are_a_config_error(self):
         problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
         run = run_method(problem, merged, "epmq")
-        batches = [problem.heldout.batches[0], Batch(problem.heldout.batches[1].inputs[:5], 2)]
-        heldout = CalibSet(batches=batches)
-        with pytest.raises(ConfigError, match="held-out task 2 has inputs of 5 rows"):
+        heldout = CalibSet(problem.heldout.inputs[:, :5], problem.heldout.targets)
+        with pytest.raises(ConfigError, match="held-out inputs have 5 rows, layer 1 has d_in=6"):
             deviation_diagnostics(run, heldout)
 
     @pytest.mark.parametrize("name", ["calibration", "held-out"])
     def test_tasks_of_other_row_counts_have_no_stack(self, name):
-        """The stack is None, and quantize and evaluate still name the first task
-        that does not fit layer 1."""
-        problem, merged = merged_problem(seed=19, dims=[6, 8, 5])
-        first, second = (problem.calib if name == "calibration" else problem.heldout).batches
-        ragged = CalibSet(batches=[first, Batch(second.inputs[:5], 2, second.targets)])
-        assert ragged.inputs is None
-        with pytest.raises(ConfigError, match=f"{name} task 2 has inputs of 5 rows"):
-            if name == "calibration":
-                run_epmq(merged, problem.experts, ragged, QuantConfig(solver="epmq"))
-            else:
-                evaluate(Model.from_checkpoint(merged), ragged)
+        """A set of such tasks is refused when it is built, before quantize or
+        evaluate could read it."""
+        problem = small_problem(seed=19, dims=[6, 8, 5])
+        data = problem.calib if name == "calibration" else problem.heldout
+        first, second = data.inputs
+        with pytest.raises(ShapeError, match="task inputs do not stack into one array"):
+            CalibSet([first, second[:5]], data.targets)
 
     def test_no_stage_stacks_the_task_inputs(self, monkeypatch):
         """quantize, evaluate and the diagnostics read each set's stack in place."""
@@ -471,7 +461,7 @@ class TestDeviationDiagnostics:
         run = run_method(problem, merged, "epmq")
         evaluate(run.model, problem.heldout)
         deviation_diagnostics(run, problem.heldout)
-        task_inputs = [b.inputs for b in problem.calib.batches + problem.heldout.batches]
+        task_inputs = [problem.calib.inputs, problem.heldout.inputs]
         assert not [
             a
             for (arrays, *_) in stacks
@@ -628,12 +618,12 @@ class TestStateGuard:
     def test_caller_arrays_stay_writable(self):
         problem, merged = merged_problem(seed=25, dims=[6, 8, 5])
         weight = np.array(merged.layers[0].weight)
-        inputs = np.array(problem.calib.batches[0].inputs)
+        inputs = np.array(problem.calib.inputs)
         layers = [Layer(merged.layers[0].spec, weight, merged.layers[0].bias)]
         ckpt = Checkpoint(layers=layers + merged.layers[1:], manifest=merged.manifest)
-        batch = Batch(inputs, task_id=1)
-        assert ckpt.layers[0].weight.base is weight and batch.inputs.base is inputs
-        assert not ckpt.layers[0].weight.flags.writeable and not batch.inputs.flags.writeable
+        calib = CalibSet(inputs)
+        assert ckpt.layers[0].weight.base is weight and calib.inputs.base is inputs
+        assert not ckpt.layers[0].weight.flags.writeable and not calib.inputs.flags.writeable
         weight[0, 0] += 1.0  # the caller's own arrays keep their flags
         inputs[0, 0] += 1.0
 
@@ -648,9 +638,7 @@ class TestEvaluate:
     def test_perfect_model_zero_mse(self):
         problem = small_problem(seed=13, num_tasks=1)
         model = Model.from_checkpoint(problem.base)
-        outputs = forward(model, problem.heldout.batches[0].inputs)
-        batch = Batch(problem.heldout.batches[0].inputs, task_id=1, targets=outputs)
-        heldout = CalibSet(batches=[batch])
+        heldout = CalibSet(problem.heldout.inputs, forward(model, problem.heldout.inputs))
         result = evaluate(model, heldout)
         assert result.macro_mse == 0.0
 
@@ -663,8 +651,8 @@ class TestEvaluate:
         )
         model = Model.from_checkpoint(ckpt)
         x = rng.normal(size=(3, 5))
-        zero_targets = CalibSet(batches=[Batch(x, task_id=1, targets=np.zeros((2, 5)))])
-        unit_targets = CalibSet(batches=[Batch(x, task_id=1, targets=np.ones((2, 5)))])
+        zero_targets = CalibSet([x], np.zeros((1, 2, 5)))
+        unit_targets = CalibSet([x], np.ones((1, 2, 5)))
         assert evaluate(model, zero_targets).macro_mse == 0.0
         assert evaluate(model, unit_targets).macro_mse == 1.0
 
@@ -672,9 +660,9 @@ class TestEvaluate:
         problem, merged = merged_problem(seed=14)
         model = Model.from_checkpoint(merged)
         result = evaluate(model, problem.heldout)
-        for batch in problem.heldout.batches:
-            expected = mse_reference(forward(model, batch.inputs), batch.targets)
-            assert result.per_task_mse[batch.task_id] == pytest.approx(expected, rel=1e-12)
+        for t, (x, y) in enumerate(zip(problem.heldout.inputs, problem.heldout.targets), 1):
+            expected = mse_reference(forward(model, x), y)
+            assert result.per_task_mse[t] == pytest.approx(expected, rel=1e-12)
 
     def test_missing_targets_rejected(self):
         problem = small_problem(seed=15)
