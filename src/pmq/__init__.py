@@ -54,7 +54,6 @@ from .quant import (
     QuantConfig,
     QuantizedLayer,
     pack_codes,
-    quantize_values,
     rtn_quantize,
     unpack_codes,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "propagate_through_layer",
     "quadratic_objective",
     "quantize",
-    "quantize_values",
     "rtn_quantize",
     "run_epmq",
     "save_calib_set",

@@ -125,7 +125,7 @@ def config_from_dict(obj: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str, overrides: list[str], env: dict | None = None) -> RunConfig:
+def load_config(path: str, overrides: list[str]) -> RunConfig:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -149,12 +149,12 @@ def load_config(path: str, overrides: list[str], env: dict | None = None) -> Run
             if not isinstance(target, dict):
                 raise ConfigError(f"--set path '{key}' does not address an object")
         target[parts[-1]] = value
-    env = os.environ if env is None else env
-    if "PMQ_SEED" in env:
+    seed = os.environ.get("PMQ_SEED")
+    if seed is not None:
         try:
-            obj["seed"] = int(env["PMQ_SEED"])
+            obj["seed"] = int(seed)
         except ValueError as exc:
-            raise ConfigError(f"PMQ_SEED must be an integer, got '{env['PMQ_SEED']}'") from exc
+            raise ConfigError(f"PMQ_SEED must be an integer, got '{seed}'") from exc
     return config_from_dict(obj)
 
 

@@ -2,7 +2,7 @@
 
 A Model is a list of checkpoint.Layer records, each with a full-precision
 float64 matrix or a quantized layer as its weight source (its `weight`: the
-values its solver formed, or dequantized on first use). Layers are
+values its solver formed, or its codes dequantized at load). Layers are
 immutable, so forward passes are pure; replace_layer puts a new quantized
 Layer in the model's own list and is only called by the quantization
 pipeline, which serializes those writes.

@@ -9,12 +9,12 @@ all arithmetic around them happens in float64.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+import functools
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import read_only, require_finite, require_real
+from .linalg import as_matrix, read_only, require_finite, require_real
 
 SOLVERS = ("rtn", "gptq", "epmq")
 GRID_SOURCES = ("target", "merged")
@@ -121,11 +121,32 @@ def fit_grid_rows(block: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]
     return scales, zeros.astype(np.int32)
 
 
-def quantize_values(w, scale, zero, bits: int) -> np.ndarray:
-    """code = clamp(round(w / scale) + zero, 0, 2^b - 1)."""
-    w = np.asarray(w, dtype=np.float64)
-    codes = round_half_away(w / np.asarray(scale, dtype=np.float64)) + np.asarray(zero)
-    return np.clip(codes, 0, (1 << bits) - 1).astype(np.uint8)
+@functools.cache
+def _code_range(bits: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 0 and 2^bits - 1 rows: clipping to arrays converts no Python scalar."""
+    return read_only(np.zeros(shape)), read_only(np.full(shape, float((1 << bits) - 1)))
+
+
+def quantize_values(w, scale, zero, bits: int, codes=None, values=None, scratch=None) -> tuple:
+    """The grid step, the one place codes and realized values are formed:
+    code = clip(round_half_away(w / scale) + zero, 0, 2^bits - 1) and
+    value = scale * (code - zero), scale and zero broadcast against w.
+
+    Returns (codes uint8, values float64). A caller that rounds column by
+    column passes both `codes` and `values`, buffers shaped like w, and a
+    `scratch` one (see round_half_away), so that no new array is formed.
+    """
+    if values is None:
+        values = np.empty(np.shape(w))
+        codes = np.empty(values.shape, dtype=np.uint8)
+    lowest, highest = _code_range(bits, values.shape[-1:])
+    round_half_away(np.divide(w, scale, out=values), out=values, scratch=scratch)
+    values += zero
+    np.minimum(np.maximum(values, lowest, out=values), highest, out=values)
+    codes[...] = values
+    values -= zero
+    values *= scale
+    return codes, values
 
 
 @dataclass(frozen=True)
@@ -138,10 +159,10 @@ class QuantizedLayer:
 
     Every array is held as a read-only view.
 
-    `weight` is the realized weight scale * (code - zero). A solver that has
-    already formed those values passes them as `values`, bit for bit what
-    dequantize() gives, and they are kept as the weight; otherwise the
-    weight is dequantized on first use.
+    `weight` is the realized weight scale * (code - zero), held from
+    construction: the solver passes the values it formed while rounding as
+    `values`, bit for bit what dequantize() gives, and codes read from a
+    file are dequantized once, here.
     """
 
     codes: np.ndarray
@@ -150,6 +171,7 @@ class QuantizedLayer:
     bits: int
     group_size: int
     values: InitVar[np.ndarray | None] = None
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, values):
         check_grid(self.bits, self.group_size)
@@ -171,12 +193,13 @@ class QuantizedLayer:
         object.__setattr__(self, "codes", read_only(codes))
         object.__setattr__(self, "scales", read_only(scales))
         object.__setattr__(self, "zeros", read_only(zeros))
-        if values is not None:
-            if values.shape != codes.shape or values.dtype != np.float64:
-                raise ValueError(
-                    f"values must be float64 {codes.shape}, got {values.dtype} {values.shape}"
-                )
-            self.__dict__["weight"] = read_only(values)  # the cached_property's slot
+        if values is None:
+            values = self.dequantize()
+        elif values.shape != codes.shape or values.dtype != np.float64:
+            raise ValueError(
+                f"values must be float64 {codes.shape}, got {values.dtype} {values.shape}"
+            )
+        object.__setattr__(self, "weight", read_only(values))
 
     @property
     def d_out(self) -> int:
@@ -192,22 +215,15 @@ class QuantizedLayer:
         zeros = self.zeros.astype(np.float64)[:, g]
         return scales * (self.codes.astype(np.float64) - zeros)
 
-    @cached_property
-    def weight(self) -> np.ndarray:
-        """The realized weight, read-only: the solver's values, else dequantized once."""
-        return read_only(self.dequantize())
-
 
 def rtn_quantize(W, cfg: QuantConfig) -> QuantizedLayer:
-    """Round-to-nearest per group: fit the grids, then quantize each entry."""
-    W = np.asarray(W, dtype=np.float64)
-    require_finite(W, "weight")
+    """Round-to-nearest per group: fit W's grids, then every entry takes the
+    grid step (quantize_values) at once, with nothing to compensate."""
+    W = require_finite(as_matrix(W, "weight"), "weight")
     scales, zeros = fit_layer_grids(W, cfg.bits, cfg.group_size)
     g = np.arange(W.shape[1]) // cfg.group_size
-    codes = quantize_values(W, scales[:, g], zeros[:, g], cfg.bits)
-    return QuantizedLayer(
-        codes=codes, scales=scales, zeros=zeros, bits=cfg.bits, group_size=cfg.group_size
-    )
+    codes, values = quantize_values(W, scales[:, g], zeros[:, g], cfg.bits)
+    return QuantizedLayer(codes, scales, zeros, cfg.bits, cfg.group_size, values)
 
 
 def fit_layer_grids(W, bits: int, group_size: int) -> tuple[np.ndarray, np.ndarray]:

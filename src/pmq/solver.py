@@ -1,10 +1,11 @@
 """Quantization solvers.
 
 solve_layer gives one layer its low-bit codes. The three solvers differ in
-what they round toward:
+what they round toward and under which curvature; every code and realized
+value comes from one grid step, pmq.quant.quantize_values:
 
-* rtn: W_m entrywise, by per-entry nearest-grid rounding (rtn_quantize in
-  pmq.quant).
+* rtn: W_m with nothing to compensate, every entry taking the grid step at
+  once (rtn_quantize in pmq.quant).
 * gptq: W_m under the pooled curvature sum_i H_i, by gptq_solve, sequential
   column rounding with second-order error compensation.
 * epmq: W* under H_E. It builds the expert-guided anchored statistics
@@ -12,12 +13,12 @@ what they round toward:
   continuous optimizer W* = R inv(H_E), and runs the sequential solver
   toward W* under curvature H_E. The anchored objective
   F(Q) = sum_i ||Q X_i - W_i X_i||_F^2 + lam*||Q - W_m||_F^2 differs from
-  ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so one rounding
-  routine serves gptq and epmq.
+  ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so gptq and epmq
+  share one factor -> round -> gap step (_round_under).
 
 Both solves take one factor, inv(H) = U^T U (linalg.cholesky_inverse_upper):
 the continuous solve of H_E, the rounding of its damped curvature. The
-rounding then pays one GEMV and one in-place quantize per column and one
+rounding then pays one GEMV and one in-place grid step per column and one
 GEMM per block, and its values become the quantized layer's realized weight.
 
 The task curvatures H_i reach the solvers as an iterable consumed once, in
@@ -54,7 +55,7 @@ from .quant import (
     QuantConfig,
     QuantizedLayer,
     fit_layer_grids,
-    round_half_away,
+    quantize_values,
     rtn_quantize,
 )
 
@@ -248,32 +249,17 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
     return damp if damp > 0 else percdamp
 
 
-def _rounding_factor(curvature: np.ndarray, percdamp: float) -> tuple[list, float]:
-    """([U], damp) with inv(H + damp*I) = U^T U (cholesky_inverse_upper), for
-    the curvature H damped by percdamp of its mean diagonal. U comes in a
-    one-item list that _round_sequential empties, so no caller holds it."""
-    damp = _damping_for(curvature, percdamp)
-    try:
-        return [cholesky_inverse_upper(curvature, context="damped curvature", shift=damp)], damp
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"curvature is singular even after damping {damp:g} "
-            f"(pivot {exc.pivot}); increase percdamp",
-            pivot=exc.pivot,
-        ) from exc
-
-
 def _round_sequential(
     target: np.ndarray, factor: list, grid_source_weight: np.ndarray, cfg: QuantConfig
 ) -> tuple:
     """Sequential error-compensated rounding of `target` under the curvature
-    whose damped inverse is U^T U, U taken out of `factor` (_rounding_factor)
+    whose damped inverse is U^T U, U taken out of `factor` (_round_under)
     and dropped before the two output copies.
 
     Fit grids per group from the grid-source weight; then for each column j
-    in natural order, round column j, divide the rounding error by U[j, j],
-    and subtract the weighted error from all not-yet-quantized columns via
-    U[j, j+1:].
+    in natural order, round column j by the grid step (quantize_values),
+    divide the rounding error by U[j, j], and subtract the weighted error
+    from all not-yet-quantized columns via U[j, j+1:].
 
     Work, values and errors are kept transposed, (d, d_out), so each column
     is a contiguous row. The subtraction is deferred (GPTQ's lazy batch
@@ -286,8 +272,8 @@ def _round_sequential(
     Each column is rounded in place in the values row, with its grid row and
     pivot looked up from Python lists; the squared compensation norms are
     summed once per block and their square roots taken once per layer.
-    Returns (quantized layer, whose weight is the values scale * (code - zero)
-    formed here, per-column compensation norms).
+    Returns (quantized layer, whose weight is the values formed here,
+    per-column compensation norms).
     """
     u = factor.pop()
     d_out, d = target.shape
@@ -303,61 +289,62 @@ def _round_sequential(
     values = np.empty((d, d_out))
     errs = np.empty((min(ROUNDING_BLOCK, d), d_out))
     comp_sq = np.empty(d)
-    # the code range as arrays, so clipping converts no Python scalar per column
-    lowest, highest = np.zeros(d_out), np.full(d_out, float((1 << cfg.bits) - 1))
     scratch = np.empty(d_out)
     for b0 in range(0, d, ROUNDING_BLOCK):
         b1 = min(b0 + ROUNDING_BLOCK, d)
-        for j in range(b0, b1):
-            w, v, err = work[j], values[j], errs[j - b0]
+        rows = zip(range(b0, b1), work[b0:b1], codes[b0:b1], values[b0:b1], errs)
+        for j, w, code, v, err in rows:
             if j > b0:
                 w -= u[b0:j, j] @ errs[: j - b0]
-            s, z = col_scales[j], col_zeros[j]
-            # code = clip(round_half_away(w / s) + z, 0, 2^bits - 1), in the values row
-            round_half_away(np.divide(w, s, out=v), out=v, scratch=scratch)
-            v += z
-            np.minimum(np.maximum(v, lowest, out=v), highest, out=v)
-            codes[j] = v
-            v -= z
-            v *= s
+            quantize_values(w, col_scales[j], col_zeros[j], cfg.bits, code, v, scratch)
             np.subtract(w, v, out=err)
             err /= pivots[j]
         block_errs = errs[: b1 - b0]
         comp_sq[b0:b1] = np.einsum("ij,ij->i", block_errs, block_errs)
         work[b1:] -= u[b0:b1, b1:].T @ block_errs
     del u  # dead before the two output copies
-
-    quantized = QuantizedLayer(
-        codes=np.ascontiguousarray(codes.T),
-        scales=scales,
-        zeros=zeros,
-        bits=cfg.bits,
-        group_size=cfg.group_size,
-        values=np.ascontiguousarray(values.T),
-    )
-    return quantized, np.sqrt(comp_sq)
+    codes, values = np.ascontiguousarray(codes.T), np.ascontiguousarray(values.T)
+    return QuantizedLayer(codes, scales, zeros, cfg.bits, cfg.group_size, values), np.sqrt(comp_sq)
 
 
-def _rounding_gap(comp_norms: np.ndarray, damp: float, error: np.ndarray) -> float:
-    """tr(E H E^T) for the rounding error E = Q - T under the pre-damping
-    curvature H: the squared compensation norms sum to tr(E (H + damp*I) E^T)."""
-    return float(np.dot(comp_norms, comp_norms)) - damp * frobenius_sq(error)
+def _round_under(
+    target: np.ndarray, curvature: list, grid_source_weight: np.ndarray, cfg: QuantConfig
+) -> tuple:
+    """(quantized layer, compensation norms, damp, gap) of rounding `target`
+    under the curvature H in the one-item list `curvature`, which is emptied
+    to factor inv(H + damp*I) = U^T U, damp being cfg.percdamp of H's mean
+    diagonal; U reaches _round_sequential in a list too, so neither outlives
+    its use. The gap tr(E H E^T), E = Q - target, is the squared norms' sum
+    tr(E (H + damp*I) E^T) less damp * ||E||_F^2.
+    """
+    damp = _damping_for(curvature[0], cfg.percdamp)
+    try:
+        factor = [cholesky_inverse_upper(curvature.pop(), context="damped curvature", shift=damp)]
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"curvature is singular even after damping {damp:g} "
+            f"(pivot {exc.pivot}); increase percdamp",
+            pivot=exc.pivot,
+        ) from exc
+    quantized, comp_norms = _round_sequential(target, factor, grid_source_weight, cfg)
+    error = quantized.weight - target
+    gap = float(np.dot(comp_norms, comp_norms)) - damp * frobenius_sq(error)
+    return quantized, comp_norms, damp, gap
 
 
 def gptq_solve(problem: SolverProblem) -> SolveReport:
     """Sequential error-compensated rounding toward the problem target.
 
-    Rounds with _round_sequential; the reported objective is the rounding
-    gap tr((Q - T) H (Q - T)^T) of the final values against the pre-damping
+    Rounds with _round_under; the reported objective is the rounding gap
+    tr((Q - T) H (Q - T)^T) of the final values against the pre-damping
     curvature, read from the compensation norms (no GEMM).
     """
-    factor, damp = _rounding_factor(problem.curvature, problem.cfg.percdamp)
-    quantized, comp_norms = _round_sequential(
-        problem.target, factor, problem.grid_source_weight, problem.cfg
+    quantized, comp_norms, damp, gap = _round_under(
+        problem.target, [problem.curvature], problem.grid_source_weight, problem.cfg
     )
     return SolveReport(
         quantized=quantized,
-        objective=_rounding_gap(comp_norms, damp, quantized.weight - problem.target),
+        objective=gap,
         lam=0.0,
         damping=damp,
         per_column_comp_norms=comp_norms,
@@ -375,9 +362,10 @@ def solve_layer(
 
     `hessians` are the layer's task curvatures H_i = X_i X_i^T, an iterable
     consumed once in task order (one per expert for epmq), or None without
-    calibration; the pooled curvature is their task-order sum. rtn ignores the experts and needs no
-    curvatures; with them its objective is scored against the pooled
-    curvature. gptq rounds the merged weight under the pooled curvature.
+    calibration; the pooled curvature is their task-order sum. rtn ignores
+    the experts and needs no curvatures; with them its objective is scored
+    against the pooled curvature. gptq rounds the merged weight under the
+    pooled curvature.
     epmq builds (H_E, R, lam, c), computes the continuous target
     W* = R inv(H_E), then rounds toward W* under H_E.
     Its objective, the full anchored objective of the final codes, is
@@ -407,14 +395,8 @@ def solve_layer(
     if hessians is None:
         raise ValueError(f"solver '{cfg.solver}' needs the layer's curvatures, got None")
     if cfg.solver == "gptq":
-        return gptq_solve(
-            SolverProblem(
-                target=merged_weight,
-                curvature=_pooled_curvature(hessians),
-                grid_source_weight=merged_weight,
-                cfg=cfg,
-            )
-        )
+        pooled = _pooled_curvature(hessians)
+        return gptq_solve(SolverProblem(merged_weight, pooled, merged_weight, cfg))
     h_e, r, lam, c = build_epmq_statistics(expert_weights, merged_weight, hessians, cfg.alpha)
     check_symmetric(h_e, "curvature")
     shift = 0.0
@@ -427,14 +409,13 @@ def solve_layer(
         w_star = continuous_solution(damped, r)
         del damped
     constant = c - float(np.vdot(r, w_star))
-    del r
-    factor, damp = _rounding_factor(h_e, cfg.percdamp)
-    del h_e  # R and H_E are dead before the rounding
+    curvature = [h_e]
+    del r, h_e  # R and H_E are dead before the rounding
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
-    quantized, comp_norms = _round_sequential(w_star, factor, grid_source, cfg)
-    error = quantized.weight - w_star
-    objective = _rounding_gap(comp_norms, damp, error) + constant
+    quantized, comp_norms, damp, gap = _round_under(w_star, curvature, grid_source, cfg)
+    objective = gap + constant
     if shift:
+        error = quantized.weight - w_star
         objective -= shift * (2.0 * float(np.vdot(w_star, error)) + frobenius_sq(w_star))
     return SolveReport(
         quantized=quantized,

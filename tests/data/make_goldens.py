@@ -14,7 +14,8 @@ thread counts) can be told apart from a real change.
 ties_golden.json is produced by the literal trim/elect/disjoint-mean
 reference in tests/oracles.py, applied to the deterministic fixture problem.
 sweep_golden.json freezes the fixture bits-sweep macro MSE per method with a
-declared tolerance band.
+declared tolerance band. tests/test_cli.py reads the epmq and gptq rows; the
+rtn row, whose MSE need not fall with the bit width, is compared by --check.
 """
 
 import json
@@ -67,7 +68,7 @@ def make_sweep_golden():
     problem = make_synthetic_tasks(**FIXTURE)
     merged = apply_merge(MergeSpec(), problem.base, problem.experts)
     rows = {}
-    for method in ("epmq", "gptq"):
+    for method in ("epmq", "gptq", "rtn"):
         rows[method] = []
         for bits in SWEEP_BITS:
             cfg = QuantConfig(bits=bits, solver=method, alpha=0.01)

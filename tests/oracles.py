@@ -4,12 +4,14 @@ Everything here is written with plain Python loops or numpy built-ins that
 do not share code paths with the package under test. There are four
 exceptions. brute_force_optimum reuses the package's grid fitting, because
 what it pins down is the best code assignment on the grids the solvers
-round to. gptq_columnwise reuses the package's grid fitting and rounding
-helpers, because what it pins down is the order of the error updates, not
-those helpers; it factors the inverse curvature its own way
-(cholesky_inverse_upper_via_inverse). gptq_columnwise_longdouble reuses the
-grid fitting only and carries out the rest in extended precision, so that
-float64 results can be measured against it. deviation_rows_from_scratch and
+round to. gptq_columnwise reuses the package's grid fitting, because what
+it pins down is the order of the error updates; it takes each grid step
+with three lines of its own (round_half_away_by_fraction, a clip and
+dequantize_values), not the package's quantize_values, and factors the
+inverse curvature its own way (cholesky_inverse_upper_via_inverse).
+gptq_columnwise_longdouble reuses the grid fitting only and carries out the
+rest in extended precision, so that float64 results can be measured against
+it. deviation_rows_from_scratch and
 quantize_from_scratch reuse the package's forward pass (and the latter its
 statistics and layer solver), because what they pin down is that the
 pipeline's one-pass activations are the ones re-forwarding from the inputs
@@ -43,7 +45,7 @@ from pmq.cli import ConfigError, _generate_problem, config_from_dict
 from pmq.merge import apply_merge
 from pmq.model import Model, activation_grad, apply_activation, forward_to_layer, save_model
 from pmq.pipeline import DeviationRow, evaluate, quantize, run_to_json_dict
-from pmq.quant import QuantConfig, fit_layer_grids, quantize_values
+from pmq.quant import QuantConfig, fit_layer_grids
 from pmq.solver import solve_layer
 
 
@@ -123,9 +125,9 @@ def gptq_columnwise(problem):
     values = np.empty((d_out, d))
     comp_norms = np.zeros(d)
     for j in range(d):
-        g = col_group[j]
-        cj = quantize_values(work[:, j], scales[:, g], zeros[:, g], cfg.bits)
-        qj = dequantize_values(cj, scales[:, g], zeros[:, g])
+        s, z = scales[:, col_group[j]], zeros[:, col_group[j]]
+        cj = np.clip(round_half_away_by_fraction(work[:, j] / s) + z, 0, (1 << cfg.bits) - 1)
+        qj = dequantize_values(cj, s, z)
         err = (work[:, j] - qj) / u[j, j]
         comp_norms[j] = float(np.sqrt(np.dot(err, err)))
         codes[:, j] = cj

@@ -98,20 +98,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown quant keys"):
             config_from_dict({"quant": {"bitz": 3}})
 
-    def test_set_override_and_json_values(self, tmp_path):
+    def test_set_override_and_json_values(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PMQ_SEED", raising=False)
         path = write_cfg(tmp_path)
-        cfg = load_config(path, ["quant.bits=3", "dims=[4,5]"], env={})
+        cfg = load_config(path, ["quant.bits=3", "dims=[4,5]"])
         assert cfg.quant.bits == 3 and cfg.dims == [4, 5]
 
-    def test_pmq_seed_env_override(self, tmp_path):
+    def test_pmq_seed_env_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PMQ_SEED", "777")
         path = write_cfg(tmp_path)
-        cfg = load_config(path, [], env={"PMQ_SEED": "777"})
+        cfg = load_config(path, [])
         assert cfg.seed == 777
 
-    def test_bad_override_value_rejected(self, tmp_path):
+    def test_bad_override_value_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PMQ_SEED", raising=False)
         path = write_cfg(tmp_path)
         with pytest.raises(ConfigError):
-            load_config(path, ["quant.bits=99"], env={})
+            load_config(path, ["quant.bits=99"])
 
     def test_set_does_not_leak_into_the_next_call(self, tmp_path):
         """main() builds its parser once per process, and each call reads only its own --set."""
@@ -492,8 +495,9 @@ class TestSweep:
         assert len(rows) == 3 * 2  # three values x two methods
 
     @pytest.mark.parametrize("axis", ["bits", "alpha", "samples"])
-    def test_matches_from_scratch_oracle(self, tmp_path, axis):
+    def test_matches_from_scratch_oracle(self, tmp_path, monkeypatch, axis):
         """Byte-identical to regenerating the problem at every point."""
+        monkeypatch.delenv("PMQ_SEED", raising=False)
         cfg = write_cfg(
             tmp_path,
             {
@@ -508,7 +512,7 @@ class TestSweep:
             },
         )
         oracle = tmp_path / "oracle"
-        sweep_from_scratch(load_config(cfg, [], env={}), oracle, axis)
+        sweep_from_scratch(load_config(cfg, []), oracle, axis)
         expected = dir_hashes(oracle)
         expected.pop("sweep.csv")
         assert sum(name.endswith("run.json") for name in expected) >= 6
@@ -573,13 +577,14 @@ class TestSweepAfterGen:
     @pytest.mark.parametrize("axis, generated", [("bits", 0), ("alpha", 0), ("samples", 2)])
     def test_reuse_changes_no_output(self, tmp_path, monkeypatch, axis, generated, k):
         """Only the group whose inputs equal the record loads; samples_per_task is 32."""
+        monkeypatch.delenv("PMQ_SEED", raising=False)
         cfg = write_cfg(tmp_path, {**self.CFG, "k": k})
         fresh, reused = tmp_path / "fresh", tmp_path / "reused"
         args = ("--config", cfg, "--axis", axis)
         assert run_cli("sweep", "--out", str(fresh), *args) == 0
         assert run_cli("gen", "--config", cfg, "--out", str(reused)) == 0
         recorded = json.loads((reused / "problem.json").read_text())
-        assert recorded == pmq.cli._problem_inputs(load_config(cfg, [], env={}))
+        assert recorded == pmq.cli._problem_inputs(load_config(cfg, []))
         calls = count_calls(monkeypatch, "make_synthetic_tasks")
         assert run_cli("sweep", "--out", str(reused), *args) == 0
         assert calls == {"make_synthetic_tasks": generated}

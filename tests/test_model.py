@@ -17,6 +17,7 @@ from pmq.quant import QuantConfig, rtn_quantize
 
 from oracles import straight_line_forward
 from test_checkpoint import make_checkpoint
+from test_pipeline import merged_problem, run_method
 
 
 def single_layer_model(weight, bias=None, activation="identity"):
@@ -293,6 +294,20 @@ class TestModelIO:
         for layer in loaded.layers:
             assert not layer.weight.flags.writeable and not layer.bias.flags.writeable
         assert not loaded.layers[0].source.flags.writeable
+
+    @pytest.mark.parametrize("method", ["epmq", "gptq", "rtn"])
+    def test_quantize_run_round_trip_keeps_the_solver_weights(self, tmp_path, method):
+        """A loaded layer's weight, dequantized at load, has the bytes of the
+        values its solver formed while rounding."""
+        problem, merged = merged_problem(seed=31, dims=[6, 12, 10, 5])
+        run = run_method(problem, merged, method)
+        path = tmp_path / "model.safetensors"
+        save_model(run.model, path)
+        loaded = load_model(path)
+        for layer, rep in zip(loaded.layers, run.layer_reports, strict=True):
+            assert layer.is_quantized
+            assert layer.weight.tobytes() == rep.solve.quantized.weight.tobytes()
+            assert not layer.weight.flags.writeable
 
     def test_save_is_deterministic(self, tmp_path, rng):
         model = Model.from_checkpoint(make_checkpoint(rng))

@@ -28,6 +28,17 @@ def fit_one_group(group, bits):
     return float(scales[0]), int(zeros[0])
 
 
+def grid_step(w, scale, zero, bits):
+    """quantize_values' (codes, values), its values checked bit for bit
+    against the oracle's dequantization of its codes."""
+    codes, values = quantize_values(w, scale, zero, bits)
+    assert codes.dtype == np.uint8 and values.dtype == np.float64
+    np.testing.assert_array_equal(
+        values.view(np.uint64), dequantize_values(codes, scale, zero).view(np.uint64)
+    )
+    return codes, values
+
+
 class TestQuantConfig:
     def test_defaults_valid(self):
         cfg = QuantConfig()
@@ -134,24 +145,22 @@ class TestFitGrid:
     def test_constant_group_reproduced_within_half_scale(self):
         scale, zero = fit_one_group([5.0, 5.0, 5.0], bits=2)
         assert scale == 1.0
-        code = quantize_values(5.0, scale, zero, bits=2)
-        deq = dequantize_values(code, scale, zero)
+        _, deq = grid_step(5.0, scale, zero, bits=2)
         assert abs(deq - 5.0) <= 0.5 * scale
 
     @pytest.mark.parametrize("c", [-7.2, -0.4, 0.0, 2.0, 9.9])
     def test_constant_group_general(self, c):
         scale, zero = fit_one_group([c, c, c, c], bits=3)
         assert scale == 1.0
-        code = quantize_values(c, scale, zero, bits=3)
+        code, deq = grid_step(c, scale, zero, bits=3)
         assert 0 <= int(code) <= 7
-        assert abs(dequantize_values(code, scale, zero) - c) <= 0.5 * scale
+        assert abs(deq - c) <= 0.5 * scale
 
     def test_random_groups_error_bound(self, rng):
         for _ in range(10_000):
             group = rng.normal(size=16) * rng.uniform(0.1, 10.0)
             scale, zero = fit_one_group(group, bits=4)
-            codes = quantize_values(group, scale, zero, bits=4)
-            deq = dequantize_values(codes, scale, zero)
+            _, deq = grid_step(group, scale, zero, bits=4)
             assert np.abs(group - deq).max() <= scale / 2 + 4 * np.finfo(np.float64).eps * scale
 
     def test_non_finite_rejected(self):
@@ -162,22 +171,38 @@ class TestFitGrid:
 class TestQuantizeValues:
     def test_zero_maps_to_zero_point(self):
         for z in [0, 3, 7]:
-            code = quantize_values(0.0, 1.0, z, bits=3)
+            code, value = grid_step(0.0, 1.0, z, bits=3)
             assert int(code) == z
-            assert dequantize_values(code, 1.0, z) == 0.0
+            assert value == 0.0 and not np.signbit(value)
 
     def test_exact_grid_points_round_trip(self):
         scale, zero = 0.25, 5
         for code in range(16):
             w = scale * (code - zero)
-            assert int(quantize_values(w, scale, zero, bits=4)) == code
+            got_code, value = grid_step(w, scale, zero, bits=4)
+            assert int(got_code) == code and value == w
             assert dequantize_values(np.uint8(code), scale, zero) == w
 
     def test_sweep_within_half_scale(self):
         scale, zero = fit_one_group(np.array([-1.0, 1.0]), bits=4)
         w = np.linspace(-1.0, 1.0, 2001)
-        deq = dequantize_values(quantize_values(w, scale, zero, bits=4), scale, zero)
+        _, deq = grid_step(w, scale, zero, bits=4)
         assert np.abs(w - deq).max() <= scale / 2 + 1e-12
+
+    def test_out_of_range_entries_are_clipped(self):
+        codes, values = grid_step(np.array([-9.0, -0.2, 0.2, 99.0]), 1.0, 2, bits=2)
+        assert codes.tolist() == [0, 2, 2, 3] and values.tolist() == [-2.0, 0.0, 0.0, 1.0]
+
+    def test_given_buffers_are_filled_in_place(self, rng):
+        """As the sequential solver calls it: one column row, no new array."""
+        w = rng.normal(size=7)
+        codes, values, scratch = np.empty(7, np.uint8), np.empty(7), np.empty(7)
+        scale, zero = np.full(7, 0.3), np.full(7, 4.0)
+        out = quantize_values(w, scale, zero, 3, codes, values, scratch)
+        assert out[0] is codes and out[1] is values
+        expected_codes, expected_values = grid_step(w, scale, zero, bits=3)
+        np.testing.assert_array_equal(codes, expected_codes)
+        np.testing.assert_array_equal(values.view(np.uint64), expected_values.view(np.uint64))
 
 
 class TestRtn:
@@ -227,6 +252,16 @@ class TestRtn:
                 total += float(np.sum((w - q.dequantize()) ** 2))
             means[bits] = total / 50
         assert means[2] > means[3] > means[4] > means[8]
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    @pytest.mark.parametrize("group_size", [1, 3, 8, 128])
+    def test_weight_is_its_codes_dequantized(self, rng, bits, group_size):
+        """The values the grid step forms are, bit for bit, what dequantize gives."""
+        w = rng.normal(size=(5, 17)) * rng.uniform(0.01, 100.0, size=(5, 1))
+        w[1] = 0.7  # a constant row
+        w[:, 4] = 0.0  # a zero column
+        q = rtn_quantize(w, QuantConfig(bits=bits, group_size=group_size, solver="rtn"))
+        assert q.weight.tobytes() == q.dequantize().tobytes()
 
     def test_idempotent_codes_when_refit(self, rng):
         cfg = QuantConfig(bits=3, group_size=16, solver="rtn")
@@ -283,17 +318,21 @@ class TestQuantizedLayer:
         assert np.abs(w - q.dequantize()).max() <= q.scales.max() / 2 + 1e-12
 
     def test_weight_is_dequantized_once(self, rng, monkeypatch):
+        """Codes without values (as read from a file) are dequantized at construction."""
         q = small_rtn_layer(rng)
         calls = []
         real = QuantizedLayer.dequantize
         monkeypatch.setattr(QuantizedLayer, "dequantize", lambda self: calls.append(1) or real(self))
-        assert q.weight is q.weight
+        loaded = QuantizedLayer(q.codes, q.scales, q.zeros, q.bits, q.group_size)
         assert calls == [1]
-        assert q.weight.tobytes() == real(q).tobytes()
+        assert loaded.weight is loaded.weight and calls == [1]
+        assert not loaded.weight.flags.writeable
+        assert loaded.weight.tobytes() == real(q).tobytes() == q.weight.tobytes()
 
-    def test_given_values_are_the_weight(self, rng):
+    def test_given_values_are_the_weight(self, rng, monkeypatch):
         q = small_rtn_layer(rng)
         values = q.dequantize()
+        monkeypatch.setattr(QuantizedLayer, "dequantize", lambda self: pytest.fail("dequantized"))
         given_values = QuantizedLayer(q.codes, q.scales, q.zeros, q.bits, q.group_size, values)
         # a read-only view of the caller's array, which stays writable
         assert given_values.weight.base is values
