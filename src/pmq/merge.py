@@ -64,6 +64,8 @@ def _disjoint_mean(trimmed: list[np.ndarray]) -> np.ndarray:
     return np.divide(matched_sum, matched_count, out=np.zeros_like(total), where=matched_count > 0)
 
 
+# an overflow surfaces as apply_merge's finiteness error, with no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _merge_tensor(spec: MergeSpec, base: np.ndarray, experts: list[np.ndarray]) -> np.ndarray:
     """One merged tensor; every sum runs in expert order."""
     if spec.method == "average":  # the base is not read
@@ -82,7 +84,8 @@ def apply_merge(spec: MergeSpec, base: Checkpoint, experts: Sequence[Checkpoint]
     """Merge `experts` into one checkpoint by `spec.method`, tensor by tensor.
 
     Every expert must share the base's manifest, for `average` too, which
-    does not read the base's weights.
+    does not read the base's weights. A merged tensor that is not finite (an
+    overflow of finite inputs) raises FloatingPointError naming it.
     """
     if len(experts) < 1:
         raise ValueError("need at least one expert")
@@ -93,5 +96,8 @@ def apply_merge(spec: MergeSpec, base: Checkpoint, experts: Sequence[Checkpoint]
         peers = [expert.layers[idx] for expert in experts]
         weight = _merge_tensor(spec, lw.weight, [p.weight for p in peers])
         bias = None if lw.bias is None else _merge_tensor(spec, lw.bias, [p.bias for p in peers])
+        for name, arr in (("weight", weight), ("bias", bias)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise FloatingPointError(f"merged {lw.spec.id}.{name} is not finite")
         layers.append(Layer(lw.spec, weight, bias))
     return Checkpoint(layers, base.manifest)

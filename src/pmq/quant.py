@@ -1,8 +1,10 @@
 """Uniform affine weight-only quantization.
 
 Grids are fit per output row, per contiguous group of input-dimension
-entries: scale = (max - min) / (2^b - 1) with an integer zero-point, and
-codes are produced by round-to-nearest with half-away-from-zero rounding.
+entries, every group of a layer in one pass (fit_layer_grids): scale =
+(max - min) / (2^b - 1) over a range extended to zero, with an integer
+zero-point. Codes and realized values come from one grid step
+(quantize_values), round-to-nearest with half-away-from-zero rounding.
 Scales are stored at float32 precision (matching the serialized format) and
 all arithmetic around them happens in float64.
 """
@@ -88,39 +90,6 @@ def num_groups(d_in: int, group_size: int) -> int:
     return (d_in + group_size - 1) // group_size
 
 
-def group_bounds(d_in: int, group_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + group_size, d_in)) for s in range(0, d_in, group_size)]
-
-
-def fit_grid_rows(block: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fit one grid per row of `block`.
-
-    The grid range is extended to include zero (the usual convention for
-    asymmetric min-max grids) so that zero values survive quantization and
-    every entry stays within scale/2 of a grid point. Constant rows get
-    scale 1 and a zero-point that reproduces the constant at code 0 (that
-    zero-point may fall outside the code range; codes themselves never do).
-
-    Returns (scales, zeros): scales float64 holding float32-rounded values,
-    zeros int32.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    require_finite(block, "grid source block")
-    maxq = (1 << bits) - 1
-    raw_mn = block.min(axis=1)
-    raw_mx = block.max(axis=1)
-    degenerate = ~(raw_mx > raw_mn)
-    mn = np.minimum(raw_mn, 0.0)
-    mx = np.maximum(raw_mx, 0.0)
-    raw = np.where(degenerate, 1.0, (mx - mn) / maxq)
-    scales = np.float32(raw).astype(np.float64)
-    zeros = np.clip(round_half_away(-mn / scales), 0, maxq)
-    zeros = np.where(degenerate, -round_half_away(raw_mn), zeros)
-    if np.abs(zeros).max(initial=0) >= 2**31:
-        raise ValueError("zero-point exceeds int32 range")
-    return scales, zeros.astype(np.int32)
-
-
 @functools.cache
 def _code_range(bits: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Read-only 0 and 2^bits - 1 rows: clipping to arrays converts no Python scalar."""
@@ -201,16 +170,8 @@ class QuantizedLayer:
             )
         object.__setattr__(self, "weight", read_only(values))
 
-    @property
-    def d_out(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.codes.shape[1]
-
     def dequantize(self) -> np.ndarray:
-        g = np.arange(self.d_in) // self.group_size
+        g = np.arange(self.codes.shape[1]) // self.group_size
         scales = self.scales.astype(np.float64)[:, g]
         zeros = self.zeros.astype(np.float64)[:, g]
         return scales * (self.codes.astype(np.float64) - zeros)
@@ -227,15 +188,37 @@ def rtn_quantize(W, cfg: QuantConfig) -> QuantizedLayer:
 
 
 def fit_layer_grids(W, bits: int, group_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group grids for a whole layer; returns (scales f64, zeros i32)."""
-    W = np.asarray(W, dtype=np.float64)
-    d_out, d_in = W.shape
-    bounds = group_bounds(d_in, group_size)
-    scales = np.empty((d_out, len(bounds)))
-    zeros = np.empty((d_out, len(bounds)), dtype=np.int32)
-    for g, (s, e) in enumerate(bounds):
-        scales[:, g], zeros[:, g] = fit_grid_rows(W[:, s:e], bits)
-    return scales, zeros
+    """Fit one grid per row of each group of `group_size` columns of W, all
+    groups at once; the last group takes the remainder.
+
+    The grid range is extended to include zero (the usual convention for
+    asymmetric min-max grids) so that zero values survive quantization and
+    every entry stays within scale/2 of a grid point. A constant group, or
+    one whose scale rounds to 0 at float32 (every entry within ~1e-43 of
+    zero), gets scale 1 and zero-point -round(min), so code 0 lies within
+    half a step of each entry (that zero-point may fall outside the code
+    range; codes themselves never do). A zero-point beyond int32 raises
+    OverflowError.
+
+    Returns (scales, zeros), each (d_out, num_groups): scales float64
+    holding float32-rounded values, zeros int32.
+    """
+    W = require_finite(np.asarray(W, dtype=np.float64), "grid source weight")
+    maxq = (1 << bits) - 1
+    starts = np.arange(0, W.shape[1], group_size)
+    raw_mn = np.minimum.reduceat(W, starts, axis=1)
+    raw_mx = np.maximum.reduceat(W, starts, axis=1)
+    degenerate = ~(raw_mx > raw_mn)
+    mn = np.minimum(raw_mn, 0.0)
+    mx = np.maximum(raw_mx, 0.0)
+    scales = np.float32(np.where(degenerate, 1.0, (mx - mn) / maxq)).astype(np.float64)
+    degenerate |= scales == 0.0
+    scales[degenerate] = 1.0
+    zeros = np.clip(round_half_away(-mn / scales), 0, maxq)
+    zeros = np.where(degenerate, -round_half_away(raw_mn), zeros)
+    if np.abs(zeros).max(initial=0) >= 2**31:
+        raise OverflowError("zero-point exceeds int32 range")
+    return scales, zeros.astype(np.int32)
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:

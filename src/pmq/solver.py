@@ -14,12 +14,14 @@ value comes from one grid step, pmq.quant.quantize_values:
   toward W* under curvature H_E. The anchored objective
   F(Q) = sum_i ||Q X_i - W_i X_i||_F^2 + lam*||Q - W_m||_F^2 differs from
   ||(Q - W*) L||_F^2 (with L L^T = H_E) only by a constant, so gptq and epmq
-  share one factor -> round -> gap step (_round_under).
+  share one rounding routine, _round_under: damping -> factor -> grid fit
+  -> column loop -> gap.
 
 Both solves take one factor, inv(H) = U^T U (linalg.cholesky_inverse_upper):
 the continuous solve of H_E, the rounding of its damped curvature. The
-rounding then pays one GEMV and one in-place grid step per column and one
-GEMM per block, and its values become the quantized layer's realized weight.
+rounding fits every group's grid in one pass (quant.fit_layer_grids), then
+pays one GEMV and one in-place grid step per column and one GEMM per block,
+and its values become the quantized layer's realized weight.
 
 The task curvatures H_i reach the solvers as an iterable consumed once, in
 task order (calib.collect_layer_stats forms them one at a time). epmq folds
@@ -249,12 +251,15 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
     return damp if damp > 0 else percdamp
 
 
-def _round_sequential(
-    target: np.ndarray, factor: list, grid_source_weight: np.ndarray, cfg: QuantConfig
+def _round_under(
+    target: np.ndarray, curvature: list, grid_source_weight: np.ndarray, cfg: QuantConfig
 ) -> tuple:
-    """Sequential error-compensated rounding of `target` under the curvature
-    whose damped inverse is U^T U, U taken out of `factor` (_round_under)
-    and dropped before the two output copies.
+    """(quantized layer, compensation norms, damp, gap) of sequential
+    error-compensated rounding of `target` under the curvature H in the
+    one-item list `curvature`, which is emptied to factor
+    inv(H + damp*I) = U^T U, damp being cfg.percdamp of H's mean diagonal,
+    so that H does not outlive the factoring; U is dropped before the two
+    output copies.
 
     Fit grids per group from the grid-source weight; then for each column j
     in natural order, round column j by the grid step (quantize_values),
@@ -272,10 +277,19 @@ def _round_sequential(
     Each column is rounded in place in the values row, with its grid row and
     pivot looked up from Python lists; the squared compensation norms are
     summed once per block and their square roots taken once per layer.
-    Returns (quantized layer, whose weight is the values formed here,
-    per-column compensation norms).
+    The quantized layer's weight is the values formed here. The gap
+    tr(E H E^T), E = Q - target, is the squared norms' sum
+    tr(E (H + damp*I) E^T) less damp * ||E||_F^2.
     """
-    u = factor.pop()
+    damp = _damping_for(curvature[0], cfg.percdamp)
+    try:
+        u = cholesky_inverse_upper(curvature.pop(), context="damped curvature", shift=damp)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"curvature is singular even after damping {damp:g} "
+            f"(pivot {exc.pivot}); increase percdamp",
+            pivot=exc.pivot,
+        ) from exc
     d_out, d = target.shape
     scales, zeros = fit_layer_grids(grid_source_weight, cfg.bits, cfg.group_size)
     # each column's grid row, and each pivot, looked up once as Python objects
@@ -304,29 +318,8 @@ def _round_sequential(
         work[b1:] -= u[b0:b1, b1:].T @ block_errs
     del u  # dead before the two output copies
     codes, values = np.ascontiguousarray(codes.T), np.ascontiguousarray(values.T)
-    return QuantizedLayer(codes, scales, zeros, cfg.bits, cfg.group_size, values), np.sqrt(comp_sq)
-
-
-def _round_under(
-    target: np.ndarray, curvature: list, grid_source_weight: np.ndarray, cfg: QuantConfig
-) -> tuple:
-    """(quantized layer, compensation norms, damp, gap) of rounding `target`
-    under the curvature H in the one-item list `curvature`, which is emptied
-    to factor inv(H + damp*I) = U^T U, damp being cfg.percdamp of H's mean
-    diagonal; U reaches _round_sequential in a list too, so neither outlives
-    its use. The gap tr(E H E^T), E = Q - target, is the squared norms' sum
-    tr(E (H + damp*I) E^T) less damp * ||E||_F^2.
-    """
-    damp = _damping_for(curvature[0], cfg.percdamp)
-    try:
-        factor = [cholesky_inverse_upper(curvature.pop(), context="damped curvature", shift=damp)]
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"curvature is singular even after damping {damp:g} "
-            f"(pivot {exc.pivot}); increase percdamp",
-            pivot=exc.pivot,
-        ) from exc
-    quantized, comp_norms = _round_sequential(target, factor, grid_source_weight, cfg)
+    quantized = QuantizedLayer(codes, scales, zeros, cfg.bits, cfg.group_size, values)
+    comp_norms = np.sqrt(comp_sq)
     error = quantized.weight - target
     gap = float(np.dot(comp_norms, comp_norms)) - damp * frobenius_sq(error)
     return quantized, comp_norms, damp, gap

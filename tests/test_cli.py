@@ -814,6 +814,61 @@ class TestExitCodes:
         write_tensor_file(task1, tensors)
         assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 3
 
+    def test_non_finite_merge_is_3_and_writes_nothing(self, tmp_path, capsys):
+        """Finite experts whose task-arithmetic sum overflows to inf."""
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("gen", "--config", cfg, "--out", str(out)) == 0
+        for i in (1, 2):
+            path = out / f"expert{i}.safetensors"
+            tensors, _ = read_tensor_file(path)
+            tensors["layer1.weight"] = tensors["layer1.weight"].copy()
+            tensors["layer1.weight"][0, 0] = 1.5e308
+            write_tensor_file(path, tensors)
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("merge", "--config", cfg, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "numeric failure: merged layer1.weight is not finite" in err
+        assert dir_hashes(out) == before  # no merged.safetensors
+
+    @staticmethod
+    def merged_with_group(tmp_path, solver, group):
+        """gen and merge at group_size 4, then the first group of merged
+        layer1's row 0 set to `group`."""
+        cfg = write_cfg(tmp_path, {"quant.solver": solver, "quant.group_size": 4})
+        out = tmp_path / "out"
+        for stage in ("gen", "merge"):
+            assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
+        path = out / "merged.safetensors"
+        tensors, _ = read_tensor_file(path)
+        tensors["layer1.weight"] = tensors["layer1.weight"].copy()
+        tensors["layer1.weight"][0, :4] = group
+        write_tensor_file(path, tensors)
+        return cfg, out
+
+    @pytest.mark.parametrize("solver", ["rtn", "gptq"])
+    def test_zero_point_beyond_int32_is_3_and_writes_nothing(self, tmp_path, capsys, solver):
+        """A constant group at 2^31 was a ValueError traceback (exit 1)."""
+        cfg, out = self.merged_with_group(tmp_path, solver, 2.0**31)
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "numeric failure: layer 'layer1': zero-point exceeds int32 range" in err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("solver", ["rtn", "gptq"])
+    def test_scale_below_float32_quantizes(self, tmp_path, solver):
+        """A group within 1e-299 of zero got a float32 scale of 0 (exit 1)."""
+        cfg, out = self.merged_with_group(tmp_path, solver, [0.0, 1e-300, 2e-300, 0.0])
+        assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 0
+        layer = load_model(out / "quantized.safetensors").layers[0].source
+        assert (layer.scales[0, 0], layer.zeros[0, 0]) == (1.0, 0)
+        assert layer.weight[0, :4].tolist() == [0.0] * 4
+
     @pytest.mark.parametrize(
         "command, solver, removed, overrides",
         [

@@ -208,3 +208,21 @@ def test_apply_merge_dispatch(rng):
     for method in ("average", "task_arithmetic", "ties"):
         merged = apply_merge(MergeSpec(method=method), base, experts)
         assert merged.manifest == base.manifest
+
+
+@pytest.mark.parametrize("method", ["average", "task_arithmetic", "ties"])
+@pytest.mark.parametrize("tensor", ["weight", "bias"])
+def test_overflowing_merge_is_refused_by_name(rng, method, tensor):
+    """Finite experts whose merge overflows raise, where they gave an inf tensor."""
+    base = make_checkpoint(rng)
+    experts = []
+    for seed in (1, 2):
+        expert = make_checkpoint(np.random.default_rng(seed))
+        lw = expert.layers[1]
+        weight, bias = lw.weight.copy(), lw.bias.copy()
+        (weight if tensor == "weight" else bias).flat[0] = 1.5e308
+        layers = [expert.layers[0], Layer(lw.spec, weight, bias), *expert.layers[2:]]
+        experts.append(Checkpoint(layers, expert.manifest))
+    message = f"merged {base.layers[1].spec.id}.{tensor} is not finite"
+    with pytest.raises(FloatingPointError, match=message):
+        apply_merge(MergeSpec(method=method), base, experts)

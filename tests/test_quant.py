@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmq.quant import (
     QuantConfig,
     QuantizedLayer,
-    fit_grid_rows,
+    fit_layer_grids,
     pack_codes,
     quantize_values,
     rtn_quantize,
@@ -23,9 +23,9 @@ from oracles import (
 
 
 def fit_one_group(group, bits):
-    """The (scale, zero) fit_grid_rows gives one group, as Python scalars."""
-    scales, zeros = fit_grid_rows(np.reshape(group, (1, -1)), bits)
-    return float(scales[0]), int(zeros[0])
+    """The (scale, zero) fit_layer_grids gives one group, as Python scalars."""
+    scales, zeros = fit_layer_grids(np.reshape(group, (1, -1)), bits, len(group))
+    return float(scales[0, 0]), int(zeros[0, 0])
 
 
 def grid_step(w, scale, zero, bits):
@@ -166,6 +166,84 @@ class TestFitGrid:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             fit_one_group([1.0, np.inf], bits=4)
+
+    @pytest.mark.parametrize("c", [2.0**31, -(2.0**31) - 1.0, 1e300])
+    def test_zero_point_beyond_int32_is_an_overflow(self, c):
+        """A numeric failure (an ArithmeticError), where it was a ValueError."""
+        with pytest.raises(OverflowError, match="zero-point exceeds int32 range"):
+            fit_one_group([c, c, c, c], bits=4)
+
+    def test_zero_point_at_the_int32_edge_is_kept(self):
+        assert fit_one_group([-(2.0**31) + 1.0] * 4, bits=4) == (1.0, 2**31 - 1)
+        assert fit_one_group([2.0**31 - 1.0] * 4, bits=4) == (1.0, -(2**31) + 1)
+
+    @pytest.mark.parametrize(
+        "group", [[0.0, 1e-300, 2e-300, 0.0], [-1e-300, 1e-300], [0.0, 1e-45], [-5e-324, 0.0]]
+    )
+    def test_scale_below_float32_is_fit_as_a_constant_group(self, group):
+        """(max - min) / 15 rounds to a float32 0, which was a non-positive scale."""
+        scale, zero = fit_one_group(group, bits=4)
+        assert (scale, zero) == (1.0, 0)
+        codes, deq = grid_step(np.array(group), scale, zero, bits=4)
+        assert codes.tolist() == [0] * len(group)
+        assert np.abs(np.array(group) - deq).max() <= 0.5 * scale
+
+    def test_smallest_float32_scale_is_kept(self):
+        """A range of 15 float32 subnormals keeps its own grid."""
+        tiny = float(np.float32(1e-45))
+        scale, zero = fit_one_group([0.0, 15 * tiny], bits=4)
+        assert scale == tiny and zero == 0
+
+
+GROUP_KINDS = ("normal", "constant", "zero", "tiny", "ties")
+
+
+def grouped_weight(seed, d_out, d_in, g, kinds):
+    """A (d_out, d_in) weight whose i-th group of g columns is of kinds[i % len(kinds)]."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(d_out, d_in)) * 10.0 ** rng.uniform(-3, 3, size=(d_out, 1))
+    for i, s in enumerate(range(0, d_in, g)):
+        block = w[:, s : s + g]
+        kind = kinds[i % len(kinds)]
+        if kind == "constant":
+            block[...] = rng.normal(size=(d_out, 1))
+        elif kind == "zero":
+            block[...] = 0.0
+        elif kind == "tiny":
+            block *= 1e-300
+        elif kind == "ties":
+            block[...] = np.round(block) + 0.5
+    return w
+
+
+class TestFitLayerGrids:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d_out=st.integers(1, 4),
+        d_in=st.integers(1, 40),
+        g=st.integers(1, 48),
+        bits=st.sampled_from([2, 3, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(GROUP_KINDS), min_size=1, max_size=6),
+    )
+    @example(d_out=2, d_in=10, g=4, bits=4, seed=0, kinds=["normal", "constant", "zero"])
+    @example(d_out=3, d_in=7, g=1, bits=2, seed=1, kinds=["normal", "zero", "constant"])
+    @example(d_out=2, d_in=9, g=9, bits=3, seed=2, kinds=["normal"])
+    @example(d_out=2, d_in=5, g=32, bits=8, seed=3, kinds=["constant"])
+    @example(d_out=1, d_in=12, g=5, bits=4, seed=4, kinds=["zero", "tiny", "ties"])
+    def test_equals_the_per_group_fits(self, d_out, d_in, g, bits, seed, kinds):
+        """One pass over the layer gives, bit for bit, each group fitted alone;
+        the last group takes the remainder."""
+        w = grouped_weight(seed, d_out, d_in, g, kinds)
+        scales, zeros = fit_layer_grids(w, bits, g)
+        starts = list(range(0, d_in, g))
+        assert scales.shape == zeros.shape == (d_out, len(starts))
+        assert scales.dtype == np.float64 and zeros.dtype == np.int32
+        for i, s in enumerate(starts):
+            e = min(s + g, d_in)
+            alone = fit_layer_grids(w[:, s:e], bits, e - s)
+            assert scales[:, i : i + 1].tobytes() == alone[0].tobytes()
+            assert zeros[:, i : i + 1].tobytes() == alone[1].tobytes()
 
 
 class TestQuantizeValues:
