@@ -9,7 +9,6 @@ synthetic-task harness for desk-scale experiments.
 from .calib import (
     CalibSet,
     SyntheticProblem,
-    anchor_lambda,
     collect_layer_stats,
     load_calib_set,
     make_synthetic_tasks,
@@ -89,7 +88,6 @@ __all__ = [
     "SolveReport",
     "SolverProblem",
     "SyntheticProblem",
-    "anchor_lambda",
     "apply_merge",
     "build_epmq_statistics",
     "cholesky_solve",

@@ -1,9 +1,7 @@
 """Per-task calibration data and layer-wise second-order statistics.
 
 For each task i and layer l the pipeline needs the layer inputs X_i
-(d x n_i) and the unnormalized curvature H_i = X_i X_i^T. The adaptive
-anchor for a layer is lam = (alpha / d) * sum_i trace(H_i), where
-trace(H_i) is the activation energy ||X_i||_F^2.
+(d x n_i) and the unnormalized curvature H_i = X_i X_i^T.
 
 Also hosts the synthetic-task generator: a random base model, per-task input
 distributions, per-task teacher targets, and experts produced by a fixed
@@ -103,14 +101,6 @@ def collect_layer_stats(
         )
     xs = list(activations)  # popped, so no view outlives its H_i
     return (accumulate_stats(xs.pop(0)) for _ in range(len(xs)))
-
-
-def anchor_lambda(energy: float, d: int, alpha: float) -> float:
-    """Adaptive anchor strength (alpha / d) * energy, for the energy
-    sum_i trace(H_i) of a layer of width d, summed in task order."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return (alpha / d) * energy
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +328,9 @@ def load_calib_set(directory) -> CalibSet:
         raise MalformedHeaderError(f"{index_path}: malformed index: {exc!r}") from exc
     if num_tasks < 1:
         raise MalformedHeaderError(f"{index_path}: malformed index: K={num_tasks}, need K >= 1")
+    last = directory / f"task{num_tasks}.safetensors"
+    if not last.is_file():  # before a (K, d, n) stack is sized from an index that overstates K
+        raise FileNotFoundError(f"{last}: no such task file, {index_path} has K={num_tasks}")
     stacks = {}
     for t in range(num_tasks):
         path = directory / f"task{t + 1}.safetensors"

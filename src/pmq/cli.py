@@ -37,7 +37,7 @@ from .pipeline import (
     quantize,
     run_to_json_dict,
 )
-from .quant import QuantConfig
+from .quant import SOLVERS, QuantConfig
 from .tensorfile import TensorFileError, write_atomic, write_json
 
 SWEEP_AXES = ("bits", "alpha", "samples")
@@ -82,7 +82,7 @@ class RunConfig:
         if self.expert_mode not in ("train", "perturb"):
             raise ConfigError(f"unknown expert_mode '{self.expert_mode}'")
         for m in self.sweep_methods:
-            if m not in ("rtn", "gptq", "epmq"):
+            if m not in SOLVERS:
                 raise ConfigError(f"unknown sweep method '{m}'")
         for name in ("learning_rate", "teacher_scale"):
             require_real(getattr(self, name), name)

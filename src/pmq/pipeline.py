@@ -9,15 +9,18 @@ puts the quantized layer in its place before moving on. The curvatures are
 formed one at a time as the solver consumes them, and the last layer's stack
 is let go once they are.
 
-Each layer report carries a trajectory checksum: the prefix chain
-c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
-1..l-1 as they stand when layer l is calibrated. quantize extends it by one
-link per layer and hashes nothing else. The arrays a step can reach are
-read-only views: checkpoint weights and biases, calibration inputs and a
-quantized layer's realized weight. A solver that writes into layer l's
-source or into a layer the cache was advanced through fails at the write
-with numpy's read-only ValueError, so the collected activations describe
-the state that is replaced.
+Each layer entry of run.json carries a trajectory checksum: the prefix
+chain c_1 = EMPTY_PREFIX, c_l = chain_link(c_{l-1}, layer l-1) over layers
+1..l-1 as they stand when layer l is calibrated. quantize hashes nothing;
+run_to_json_dict folds the chain over the final model's layers, one link per
+layer but the last. Those are the layers that stood at calibration: layers
+are frozen, their arrays read-only, and quantize alone replaces each layer,
+once and in order. The arrays a step can reach are read-only views:
+checkpoint weights and biases, calibration inputs and a quantized layer's
+realized weight. A solver that writes into layer l's source or into a layer
+the cache was advanced through fails at the write with numpy's read-only
+ValueError, so the collected activations describe the state that is
+replaced.
 
 Deviation diagnostics decompose the held-out output error of each
 quantized layer into the quantization part (Q X - W_m X) and the
@@ -28,6 +31,7 @@ tasks together as one (K, d, n) stack, as quantize does (`_walk`).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -45,7 +49,7 @@ from .model import (
     forward_to_layer,
     propagate_through_layer,
 )
-from .quant import QuantConfig
+from .quant import SOLVERS, QuantConfig
 from .solver import SolveReport, solve_layer
 
 # largest |(Q X - W_i X) - ((Q X - W_m X) + (W_m X - W_i X))| a deviation row may hold,
@@ -54,35 +58,28 @@ IDENTITY_TOL = 1e-9
 
 
 @dataclass
-class LayerReport:
-    layer_id: str
-    solve: SolveReport
-    trajectory_checksum: str
-
-    def to_json_dict(self) -> dict:
-        out = {"layer_id": self.layer_id, "trajectory_checksum": self.trajectory_checksum}
-        out.update(self.solve.to_json_dict())
-        return out
-
-
-@dataclass
 class PmqRun:
-    """Everything produced by one quantization run."""
+    """Everything produced by one quantization run.
+
+    `layer_reports` are the solvers' reports, one per layer of `model`, in
+    layer order; a layer's id and trajectory checksum come from `model`
+    (run_to_json_dict).
+    """
 
     merged: Checkpoint
     experts: list[Checkpoint]
     calib: CalibSet | None
     cfg: QuantConfig
-    layer_reports: list[LayerReport]
+    layer_reports: list[SolveReport]
     model: Model
     method: str
 
     @property
     def damped_fallback(self) -> bool:
-        return any(rep.solve.damped_fallback for rep in self.layer_reports)
+        return any(rep.damped_fallback for rep in self.layer_reports)
 
     def total_objective(self) -> float:
-        return float(sum(rep.solve.objective or 0.0 for rep in self.layer_reports))
+        return float(sum(rep.objective or 0.0 for rep in self.layer_reports))
 
 
 @dataclass
@@ -158,8 +155,7 @@ def quantize(
     model = Model.from_checkpoint(merged)
     # layer-l inputs of the K tasks, one (K, d, n) stack: the calibration set's own at layer 1
     cache = None if calib is None else calib.inputs
-    reports: list[LayerReport] = []
-    chain = EMPTY_PREFIX
+    reports: list[SolveReport] = []
     for layer_index in range(1, model.num_layers + 1):
         layer = model.layers[layer_index - 1]
         layer_id = layer.spec.id
@@ -171,17 +167,12 @@ def quantize(
                 [e.layers[layer_index - 1].weight for e in experts], layer.weight, hessians, cfg
             )
             model.replace_layer(layer_index, solve.quantized)
-            layer = model.layers[layer_index - 1]  # the quantized Layer, for the cache and chain
             if cache is not None and layer_index < model.num_layers:
-                cache = propagate_through_layer(cache, layer)
+                cache = propagate_through_layer(cache, model.layers[layer_index - 1])
         except Exception as exc:
             exc.args = (f"layer '{layer_id}': {exc}",)
             raise
-        reports.append(
-            LayerReport(layer_id=layer_id, solve=solve, trajectory_checksum=chain.hex())
-        )
-        if layer_index < model.num_layers:
-            chain = chain_link(chain, layer)
+        reports.append(solve)
     return PmqRun(
         merged=merged,
         experts=list(experts),
@@ -352,13 +343,37 @@ def evaluate(model: Model, heldout: CalibSet) -> EvalResult:
 
 
 def run_to_json_dict(run: PmqRun, config: dict | None = None) -> dict:
+    """The run.json record of `run`. Each layer entry is its layer id and
+    trajectory checksum, both read from run.model, then its solver report;
+    the checksums are the prefix chain over the model's layers (see the
+    module docstring)."""
+    checksums = itertools.accumulate(run.model.layers[:-1], chain_link, initial=EMPTY_PREFIX)
+    layers = [
+        {"layer_id": layer.spec.id, "trajectory_checksum": chain.hex(), **rep.to_json_dict()}
+        for layer, chain, rep in zip(run.model.layers, checksums, run.layer_reports)
+    ]
     return {
         "method": run.method,
         "damped": run.damped_fallback,
         "total_objective": run.total_objective(),
         "config": config or {},
-        "layers": [rep.to_json_dict() for rep in run.layer_reports],
+        "layers": layers,
     }
+
+
+# the keys of a run.json layer entry, in the order run_to_json_dict writes them
+_LAYER_PROPERTIES = {
+    "layer_id": {"type": "string"},
+    "trajectory_checksum": {"type": "string"},
+    "objective": {"type": ["number", "null"]},
+    "lambda": {"type": "number"},
+    "damping": {"type": "number"},
+    "damped": {"type": "boolean"},
+    "per_column_comp_norms": {"type": "array", "items": {"type": "number"}},
+    "bits": {"type": "integer", "minimum": 2, "maximum": 8},
+    "group_size": {"type": "integer", "minimum": 1},
+    "solver": {"type": "string", "enum": list(SOLVERS)},
+}
 
 
 RUN_JSON_SCHEMA = {
@@ -366,7 +381,7 @@ RUN_JSON_SCHEMA = {
     "required": ["method", "damped", "total_objective", "config", "layers"],
     "additionalProperties": True,
     "properties": {
-        "method": {"type": "string", "enum": ["rtn", "gptq", "epmq"]},
+        "method": {"type": "string", "enum": list(SOLVERS)},
         "damped": {"type": "boolean"},
         "total_objective": {"type": "number"},
         "config": {"type": "object"},
@@ -377,30 +392,8 @@ RUN_JSON_SCHEMA = {
             "minItems": 1,
             "items": {
                 "type": "object",
-                "required": [
-                    "layer_id",
-                    "trajectory_checksum",
-                    "objective",
-                    "lambda",
-                    "damping",
-                    "damped",
-                    "per_column_comp_norms",
-                    "bits",
-                    "group_size",
-                    "solver",
-                ],
-                "properties": {
-                    "layer_id": {"type": "string"},
-                    "trajectory_checksum": {"type": "string"},
-                    "objective": {"type": ["number", "null"]},
-                    "lambda": {"type": "number"},
-                    "damping": {"type": "number"},
-                    "damped": {"type": "boolean"},
-                    "per_column_comp_norms": {"type": "array", "items": {"type": "number"}},
-                    "bits": {"type": "integer", "minimum": 2, "maximum": 8},
-                    "group_size": {"type": "integer", "minimum": 1},
-                    "solver": {"type": "string", "enum": ["rtn", "gptq", "epmq"]},
-                },
+                "required": list(_LAYER_PROPERTIES),
+                "properties": _LAYER_PROPERTIES,
             },
         },
     },

@@ -180,7 +180,7 @@ class QuantizedLayer:
 def rtn_quantize(W, cfg: QuantConfig) -> QuantizedLayer:
     """Round-to-nearest per group: fit W's grids, then every entry takes the
     grid step (quantize_values) at once, with nothing to compensate."""
-    W = require_finite(as_matrix(W, "weight"), "weight")
+    W = as_matrix(W, "weight")
     scales, zeros = fit_layer_grids(W, cfg.bits, cfg.group_size)
     g = np.arange(W.shape[1]) // cfg.group_size
     codes, values = quantize_values(W, scales[:, g], zeros[:, g], cfg.bits)
@@ -197,8 +197,9 @@ def fit_layer_grids(W, bits: int, group_size: int) -> tuple[np.ndarray, np.ndarr
     one whose scale rounds to 0 at float32 (every entry within ~1e-43 of
     zero), gets scale 1 and zero-point -round(min), so code 0 lies within
     half a step of each entry (that zero-point may fall outside the code
-    range; codes themselves never do). A zero-point beyond int32 raises
-    OverflowError.
+    range; codes themselves never do). A scale beyond float32's range (the
+    group's range, or its float64 difference, too wide) or a zero-point
+    beyond int32 raises OverflowError. W must be finite (ValueError).
 
     Returns (scales, zeros), each (d_out, num_groups): scales float64
     holding float32-rounded values, zeros int32.
@@ -211,7 +212,10 @@ def fit_layer_grids(W, bits: int, group_size: int) -> tuple[np.ndarray, np.ndarr
     degenerate = ~(raw_mx > raw_mn)
     mn = np.minimum(raw_mn, 0.0)
     mx = np.maximum(raw_mx, 0.0)
-    scales = np.float32(np.where(degenerate, 1.0, (mx - mn) / maxq)).astype(np.float64)
+    with np.errstate(over="ignore"):
+        scales = np.float32(np.where(degenerate, 1.0, (mx - mn) / maxq)).astype(np.float64)
+    if not np.isfinite(scales).all():
+        raise OverflowError("grid scale exceeds float32 range")
     degenerate |= scales == 0.0
     scales[degenerate] = 1.0
     zeros = np.clip(round_half_away(-mn / scales), 0, maxq)

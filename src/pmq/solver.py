@@ -38,12 +38,11 @@ and epmq's F(Q) is the gap plus a constant (solve_layer).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calib import anchor_lambda
 from .linalg import (
     SingularMatrixError,
     as_matrix,
@@ -153,9 +152,12 @@ def build_epmq_statistics(
     the next is asked for, so an iterator that forms them one at a time
     (calib.collect_layer_stats) holds one at a time. H_E = sum_i H_i + lam*I,
     R = sum_i W_i H_i + lam*W_m and c = sum_i <W_i H_i, W_i> + lam*||W_m||_F^2,
-    with lam = (alpha / d) * sum_i trace(H_i) (anchor_lambda), all summed in
-    task order.
+    with the adaptive anchor lam = (alpha / d) * sum_i trace(H_i), where
+    trace(H_i) is task i's activation energy ||X_i||_F^2, all summed in task
+    order from 0.0. Raises ValueError when alpha < 0.
     """
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     merged_weight = as_matrix(merged_weight, "merged_weight")
     k = len(expert_weights)
     h_e = r = None
@@ -186,7 +188,7 @@ def build_epmq_statistics(
     if not k or count != k:
         raise ValueError(f"{k} expert weights for {count} curvatures")
     d = len(h_e)
-    lam = anchor_lambda(energy, d, alpha)
+    lam = (alpha / d) * energy
     h_e.flat[:: d + 1] += lam
     r += lam * merged_weight
     return h_e, r, lam, c + lam * frobenius_sq(merged_weight)
@@ -253,10 +255,11 @@ def _damping_for(h: np.ndarray, percdamp: float) -> float:
 
 def _round_under(
     target: np.ndarray, curvature: list, grid_source_weight: np.ndarray, cfg: QuantConfig
-) -> tuple:
-    """(quantized layer, compensation norms, damp, gap) of sequential
-    error-compensated rounding of `target` under the curvature H in the
-    one-item list `curvature`, which is emptied to factor
+) -> SolveReport:
+    """gptq's SolveReport of sequential error-compensated rounding of
+    `target` under the curvature H in the one-item list `curvature`: the
+    quantized layer, the compensation norms, the damping and, as the
+    objective, the rounding gap; lam is 0.0. `curvature` is emptied to factor
     inv(H + damp*I) = U^T U, damp being cfg.percdamp of H's mean diagonal,
     so that H does not outlive the factoring; U is dropped before the two
     output copies.
@@ -322,19 +325,6 @@ def _round_under(
     comp_norms = np.sqrt(comp_sq)
     error = quantized.weight - target
     gap = float(np.dot(comp_norms, comp_norms)) - damp * frobenius_sq(error)
-    return quantized, comp_norms, damp, gap
-
-
-def gptq_solve(problem: SolverProblem) -> SolveReport:
-    """Sequential error-compensated rounding toward the problem target.
-
-    Rounds with _round_under; the reported objective is the rounding gap
-    tr((Q - T) H (Q - T)^T) of the final values against the pre-damping
-    curvature, read from the compensation norms (no GEMM).
-    """
-    quantized, comp_norms, damp, gap = _round_under(
-        problem.target, [problem.curvature], problem.grid_source_weight, problem.cfg
-    )
     return SolveReport(
         quantized=quantized,
         objective=gap,
@@ -342,6 +332,19 @@ def gptq_solve(problem: SolverProblem) -> SolveReport:
         damping=damp,
         per_column_comp_norms=comp_norms,
         solver="gptq",
+    )
+
+
+def gptq_solve(problem: SolverProblem) -> SolveReport:
+    """Sequential error-compensated rounding toward the problem target.
+
+    _round_under's report, as is, whatever cfg.solver says: solver "gptq",
+    lam 0.0, and as the objective the rounding gap tr((Q - T) H (Q - T)^T)
+    of the final values against the pre-damping curvature, read from the
+    compensation norms (no GEMM).
+    """
+    return _round_under(
+        problem.target, [problem.curvature], problem.grid_source_weight, problem.cfg
     )
 
 
@@ -405,17 +408,11 @@ def solve_layer(
     curvature = [h_e]
     del r, h_e  # R and H_E are dead before the rounding
     grid_source = w_star if cfg.grid_source == "target" else merged_weight
-    quantized, comp_norms, damp, gap = _round_under(w_star, curvature, grid_source, cfg)
-    objective = gap + constant
+    report = _round_under(w_star, curvature, grid_source, cfg)
+    objective = report.objective + constant
     if shift:
-        error = quantized.weight - w_star
+        error = report.quantized.weight - w_star
         objective -= shift * (2.0 * float(np.vdot(w_star, error)) + frobenius_sq(w_star))
-    return SolveReport(
-        quantized=quantized,
-        objective=objective,
-        lam=lam,
-        damping=damp,
-        per_column_comp_norms=comp_norms,
-        solver="epmq",
-        damped_fallback=bool(shift),
+    return replace(
+        report, objective=objective, lam=lam, solver="epmq", damped_fallback=bool(shift)
     )

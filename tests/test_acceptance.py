@@ -243,7 +243,7 @@ def test_criterion_6_epmq_vs_naive_gptq():
         )
         run_g = quantize(merged, [], problem.calib, QuantConfig(bits=4, solver="gptq"))
         hessians = layer_stats(Model.from_checkpoint(merged), problem.calib, 1)
-        lam = run_e.layer_reports[0].solve.lam
+        lam = run_e.layer_reports[0].lam
         experts_w = [e.layers[0].weight for e in problem.experts]
         obj_e = epmq_objective(
             run_e.model.layers[0].weight, experts_w, merged.layers[0].weight, hessians, lam

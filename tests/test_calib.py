@@ -7,7 +7,6 @@ import pmq.calib
 from pmq.calib import (
     CalibSet,
     accumulate_stats,
-    anchor_lambda,
     collect_layer_stats,
     load_calib_set,
     make_synthetic_tasks,
@@ -164,6 +163,14 @@ class TestCalibSet:
         with pytest.raises(MalformedHeaderError, match=re.escape(message)):
             load_calib_set(tmp_path / "c")
 
+    @pytest.mark.parametrize("k", [3, 10**12])
+    def test_index_overstating_k_is_a_missing_file(self, tmp_path, rng, k):
+        """K = 4104749 sized a 7.8 GiB stack before any task was read (MemoryError)."""
+        save_calib_set(CalibSet(rng.normal(size=(2, 8, 32))), tmp_path / "c")
+        (tmp_path / "c" / "index.json").write_text(f'{{"K": {k}, "samples_per_task": 32}}')
+        with pytest.raises(FileNotFoundError, match=f"task{k}.safetensors: no such task file"):
+            load_calib_set(tmp_path / "c")
+
 
 class TestLayerStats:
     def test_layer_one_returns_raw_inputs_even_when_quantized(self):
@@ -260,17 +267,14 @@ class TestAnchorLambda:
         ws = [lw.weight for lw in model.layers[:1]] * problem.calib.num_tasks
         hessians = layer_stats(model, problem.calib, 1)
         assert build_epmq_statistics(ws, ws[0], hessians, 0.0)[2] == 0.0
-        energy = sum(float(np.trace(h)) for h in hessians)
-        assert anchor_lambda(energy, len(hessians[0]), 0.0) == 0.0
 
     def test_direct_arithmetic(self):
         # trace 8 per task: (0.1 / 4) * 16
-        assert anchor_lambda(16.0, 4, 0.1) == pytest.approx(0.4, abs=1e-15)
         w = np.zeros((2, 4))
         lam = build_epmq_statistics([w, w], w, iter([2.0 * np.eye(4)] * 2), 0.1)[2]
         assert lam == pytest.approx(0.4, abs=1e-15)
         with pytest.raises(ValueError, match="alpha must be >= 0"):
-            anchor_lambda(16.0, 4, -0.1)
+            build_epmq_statistics([w, w], w, iter([2.0 * np.eye(4)] * 2), -0.1)
 
     def test_matches_trace_form(self):
         problem = small_problem(seed=3)

@@ -834,17 +834,18 @@ class TestExitCodes:
         assert dir_hashes(out) == before  # no merged.safetensors
 
     @staticmethod
-    def merged_with_group(tmp_path, solver, group):
+    def merged_with_group(tmp_path, solver, group, layer="layer1"):
         """gen and merge at group_size 4, then the first group of merged
-        layer1's row 0 set to `group`."""
+        `layer`'s row 0 set to `group`."""
         cfg = write_cfg(tmp_path, {"quant.solver": solver, "quant.group_size": 4})
         out = tmp_path / "out"
         for stage in ("gen", "merge"):
             assert run_cli(stage, "--config", cfg, "--out", str(out)) == 0
         path = out / "merged.safetensors"
         tensors, _ = read_tensor_file(path)
-        tensors["layer1.weight"] = tensors["layer1.weight"].copy()
-        tensors["layer1.weight"][0, :4] = group
+        name = f"{layer}.weight"
+        tensors[name] = tensors[name].copy()
+        tensors[name][0, :4] = group
         write_tensor_file(path, tensors)
         return cfg, out
 
@@ -858,6 +859,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "numeric failure: layer 'layer1': zero-point exceeds int32 range" in err
+        assert dir_hashes(out) == before
+
+    @pytest.mark.parametrize("layer", ["layer1", "layer3"])
+    def test_scale_beyond_float32_is_3_and_writes_nothing(self, tmp_path, capsys, layer):
+        """A group ranging past ~5.1e39 at 4 bits got an infinite float32 scale:
+        on the last layer rtn wrote a NaN objective and exited 0, on layer 1
+        the next layer failed with overflowed calibration statistics."""
+        cfg, out = self.merged_with_group(tmp_path, "rtn", [0.0, 1e40, 0.5, 0.0], layer)
+        before = dir_hashes(out)
+        capsys.readouterr()
+        assert run_cli("quantize", "--config", cfg, "--out", str(out)) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [
+            f"pmq: numeric failure: layer '{layer}': grid scale exceeds float32 range"
+        ]
         assert dir_hashes(out) == before
 
     @pytest.mark.parametrize("solver", ["rtn", "gptq"])

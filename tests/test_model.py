@@ -306,7 +306,7 @@ class TestModelIO:
         loaded = load_model(path)
         for layer, rep in zip(loaded.layers, run.layer_reports, strict=True):
             assert layer.is_quantized
-            assert layer.weight.tobytes() == rep.solve.quantized.weight.tobytes()
+            assert layer.weight.tobytes() == rep.quantized.weight.tobytes()
             assert not layer.weight.flags.writeable
 
     def test_save_is_deterministic(self, tmp_path, rng):

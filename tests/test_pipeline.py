@@ -97,7 +97,7 @@ class TestRunEpmq:
             cfg,
         )
         np.testing.assert_array_equal(redo.quantized.codes, run.model.layers[1].source.codes)
-        assert redo.objective == pytest.approx(run.layer_reports[1].solve.objective, rel=1e-12)
+        assert redo.objective == pytest.approx(run.layer_reports[1].objective, rel=1e-12)
 
     def test_objective_recomputation_from_emitted_model(self):
         problem, merged = merged_problem(seed=4, dims=[6, 8, 7, 5], num_tasks=2)
@@ -107,7 +107,7 @@ class TestRunEpmq:
         for ell in range(1, run.model.num_layers + 1):
             stats_hessians = []
             q = run.model.layers[ell - 1].weight
-            lam = run.layer_reports[ell - 1].solve.lam
+            lam = run.layer_reports[ell - 1].lam
             obj = 0.0
             for inputs, expert in zip(problem.calib.inputs, problem.experts, strict=True):
                 x = forward_to_layer(run.model, inputs, ell)
@@ -116,7 +116,7 @@ class TestRunEpmq:
                 obj += float(np.sum(diff * diff))
             obj += lam * float(np.sum((q - merged.layers[ell - 1].weight) ** 2))
             total += obj
-            assert obj == pytest.approx(run.layer_reports[ell - 1].solve.objective, rel=1e-8)
+            assert obj == pytest.approx(run.layer_reports[ell - 1].objective, rel=1e-8)
         assert total == pytest.approx(run.total_objective(), rel=1e-8)
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -151,7 +151,7 @@ class TestRealizedWeights:
         problem, merged = merged_problem(seed=5, dims=[6, 8, 7, 5])
         run = run_method(problem, merged, method)
         for layer, rep in zip(run.model.layers, run.layer_reports):
-            assert layer.weight is rep.solve.quantized.weight
+            assert layer.weight is rep.quantized.weight
             assert layer.weight.tobytes() == layer.source.dequantize().tobytes()
 
     def test_epmq_run_scores_without_objective_gemms(self, monkeypatch):
@@ -211,8 +211,8 @@ class TestRunNaivePtq:
         run_without = quantize(merged, [], None, cfg)
         for la, lb in zip(run_with.model.layers, run_without.model.layers):
             np.testing.assert_array_equal(la.source.codes, lb.source.codes)
-        assert run_with.layer_reports[0].solve.objective is not None
-        assert run_without.layer_reports[0].solve.objective is None
+        assert run_with.layer_reports[0].objective is not None
+        assert run_without.layer_reports[0].objective is None
 
     def test_gptq_huge_damping_matches_rtn_codes(self):
         # overwhelming diagonal damping: compensation terms vanish
@@ -235,7 +235,7 @@ class TestRunNaivePtq:
             run_r = quantize(merged, [], problem.calib, cfg_r)
             for rep_g, rep_r in zip(run_g.layer_reports, run_r.layer_reports):
                 total += 1
-                better += rep_g.solve.objective <= rep_r.solve.objective
+                better += rep_g.objective <= rep_r.objective
         assert better >= 0.95 * total
 
 
@@ -483,7 +483,7 @@ class TestActivationCache:
         model, reports = quantize_from_scratch(merged, problem.experts, problem.calib, run.cfg)
         for got, want in zip(run.model.layers, model.layers):
             assert (got.source.codes == want.source.codes).all()
-        assert [rep.solve.to_json_dict() for rep in run.layer_reports] == [
+        assert [rep.to_json_dict() for rep in run.layer_reports] == [
             rep.to_json_dict() for rep in reports
         ]
 
@@ -543,9 +543,10 @@ class TestTrajectoryChecksum:
     def test_checksum_is_chain_over_layers_before(self, seed, depth, method):
         problem, merged = merged_problem(seed=seed, dims=[5] * (depth + 1))
         run = run_method(problem, merged, method)
-        for ell, rep in enumerate(run.layer_reports, start=1):
-            assert rep.trajectory_checksum == prefix_chain(run.model.layers[: ell - 1])
-        assert run.layer_reports[0].trajectory_checksum == EMPTY_PREFIX.hex()
+        layers = run_to_json_dict(run)["layers"]
+        for ell, rep in enumerate(layers, start=1):
+            assert rep["trajectory_checksum"] == prefix_chain(run.model.layers[: ell - 1])
+        assert layers[0]["trajectory_checksum"] == EMPTY_PREFIX.hex()
 
     def test_state_checksum_is_the_chain_over_every_layer(self):
         problem, merged = merged_problem(seed=20, dims=[6, 8, 7, 5])
@@ -560,16 +561,17 @@ class TestTrajectoryChecksum:
         other = Checkpoint(layers=layers, manifest=merged.manifest)
         run_a = run_method(problem, merged, "epmq")
         run_b = run_method(problem, other, "epmq")
-        assert [r.trajectory_checksum for r in run_a.layer_reports] == [
-            r.trajectory_checksum for r in run_b.layer_reports
+        assert [r["trajectory_checksum"] for r in run_to_json_dict(run_a)["layers"]] == [
+            r["trajectory_checksum"] for r in run_to_json_dict(run_b)["layers"]
         ]
 
     def test_hashes_each_layer_a_bounded_number_of_times(self, monkeypatch):
         problem, merged = merged_problem(seed=22, dims=[6] * 10)
         calls = counting(monkeypatch, pmq.pipeline, "chain_link")
         run = run_method(problem, merged, "epmq")
-        # one link per layer extends the trajectory checksum; nothing is re-hashed
-        assert len(calls) <= run.model.num_layers
+        run_to_json_dict(run)
+        # one link per layer but the last extends the trajectory checksum; nothing is re-hashed
+        assert len(calls) == run.model.num_layers - 1
 
 
 class TestStateGuard:
@@ -684,6 +686,27 @@ class TestRunJson:
         jsonschema.validate(blob, RUN_JSON_SCHEMA)
         checksums = [rep["trajectory_checksum"] for rep in blob["layers"]]
         assert len(set(checksums)) == len(checksums)  # state changes at every layer
+
+    @pytest.mark.parametrize(
+        "method, calibrated", [("rtn", False), ("rtn", True), ("gptq", True), ("epmq", True)]
+    )
+    def test_layer_entries_carry_exactly_the_schema_keys(self, method, calibrated):
+        """Each layer entry is the layer id, the checksum and the solver report,
+        and its keys are the ones the schema declares, in that order."""
+        import jsonschema
+
+        from pmq.pipeline import RUN_JSON_SCHEMA
+
+        problem, merged = merged_problem(seed=17, dims=[6, 8, 7, 5])
+        calib = problem.calib if calibrated else None
+        cfg = QuantConfig(bits=3, group_size=4, solver=method)
+        run = quantize(merged, problem.experts, calib, cfg)
+        blob = run_to_json_dict(run)
+        jsonschema.validate(blob, RUN_JSON_SCHEMA)
+        required = RUN_JSON_SCHEMA["properties"]["layers"]["items"]["required"]
+        assert [list(entry) for entry in blob["layers"]] == [required] * run.model.num_layers
+        assert [entry["layer_id"] for entry in blob["layers"]] == ["layer1", "layer2", "layer3"]
+        assert {entry["solver"] for entry in blob["layers"]} == {method}
 
 
 def test_public_names_resolve_once():

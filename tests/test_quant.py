@@ -194,6 +194,23 @@ class TestFitGrid:
         scale, zero = fit_one_group([0.0, 15 * tiny], bits=4)
         assert scale == tiny and zero == 0
 
+    @pytest.mark.parametrize(
+        "group",
+        [[0.0, 1e40, 0.5, 0.0], [-1e308, 1e308], [0.0, 16 * float(np.finfo(np.float32).max)]],
+    )
+    def test_scale_beyond_float32_is_an_overflow(self, group):
+        """An infinite float32 scale, with two RuntimeWarnings, gave NaN weights."""
+        with pytest.raises(OverflowError, match="grid scale exceeds float32 range"):
+            fit_one_group(group, bits=4)
+
+    def test_largest_float32_scale_is_kept(self):
+        """A range of 15 times float32's max keeps that max as its scale."""
+        top = float(np.finfo(np.float32).max)
+        scale, zero = fit_one_group([0.0, 15 * top], bits=4)
+        assert scale == top and zero == 0
+        codes, deq = grid_step(np.array([0.0, 15 * top]), scale, zero, bits=4)
+        assert codes.tolist() == [0, 15] and deq.tolist() == [0.0, 15 * top]
+
 
 GROUP_KINDS = ("normal", "constant", "zero", "tiny", "ties")
 

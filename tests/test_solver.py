@@ -421,6 +421,15 @@ class TestGptqSolve:
             "solver",
         }
 
+    def test_reports_gptq_whatever_the_config_solver(self, rng):
+        """gptq_solve returns the rounding's own report: an epmq config does not
+        make it an epmq solve, and it carries no anchor."""
+        cfg = QuantConfig(bits=4, group_size=8, solver="epmq", alpha=0.5)
+        w = rng.normal(size=(3, 8))
+        h = random_spd(rng, 8)
+        rep = gptq_solve(SolverProblem(target=w, curvature=h, grid_source_weight=w, cfg=cfg))
+        assert (rep.solver, rep.lam, rep.damped_fallback) == ("gptq", 0.0, False)
+
 
 class TestEpmqSolve:
     def test_anchor_dominant_limit_equals_rtn_of_merged(self, rng):
